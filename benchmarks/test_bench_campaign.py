@@ -27,7 +27,7 @@ from repro.experiments.artifacts import (
     clear_process_artifact_cache,
     process_artifact_cache,
 )
-from repro.sweeps import GridAxis, SweepSpec, SweepStore, run_sweep
+from repro.sweeps import GridAxis, SweepOptions, SweepSpec, SweepStore, run
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_campaign.json"
 
@@ -58,8 +58,12 @@ def _spec() -> SweepSpec:
 
 
 def _store_digest(root: str) -> str:
+    # Top-level result files only; .attempts/ etc. are outside the
+    # byte-identity invariant.
     digest = hashlib.sha256()
     for entry in sorted(os.listdir(root)):
+        if entry.startswith(".") or not os.path.isfile(os.path.join(root, entry)):
+            continue
         digest.update(entry.encode())
         with open(os.path.join(root, entry), "rb") as handle:
             digest.update(handle.read())
@@ -74,9 +78,7 @@ def test_bench_campaign_sharing(capsys):
         root = tempfile.mkdtemp(prefix="bench_campaign_")
         roots.append(root)
         start = time.perf_counter()
-        report = run_sweep(
-            _spec(), SweepStore(root), n_workers=1, artifacts=artifacts
-        )
+        report = run(_spec(), SweepStore(root), SweepOptions(artifacts=artifacts))
         seconds = time.perf_counter() - start
         assert report.n_executed == n_scenarios
         return root, seconds

@@ -1,4 +1,4 @@
-"""Benchmark: scenario-sweep throughput, store-hit latency, pooling.
+"""Benchmark: scenario-sweep throughput, store-hit latency, sharing.
 
 Measures the sweep runner on reduced-parameter grids:
 
@@ -6,11 +6,11 @@ Measures the sweep runner on reduced-parameter grids:
   multiprocess path has identical per-scenario cost plus pool
   overhead) and the warm path where every scenario is served from the
   content-addressed store;
-* the PR 5 *pooled* executor — cross-campaign batch pool + artifact
-  sharing + campaign-outcome memoisation — against the plain unpooled
-  executor on a shape-homogeneous analysis grid (one fleet, one
-  measurement tier, analysis axes only), cold-for-cold, plus the
-  repeat-study regime where every campaign outcome is memoised.
+* artifact sharing plus the campaign-outcome memo against a plain run
+  on the same analysis grid (one fleet, one measurement tier, analysis
+  axes only), cold-for-cold (``sharing_*``), plus the repeat-study
+  regime where every campaign outcome is memoised
+  (``sharing_repeat_*``).
 
 Numbers land in ``BENCH_sweep.json``; the CI regression gate
 (``benchmarks/check_bench.py``) holds future PRs to them.
@@ -30,9 +30,8 @@ from repro.experiments.artifacts import (
     ArtifactOptions,
     clear_process_artifact_cache,
 )
-from repro.hdl.batch_pool import BatchPoolOptions
 from repro.hdl.engine import clear_program_cache
-from repro.sweeps import GridAxis, SweepSpec, SweepStore, run_sweep
+from repro.sweeps import GridAxis, SweepOptions, SweepSpec, SweepStore, run
 
 BENCH_FILE = pathlib.Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
 
@@ -43,7 +42,11 @@ BASE = {
     "parameters.n2": 256,
 }
 
-#: The pooled comparison must be cold-for-cold: every round starts from
+#: Artifact sharing and the outcome memo on the process-wide cache.
+SHARING = SweepOptions(artifacts=ArtifactOptions())
+
+
+#: The sharing comparison must be cold-for-cold: every round starts from
 #: an empty process (activity, program and artifact caches), exactly
 #: like a fresh worker.
 def _clear_process_state():
@@ -65,15 +68,15 @@ def _spec() -> SweepSpec:
     )
 
 
-def _pooled_spec() -> SweepSpec:
+def _sharing_spec() -> SweepSpec:
     """Shape-homogeneous quick grid: one fleet, analysis axes only.
 
     ``fleet_seed``/``measurement_seed`` are pinned so every scenario
-    shares the fleet and measurement tiers — the regime the batch pool
-    and the artifact/outcome tiers are built for.
+    shares the fleet and measurement tiers — the regime the artifact
+    and outcome tiers are built for.
     """
     return SweepSpec(
-        name="bench-pooled",
+        name="bench-sharing",
         grid=(
             GridAxis("parameters.n2", (256, 512)),
             GridAxis("analysis_seed", (1, 2, 3, 4, 5, 6)),
@@ -94,7 +97,7 @@ def test_bench_sweep_cold(benchmark, results):
     def run_cold():
         root = tempfile.mkdtemp(prefix="bench_sweep_")
         roots.append(root)
-        return run_sweep(_spec(), SweepStore(root), n_workers=1)
+        return run(_spec(), SweepStore(root))
 
     report = benchmark.pedantic(run_cold, rounds=3, iterations=1)
     for root in roots:
@@ -107,77 +110,63 @@ def test_bench_sweep_cold(benchmark, results):
 def test_bench_sweep_warm_store(benchmark, results):
     root = tempfile.mkdtemp(prefix="bench_sweep_")
     store = SweepStore(root)
-    run_sweep(_spec(), store, n_workers=1)
+    run(_spec(), store)
 
-    report = benchmark.pedantic(
-        lambda: run_sweep(_spec(), store, n_workers=1), rounds=3, iterations=1
-    )
+    report = benchmark.pedantic(lambda: run(_spec(), store), rounds=3, iterations=1)
     shutil.rmtree(root, ignore_errors=True)
     assert report.n_executed == 0 and report.n_cached == 12
     results["warm_seconds"] = benchmark.stats.stats.mean
 
 
-def test_bench_sweep_pooled_grid_unpooled(benchmark, results):
-    """Baseline for the pooled entry: same grid, plain executor."""
+def test_bench_sweep_sharing_grid_plain(benchmark, results):
+    """Baseline for the sharing entries: same grid, plain executor."""
     roots = []
 
     def setup():
         _clear_process_state()
-        root = tempfile.mkdtemp(prefix="bench_sweep_unpooled_")
+        root = tempfile.mkdtemp(prefix="bench_sweep_plain_")
         roots.append(root)
         return (root,), {}
 
-    def run_unpooled(root):
-        return run_sweep(_pooled_spec(), SweepStore(root), n_workers=1)
+    def run_plain(root):
+        return run(_sharing_spec(), SweepStore(root))
 
-    report = benchmark.pedantic(run_unpooled, setup=setup, rounds=3, iterations=1)
+    report = benchmark.pedantic(run_plain, setup=setup, rounds=3, iterations=1)
     assert report.n_executed == 12
-    results["_unpooled_root"] = roots[-1]
-    results["_unpooled_keep"] = roots
-    results["pooled_grid_unpooled_seconds"] = benchmark.stats.stats.mean
+    results["_plain_root"] = roots[-1]
+    results["_plain_keep"] = roots
+    results["sharing_grid_plain_seconds"] = benchmark.stats.stats.mean
 
 
-def test_bench_sweep_pooled(benchmark, results):
-    """The PR 5 executor: batch pool + artifacts + outcome memo, cold."""
+def test_bench_sweep_sharing(benchmark, results):
+    """Artifact sharing + outcome memo, cold."""
     roots = []
 
     def setup():
         _clear_process_state()
-        root = tempfile.mkdtemp(prefix="bench_sweep_pooled_")
+        root = tempfile.mkdtemp(prefix="bench_sweep_sharing_")
         roots.append(root)
         return (root,), {}
 
-    def run_pooled(root):
-        return run_sweep(
-            _pooled_spec(),
-            SweepStore(root),
-            n_workers=1,
-            artifacts=ArtifactOptions(),
-            pool=BatchPoolOptions(),
-        )
+    def run_sharing(root):
+        return run(_sharing_spec(), SweepStore(root), SHARING)
 
-    report = benchmark.pedantic(run_pooled, setup=setup, rounds=3, iterations=1)
+    report = benchmark.pedantic(run_sharing, setup=setup, rounds=3, iterations=1)
     assert report.n_executed == 12
-    results["_pooled_root"] = roots[-1]
-    results["_pooled_keep"] = roots
-    results["pooled_seconds"] = benchmark.stats.stats.mean
-    results["pooled_scenarios_per_second"] = 12 / benchmark.stats.stats.mean
+    results["_sharing_root"] = roots[-1]
+    results["_sharing_keep"] = roots
+    results["sharing_seconds"] = benchmark.stats.stats.mean
+    results["sharing_scenarios_per_second"] = 12 / benchmark.stats.stats.mean
 
 
-def test_bench_sweep_pooled_repeat(benchmark, results):
+def test_bench_sweep_sharing_repeat(benchmark, results):
     """Repeat study: fresh store, warm outcome memo — analysis skipped."""
     import hashlib
     import os
 
     _clear_process_state()
     warm_root = tempfile.mkdtemp(prefix="bench_sweep_repeat_warm_")
-    run_sweep(
-        _pooled_spec(),
-        SweepStore(warm_root),
-        n_workers=1,
-        artifacts=ArtifactOptions(),
-        pool=BatchPoolOptions(),
-    )
+    run(_sharing_spec(), SweepStore(warm_root), SHARING)
     roots = []
 
     def setup():
@@ -186,22 +175,14 @@ def test_bench_sweep_pooled_repeat(benchmark, results):
         return (root,), {}
 
     def run_repeat(root):
-        return run_sweep(
-            _pooled_spec(),
-            SweepStore(root),
-            n_workers=1,
-            artifacts=ArtifactOptions(),
-            pool=BatchPoolOptions(),
-        )
+        return run(_sharing_spec(), SweepStore(root), SHARING)
 
     report = benchmark.pedantic(run_repeat, setup=setup, rounds=3, iterations=1)
     assert report.n_executed == 12
-    if "_unpooled_root" not in results or "_pooled_root" not in results:
+    if "_plain_root" not in results or "_sharing_root" not in results:
         for root in (warm_root, *roots):
             shutil.rmtree(root, ignore_errors=True)
-        pytest.skip(
-            "pooled summary needs the unpooled/pooled bench tests to run first"
-        )
+        pytest.skip("sharing summary needs the plain/sharing bench tests to run first")
 
     def digests(root):
         out = {}
@@ -213,35 +194,34 @@ def test_bench_sweep_pooled_repeat(benchmark, results):
                 out[entry] = hashlib.sha256(handle.read()).hexdigest()
         return out
 
-    # Pooling, sharing and memoisation never change a stored byte.
-    reference = digests(results.pop("_unpooled_root"))
-    assert digests(results.pop("_pooled_root")) == reference
+    # Sharing and memoisation never change a stored byte.
+    reference = digests(results.pop("_plain_root"))
+    assert digests(results.pop("_sharing_root")) == reference
     assert digests(roots[-1]) == reference
     for root in (
         warm_root,
         *roots,
-        *results.pop("_unpooled_keep"),
-        *results.pop("_pooled_keep"),
+        *results.pop("_plain_keep"),
+        *results.pop("_sharing_keep"),
     ):
         shutil.rmtree(root, ignore_errors=True)
 
-    results["pooled_repeat_seconds"] = benchmark.stats.stats.mean
-    results["pooled_speedup"] = round(
-        results["pooled_grid_unpooled_seconds"] / results["pooled_seconds"], 2
+    results["sharing_repeat_seconds"] = benchmark.stats.stats.mean
+    results["sharing_speedup"] = round(
+        results["sharing_grid_plain_seconds"] / results["sharing_seconds"], 2
     )
-    results["pooled_repeat_speedup"] = round(
-        results["pooled_grid_unpooled_seconds"]
-        / results["pooled_repeat_seconds"],
+    results["sharing_repeat_speedup"] = round(
+        results["sharing_grid_plain_seconds"] / results["sharing_repeat_seconds"],
         2,
     )
-    # No hard floor assert here: the committed pooled_speedup baseline
+    # No hard floor assert here: the committed sharing_speedup baseline
     # plus the check_bench gate (35% tolerance on speedup ratios) is
     # what enforces the trajectory, and it stays updatable through the
     # documented --update-baseline acceptance workflow.
 
     summary = {
         "grid": "noise.sigma x parameters.n2 x attack (12 scenarios, quick)",
-        "pooled_grid": "parameters.n2 x analysis_seed "
+        "sharing_grid": "parameters.n2 x analysis_seed "
         "(12 scenarios, one fleet/measurement tier)",
         **{key: round(value, 4) for key, value in results.items()},
     }

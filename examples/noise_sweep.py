@@ -8,7 +8,7 @@ the screening ROC AUC per noise level:
 1. declare the sweep once (:class:`repro.SweepSpec`) — a grid over
    ``noise.sigma`` and ``parameters.n2`` at a reduced, fast parameter
    point;
-2. execute it (:func:`repro.run_sweep`) into a content-addressed
+2. execute it (:func:`repro.sweeps.run`) into a content-addressed
    :class:`repro.SweepStore` — rerunning this script reuses every
    scenario already on disk, and the result bytes are identical for
    any worker count;
@@ -22,7 +22,8 @@ Run with::
 import sys
 import tempfile
 
-from repro import GridAxis, SweepSpec, SweepStore, expand_scenarios, run_sweep
+from repro import GridAxis, SweepSpec, SweepStore, expand_scenarios
+from repro.sweeps import run
 from repro.sweeps.aggregate import accuracy_pivot, roc_by_axis, tidy_accuracy
 from repro.analysis.aggregate import render_rows
 
@@ -43,7 +44,7 @@ def main(store_dir: str = "") -> None:
 
     # 2. Execute into the (resumable) store.
     store = SweepStore(store_dir or tempfile.mkdtemp(prefix="noise_sweep_"))
-    report = run_sweep(spec, store, n_workers=1)
+    report = run(spec, store)
     print(
         f"{report.n_scenarios} scenarios: executed {report.n_executed}, "
         f"reused {report.n_cached} from {store.root}"

@@ -62,7 +62,6 @@ from repro.sweeps import (
     SweepSpec,
     SweepStore,
     expand_scenarios,
-    run_sweep,
 )
 
 __version__ = "1.0.0"
@@ -103,5 +102,4 @@ __all__ = [
     "SweepSpec",
     "SweepStore",
     "expand_scenarios",
-    "run_sweep",
 ]

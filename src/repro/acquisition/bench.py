@@ -142,27 +142,17 @@ class MeasurementBench:
         devices: Iterable[Device],
         n_traces: int,
         n_cycles: Optional[int] = None,
-        pool=None,
     ) -> Dict[str, TraceSet]:
         """Acquire the same number of traces on several devices.
 
         The fleet's switching activity is primed first
         (:func:`~repro.acquisition.device.prime_fleet_activity`): all
         devices sharing a netlist shape simulate in one batched engine
-        execution instead of one scalar run each.  ``pool`` optionally
-        routes that priming through a shared
-        :class:`~repro.hdl.batch_pool.BatchPool`, so lanes other
-        callers already submitted batch together with this fleet's;
-        the pool is flushed before acquisition starts, but only when
-        this fleet's priming left lanes unresolved — an already-primed
-        fleet measures immediately without draining other callers'
-        pending lanes.  Acquired bytes are unchanged either way —
-        batching only fills the activity caches faster.
+        execution instead of one scalar run each.  Acquired bytes are
+        unchanged — batching only fills the activity caches faster.
         """
         devices = list(devices)
-        submitted = prime_fleet_activity(devices, n_cycles, pool=pool)
-        if pool is not None and submitted:
-            pool.flush()
+        prime_fleet_activity(devices, n_cycles)
         return {
             device.name: self.measure(device, n_traces, n_cycles)
             for device in devices

@@ -66,22 +66,9 @@ def fleet_activity_cache_size() -> int:
     return len(_FLEET_ACTIVITY_CACHE)
 
 
-def _install_fleet_trace(
-    fleet_key: Tuple[str, int], followers: List["Device"], trace: ActivityTrace
-) -> None:
-    """Share one simulated trace: process-wide cache + follower devices."""
-    _FLEET_ACTIVITY_CACHE[fleet_key] = trace
-    _FLEET_ACTIVITY_CACHE.move_to_end(fleet_key)
-    for device in followers:
-        device._activity_cache[fleet_key[1]] = trace
-    while len(_FLEET_ACTIVITY_CACHE) > FLEET_ACTIVITY_CACHE_MAX:
-        _FLEET_ACTIVITY_CACHE.popitem(last=False)
-
-
 def prime_fleet_activity(
     devices: Iterable["Device"],
     n_cycles: Optional[int] = None,
-    pool=None,
 ) -> int:
     """Fill the activity caches for a whole fleet with batched runs.
 
@@ -95,23 +82,11 @@ def prime_fleet_activity(
     ports) are simulated individually, exactly as the lazy
     :meth:`Device.activity` path would.
 
-    With a :class:`~repro.hdl.batch_pool.BatchPool` as ``pool`` the
-    distinct entries are *submitted* instead of simulated: the pool
-    defers execution so lanes from many fleets — different campaigns,
-    different sweep scenarios — flush together in shared shape-grouped
-    batches, and each resolved trace installs itself into the caches
-    through a future callback.  Deferred entries resolve at the next
-    pool flush (or budget auto-flush); until then the devices simply
-    fall back to lazy scalar simulation, so deferral is never a
-    correctness concern.  Submissions dedupe on the fleet key, so two
-    campaigns priming the same structure before a flush share one lane.
-
     Returns the number of distinct shareable entries that were
-    simulated (or submitted).  After priming (and, when pooled, after
-    the flush), every device's :meth:`Device.activity` for the
-    requested length is a cache hit, and the cached bytes are identical
-    to what lazy per-device simulation would have produced — the
-    engine's batching invariant.
+    simulated.  After priming, every device's :meth:`Device.activity`
+    for the requested length is a cache hit, and the cached bytes are
+    identical to what lazy per-device simulation would have produced —
+    the engine's batching invariant.
     """
     pending: "OrderedDict[Tuple[str, int], Simulator]" = OrderedDict()
     followers: Dict[Tuple[str, int], List[Device]] = {}
@@ -137,27 +112,17 @@ def prime_fleet_activity(
             followers[fleet_key] = [device]
     if not pending:
         return 0
-    if pool is not None:
-        for fleet_key, simulator in pending.items():
-            future = pool.submit(
-                simulator, fleet_key[1], key=("fleet-activity", *fleet_key)
-            )
-
-            def install(
-                trace: ActivityTrace,
-                fleet_key: Tuple[str, int] = fleet_key,
-                members: List[Device] = followers[fleet_key],
-            ) -> None:
-                _install_fleet_trace(fleet_key, members, trace)
-
-            future.add_done_callback(install)
-        return len(pending)
     traces = simulate_batch(
         list(pending.values()),
         [cycles for _key, cycles in pending],
     )
     for fleet_key, trace in zip(pending, traces):
-        _install_fleet_trace(fleet_key, followers[fleet_key], trace)
+        _FLEET_ACTIVITY_CACHE[fleet_key] = trace
+        _FLEET_ACTIVITY_CACHE.move_to_end(fleet_key)
+        for device in followers[fleet_key]:
+            device._activity_cache[fleet_key[1]] = trace
+    while len(_FLEET_ACTIVITY_CACHE) > FLEET_ACTIVITY_CACHE_MAX:
+        _FLEET_ACTIVITY_CACHE.popitem(last=False)
     return len(pending)
 
 

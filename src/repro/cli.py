@@ -26,12 +26,7 @@ x trace budget x attack) is swept at a reduced, fast parameter point.
 matrices and whole memoised campaign outcomes across scenarios whose
 config tiers agree (byte-identical results, order-of-magnitude faster
 analysis-axis grids and repeat studies); ``--artifact-cache DIR`` adds
-an on-disk tier shared by all workers and runs.  The cross-campaign
-batch pool is on by default (``--no-batch-pool`` disables it):
-scenario fleets' netlist simulations are collected and executed in
-shared shape-grouped engine batches that span scenario boundaries,
-with flush budgets tunable via ``--pool-lanes`` / ``--pool-bytes`` —
-store bytes are identical with the pool on or off.
+an on-disk tier shared by all workers and runs.
 
 Sweeps degrade gracefully instead of aborting: failures retry with
 backoff (``--max-retries``, default 2 re-attempts) and scenarios that
@@ -363,26 +358,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         from repro.experiments.artifacts import ArtifactOptions
 
         artifacts = ArtifactOptions(root=args.artifact_cache)
-    pool = None
-    if not args.batch_pool and (
-        args.pool_lanes is not None or args.pool_bytes is not None
-    ):
-        raise SystemExit(
-            "error: --pool-lanes/--pool-bytes tune the batch pool and "
-            "cannot be combined with --no-batch-pool"
-        )
-    if args.batch_pool:
-        from repro.hdl.batch_pool import BatchPoolOptions
-
-        pool_kwargs = {}
-        if args.pool_lanes is not None:
-            pool_kwargs["max_lanes"] = args.pool_lanes
-        if args.pool_bytes is not None:
-            pool_kwargs["max_bytes"] = args.pool_bytes
-        try:
-            pool = BatchPoolOptions(**pool_kwargs)
-        except ValueError as error:
-            raise SystemExit(f"error: invalid pool budget: {error}")
     print(
         f"sweep {spec.name!r}: {len(scenarios)} scenarios "
         f"({len(spec.grid)} grid axes"
@@ -394,7 +369,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             if artifacts is not None
             else ""
         )
-        + (", batch pool" if pool is not None else ", no batch pool")
         + (", lease scheduler" if scheduler is not None else "")
     )
     report = run(
@@ -403,7 +377,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         SweepOptions(
             n_workers=workers,
             artifacts=artifacts,
-            pool=pool,
             retry=retry,
             scheduler=scheduler,
         ),
@@ -571,38 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="on-disk artifact tier shared by all workers and runs "
         "(implies --share-artifacts)",
-    )
-    sweep.add_argument(
-        "--batch-pool",
-        dest="batch_pool",
-        action="store_true",
-        default=True,
-        help="pool scenario fleets' netlist simulations into shared "
-        "cross-campaign engine batches (default: on; byte-identical "
-        "results either way)",
-    )
-    sweep.add_argument(
-        "--no-batch-pool",
-        dest="batch_pool",
-        action="store_false",
-        help="run every scenario's simulations through its own "
-        "per-campaign batches (the pre-pool executor path)",
-    )
-    sweep.add_argument(
-        "--pool-lanes",
-        type=int,
-        default=None,
-        metavar="N",
-        help="flush the batch pool once N simulation requests are "
-        "pending (default: library default)",
-    )
-    sweep.add_argument(
-        "--pool-bytes",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help="flush the batch pool once the pending requests' estimated "
-        "value tensors exceed BYTES (default: library default)",
     )
     sweep.add_argument(
         "--max-retries",

@@ -31,8 +31,7 @@ into three derived cache keys:
   memoises whole :class:`~repro.experiments.runner.CampaignOutcome`
   objects, so repeat-style studies and re-run sweeps skip manufacture,
   acquisition *and* analysis entirely.  A memoised campaign consults
-  nothing else — not the fleet tier, not the trace tier, not any
-  batch pool.
+  nothing else — neither the fleet tier nor the trace tier.
 
 Campaigns run inside a sweep may additionally tamper with the DUTs
 (the ``attack`` axis); the transform name is folded into every key as
@@ -55,7 +54,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional, Tuple
@@ -382,18 +380,6 @@ class ArtifactCache:
 
     def _outcome_id(self, key: str) -> str:
         return _digest("outcome", {"analysis": key})
-
-    def has_outcome(self, config: "CampaignConfig", fleet_tag: str = "none") -> bool:
-        """True when the campaign outcome for this config is memoised.
-
-        A pure peek: no stats are touched and no LRU entry moves, so
-        planners (e.g. the sweep executor deciding whether a scenario
-        needs a fleet prefetched into the batch pool) can ask freely.
-        """
-        key = analysis_key(config, fleet_tag)
-        if key in self._outcomes:
-            return True
-        return self._store is not None and self._store.has(self._outcome_id(key))
 
     def outcome(
         self, config: "CampaignConfig", fleet_tag: str = "none"

@@ -161,9 +161,8 @@ def build_campaign_fleet(cfg: CampaignConfig, fleet_tag: str = "none"):
     """Manufacture a campaign's fleet and apply its DUT transform.
 
     This is the one canonical way a ``(config, fleet_tag)`` pair
-    becomes silicon — :func:`run_campaign` and the sweep executor's
-    batch-pool prefetch both use it, so a prefetched fleet is
-    guaranteed to be the same fleet the campaign would build itself.
+    becomes silicon: :func:`run_campaign` builds every fleet it does
+    not receive through it, with or without an artifact cache.
     """
     refds, duts = manufacture_fleet(cfg)
     apply_fleet_transform(duts, fleet_tag)
@@ -231,7 +230,6 @@ def run_campaign(
     fleet=None,
     artifacts: Optional[ArtifactCache] = None,
     fleet_tag: str = "none",
-    batch_pool=None,
 ) -> CampaignOutcome:
     """Run the paper's full 4x4 verification campaign.
 
@@ -251,16 +249,8 @@ def run_campaign(
     alias pristine ones.  With ``artifacts``, whole campaign outcomes
     are additionally memoised on the config's *analysis key*: a repeat
     call with an equal key returns the stored outcome without touching
-    the fleet, the bench or any batch pool (equal keys guarantee
-    byte-identical outcomes, so a memo hit is unobservable downstream).
-
-    ``batch_pool`` routes the fleet's activity priming through a shared
-    :class:`~repro.hdl.batch_pool.BatchPool`, so simulation lanes this
-    campaign needs batch together with lanes other campaigns already
-    submitted; the pool is flushed before acquisition starts, but only
-    when this campaign's priming actually left lanes unresolved — a
-    fleet whose activity a prefetch already flushed measures without
-    forcing other campaigns' pending lanes to drain.
+    the fleet or the bench (equal keys guarantee byte-identical
+    outcomes, so a memo hit is unobservable downstream).
     """
     cfg = config if config is not None else CampaignConfig()
     if fleet is not None and artifacts is not None:
@@ -298,14 +288,8 @@ def run_campaign(
     # grouped by shape in one vectorised engine run each, instead of
     # lazily one at a time when the first waveform is rendered.  Cached
     # fleets skip this in O(devices) dict lookups; trace bytes are
-    # unchanged either way (the engine's batching invariant).  With a
-    # batch pool the lanes are deferred instead and flushed together
-    # with whatever other campaigns submitted.
-    submitted = prime_fleet_activity(
-        (*refds.values(), *duts.values()), pool=batch_pool
-    )
-    if batch_pool is not None and submitted:
-        batch_pool.flush()
+    # unchanged either way (the engine's batching invariant).
+    prime_fleet_activity((*refds.values(), *duts.values()))
     p = cfg.parameters
     if artifacts is not None:
         def measure(device, n_traces):

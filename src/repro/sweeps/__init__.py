@@ -16,15 +16,12 @@ small:
 
 * :func:`run` is **the one entry point for executing a sweep**:
   ``run(spec, store, SweepOptions(...))``.  :class:`SweepOptions`
-  carries every knob — worker count, artifact sharing, the
-  cross-campaign batch pool, retry policy, and (by setting
-  ``scheduler=SchedulerOptions(...)``) lease-based fault-tolerant
-  scheduling in which attempts run in isolated child processes with
-  timeouts and any number of instances safely share one store root.
-  Whatever the options, the resulting :class:`SweepStore` is
-  byte-identical to a clean single-worker run.  The historical entry
-  points ``run_sweep`` and ``run_scheduled_sweep`` remain as thin
-  deprecated aliases of this facade.
+  carries every knob — worker count, artifact sharing, retry policy,
+  and (by setting ``scheduler=SchedulerOptions(...)``) lease-based
+  fault-tolerant scheduling in which attempts run in isolated child
+  processes with timeouts and any number of instances safely share
+  one store root.  Whatever the options, the resulting
+  :class:`SweepStore` is byte-identical to a clean single-worker run.
 
 * :func:`sweep_status` snapshots a store root's execution state
   (completed / pending / leased / quarantined / attempt counts) —
@@ -56,7 +53,6 @@ from repro.sweeps.api import (
 from repro.sweeps.executor import (
     SweepReport,
     default_workers,
-    run_sweep,
 )
 from repro.sweeps.faultinject import (
     FaultPlan,
@@ -73,7 +69,6 @@ from repro.sweeps.scheduler import (
     LeaseManager,
     RetryPolicy,
     SchedulerOptions,
-    run_scheduled_sweep,
 )
 from repro.sweeps.scenario import (
     ATTACKS,
@@ -145,8 +140,6 @@ __all__ = [
     "run",
     "run_scenario",
     "run_scenario_campaign",
-    "run_scheduled_sweep",
-    "run_sweep",
     "scenario_config",
     "spec_from_dict",
     "spec_to_dict",

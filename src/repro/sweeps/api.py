@@ -1,26 +1,20 @@
 """The one public entry point for executing a sweep.
 
-Historically sweep execution grew two divergent front doors:
-``run_sweep(spec, store, n_workers=, artifacts=, pool=, retry=,
-scheduler=)`` and ``run_scheduled_sweep(spec, store, options=,
-n_workers=, artifacts=)``.  Embedders (the HTTP sweep service, the
-CLI, tests, notebooks) had to know which one to call and how their
-keyword sets differed.  This module collapses both behind
-
     ``run(spec, store, options=SweepOptions(...), progress=...)``
 
-where :class:`SweepOptions` carries every execution knob.  Execution
-strategy never changes results: whatever the options, the store is
-byte-identical to a clean single-worker run — the old entry points
-remain as deprecated aliases of this facade and are pinned to produce
-byte-identical stores by the tier-1 suite.
+:class:`SweepOptions` carries every execution knob, so embedders (the
+HTTP sweep service, the CLI, tests, notebooks) call one function
+whatever the strategy.  Execution strategy never changes results:
+whatever the options, the store is byte-identical to a clean
+single-worker run.
 
 Strategy selection is one rule: ``options.scheduler`` set routes the
 sweep through the lease-based fault-tolerant scheduler
 (:mod:`repro.sweeps.scheduler` — isolated attempt processes, scenario
 timeouts, safe concurrency of many instances on one store root);
 unset runs the in-process executor (:mod:`repro.sweeps.executor` —
-inline or multiprocess pool, cross-campaign batch pooling).
+inline or on a multiprocess pool).  Both run the same attempt body and
+the same failure step.
 """
 
 from __future__ import annotations
@@ -35,7 +29,6 @@ from repro.sweeps.store import SweepStore
 
 if TYPE_CHECKING:  # imported lazily at call time to avoid module cycles
     from repro.experiments.artifacts import ArtifactOptions
-    from repro.hdl.batch_pool import BatchPoolOptions
     from repro.sweeps.executor import SweepReport
 
 
@@ -52,13 +45,6 @@ class SweepOptions:
         cross-scenario fleet/trace sharing and campaign-outcome
         memoisation (an options ``root`` adds the on-disk tier shared
         across workers, runs and service instances).
-
-    ``pool``
-        :class:`~repro.hdl.batch_pool.BatchPoolOptions` enabling the
-        cross-campaign batch pool.  Only meaningful without a
-        scheduler — lease-scheduled attempts are deliberately isolated
-        in their own processes and ignore it (unchanged from the
-        historical ``run_sweep`` behaviour).
 
     ``retry``
         Per-scenario attempt budget and backoff.  With a scheduler it
@@ -77,7 +63,6 @@ class SweepOptions:
 
     n_workers: int = 1
     artifacts: Optional["ArtifactOptions"] = None
-    pool: Optional["BatchPoolOptions"] = None
     retry: Optional[RetryPolicy] = None
     scheduler: Optional[SchedulerOptions] = None
 
@@ -125,7 +110,6 @@ def run(
         n_workers=options.n_workers,
         progress=progress,
         artifacts=options.artifacts,
-        pool=options.pool,
         retry=options.retry,
     )
 

@@ -8,9 +8,10 @@ a :class:`~repro.sweeps.spec.SweepSpec`, skips every scenario already
 present in the :class:`~repro.sweeps.store.SweepStore`, and executes
 the missing ones — inline for ``n_workers <= 1``, otherwise on a
 ``multiprocessing`` pool in chunked work units.  The lease-based
-strategy lives in :mod:`repro.sweeps.scheduler`; the historical
-:func:`run_sweep` entry point survives as a deprecated alias of the
-facade.
+strategy lives in :mod:`repro.sweeps.scheduler`; its attempt children
+run this module's attempt body (:func:`_execute_attempt`) and both
+strategies share one failure step
+(:meth:`~repro.sweeps.scheduler.FailureLog.record_failure`).
 
 Determinism: a scenario's result is a pure function of its override
 mapping (all seeds are inside it, derived from the spec), and every
@@ -46,26 +47,6 @@ campaign outcomes are memoised on the analysis key, so a re-run study
 processes* (and separate runs) meet: the first worker to need an
 artifact persists it, the rest load it.
 
-Cross-campaign batching: passing ``pool=``
-:class:`~repro.hdl.batch_pool.BatchPoolOptions` routes every
-scenario's netlist simulation through one shared
-:class:`~repro.hdl.batch_pool.BatchPool`.  Before campaigns run, the
-executor *prefetches* in bounded windows: it builds (or fetches from
-the artifact cache) each window scenario's fleet and submits its
-distinct ``(structure, cycles)`` activity entries to the pool.  Only
-the first submitting scenario's lanes are flushed eagerly — the
-window's first campaign starts measuring immediately while the rest
-of the wave stays pending, and drains in one cross-campaign
-shape-grouped flush when the first campaign that needs it primes its
-fleet — scenarios batch across, not just within, campaigns, while
-peak memory stays bounded by one window's fleets.  Inline mode holds
-one pool across the whole sweep; multiprocess mode holds one per
-worker chunk.  Scenarios whose campaign outcome is already memoised
-are skipped by the prefetch — a memoised campaign never consults the
-pool.  Pooling is pure execution strategy: store digests are
-byte-identical with the pool on or off, for any worker count, window
-or flush budget.
-
 Chunking walks the expansion order, which groups scenarios that share
 a fleet structure; inside one worker chunk the process-wide activity,
 compiled-program and artifact caches then make consecutive scenarios
@@ -77,7 +58,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -86,41 +66,25 @@ from repro.experiments.artifacts import (
     ArtifactOptions,
     process_artifact_cache,
 )
-from repro.acquisition.device import prime_fleet_activity
-from repro.experiments.runner import build_campaign_fleet
-from repro.hdl.batch_pool import BatchPool, BatchPoolOptions
 from repro.sweeps.faultinject import fault_context, fault_point
 from repro.sweeps.scenario import run_scenario
 from repro.sweeps.scheduler import (
     FailureLog,
     RetryPolicy,
-    SchedulerOptions,
     default_owner,
     error_info,
 )
-from repro.sweeps.spec import (
-    Scenario,
-    SweepSpec,
-    expand_scenarios,
-    scenario_config,
-)
+from repro.sweeps.spec import Scenario, SweepSpec, expand_scenarios
 from repro.sweeps.store import SweepStore
 
 #: Chunks per worker the pending list is split into (larger = better
 #: load balancing, smaller = better cache locality inside a chunk).
 CHUNKS_PER_WORKER = 4
 
-#: Scenarios prefetched into the batch pool per window when no
-#: artifact cache bounds fleet lifetimes (with one, the window is the
-#: cache's ``max_fleets`` instead).  Bounds peak memory: at most this
-#: many manufactured fleets are alive before their scenarios execute,
-#: while one window still spans enough campaigns to fill wide batches.
-POOL_PREFETCH_WINDOW = 8
-
 
 @dataclass
 class SweepReport:
-    """What one :func:`run_sweep` call did.
+    """What one :func:`repro.sweeps.run` call did.
 
     ``failed_ids`` are scenarios quarantined this run (retry budget
     exhausted; see ``failed/<id>.json`` under the store root for the
@@ -158,84 +122,20 @@ class SweepReport:
         return len(self.retried_ids)
 
 
-def _prefetch_into_pool(
-    scenarios: Sequence[Scenario],
-    artifacts: Optional[ArtifactCache],
-    pool: BatchPool,
-) -> dict:
-    """Build every scenario's fleet and submit its simulation lanes.
-
-    Returns ``{scenario_id: fleet}`` for fleets the artifact cache does
-    *not* own (no ``artifacts``) so the execution loop can hand them
-    straight to :func:`~repro.sweeps.scenario.run_scenario`; cached
-    fleets stay in the artifact cache (the campaign fetches them back
-    by key, which stays correct even if the fleet LRU evicts one in
-    between — callers size their windows so eviction is the exception,
-    not the rule).  Scenarios with a memoised campaign outcome are
-    skipped entirely: a memoised campaign must not consult the pool.
-
-    Flushing overlaps with acquisition: only the *first* scenario that
-    submitted lanes triggers a flush here, so the window's first
-    campaign can begin measuring right away.  Everything later
-    scenarios submitted stays pending in the pool and drains as one
-    full cross-campaign wave when the first campaign that needs those
-    lanes primes its fleet (``run_campaign`` flushes only when its own
-    priming found unresolved lanes), instead of the whole window
-    draining before any measurement starts.  Lanes that are still
-    pending when a trace is rendered fall back to lazy scalar
-    simulation inside :meth:`~repro.acquisition.device.Device.activity`,
-    so deferral is never a correctness concern.
-
-    The pool's lane/byte budgets still apply — a prefetch larger than
-    one flush budget simply flushes mid-walk, which moves batch
-    boundaries but never changes a byte of any trace.
-    """
-    fleets: dict = {}
-    first_flushed = False
-    for scenario in scenarios:
-        try:
-            config = scenario_config(scenario)
-            attack = scenario.attack
-            if artifacts is not None and artifacts.has_outcome(config, attack):
-                continue
-            if artifacts is not None:
-                refds, duts = artifacts.fleet(
-                    config,
-                    attack,
-                    lambda config=config, attack=attack: build_campaign_fleet(
-                        config, attack
-                    ),
-                )
-            else:
-                refds, duts = build_campaign_fleet(config, attack)
-                fleets[scenario.scenario_id] = (refds, duts)
-            prime_fleet_activity((*refds.values(), *duts.values()), pool=pool)
-        except Exception:
-            # A scenario whose fleet cannot even be built must not
-            # starve its window siblings of the pool: the same error
-            # re-raises inside its own execution attempt, where the
-            # retry/quarantine machinery owns it.
-            continue
-        if not first_flushed and len(pool):
-            pool.flush()
-            first_flushed = True
-    return fleets
-
-
 def _execute_attempt(
     store: SweepStore,
     scenario: Scenario,
     attempt: int,
     artifacts: Optional[ArtifactCache],
-    fleet,
-    pool: Optional[BatchPool],
 ) -> None:
-    """One attempt: run the scenario and publish its result."""
+    """One attempt: run the scenario and publish its result.
+
+    The attempt body of both execution strategies: the loop below calls
+    it in-process, the lease scheduler in each attempt child.
+    """
     with fault_context(scenario.scenario_id, attempt):
         fault_point("scenario.pre")
-        result = run_scenario(
-            scenario, artifacts=artifacts, fleet=fleet, batch_pool=pool
-        )
+        result = run_scenario(scenario, artifacts=artifacts)
         fault_point("scenario.post")
         store.put(scenario.scenario_id, result["record"], result["arrays"])
 
@@ -244,7 +144,6 @@ def _run_scenarios(
     store_root: str,
     scenarios: Sequence[Scenario],
     artifacts: Optional[ArtifactCache] = None,
-    pool_options: Optional[BatchPoolOptions] = None,
     progress: Optional[Callable[[str, bool], None]] = None,
     retry: Optional[RetryPolicy] = None,
 ) -> Tuple[List[str], List[str], List[str]]:
@@ -252,13 +151,7 @@ def _run_scenarios(
 
     Returns ``(executed, failed, retried)`` scenario-id lists.  This is
     the one execution body shared by the inline path (all pending
-    scenarios — one pool spans the whole sweep) and by each
-    multiprocess worker (its chunk — one pool spans the chunk).  With
-    a pool, scenarios are prefetched and executed in bounded *windows*
-    so that at most one window's worth of manufactured fleets is ever
-    alive (and, with an artifact cache, a window never overruns the
-    fleet LRU into guaranteed re-manufacture); the pool object itself
-    persists across windows, so its caches and stats span the sweep.
+    scenarios) and by each multiprocess worker (its chunk).
 
     Each scenario is attempted up to ``retry.max_attempts`` times with
     backoff; exhaustion quarantines it (``failed/<id>.json``) and the
@@ -268,55 +161,33 @@ def _run_scenarios(
     log = FailureLog(store_root)
     owner = default_owner()
     retry = retry or RetryPolicy()
-    scenarios = list(scenarios)
-    pool: Optional[BatchPool] = None
-    if pool_options is None:
-        window_size = max(len(scenarios), 1)
-    else:
-        pool = BatchPool(pool_options)
-        if artifacts is not None:
-            window_size = max(1, artifacts.options.max_fleets)
-        else:
-            window_size = POOL_PREFETCH_WINDOW
     executed: List[str] = []
     failed: List[str] = []
     retried: List[str] = []
-    for start in range(0, len(scenarios), window_size):
-        window = scenarios[start:start + window_size]
-        fleets: dict = {}
-        if pool is not None:
-            fleets = _prefetch_into_pool(window, artifacts, pool)
-        for scenario in window:
-            scenario_id = scenario.scenario_id
-            fleet = fleets.pop(scenario_id, None)
-            failures = 0
-            while True:
-                attempt = log.record_attempt(scenario_id, owner)
-                try:
-                    _execute_attempt(
-                        store, scenario, attempt, artifacts, fleet, pool
-                    )
-                except Exception as error:  # noqa: BLE001 — quarantine path
-                    log.record_error(scenario_id, error_info(error))
-                    failures += 1
-                    if failures >= retry.max_attempts:
-                        log.quarantine(
-                            scenario, error_info(error), attempt, owner
-                        )
-                        failed.append(scenario_id)
-                        break
-                    if scenario_id not in retried:
-                        retried.append(scenario_id)
-                    # Drop the prefetched fleet: if the failure left it
-                    # in a dubious state, the retry remanufactures.
-                    fleet = None
-                    time.sleep(retry.delay(failures))
-                else:
-                    log.clear_quarantine(scenario_id)
-                    executed.append(scenario_id)
-                    if progress is not None:
-                        progress(scenario_id, True)
+    for scenario in scenarios:
+        scenario_id = scenario.scenario_id
+        failures = 0
+        while True:
+            attempt = log.record_attempt(scenario_id, owner)
+            try:
+                _execute_attempt(store, scenario, attempt, artifacts)
+            except Exception as error:  # noqa: BLE001 — quarantine path
+                failures += 1
+                delay = log.record_failure(
+                    scenario, error_info(error), attempt, failures, retry, owner
+                )
+                if delay is None:
+                    failed.append(scenario_id)
                     break
+                if scenario_id not in retried:
+                    retried.append(scenario_id)
+                time.sleep(delay)
+            else:
+                log.clear_quarantine(scenario_id)
+                executed.append(scenario_id)
+                if progress is not None:
+                    progress(scenario_id, True)
+                break
     return executed, failed, retried
 
 
@@ -325,7 +196,6 @@ def _pool_worker(
         str,
         Tuple[Scenario, ...],
         Optional[ArtifactOptions],
-        Optional[BatchPoolOptions],
         Optional[RetryPolicy],
     ]
 ) -> Tuple[List[str], List[str], List[str]]:
@@ -337,12 +207,10 @@ def _pool_worker(
     every sibling chunk's progress report.  Instead the unfinished
     scenarios of the chunk are quarantined and reported as failed.
     """
-    store_root, scenarios, options, pool_options, retry = payload
+    store_root, scenarios, options, retry = payload
     try:
         artifacts = process_artifact_cache(options) if options is not None else None
-        return _run_scenarios(
-            store_root, scenarios, artifacts, pool_options, retry=retry
-        )
+        return _run_scenarios(store_root, scenarios, artifacts, retry=retry)
     except Exception as error:  # noqa: BLE001 — chunk-level catastrophe
         store = SweepStore(store_root)
         log = FailureLog(store_root)
@@ -373,7 +241,6 @@ def _plain_sweep(
     n_workers: int = 1,
     progress: Optional[Callable[[str, bool], None]] = None,
     artifacts: Optional[ArtifactOptions] = None,
-    pool: Optional[BatchPoolOptions] = None,
     retry: Optional[RetryPolicy] = None,
 ) -> SweepReport:
     """The in-process execution strategy behind :func:`repro.sweeps.run`.
@@ -382,9 +249,8 @@ def _plain_sweep(
     executed)`` once per scenario — immediately for cache hits, on
     completion for executed ones (chunk-batched under multiprocess
     execution).  ``artifacts`` enables cross-scenario artifact sharing
-    and campaign-outcome memoisation; ``pool`` enables the shared
-    cross-campaign batch pool (see the module docstring) — results are
-    byte-identical with either on or off.
+    and campaign-outcome memoisation — results are byte-identical with
+    it on or off.
 
     ``retry`` bounds per-scenario attempts and backoff (default: the
     stock :class:`~repro.sweeps.scheduler.RetryPolicy`); a scenario
@@ -416,7 +282,7 @@ def _plain_sweep(
     if n_workers == 1 or len(pending) == 1:
         cache = process_artifact_cache(artifacts) if artifacts is not None else None
         executed, failed, retried = _run_scenarios(
-            store.root, pending, cache, pool, progress=progress, retry=retry
+            store.root, pending, cache, progress=progress, retry=retry
         )
         report.executed_ids.extend(executed)
         report.failed_ids.extend(failed)
@@ -428,9 +294,7 @@ def _plain_sweep(
             tuple(pending[start:start + chunksize])
             for start in range(0, len(pending), chunksize)
         ]
-        payloads = [
-            (store.root, chunk, artifacts, pool, retry) for chunk in chunks
-        ]
+        payloads = [(store.root, chunk, artifacts, retry) for chunk in chunks]
         with _pool_context().Pool(processes=n_procs) as worker_pool:
             for executed, failed, retried in worker_pool.imap_unordered(
                 _pool_worker, payloads, chunksize=1
@@ -448,49 +312,8 @@ def _plain_sweep(
     return report
 
 
-def run_sweep(
-    spec: SweepSpec,
-    store: SweepStore,
-    n_workers: int = 1,
-    progress: Optional[Callable[[str, bool], None]] = None,
-    artifacts: Optional[ArtifactOptions] = None,
-    pool: Optional[BatchPoolOptions] = None,
-    retry: Optional[RetryPolicy] = None,
-    scheduler: Optional[SchedulerOptions] = None,
-) -> SweepReport:
-    """Deprecated alias of :func:`repro.sweeps.run`.
-
-    Behaviour is unchanged (byte-identical stores, pinned by test):
-    the keyword set maps one-to-one onto
-    :class:`~repro.sweeps.api.SweepOptions` and the call routes
-    through the unified facade.  New code should call
-    ``repro.sweeps.run(spec, store, SweepOptions(...))``.
-    """
-    warnings.warn(
-        "run_sweep() is deprecated; use repro.sweeps.run(spec, store, "
-        "SweepOptions(...)) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.sweeps.api import SweepOptions, run
-
-    return run(
-        spec,
-        store,
-        SweepOptions(
-            n_workers=n_workers,
-            artifacts=artifacts,
-            pool=pool,
-            retry=retry,
-            scheduler=scheduler,
-        ),
-        progress=progress,
-    )
-
-
 __all__ = [
     "CHUNKS_PER_WORKER",
     "SweepReport",
     "default_workers",
-    "run_sweep",
 ]

@@ -38,8 +38,6 @@ apply_attack = apply_fleet_transform
 def run_scenario_campaign(
     scenario: Scenario,
     artifacts: Optional[ArtifactCache] = None,
-    fleet=None,
-    batch_pool=None,
 ) -> CampaignOutcome:
     """Manufacture, attack and measure one scenario's campaign.
 
@@ -52,21 +50,9 @@ def run_scenario_campaign(
     to the unshared path, because acquisition streams are keyed per
     device (see :mod:`repro.experiments.artifacts`) — and whole
     campaign outcomes are memoised on the analysis key.
-
-    ``fleet`` optionally passes a pre-built (already attacked) fleet —
-    the executor's batch-pool prefetch uses it so a scenario does not
-    manufacture twice; ``batch_pool`` routes activity priming through
-    a shared :class:`~repro.hdl.batch_pool.BatchPool` so simulation
-    lanes batch across scenario boundaries.
     """
     config = scenario_config(scenario)
-    return run_campaign(
-        config,
-        fleet=fleet,
-        artifacts=artifacts,
-        fleet_tag=scenario.attack,
-        batch_pool=batch_pool,
-    )
+    return run_campaign(config, artifacts=artifacts, fleet_tag=scenario.attack)
 
 
 def outcome_metrics(outcome: CampaignOutcome) -> Dict[str, object]:
@@ -101,8 +87,6 @@ def outcome_arrays(outcome: CampaignOutcome) -> Dict[str, np.ndarray]:
 def run_scenario(
     scenario: Scenario,
     artifacts: Optional[ArtifactCache] = None,
-    fleet=None,
-    batch_pool=None,
 ) -> Dict[str, object]:
     """Run one scenario and return its full result payload.
 
@@ -110,13 +94,9 @@ def run_scenario(
     scenario identity, overrides, metrics) and ``"arrays"`` (the raw
     correlation sets for the array bundle).  ``artifacts`` enables
     cross-scenario fleet/trace sharing and campaign-outcome
-    memoisation, ``fleet``/``batch_pool`` plug the scenario into the
-    executor's cross-campaign batch pool — none of them change a byte
-    of the payload.
+    memoisation without changing a byte of the payload.
     """
-    outcome = run_scenario_campaign(
-        scenario, artifacts=artifacts, fleet=fleet, batch_pool=batch_pool
-    )
+    outcome = run_scenario_campaign(scenario, artifacts=artifacts)
     record = {
         "scenario_id": scenario.scenario_id,
         "overrides": dict(scenario.overrides),

@@ -36,7 +36,10 @@ traceback, attempt count) is written and the sweep **continues** —
 one poisoned scenario costs its own result, not the sweep's.  A later
 run re-attempts quarantined scenarios with a fresh budget and clears
 the quarantine record on success, so resume converges once the cause
-is gone.
+is gone.  The attempt body and this failure step
+(:meth:`FailureLog.record_failure`) are the in-process executor's
+own; only the process isolation, leases and timeouts are specific to
+this scheduler.
 
 The standing invariant, now tested *under faults*
 (:mod:`repro.sweeps.faultinject`): any interleaving of crashes,
@@ -60,7 +63,6 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.sweeps.faultinject import fault_context, fault_point
 from repro.sweeps.spec import Scenario, SweepSpec, expand_scenarios
 from repro.sweeps.store import SweepStore
 
@@ -110,7 +112,7 @@ class RetryPolicy:
 
 @dataclass(frozen=True)
 class SchedulerOptions:
-    """Tuning knobs of one :func:`run_scheduled_sweep` instance."""
+    """Tuning knobs of one lease-scheduled sweep run."""
 
     #: Seconds without a heartbeat after which a lease is stale.
     lease_ttl: float = 30.0
@@ -311,6 +313,31 @@ class FailureLog:
             history[-1]["error"] = error
             _atomic_write_json(self.attempts_path(scenario_id), history)
 
+    def record_failure(
+        self,
+        scenario: Scenario,
+        error: Dict[str, object],
+        attempt: int,
+        failures: int,
+        retry: RetryPolicy,
+        owner: str,
+    ) -> Optional[float]:
+        """The failure step shared by both executors.
+
+        Attaches ``error`` to the latest attempt entry; ``failures``
+        counts this run's failed attempts of the scenario, this one
+        included.  Once it reaches ``retry.max_attempts`` the scenario
+        is quarantined as of ``attempt`` and ``None`` is returned;
+        otherwise the backoff delay before the next attempt.  Callers
+        holding a lease release it only after this returns, so no other
+        owner writes the history meanwhile.
+        """
+        self.record_error(scenario.scenario_id, error)
+        if failures >= retry.max_attempts:
+            self.quarantine(scenario, error, attempt, owner)
+            return None
+        return retry.delay(failures)
+
     # -- quarantine ------------------------------------------------------
 
     def quarantine(
@@ -388,11 +415,13 @@ def _attempt_child(
 ) -> None:
     """Run one attempt to completion inside a dedicated process.
 
-    Success is communicated through the store itself (the record file
-    appears); handled failures through ``error_path``; crashes through
-    the exit code alone.
+    The attempt body is the in-process executor's; success is
+    communicated through the store itself (the record file appears),
+    handled failures through ``error_path``, crashes through the exit
+    code alone.
     """
-    from repro.sweeps.scenario import run_scenario
+    # Lazy import: the executor builds on this module.
+    from repro.sweeps.executor import _execute_attempt
 
     try:
         artifacts = None
@@ -400,14 +429,7 @@ def _attempt_child(
             from repro.experiments.artifacts import process_artifact_cache
 
             artifacts = process_artifact_cache(artifact_options)
-        store = SweepStore(store_root)
-        with fault_context(scenario.scenario_id, attempt):
-            fault_point("scenario.pre")
-            result = run_scenario(scenario, artifacts=artifacts)
-            fault_point("scenario.post")
-            store.put(
-                scenario.scenario_id, result["record"], result["arrays"]
-            )
+        _execute_attempt(SweepStore(store_root), scenario, attempt, artifacts)
     except Exception as error:  # noqa: BLE001 — the whole point
         _atomic_write_json(error_path, error_info(error))
         os._exit(HANDLED_FAILURE_EXIT)
@@ -435,30 +457,27 @@ def _scheduled_sweep(
 
     This is the lease-based execution strategy behind the unified
     :func:`repro.sweeps.run` facade (selected by
-    :attr:`~repro.sweeps.api.SweepOptions.scheduler`); the historical
-    :func:`run_scheduled_sweep` entry point survives as a deprecated
-    alias.
+    :attr:`~repro.sweeps.api.SweepOptions.scheduler`).
 
-    Safe to run concurrently with other ``run_scheduled_sweep`` calls
-    (other processes, other machines over a shared filesystem) on the
-    same store root: leases keep the instances off each other's work,
+    Safe to run concurrently with other lease-scheduled sweeps (other
+    processes, other machines over a shared filesystem) on the same
+    store root: leases keep the instances off each other's work,
     stale-lease reclamation absorbs dead instances, and the store's
     idempotent atomic writes make even a duplicated execution
-    harmless.  Each attempt runs in a child process, so worker crashes
-    and timeouts are contained and retried per :class:`RetryPolicy`;
-    scenarios that exhaust their budget are quarantined under
-    ``failed/`` and the sweep continues.
+    harmless.  Each attempt runs the in-process executor's attempt body
+    in a child process, so worker crashes and timeouts are contained
+    and retried per :class:`RetryPolicy`; scenarios that exhaust their
+    budget are quarantined under ``failed/`` and the sweep continues.
 
-    Returns the same :class:`~repro.sweeps.executor.SweepReport` as
-    :func:`~repro.sweeps.executor.run_sweep`, with ``failed_ids`` /
-    ``retried_ids`` filled in.  Scenarios completed by *another*
-    scheduler while this one waited are reported as cached.
+    Returns the same :class:`~repro.sweeps.executor.SweepReport` as the
+    in-process executor, with ``failed_ids`` / ``retried_ids`` filled
+    in.  Scenarios completed by *another* scheduler while this one
+    waited are reported as cached.
 
     ``artifacts`` (an :class:`~repro.experiments.artifacts
     .ArtifactOptions`) is forwarded to each attempt child; the on-disk
     artifact tier is the sharing vehicle across attempts and
-    schedulers.  The cross-campaign batch pool does not apply here —
-    each attempt is deliberately isolated in its own process.
+    schedulers.
     """
     from repro.sweeps.executor import SweepReport, _pool_context
 
@@ -527,18 +546,19 @@ def _scheduled_sweep(
         return error
 
     def attempt_failed(scenario_id: str, run: _Running, error) -> None:
-        log.record_error(scenario_id, error)
-        leases.release(scenario_id)
-        del running[scenario_id]
         failures = failures_this_run.get(scenario_id, 0) + 1
         failures_this_run[scenario_id] = failures
-        if failures >= options.retry.max_attempts:
-            log.quarantine(run.scenario, error, run.attempt, owner)
+        delay = log.record_failure(
+            run.scenario, error, run.attempt, failures, options.retry, owner
+        )
+        leases.release(scenario_id)
+        del running[scenario_id]
+        if delay is None:
             report.failed_ids.append(scenario_id)
             del pending[scenario_id]
         else:
             retried.add(scenario_id)
-            next_due[scenario_id] = time.monotonic() + options.retry.delay(failures)
+            next_due[scenario_id] = time.monotonic() + delay
 
     while pending:
         progressed = False
@@ -638,44 +658,6 @@ def _scheduled_sweep(
     return report
 
 
-def run_scheduled_sweep(
-    spec: SweepSpec,
-    store: SweepStore,
-    options: Optional[SchedulerOptions] = None,
-    n_workers: int = 1,
-    progress: Optional[Callable[[str, bool], None]] = None,
-    artifacts=None,
-):
-    """Deprecated alias of :func:`repro.sweeps.run` with lease scheduling.
-
-    Behaviour is unchanged (byte-identical stores, pinned by test):
-    the call routes through the unified facade with
-    ``SweepOptions(scheduler=options or SchedulerOptions())``.  New
-    code should call ``repro.sweeps.run(spec, store,
-    SweepOptions(scheduler=SchedulerOptions(...), ...))``.
-    """
-    import warnings
-
-    warnings.warn(
-        "run_scheduled_sweep() is deprecated; use repro.sweeps.run(spec, "
-        "store, SweepOptions(scheduler=SchedulerOptions(...))) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.sweeps.api import SweepOptions, run
-
-    return run(
-        spec,
-        store,
-        SweepOptions(
-            n_workers=n_workers,
-            artifacts=artifacts,
-            scheduler=options or SchedulerOptions(),
-        ),
-        progress=progress,
-    )
-
-
 __all__ = [
     "ATTEMPT_DIR",
     "FAILED_DIR",
@@ -686,5 +668,4 @@ __all__ = [
     "SchedulerOptions",
     "default_owner",
     "error_info",
-    "run_scheduled_sweep",
 ]

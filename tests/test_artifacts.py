@@ -2,15 +2,16 @@
 
 Covers the three-key config split, the sharing-safe acquisition
 refactor (keyed per-device seeds, chunked noise generation, ADC grid
-invariance, read-only cache views, prefix reuse) and the headline
-guarantee: sweeps produce byte-identical stores with sharing on or
-off, for any worker count.
+invariance, read-only cache views, prefix reuse), the campaign-outcome
+memo, and the headline guarantee: sweeps produce byte-identical stores
+with sharing on or off, for any worker count.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import os
 
 import numpy as np
@@ -34,7 +35,8 @@ from repro.experiments.designs import build_paper_ip
 from repro.experiments.runner import CampaignConfig, run_campaign
 from repro.power.models import PowerModel
 from repro.power.noise import NoiseModel
-from repro.sweeps import GridAxis, SweepSpec, SweepStore, run_sweep
+from repro.sweeps import GridAxis, SweepOptions, SweepSpec, SweepStore, run
+from repro.sweeps.scenario import outcome_arrays, outcome_metrics
 from repro.acquisition.device import Device
 
 
@@ -359,6 +361,35 @@ class TestArtifactCache:
         finally:
             clear_process_artifact_cache()
 
+    def test_outcome_disk_tier_round_trips_exactly(self, tmp_path):
+        root = str(tmp_path / "artifacts")
+        cfg = quick_config()
+        computed = run_campaign(
+            cfg, artifacts=ArtifactCache(ArtifactOptions(root=root))
+        )
+        reader = ArtifactCache(ArtifactOptions(root=root))
+        loaded = reader.outcome(cfg, "none")
+        assert loaded is not None
+        assert reader.stats.outcome_disk_hits == 1
+        assert json.dumps(outcome_metrics(loaded), sort_keys=True) == json.dumps(
+            outcome_metrics(computed), sort_keys=True
+        )
+        fresh_arrays = outcome_arrays(computed)
+        for key, values in outcome_arrays(loaded).items():
+            np.testing.assert_array_equal(values, fresh_arrays[key])
+        # A second in-process lookup is a memory hit, not a disk read.
+        assert reader.outcome(cfg, "none") is loaded
+        assert reader.stats.outcome_hits == 1
+
+    def test_fleet_tags_never_alias_outcomes(self):
+        cache = ArtifactCache()
+        cfg = quick_config()
+        pristine = run_campaign(cfg, artifacts=cache)
+        stripped = run_campaign(cfg, artifacts=cache, fleet_tag="strip")
+        assert stripped is not pristine
+        assert run_campaign(cfg, artifacts=cache, fleet_tag="strip") is stripped
+        assert run_campaign(cfg, artifacts=cache) is pristine
+
 
 def sharing_spec(name="shared", seed=5, pinned=True, attacks=("none",)):
     base = {
@@ -388,9 +419,11 @@ class TestSweepSharingByteIdentity:
         spec = sharing_spec(attacks=("none", "strip"))
         plain = SweepStore(str(tmp_path / f"plain{n_workers}"))
         shared = SweepStore(str(tmp_path / f"shared{n_workers}"))
-        run_sweep(spec, plain, n_workers=n_workers)
-        run_sweep(
-            spec, shared, n_workers=n_workers, artifacts=ArtifactOptions()
+        run(spec, plain, SweepOptions(n_workers=n_workers))
+        run(
+            spec,
+            shared,
+            SweepOptions(n_workers=n_workers, artifacts=ArtifactOptions()),
         )
         assert store_digests(plain.root) == store_digests(shared.root)
 
@@ -398,12 +431,11 @@ class TestSweepSharingByteIdentity:
         spec = sharing_spec()
         memory = SweepStore(str(tmp_path / "memory"))
         disk = SweepStore(str(tmp_path / "disk"))
-        run_sweep(spec, memory, n_workers=1, artifacts=ArtifactOptions())
-        run_sweep(
+        run(spec, memory, SweepOptions(artifacts=ArtifactOptions()))
+        run(
             spec,
             disk,
-            n_workers=1,
-            artifacts=ArtifactOptions(root=str(tmp_path / "tier")),
+            SweepOptions(artifacts=ArtifactOptions(root=str(tmp_path / "tier"))),
         )
         assert store_digests(memory.root) == store_digests(disk.root)
         # The tier actually persisted trace artifacts.
@@ -416,8 +448,8 @@ class TestSweepSharingByteIdentity:
         spec = sharing_spec(pinned=False)
         plain = SweepStore(str(tmp_path / "plain"))
         shared = SweepStore(str(tmp_path / "shared"))
-        run_sweep(spec, plain, n_workers=1)
-        run_sweep(spec, shared, n_workers=1, artifacts=ArtifactOptions())
+        run(spec, plain)
+        run(spec, shared, SweepOptions(artifacts=ArtifactOptions()))
         assert store_digests(plain.root) == store_digests(shared.root)
 
     def test_sharing_skips_redundant_acquisition(self, tmp_path):
@@ -425,10 +457,28 @@ class TestSweepSharingByteIdentity:
         try:
             spec = sharing_spec()  # 4 scenarios, one measurement tier
             store = SweepStore(str(tmp_path / "store"))
-            run_sweep(spec, store, n_workers=1, artifacts=ArtifactOptions())
+            run(spec, store, SweepOptions(artifacts=ArtifactOptions()))
             cache = process_artifact_cache()
             assert cache.stats.fleet_misses == 1
             assert cache.stats.trace_misses == 8  # one fleet's worth
             assert cache.stats.trace_hits >= 3 * 8
+        finally:
+            clear_process_artifact_cache()
+
+    def test_repeat_study_with_warm_outcome_memo(self, tmp_path):
+        # Same spec, fresh store: every campaign outcome comes from the
+        # memo, yet the store matches a plain run byte for byte.
+        clear_process_artifact_cache()
+        try:
+            spec = sharing_spec(attacks=("none", "strip"))
+            plain = SweepStore(str(tmp_path / "plain"))
+            run(spec, plain)
+            options = SweepOptions(artifacts=ArtifactOptions())
+            run(spec, SweepStore(str(tmp_path / "first")), options)
+            repeat = SweepStore(str(tmp_path / "repeat"))
+            report = run(spec, repeat, options)
+            assert report.n_executed == spec.n_scenarios
+            assert process_artifact_cache().stats.outcome_hits == spec.n_scenarios
+            assert store_digests(repeat.root) == store_digests(plain.root)
         finally:
             clear_process_artifact_cache()

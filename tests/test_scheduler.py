@@ -16,13 +16,13 @@ from repro.sweeps import (
     LeaseManager,
     RetryPolicy,
     SchedulerOptions,
+    SweepOptions,
     SweepSpec,
     SweepStore,
     clear_fault_plan,
     expand_scenarios,
     install_fault_plan,
-    run_scheduled_sweep,
-    run_sweep,
+    run,
 )
 from repro.sweeps.faultinject import FAULT_PLAN_ENV
 
@@ -166,6 +166,21 @@ class TestFailureLog:
         assert history[0]["error"] is None
         assert history[1]["error"]["type"] == "Boom"
 
+    def test_record_failure_backs_off_then_quarantines(self, tmp_path):
+        log = FailureLog(str(tmp_path))
+        scenario = expand_scenarios(spec_of((0.5,)))[0]
+        retry = RetryPolicy(max_attempts=2, backoff_base=0.25)
+        error = {"type": "Boom", "message": "m", "traceback": ""}
+        attempt = log.record_attempt(scenario.scenario_id, "o")
+        delay = log.record_failure(scenario, error, attempt, 1, retry, "o")
+        assert delay == pytest.approx(0.25)
+        assert log.quarantined_ids() == []
+        attempt = log.record_attempt(scenario.scenario_id, "o")
+        assert log.record_failure(scenario, error, attempt, 2, retry, "o") is None
+        assert log.load_quarantine(scenario.scenario_id)["attempts"] == 2
+        history = log.history(scenario.scenario_id)
+        assert [entry["error"]["type"] for entry in history] == ["Boom", "Boom"]
+
     def test_quarantine_round_trip_and_clear(self, tmp_path):
         log = FailureLog(str(tmp_path))
         scenario = expand_scenarios(spec_of((0.5,)))[0]
@@ -236,7 +251,7 @@ class TestExecutorFaultTolerance:
     def test_transient_fault_retried_byte_identically(self, tmp_path):
         spec = spec_of((0.5, 1.0))
         clean = SweepStore(str(tmp_path / "clean"))
-        run_sweep(spec, clean, n_workers=1)
+        run(spec, clean)
 
         victim = expand_scenarios(spec)[0].scenario_id
         install_fault_plan(
@@ -247,7 +262,7 @@ class TestExecutorFaultTolerance:
             )
         )
         store = SweepStore(str(tmp_path / "store"))
-        report = run_sweep(spec, store, n_workers=1, retry=FAST_RETRY)
+        report = run(spec, store, SweepOptions(retry=FAST_RETRY))
         assert report.failed_ids == []
         assert report.retried_ids == [victim]
         assert store_digests(store.root) == store_digests(clean.root)
@@ -255,7 +270,7 @@ class TestExecutorFaultTolerance:
     def test_commit_point_fault_retried_byte_identically(self, tmp_path):
         spec = spec_of((0.5,))
         clean = SweepStore(str(tmp_path / "clean"))
-        run_sweep(spec, clean, n_workers=1)
+        run(spec, clean)
 
         install_fault_plan(
             FaultPlan(
@@ -263,32 +278,31 @@ class TestExecutorFaultTolerance:
             )
         )
         store = SweepStore(str(tmp_path / "store"))
-        report = run_sweep(spec, store, n_workers=1, retry=FAST_RETRY)
+        report = run(spec, store, SweepOptions(retry=FAST_RETRY))
         assert report.failed_ids == []
         assert store_digests(store.root) == store_digests(clean.root)
 
     def test_quarantined_scenario_reattempted_on_resume(self, tmp_path):
         spec = spec_of((0.5, 1.0))
         clean = SweepStore(str(tmp_path / "clean"))
-        run_sweep(spec, clean, n_workers=1)
+        run(spec, clean)
 
         victim = expand_scenarios(spec)[0].scenario_id
         install_fault_plan(
             FaultPlan(rules=(FaultRule(site="scenario.pre", key=victim),))
         )
         store = SweepStore(str(tmp_path / "store"))
-        report = run_sweep(
+        report = run(
             spec,
             store,
-            n_workers=1,
-            retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
+            SweepOptions(retry=RetryPolicy(max_attempts=2, backoff_base=0.0)),
         )
         assert report.failed_ids == [victim]
         assert len(store) == 1  # the sibling completed
         assert FailureLog(store.root).load_quarantine(victim)["attempts"] == 2
 
         clear_fault_plan()  # the cause is gone; resume converges
-        resumed = run_sweep(spec, store, n_workers=1, retry=FAST_RETRY)
+        resumed = run(spec, store, SweepOptions(retry=FAST_RETRY))
         assert resumed.executed_ids == [victim]
         assert resumed.n_cached == 1
         assert FailureLog(store.root).load_quarantine(victim) is None
@@ -299,10 +313,10 @@ class TestScheduledSweep:
     def test_clean_run_matches_plain_executor(self, tmp_path):
         spec = spec_of((0.5, 1.0))
         serial = SweepStore(str(tmp_path / "serial"))
-        run_sweep(spec, serial, n_workers=1)
+        run(spec, serial)
         scheduled = SweepStore(str(tmp_path / "sched"))
-        report = run_scheduled_sweep(
-            spec, scheduled, options=FAST_OPTS, n_workers=2
+        report = run(
+            spec, scheduled, SweepOptions(n_workers=2, scheduler=FAST_OPTS)
         )
         assert report.n_executed == 2
         assert report.failed_ids == [] and report.retried_ids == []
@@ -314,7 +328,7 @@ class TestScheduledSweep:
     ):
         spec = spec_of((0.5, 1.0))
         clean = SweepStore(str(tmp_path / "clean"))
-        run_sweep(spec, clean, n_workers=1)
+        run(spec, clean)
 
         # Every scenario's first attempt dies by SIGKILL mid-scenario.
         set_env_plan(
@@ -322,7 +336,7 @@ class TestScheduledSweep:
             FaultRule(site="scenario.pre", kind="sigkill", max_attempt=1),
         )
         store = SweepStore(str(tmp_path / "store"))
-        report = run_scheduled_sweep(spec, store, options=FAST_OPTS, n_workers=2)
+        report = run(spec, store, SweepOptions(n_workers=2, scheduler=FAST_OPTS))
         assert report.failed_ids == []
         assert sorted(report.retried_ids) == sorted(report.scenario_ids)
         assert store_digests(store.root) == store_digests(clean.root)
@@ -337,7 +351,7 @@ class TestScheduledSweep:
         # rule no longer fires and the store converges byte-identically.
         spec = spec_of((0.5,))
         clean = SweepStore(str(tmp_path / "clean"))
-        run_sweep(spec, clean, n_workers=1)
+        run(spec, clean)
         scenario_id = expand_scenarios(spec)[0].scenario_id
 
         set_env_plan(
@@ -350,11 +364,11 @@ class TestScheduledSweep:
             poll_interval=0.01,
             retry=RetryPolicy(max_attempts=1, backoff_base=0.0),
         )
-        first = run_scheduled_sweep(spec, store, options=options)
+        first = run(spec, store, SweepOptions(scheduler=options))
         assert first.failed_ids == [scenario_id]
         assert not store.has(scenario_id)
 
-        second = run_scheduled_sweep(spec, store, options=options)
+        second = run(spec, store, SweepOptions(scheduler=options))
         assert second.executed_ids == [scenario_id]
         assert FailureLog(store.root).load_quarantine(scenario_id) is None
         assert store_digests(store.root) == store_digests(clean.root)
@@ -375,7 +389,7 @@ class TestScheduledSweep:
             scenario_timeout=0.5,
             retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
         )
-        report = run_scheduled_sweep(spec, store, options=options)
+        report = run(spec, store, SweepOptions(scheduler=options))
         assert report.executed_ids == [scenario_id]
         assert report.retried_ids == [scenario_id]
         history = FailureLog(store.root).history(scenario_id)
@@ -389,7 +403,7 @@ class TestScheduledSweep:
         dead = LeaseManager(store.root, ttl=0.05, owner="dead-worker")
         assert dead.acquire(scenario_id)
         time.sleep(0.1)
-        report = run_scheduled_sweep(spec, store, options=FAST_OPTS)
+        report = run(spec, store, SweepOptions(scheduler=FAST_OPTS))
         assert report.executed_ids == [scenario_id]
         assert store.has(scenario_id)
 
@@ -412,7 +426,7 @@ class TestScheduledSweep:
 
         thread = threading.Thread(target=finish_externally)
         thread.start()
-        report = run_scheduled_sweep(spec, store, options=FAST_OPTS)
+        report = run(spec, store, SweepOptions(scheduler=FAST_OPTS))
         thread.join()
         assert report.cached_ids == [scenario.scenario_id]
         assert report.executed_ids == []
@@ -425,8 +439,8 @@ class TestScheduledSweep:
         reports = [None, None]
 
         def go(i):
-            reports[i] = run_scheduled_sweep(
-                spec, store, options=FAST_OPTS, n_workers=2
+            reports[i] = run(
+                spec, store, SweepOptions(n_workers=2, scheduler=FAST_OPTS)
             )
 
         threads = [
@@ -444,7 +458,7 @@ class TestScheduledSweep:
         assert sorted(executed) == sorted(reports[0].scenario_ids)
 
         clean = SweepStore(str(tmp_path / "clean"))
-        run_sweep(spec, clean, n_workers=1)
+        run(spec, clean)
         assert store_digests(store.root) == store_digests(clean.root)
 
 
@@ -455,7 +469,7 @@ class TestChaosInvariant:
         byte-identical to a clean 1-worker run."""
         spec = spec_of((0.5, 1.0, 1.5))
         clean = SweepStore(str(tmp_path / "clean"))
-        run_sweep(spec, clean, n_workers=1)
+        run(spec, clean)
 
         scenarios = expand_scenarios(spec)
         set_env_plan(
@@ -481,7 +495,7 @@ class TestChaosInvariant:
             poll_interval=0.01,
             retry=RetryPolicy(max_attempts=5, backoff_base=0.0),
         )
-        report = run_scheduled_sweep(spec, store, options=options, n_workers=2)
+        report = run(spec, store, SweepOptions(n_workers=2, scheduler=options))
         assert report.failed_ids == []
         assert sorted(report.executed_ids) == sorted(report.scenario_ids)
         assert store_digests(store.root) == store_digests(clean.root)
