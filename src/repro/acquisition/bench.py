@@ -10,7 +10,8 @@ A bench has two seeding modes:
 * **Sequential** (``seed=...``) — one RNG stream consumed in
   acquisition order, as on a real bench where measurement order
   matters.  Two benches with the same seed reproduce each other only
-  if they measure the same devices in the same order.
+  if they measure the same devices in the same order, so a sequential
+  bench always measures serially, in request order.
 * **Keyed** (``key=...``) — every ``(device, cycle-count)`` pair gets
   its own generator seeded from
   :func:`derive_acquisition_seed`, so acquiring DUT#3 alone yields
@@ -21,16 +22,27 @@ A bench has two seeding modes:
   measured.  Keyed acquisition is also *prefix-stable*: the first
   ``n`` traces of a large acquisition equal a direct ``n``-trace
   acquisition (see :class:`~repro.power.noise.NoiseModel`).
+
+Keyed streams are independent, so :func:`acquire_keyed` — the one
+keyed acquisition path, behind both :meth:`MeasurementBench.measure_all`
+and the artifact cache — acquires a batch of them concurrently.  The
+calling thread renders every waveform and allocates every result
+matrix; worker threads only run the oscilloscope's numpy kernel over
+those preallocated buffers (numpy releases the GIL inside its
+generators and ufuncs), and the pool is shut down before the call
+returns.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, Optional, Union
+import os
+from concurrent.futures import ThreadPoolExecutor
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.acquisition.device import Device, prime_fleet_activity
+from repro.acquisition.device import Device
 from repro.acquisition.oscilloscope import Oscilloscope
 from repro.acquisition.traces import TraceSet
 
@@ -57,6 +69,47 @@ def derive_acquisition_seed(key: str, device_name: str, n_cycles: int) -> int:
         f"acquisition:{key}|{device_name}|{n_cycles}".encode()
     ).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask, where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def acquire_keyed(
+    oscilloscope: Oscilloscope,
+    key: str,
+    requests: Sequence[Tuple[Device, int]],
+    n_cycles: Optional[int] = None,
+) -> List[TraceSet]:
+    """Acquire ``(device, n_traces)`` requests on their keyed streams.
+
+    Each request draws from its own generator, seeded by
+    :func:`derive_acquisition_seed` from ``key``, the device name and
+    the resolved cycle count, so the result is byte-identical to
+    acquiring every request alone, in any order.  Waveforms are
+    rendered and result matrices allocated on the calling thread; the
+    acquisitions then run on a pool of ``min(len(requests),
+    usable_cpus())`` threads, which is shut down before this returns.
+    """
+    jobs = []
+    for device, n_traces in requests:
+        cycles = device.resolve_cycles(n_cycles)
+        base = device.deterministic_waveform(cycles)
+        rng = np.random.default_rng(derive_acquisition_seed(key, device.name, cycles))
+        jobs.append((device, n_traces, rng, cycles, np.empty((n_traces, base.size))))
+
+    def run(job) -> TraceSet:
+        device, n_traces, rng, cycles, out = job
+        return oscilloscope.acquire(device, n_traces, rng, cycles, out=out)
+
+    n_threads = min(len(jobs), usable_cpus())
+    if n_threads <= 1:
+        return [run(job) for job in jobs]
+    with ThreadPoolExecutor(n_threads) as pool:
+        return list(pool.map(run, jobs))
 
 
 def acquire_traces(
@@ -93,17 +146,6 @@ class MeasurementBench:
         self.key = key
         self._cache: Dict[str, TraceSet] = {}
 
-    def device_rng(
-        self, device: Device, n_cycles: Optional[int] = None
-    ) -> np.random.Generator:
-        """The keyed per-device generator (requires ``key`` mode)."""
-        if self.key is None:
-            raise ValueError("device_rng needs a keyed bench (key=...)")
-        cycles = device.resolve_cycles(n_cycles)
-        return np.random.default_rng(
-            derive_acquisition_seed(self.key, device.name, cycles)
-        )
-
     def measure(
         self,
         device: Device,
@@ -111,52 +153,64 @@ class MeasurementBench:
         n_cycles: Optional[int] = None,
         cache: bool = True,
     ) -> TraceSet:
-        """Acquire (or reuse) ``n_traces`` traces for ``device``.
+        """Acquire (or reuse) ``n_traces`` traces for ``device``."""
+        return self.measure_all([(device, n_traces)], n_cycles, cache)[0]
+
+    def measure_all(
+        self,
+        requests: Iterable[Tuple[Device, int]],
+        n_cycles: Optional[int] = None,
+        cache: bool = True,
+    ) -> List[TraceSet]:
+        """Acquire (or reuse) traces for ``(device, n_traces)`` requests.
 
         The cache keys on the *resolved* cycle count so that
         ``n_cycles=None`` and an explicit ``n_cycles=default_cycles``
         hit the same entry instead of acquiring twice.  Hits are served
         as read-only prefix views of the cached matrix — no per-hit
-        copy of multi-MB trace matrices.
+        copy of multi-MB trace matrices.  A keyed bench acquires its
+        misses concurrently through :func:`acquire_keyed`; a sequential
+        bench measures each one in request order on its shared stream.
         """
-        cache_key = f"{device.name}:{device.resolve_cycles(n_cycles)}"
-        if cache and cache_key in self._cache:
-            cached = self._cache[cache_key]
-            if cached.n_traces >= n_traces:
-                if cached.n_traces == n_traces:
-                    return cached
-                return TraceSet(cached.device_name, cached.matrix[:n_traces])
-        rng = (
-            self.device_rng(device, n_cycles)
-            if self.key is not None
-            else self.rng
-        )
-        traces = self.oscilloscope.acquire(device, n_traces, rng, n_cycles)
+        requests = list(requests)
+        results: List[Optional[TraceSet]] = []
+        deferred: List[int] = []
+        for index, (device, n_traces) in enumerate(requests):
+            traces = self._lookup(device, n_traces, n_cycles) if cache else None
+            if traces is None and self.key is not None:
+                deferred.append(index)
+            elif traces is None:
+                # One shared stream: measure now, in request order.
+                traces = self.oscilloscope.acquire(device, n_traces, self.rng, n_cycles)
+                self._keep(device, n_cycles, traces, cache)
+            results.append(traces)
+        misses = [requests[index] for index in deferred]
+        acquired = acquire_keyed(self.oscilloscope, self.key, misses, n_cycles)
+        for index, (device, _), traces in zip(deferred, misses, acquired):
+            self._keep(device, n_cycles, traces, cache)
+            results[index] = traces
+        return results
+
+    @staticmethod
+    def _cache_key(device: Device, n_cycles: Optional[int]) -> str:
+        return f"{device.name}:{device.resolve_cycles(n_cycles)}"
+
+    def _lookup(
+        self, device: Device, n_traces: int, n_cycles: Optional[int]
+    ) -> Optional[TraceSet]:
+        cached = self._cache.get(self._cache_key(device, n_cycles))
+        if cached is None or cached.n_traces < n_traces:
+            return None
+        if cached.n_traces == n_traces:
+            return cached
+        return TraceSet(cached.device_name, cached.matrix[:n_traces])
+
+    def _keep(
+        self, device: Device, n_cycles: Optional[int], traces: TraceSet, cache: bool
+    ) -> None:
         if cache:
             traces.matrix.flags.writeable = False
-            self._cache[cache_key] = traces
-        return traces
-
-    def measure_all(
-        self,
-        devices: Iterable[Device],
-        n_traces: int,
-        n_cycles: Optional[int] = None,
-    ) -> Dict[str, TraceSet]:
-        """Acquire the same number of traces on several devices.
-
-        The fleet's switching activity is primed first
-        (:func:`~repro.acquisition.device.prime_fleet_activity`): all
-        devices sharing a netlist shape simulate in one batched engine
-        execution instead of one scalar run each.  Acquired bytes are
-        unchanged — batching only fills the activity caches faster.
-        """
-        devices = list(devices)
-        prime_fleet_activity(devices, n_cycles)
-        return {
-            device.name: self.measure(device, n_traces, n_cycles)
-            for device in devices
-        }
+            self._cache[self._cache_key(device, n_cycles)] = traces
 
     def clear_cache(self) -> None:
         self._cache.clear()

@@ -56,11 +56,20 @@ import hashlib
 import json
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
-from repro.acquisition.bench import derive_acquisition_seed
+from repro.acquisition.bench import acquire_keyed
 from repro.acquisition.oscilloscope import Oscilloscope
 from repro.acquisition.traces import TraceSet
 
@@ -251,9 +260,12 @@ class ArtifactCache:
     so manufacture (and any attack transform) stays where it belongs —
     but it owns acquisition end-to-end, because reproducing the keyed
     per-device streams is exactly what makes a hit byte-identical to a
-    cold run.  One instance per process is the intended shape (see
-    :func:`process_artifact_cache`); sweep workers each hold their own
-    and meet, if configured, in the shared disk tier.
+    cold run.  Misses go through
+    :func:`~repro.acquisition.bench.acquire_keyed`, the same keyed path
+    a ``MeasurementBench(key=...)`` uses.  One instance per process is
+    the intended shape (see :func:`process_artifact_cache`); sweep
+    workers each hold their own and meet, if configured, in the shared
+    disk tier.
     """
 
     def __init__(self, options: Optional[ArtifactOptions] = None):
@@ -339,42 +351,66 @@ class ArtifactCache:
         n_cycles: Optional[int] = None,
         fleet_tag: str = "none",
     ) -> TraceSet:
-        """Acquire-or-reuse ``n_traces`` traces of ``device``.
+        """Acquire-or-reuse ``n_traces`` traces of ``device``."""
+        return self.traces_all(config, [(device, n_traces)], n_cycles, fleet_tag)[0]
+
+    def traces_all(
+        self,
+        config: "CampaignConfig",
+        requests: Sequence[Tuple[object, int]],
+        n_cycles: Optional[int] = None,
+        fleet_tag: str = "none",
+    ) -> List[TraceSet]:
+        """Acquire-or-reuse traces for ``(device, n_traces)`` requests.
 
         Lookup order: memory LRU, disk tier, cold acquisition.  A hit
         whose matrix holds at least ``n_traces`` rows is served as a
         read-only prefix view; a larger request re-acquires from the
         same keyed stream (the old entry is a prefix of the new one)
-        and replaces the cache entry.
+        and replaces the cache entry.  Every lookup, LRU update and
+        disk access happens on the calling thread; the misses are
+        acquired together, concurrently, by
+        :func:`~repro.acquisition.bench.acquire_keyed`.
         """
-        if n_traces <= 0:
-            raise ValueError(f"n_traces must be positive, got {n_traces}")
-        cycles = device.resolve_cycles(n_cycles)
         base_key = measurement_base_key(config, fleet_tag)
-        key = (base_key, device.name, cycles)
+        served: List[Optional[TraceSet]] = []
+        misses: List[Tuple[int, Tuple[str, str, int]]] = []
+        for index, (device, n_traces) in enumerate(requests):
+            if n_traces <= 0:
+                raise ValueError(f"n_traces must be positive, got {n_traces}")
+            key = (base_key, device.name, device.resolve_cycles(n_cycles))
+            traces = self._lookup(key, n_traces)
+            if traces is None:
+                misses.append((index, key))
+            served.append(traces)
+        acquired = acquire_keyed(
+            Oscilloscope(config.noise, config.adc),
+            base_key,
+            [requests[index] for index, _ in misses],
+            n_cycles,
+        )
+        for (index, key), traces in zip(misses, acquired):
+            self.stats.trace_misses += 1
+            self._freeze(traces)
+            self.stats.bytes_acquired += traces.matrix.nbytes
+            self._remember(key, traces)
+            self._save_to_store(key, traces)
+            served[index] = traces
+        return served
 
+    def _lookup(self, key: Tuple[str, str, int], n_traces: int) -> Optional[TraceSet]:
+        """A cached (memory, then disk) prefix of ``n_traces`` rows, if any."""
         cached = self._traces.get(key)
         if cached is not None and cached.n_traces >= n_traces:
             self._traces.move_to_end(key)
             self.stats.trace_hits += 1
             return self._prefix(cached, n_traces)
-
-        loaded = self._load_from_store(key, device.name, n_traces)
+        loaded = self._load_from_store(key, n_traces)
         if loaded is not None:
             self.stats.disk_hits += 1
             self._remember(key, loaded)
             return self._prefix(loaded, n_traces)
-
-        self.stats.trace_misses += 1
-        scope = Oscilloscope(config.noise, config.adc)
-        rng = np.random.default_rng(
-            derive_acquisition_seed(base_key, device.name, cycles)
-        )
-        acquired = self._freeze(scope.acquire(device, n_traces, rng, cycles))
-        self.stats.bytes_acquired += acquired.matrix.nbytes
-        self._remember(key, acquired)
-        self._save_to_store(key, acquired, cycles)
-        return acquired
+        return None
 
     # -- campaign outcomes (the fourth artifact tier) ----------------------
 
@@ -436,7 +472,7 @@ class ArtifactCache:
     # -- disk tier ---------------------------------------------------------
 
     def _load_from_store(
-        self, key: Tuple[str, str, int], device_name: str, n_traces: int
+        self, key: Tuple[str, str, int], n_traces: int
     ) -> Optional[TraceSet]:
         if self._store is None:
             return None
@@ -450,11 +486,9 @@ class ArtifactCache:
         matrix = arrays.get("traces")
         if matrix is None or matrix.shape[0] < n_traces:
             return None
-        return self._freeze(TraceSet(device_name, matrix))
+        return self._freeze(TraceSet(key[1], matrix))
 
-    def _save_to_store(
-        self, key: Tuple[str, str, int], traces: TraceSet, cycles: int
-    ) -> None:
+    def _save_to_store(self, key: Tuple[str, str, int], traces: TraceSet) -> None:
         # Concurrent workers may interleave the has()/put() pair, so a
         # smaller acquisition can transiently clobber a larger one on
         # disk.  That is benign for correctness — loads check the row
@@ -462,7 +496,7 @@ class ArtifactCache:
         # costs a redundant acquisition on the losing side.
         if self._store is None:
             return
-        base_key, device_name, _ = key
+        base_key, device_name, cycles = key
         artifact_id = self._artifact_id(*key)
         if self._store.has(artifact_id):
             existing = self._store.get(artifact_id)

@@ -242,11 +242,13 @@ def run_campaign(
     the config's measurement base key and the device name (see
     :mod:`repro.experiments.artifacts`), never from a shared sequential
     RNG, so trace sets do not depend on acquisition order and can be
-    shared across campaigns.  Passing an ``artifacts`` cache reuses
-    fleets and trace matrices across calls byte-identically to this
-    unshared path; ``fleet_tag`` names the DUT transform the fleet
-    carries (the sweep ``attack`` axis) so tampered artifacts never
-    alias pristine ones.  With ``artifacts``, whole campaign outcomes
+    shared across campaigns; it is also why the eight acquisitions of
+    one campaign can run concurrently
+    (:func:`~repro.acquisition.bench.acquire_keyed`).  Passing an
+    ``artifacts`` cache reuses fleets and trace matrices across calls
+    byte-identically to this unshared path; ``fleet_tag`` names the DUT
+    transform the fleet carries (the sweep ``attack`` axis) so tampered
+    artifacts never alias pristine ones.  With ``artifacts``, whole campaign outcomes
     are additionally memoised on the config's *analysis key*: a repeat
     call with an equal key returns the stored outcome without touching
     the fleet or the bench (equal keys guarantee byte-identical
@@ -291,16 +293,19 @@ def run_campaign(
     # unchanged either way (the engine's batching invariant).
     prime_fleet_activity((*refds.values(), *duts.values()))
     p = cfg.parameters
+    # All eight keyed acquisitions in one batch, so they run concurrently.
+    requests = [(duts[name], p.n2) for name in DUT_ORDER]
+    requests += [(refds[name], p.n1) for name in REF_ORDER]
     if artifacts is not None:
-        def measure(device, n_traces):
-            return artifacts.traces(cfg, device, n_traces, fleet_tag=fleet_tag)
+        acquired = artifacts.traces_all(cfg, requests, fleet_tag=fleet_tag)
     else:
         bench = MeasurementBench(
             Oscilloscope(cfg.noise, cfg.adc),
             key=measurement_base_key(cfg, fleet_tag),
         )
-        measure = bench.measure
-    t_duts = {name: measure(duts[name], p.n2) for name in DUT_ORDER}
+        acquired = bench.measure_all(requests)
+    t_duts = dict(zip(DUT_ORDER, acquired))
+    t_refs = dict(zip(REF_ORDER, acquired[len(DUT_ORDER) :]))
     verifier = WatermarkVerifier(
         parameters=p,
         distinguishers=cfg.distinguishers,
@@ -309,8 +314,9 @@ def run_campaign(
     analysis_rng = np.random.default_rng(cfg.analysis_seed)
     reports: Dict[str, VerificationReport] = {}
     for ref_name in REF_ORDER:
-        t_ref = measure(refds[ref_name], p.n1)
-        reports[ref_name] = verifier.identify(t_ref, t_duts, rng=analysis_rng)
+        reports[ref_name] = verifier.identify(
+            t_refs[ref_name], t_duts, rng=analysis_rng
+        )
     outcome = CampaignOutcome(config=cfg, reports=reports)
     if artifacts is not None:
         artifacts.remember_outcome(cfg, fleet_tag, outcome)

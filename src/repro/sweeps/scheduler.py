@@ -10,9 +10,10 @@ Work units and leases
 
 The unit of work is one scenario digest.  Before executing a digest,
 a scheduler claims an *atomic lease file*
-(``<root>/.leases/<id>.lease`` — created with ``O_EXCL``, so exactly
-one claimant wins) recording the owner id, a heartbeat timestamp and
-the lease TTL.  While an attempt runs, the scheduler heartbeats the
+(``<root>/.leases/<id>.lease`` — a complete claim file hard-linked
+into place, so exactly one claimant wins and none sees it half
+written) recording the owner id, a heartbeat timestamp and the lease
+TTL.  While an attempt runs, the scheduler heartbeats the
 lease; a lease whose heartbeat is older than its TTL is *stale* and
 any scheduler may reclaim it — a dead worker's scenarios are re-leased
 automatically.  Leases are an efficiency mechanism, not a correctness
@@ -157,8 +158,8 @@ def _atomic_write_json(path: str, payload: object) -> None:
 class LeaseManager:
     """Atomic lease files under ``<root>/.leases/``, one per digest.
 
-    A lease is claimed by exclusive file creation — exactly one
-    claimant wins.  Reclaiming a stale lease renames it to a
+    A lease is claimed by hard-linking a complete claim file into
+    place — exactly one claimant wins.  Reclaiming a stale lease renames it to a
     per-claimant scratch name first; the rename succeeds for exactly
     one reclaimer, so a stale lease is stolen at most once per expiry.
     """
@@ -192,28 +193,37 @@ class LeaseManager:
         return {"owner": self.owner, "heartbeat": time.time(), "ttl": self.ttl}
 
     def acquire(self, scenario_id: str) -> bool:
-        """Claim the digest; False when another live owner holds it."""
+        """Claim the digest; False when another live owner holds it.
+
+        The claim is written to a scratch file and hard-linked into
+        place, which fails when the lease exists.  A lease is therefore
+        never visible half-written: a rival reading an empty file would
+        take it for a torn, stale lease and steal a live claim.
+        """
         path = self.path(scenario_id)
         for _ in range(3):
-            try:
-                fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                lease = self.read(scenario_id)
-                if lease is None:
-                    continue  # released between open and read; retry
-                if not self.is_stale(lease):
-                    return False
-                # Steal: exactly one reclaimer wins the rename.
-                scratch = f"{path}.stale-{uuid.uuid4().hex[:8]}"
-                try:
-                    os.rename(path, scratch)
-                except FileNotFoundError:
-                    continue  # someone else stole or released it; retry
-                os.unlink(scratch)
-                continue
-            with os.fdopen(fd, "w") as handle:
+            claim = f"{path}.tmp-{uuid.uuid4().hex[:8]}"
+            with open(claim, "w") as handle:
                 json.dump(self._payload(), handle)
-            return True
+            try:
+                os.link(claim, path)
+                return True
+            except FileExistsError:
+                pass
+            finally:
+                os.unlink(claim)
+            lease = self.read(scenario_id)
+            if lease is None:
+                continue  # released between link and read; retry
+            if not self.is_stale(lease):
+                return False
+            # Steal: exactly one reclaimer wins the rename.
+            scratch = f"{path}.stale-{uuid.uuid4().hex[:8]}"
+            try:
+                os.rename(path, scratch)
+            except FileNotFoundError:
+                continue  # someone else stole or released it; retry
+            os.unlink(scratch)
         return False
 
     def heartbeat(self, scenario_id: str) -> bool:

@@ -1,10 +1,11 @@
 """Tests for cross-scenario artifact sharing.
 
 Covers the three-key config split, the sharing-safe acquisition
-refactor (keyed per-device seeds, chunked noise generation, ADC grid
-invariance, read-only cache views, prefix reuse), the campaign-outcome
-memo, and the headline guarantee: sweeps produce byte-identical stores
-with sharing on or off, for any worker count.
+refactor (keyed per-device seeds, ADC grid invariance, read-only cache
+views, prefix reuse), the in-place acquisition kernel against the
+one-shot reference formula, concurrent keyed acquisition, the
+campaign-outcome memo, and the headline guarantee: sweeps produce
+byte-identical stores with sharing on or off, for any worker count.
 """
 
 from __future__ import annotations
@@ -13,12 +14,16 @@ import dataclasses
 import hashlib
 import json
 import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import repro.acquisition.bench as bench_module
 from repro.acquisition.bench import MeasurementBench, derive_acquisition_seed
-from repro.acquisition.oscilloscope import ADCConfig, Oscilloscope
+from repro.acquisition.oscilloscope import BLOCK_ROWS, ADCConfig, Oscilloscope
 from repro.acquisition.traces import TraceSet
 from repro.core.process import ProcessParameters
 from repro.experiments.artifacts import (
@@ -31,8 +36,16 @@ from repro.experiments.artifacts import (
     process_artifact_cache,
     clear_process_artifact_cache,
 )
+from repro.core.verification import WatermarkVerifier
 from repro.experiments.designs import build_paper_ip
-from repro.experiments.runner import CampaignConfig, run_campaign
+from repro.experiments.runner import (
+    DUT_ORDER,
+    REF_ORDER,
+    CampaignConfig,
+    build_campaign_fleet,
+    manufacture_fleet,
+    run_campaign,
+)
 from repro.power.models import PowerModel
 from repro.power.noise import NoiseModel
 from repro.sweeps import GridAxis, SweepOptions, SweepSpec, SweepStore, run
@@ -154,39 +167,20 @@ class TestKeyedAcquisition:
         small = scope.acquire(device, 50, np.random.default_rng(seed))
         np.testing.assert_array_equal(big.matrix[:50], small.matrix)
 
-    def test_drift_noise_keeps_chunk_and_prefix_stability(self):
+    def test_drift_noise_keeps_prefix_stability(self):
         # The drift random walk runs within a trace, so drawing must
-        # stay trace-major: chunked and truncated acquisitions must
-        # reproduce the one-shot bytes even with drift enabled.
+        # stay trace-major: truncated acquisitions must reproduce the
+        # larger acquisition's rows even with drift enabled.
         device = make_device()
         noise = NoiseModel(sigma=1.0, drift_sigma=0.5)
         seed = derive_acquisition_seed("K", device.name, 64)
-        one_shot = Oscilloscope(noise=noise).acquire(
+        full = Oscilloscope(noise=noise).acquire(
             device, 60, np.random.default_rng(seed)
         )
-        row_bytes = 8 * device.trace_length()
-        chunked = Oscilloscope(noise=noise, max_chunk_bytes=7 * row_bytes).acquire(
-            device, 60, np.random.default_rng(seed)
-        )
-        np.testing.assert_array_equal(one_shot.matrix, chunked.matrix)
         prefix = Oscilloscope(noise=noise).acquire(
             device, 25, np.random.default_rng(seed)
         )
-        np.testing.assert_array_equal(one_shot.matrix[:25], prefix.matrix)
-
-    def test_chunked_equals_unchunked(self):
-        device = make_device()
-        seed = derive_acquisition_seed("K", device.name, 64)
-        for adc in (None, ADCConfig(bits=8)):
-            one_shot = Oscilloscope(adc=adc).acquire(
-                device, 100, np.random.default_rng(seed)
-            )
-            row_bytes = 8 * device.trace_length()
-            for chunk_bytes in (row_bytes, 3 * row_bytes, 64 * row_bytes):
-                chunked = Oscilloscope(
-                    adc=adc, max_chunk_bytes=chunk_bytes
-                ).acquire(device, 100, np.random.default_rng(seed))
-                np.testing.assert_array_equal(one_shot.matrix, chunked.matrix)
+        np.testing.assert_array_equal(full.matrix[:25], prefix.matrix)
 
     def test_quantisation_grid_invariant_to_trace_count(self):
         # The ADC window derives from the deterministic base waveform,
@@ -202,12 +196,6 @@ class TestKeyedAcquisition:
         # integer number of steps above the common minimum.
         offsets = (grid - grid.min()) / step
         np.testing.assert_allclose(offsets, np.round(offsets), atol=1e-6)
-
-    def test_rows_per_chunk_floor(self):
-        scope = Oscilloscope(max_chunk_bytes=1)
-        assert scope.rows_per_chunk(1024) == 1
-        with pytest.raises(ValueError):
-            Oscilloscope(max_chunk_bytes=0)
 
     def test_bench_cache_hit_is_readonly_view(self):
         bench = MeasurementBench(seed=0)
@@ -227,6 +215,206 @@ class TestKeyedAcquisition:
         assert traces.mean_trace().shape == (8,)
         copied = traces.subset([0, 2])
         assert copied.matrix.flags.writeable  # subsets stay private copies
+
+
+class ConstantDevice:
+    """A die whose waveform never moves, so its ``signal_std`` 0 becomes 1."""
+
+    name = "flat"
+
+    def deterministic_waveform(self, n_cycles=None):
+        return np.full(256, 0.25)
+
+
+def reference_acquire(scope, device, n_traces, rng, n_cycles=None):
+    """The one-shot acquisition formula, with every full-size temporary.
+
+    The in-place block kernel must reproduce it byte for byte.
+    """
+    base = device.deterministic_waveform(n_cycles)
+    signal_std = float(np.std(base)) or 1.0
+    noise, adc = scope.noise, scope.adc
+    shape = (n_traces, base.size)
+    if noise.drift_sigma <= 0:
+        traces = rng.normal(0.0, noise.sigma * signal_std, shape) + base
+    else:
+        draws = rng.standard_normal((n_traces, 2 * base.size))
+        white, drift = draws[:, : base.size], draws[:, base.size :]
+        steps = (noise.drift_sigma * signal_std / np.sqrt(base.size)) * drift
+        traces = noise.sigma * signal_std * white + np.cumsum(steps, axis=1) + base
+    if adc is None:
+        return traces
+    center = float(np.mean(base))
+    spread = (noise.sigma + adc.headroom) * signal_std
+    low, high = center - spread, center + spread
+    step = (high - low) / ((1 << adc.bits) - 1)
+    return low + np.round((np.clip(traces, low, high) - low) / step) * step
+
+
+ADCS = [None, ADCConfig(bits=1), ADCConfig(bits=10), ADCConfig(bits=24)]
+NOISES = [NoiseModel(sigma=1.0), NoiseModel(sigma=1.0, drift_sigma=0.5)]
+
+
+class TestReferenceKernel:
+    @pytest.mark.parametrize("adc", ADCS, ids=lambda a: f"adc{a.bits if a else 0}")
+    @pytest.mark.parametrize("noise", NOISES, ids=["white", "drift"])
+    @pytest.mark.parametrize(
+        "n_traces", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 10_000]
+    )
+    def test_kernel_matches_reference_bytes(self, adc, noise, n_traces):
+        device = make_device()
+        scope = Oscilloscope(noise, adc)
+        kernel = scope.acquire(device, n_traces, np.random.default_rng(n_traces))
+        expected = reference_acquire(
+            scope, device, n_traces, np.random.default_rng(n_traces)
+        )
+        assert kernel.matrix.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("adc", ADCS, ids=lambda a: f"adc{a.bits if a else 0}")
+    @pytest.mark.parametrize(
+        # Without noise, a constant waveform lands exactly half-way
+        # between two ADC codes: ties must round half to even.
+        "noise",
+        NOISES + [NoiseModel(sigma=0.0)],
+        ids=["white", "drift", "silent"],
+    )
+    def test_constant_waveform_and_explicit_cycles(self, adc, noise):
+        scope = Oscilloscope(noise, adc)
+        for device, n_cycles in ((ConstantDevice(), None), (make_device(), 40)):
+            kernel = scope.acquire(device, 150, np.random.default_rng(5), n_cycles)
+            expected = reference_acquire(
+                scope, device, 150, np.random.default_rng(5), n_cycles
+            )
+            assert kernel.matrix.tobytes() == expected.tobytes()
+
+    def test_zero_sigma_noise_matches_normal_draw(self):
+        # rng.normal(0, 0) gives +0.0 everywhere; so must the kernel.
+        drawn = NoiseModel(sigma=0.0).sample(9, 7, 1.0, np.random.default_rng(2))
+        expected = np.random.default_rng(2).normal(0.0, 0.0, (9, 7))
+        assert drawn.tobytes() == expected.tobytes()
+
+    def test_acquire_fills_the_given_matrix(self):
+        device = make_device()
+        out = np.empty((70, device.trace_length()))
+        traces = Oscilloscope().acquire(device, 70, np.random.default_rng(0), out=out)
+        assert traces.matrix is out
+        with pytest.raises(ValueError, match="shape"):
+            Oscilloscope().acquire(device, 69, np.random.default_rng(0), out=out)
+
+
+def acquisition_threads(monkeypatch):
+    """Force a four-thread pool and record the threads that acquire."""
+    monkeypatch.setattr(bench_module, "usable_cpus", lambda: 4)
+    threads = set()
+    original = Oscilloscope.acquire
+
+    def spy(self, *args, **kwargs):
+        threads.add(threading.get_ident())
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Oscilloscope, "acquire", spy)
+    return threads
+
+
+class TestConcurrentAcquisition:
+    @pytest.mark.parametrize("shared", [False, True], ids=["bench", "artifacts"])
+    def test_campaign_equals_devices_acquired_alone(self, monkeypatch, shared):
+        threads = acquisition_threads(monkeypatch)
+        cfg = quick_config()
+        outcome = run_campaign(cfg, artifacts=ArtifactCache() if shared else None)
+        assert threads and threading.get_ident() not in threads
+        refds, duts = manufacture_fleet(cfg)
+        scope = Oscilloscope(cfg.noise, cfg.adc)
+
+        def alone(device, n_traces):
+            bench = MeasurementBench(scope, key=measurement_base_key(cfg))
+            return bench.measure(device, n_traces)
+
+        t_duts = {name: alone(duts[name], QUICK.n2) for name in DUT_ORDER}
+        verifier = WatermarkVerifier(
+            parameters=QUICK,
+            distinguishers=cfg.distinguishers,
+            single_reference=cfg.single_reference,
+        )
+        rng = np.random.default_rng(cfg.analysis_seed)
+        for ref in REF_ORDER:
+            expected = verifier.identify(alone(refds[ref], QUICK.n1), t_duts, rng=rng)
+            actual = outcome.reports[ref]
+            assert actual.means == expected.means
+            assert actual.variances == expected.variances
+            for dut in DUT_ORDER:
+                np.testing.assert_array_equal(
+                    actual.results[dut].coefficients,
+                    expected.results[dut].coefficients,
+                )
+
+    def test_artifact_stats_match_serial_acquisition(self, monkeypatch):
+        acquisition_threads(monkeypatch)
+        cfg = quick_config()
+        batched = ArtifactCache()
+        run_campaign(cfg, artifacts=batched)
+        serial = ArtifactCache()
+        refds, duts = serial.fleet(cfg, "none", lambda: build_campaign_fleet(cfg))
+        for name in DUT_ORDER:
+            serial.traces(cfg, duts[name], QUICK.n2)
+        for name in REF_ORDER:
+            serial.traces(cfg, refds[name], QUICK.n1)
+        for stat in ("trace_misses", "bytes_acquired", "peak_bytes"):
+            assert getattr(batched.stats, stat) == getattr(serial.stats, stat)
+
+    def test_no_pool_thread_outlives_a_campaign(self, monkeypatch):
+        threads = acquisition_threads(monkeypatch)
+        # Held here, so only an explicit shutdown can end their threads.
+        pools = []
+
+        class RecordedPool(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr(bench_module, "ThreadPoolExecutor", RecordedPool)
+        before = threading.active_count()
+        run_campaign(quick_config())
+        run_campaign(quick_config(), artifacts=ArtifactCache())
+        assert len(pools) == 2 and len(threads) > 1
+        assert threading.active_count() == before
+
+    def test_acquire_keyed_under_thread_pressure(self, monkeypatch):
+        # More threads than cores, a tiny switch interval and one device
+        # requested twice: every matrix must still equal its serial
+        # acquisition byte for byte.
+        devices = [make_device(f"d{i}") for i in range(12)]
+        requests = [(device, 40 + i) for i, device in enumerate(devices)]
+        requests.append((devices[0], 90))
+        scope = Oscilloscope(NoiseModel(sigma=1.0, drift_sigma=0.3), ADCConfig())
+        monkeypatch.setattr(bench_module, "usable_cpus", lambda: 1)
+        serial = bench_module.acquire_keyed(scope, "K", requests)
+        monkeypatch.setattr(bench_module, "usable_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = bench_module.acquire_keyed(scope, "K", requests)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [t.matrix.tobytes() for t in threaded] == [
+            t.matrix.tobytes() for t in serial
+        ]
+
+    def test_sequential_measure_all_keeps_the_single_stream(self, monkeypatch):
+        threads = acquisition_threads(monkeypatch)
+        first, second = make_device("a"), make_device("b")
+        scope = Oscilloscope(adc=ADCConfig())
+        batch = MeasurementBench(scope, seed=11).measure_all(
+            [(first, 30), (second, 20), (first, 10)]
+        )
+        assert threads == {threading.get_ident()}
+        rng = np.random.default_rng(11)
+        expected_first = reference_acquire(scope, first, 30, rng)
+        expected_second = reference_acquire(scope, second, 20, rng)
+        assert batch[0].matrix.tobytes() == expected_first.tobytes()
+        assert batch[1].matrix.tobytes() == expected_second.tobytes()
+        # The repeat is a cache hit: a prefix view, no new draws.
+        assert batch[2].matrix.tobytes() == expected_first[:10].tobytes()
 
 
 class TestArtifactCache:

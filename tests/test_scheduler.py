@@ -1,6 +1,7 @@
 """Tests for lease-based scheduling, retry/quarantine, store hygiene,
 and the byte-identity invariant under injected faults."""
 
+import json
 import os
 import threading
 import time
@@ -126,6 +127,24 @@ class TestLeaseManager:
         time.sleep(0.02)
         mgr.heartbeat("x")
         assert mgr.read("x")["heartbeat"] > before
+
+    def test_claim_being_written_is_not_stolen(self, tmp_path, monkeypatch):
+        # A rival claiming while the first claim's payload is written
+        # must not see a torn lease and steal it: exactly one wins.
+        a = LeaseManager(str(tmp_path), ttl=30.0, owner="a")
+        b = LeaseManager(str(tmp_path), ttl=30.0, owner="b")
+        rival = []
+        dump = json.dump
+
+        def rival_claims_first(*args, **kwargs):
+            if not rival:
+                rival.append(None)
+                rival[0] = b.acquire("x")
+            dump(*args, **kwargs)
+
+        monkeypatch.setattr(json, "dump", rival_claims_first)
+        won = a.acquire("x")
+        assert [won, rival[0]].count(True) == 1
 
     def test_corrupt_lease_treated_as_stale(self, tmp_path):
         mgr = LeaseManager(str(tmp_path), ttl=30.0, owner="a")

@@ -174,8 +174,9 @@ class TestBench:
     def test_measure_all(self, device):
         other = Device("dev2", build_paper_ip("IP_B"), PowerModel())
         bench = MeasurementBench(seed=0)
-        result = bench.measure_all([device, other], 4)
-        assert set(result) == {"dev", "dev2"}
+        result = bench.measure_all([(device, 4), (other, 6)])
+        assert [traces.device_name for traces in result] == ["dev", "dev2"]
+        assert [traces.n_traces for traces in result] == [4, 6]
 
     def test_clear_cache(self, device):
         bench = MeasurementBench(seed=0)
