@@ -70,7 +70,10 @@ from repro.sweeps.store import SweepStore
 
 _logger = logging.getLogger(__name__)
 
-#: Seconds between store polls while streaming rows of a running job.
+#: Longest wait between store scans while streaming rows of a running
+#: job.  The job wakes its streams on every scenario it lands and when
+#: it ends; this only bounds how late a record published by another
+#: instance on the same root is seen.
 ROWS_POLL_INTERVAL = 0.2
 
 #: Request-option keys accepted by ``POST /sweeps``.
@@ -222,22 +225,29 @@ class SweepService:
         store = SweepStore(self.store_root)
         by_id = {s.scenario_id: s for s in job.scenarios}
         emitted: set = set()
-        while True:
-            for scenario_id in job.scenario_ids:
-                if scenario_id in emitted or not store.has(scenario_id):
-                    continue
-                for row in tidy_accuracy(store, [by_id[scenario_id]]):
-                    yield {"kind": "accuracy", **row}
-                emitted.add(scenario_id)
-            if len(emitted) == len(job.scenario_ids):
-                break
-            if not job.running:
-                break  # terminal with quarantined/failed scenarios
-            await asyncio.sleep(ROWS_POLL_INTERVAL)
-        # Give the job thread a beat to reach its terminal state once
-        # every scenario's record is on disk, so the trailer is final.
-        while job.running and len(emitted) == len(job.scenario_ids):
-            await asyncio.sleep(ROWS_POLL_INTERVAL)
+        progressed = job.subscribe()
+        try:
+            while True:
+                # Clear, then look: progress signalled after this point
+                # wakes the wait below instead of being lost.
+                progressed.clear()
+                # A job seen terminal here has every record it will
+                # publish on disk, so the scan below is the last.
+                running = job.running
+                for scenario_id in job.scenario_ids:
+                    if scenario_id in emitted or not store.has(scenario_id):
+                        continue
+                    for row in tidy_accuracy(store, [by_id[scenario_id]]):
+                        yield {"kind": "accuracy", **row}
+                    emitted.add(scenario_id)
+                if not running:
+                    break
+                try:
+                    await asyncio.wait_for(progressed.wait(), ROWS_POLL_INTERVAL)
+                except asyncio.TimeoutError:
+                    pass  # records another instance published
+        finally:
+            job.unsubscribe(progressed)
         completed = [by_id[scenario_id] for scenario_id in job.scenario_ids
                      if scenario_id in emitted]
         for row in roc_by_axis(store, axis, completed):

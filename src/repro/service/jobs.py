@@ -25,6 +25,7 @@ construction:
 
 from __future__ import annotations
 
+import asyncio
 import hashlib
 import logging
 import threading
@@ -75,6 +76,9 @@ class SweepJob:
         self.error: Optional[Dict[str, object]] = None
         self.submitted_at = time.time()
         self.finished_at: Optional[float] = None
+        #: Row streams waiting for progress, with the loop each runs on.
+        self._waiters: Dict[asyncio.Event, asyncio.AbstractEventLoop] = {}
+        self._waiters_lock = threading.Lock()
         self._thread = threading.Thread(
             target=self._execute, name=f"sweep-job-{job_id}", daemon=True
         )
@@ -91,9 +95,42 @@ class SweepJob:
         scheduler = self.options.scheduler
         return scheduler.lease_ttl if scheduler is not None else 30.0
 
+    # -- change notification -------------------------------------------
+
+    def subscribe(self) -> asyncio.Event:
+        """An event of the running loop, set whenever the job progresses.
+
+        The job thread sets it once per scenario that lands (executed or
+        found cached) and once more after the job reaches a terminal
+        state.  Pair with :meth:`unsubscribe`.
+        """
+        event = asyncio.Event()
+        with self._waiters_lock:
+            self._waiters[event] = asyncio.get_running_loop()
+        return event
+
+    def unsubscribe(self, event: asyncio.Event) -> None:
+        with self._waiters_lock:
+            self._waiters.pop(event, None)
+
+    def _notify(self, *_: object) -> None:
+        """Wake every subscriber; one whose loop has closed is dropped."""
+        with self._waiters_lock:
+            waiters = list(self._waiters.items())
+        for event, loop in waiters:
+            try:
+                loop.call_soon_threadsafe(event.set)
+            except RuntimeError:  # the loop is closed
+                self.unsubscribe(event)
+
     def _execute(self) -> None:
         try:
-            report = run(self.spec, SweepStore(self.store_root), self.options)
+            report = run(
+                self.spec,
+                SweepStore(self.store_root),
+                self.options,
+                progress=self._notify,
+            )
         except Exception as error:  # noqa: BLE001 — surfaced via the API
             self.error = error_info(error)
             self.state = JOB_ERROR
@@ -110,6 +147,7 @@ class SweepJob:
             )
         finally:
             self.finished_at = time.time()
+            self._notify()
 
     def status(self) -> SweepStatus:
         """Live progress snapshot scoped to this job's scenarios."""

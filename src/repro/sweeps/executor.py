@@ -8,7 +8,7 @@ a :class:`~repro.sweeps.spec.SweepSpec`, skips every scenario already
 present in the :class:`~repro.sweeps.store.SweepStore`, and executes
 the missing ones — inline for ``n_workers <= 1``, otherwise on a
 ``multiprocessing`` pool in chunked work units.  The lease-based
-strategy lives in :mod:`repro.sweeps.scheduler`; its attempt children
+strategy lives in :mod:`repro.sweeps.scheduler`; its attempt workers
 run this module's attempt body (:func:`_execute_attempt`) and both
 strategies share one failure step
 (:meth:`~repro.sweeps.scheduler.FailureLog.record_failure`).
@@ -131,7 +131,7 @@ def _execute_attempt(
     """One attempt: run the scenario and publish its result.
 
     The attempt body of both execution strategies: the loop below calls
-    it in-process, the lease scheduler in each attempt child.
+    it in-process, the lease scheduler in its attempt workers.
     """
     with fault_context(scenario.scenario_id, attempt):
         fault_point("scenario.pre")

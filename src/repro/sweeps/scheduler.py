@@ -24,21 +24,31 @@ with atomic, idempotent renames, so the store cannot diverge.
 Attempts, retries, quarantine
 -----------------------------
 
-Each attempt runs in a *child process* (so a crash — ``os._exit``,
-SIGKILL, OOM — kills the attempt, never the scheduler) with an
-optional wall-clock timeout after which it is killed.  Failed attempts
-are recorded in ``<root>/.attempts/<id>.json`` (a persistent history:
-attempt numbers survive scheduler restarts, which keeps seeded fault
-plans deterministic across reruns) and retried with exponential
-backoff up to :attr:`RetryPolicy.max_attempts` per scheduler run.  A
-scenario that exhausts its attempts is *quarantined*: a
-``<root>/failed/<id>.json`` record (exception type, message,
-traceback, attempt count) is written and the sweep **continues** —
-one poisoned scenario costs its own result, not the sweep's.  A later
-run re-attempts quarantined scenarios with a fresh budget and clears
-the quarantine record on success, so resume converges once the cause
-is gone.  The attempt body and this failure step
-(:meth:`FailureLog.record_failure`) are the in-process executor's
+Each attempt slot keeps one *persistent worker process*, forked on the
+slot's first attempt and handed one attempt at a time over a pipe, so
+a crash — ``os._exit``, SIGKILL, OOM — kills the attempt, never the
+scheduler, and an optional wall-clock timeout kills a stalled worker.
+A worker is reused only after a successful attempt: any failure
+(a handled exception, a crash, a timeout) retires it, and its slot
+forks a fresh worker for the next attempt, so every retry starts in a
+fresh process.  What a reused worker carries from one success to the
+next are the process-wide caches (fleet activity, compiled programs,
+artifacts) whose contracts keep results byte-identical.  Workers read
+a :data:`~repro.sweeps.faultinject.FAULT_PLAN_ENV` fault plan like any
+other process, and never outlive the sweep that forked them.
+
+Failed attempts are recorded in ``<root>/.attempts/<id>.json`` (a
+persistent history: attempt numbers survive scheduler restarts, which
+keeps seeded fault plans deterministic across reruns) and retried with
+exponential backoff up to :attr:`RetryPolicy.max_attempts` per
+scheduler run.  A scenario that exhausts its attempts is
+*quarantined*: a ``<root>/failed/<id>.json`` record (exception type,
+message, traceback, attempt count) is written and the sweep
+**continues** — one poisoned scenario costs its own result, not the
+sweep's.  A later run re-attempts quarantined scenarios with a fresh
+budget and clears the quarantine record on success, so resume
+converges once the cause is gone.  The attempt body and this failure
+step (:meth:`FailureLog.record_failure`) are the in-process executor's
 own; only the process isolation, leases and timeouts are specific to
 this scheduler.
 
@@ -62,6 +72,7 @@ import time
 import traceback
 import uuid
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection, wait
 from typing import Callable, Dict, List, Optional
 
 from repro.sweeps.spec import Scenario, SweepSpec, expand_scenarios
@@ -119,7 +130,9 @@ class SchedulerOptions:
     lease_ttl: float = 30.0
     #: Heartbeat period while an attempt runs (default: ``lease_ttl/4``).
     heartbeat_interval: Optional[float] = None
-    #: Scheduler loop sleep when nothing is runnable.
+    #: Longest wait between supervision passes (heartbeats, timeouts,
+    #: backoff, foreign leases).  A finished attempt wakes the
+    #: scheduler at once; this is not a sleep after every completion.
     poll_interval: float = 0.05
     #: Kill any single attempt after this many seconds (None = never).
     scenario_timeout: Optional[float] = None
@@ -290,11 +303,6 @@ class FailureLog:
     def failed_path(self, scenario_id: str) -> str:
         return os.path.join(self.failed_dir, f"{scenario_id}.json")
 
-    def error_scratch_path(self, scenario_id: str, attempt: int) -> str:
-        return os.path.join(
-            self.attempts_dir, f"{scenario_id}.err-{attempt}.json"
-        )
-
     # -- attempts --------------------------------------------------------
 
     def history(self, scenario_id: str) -> List[dict]:
@@ -393,7 +401,11 @@ class FailureLog:
             pass
 
     def scrub(self, store: SweepStore) -> List[str]:
-        """Remove scratch error files and quarantines of completed work."""
+        """Remove scratch files and quarantines of completed work.
+
+        Scratch includes the ``<id>.err-<n>.json`` error files that
+        schedulers before persistent workers left on a crash.
+        """
         removed: List[str] = []
         if os.path.isdir(self.attempts_dir):
             for entry in sorted(os.listdir(self.attempts_dir)):
@@ -409,48 +421,128 @@ class FailureLog:
         return removed
 
 
-# -- child-process attempt execution --------------------------------------
-
-#: Child exit code for a failure that was caught and written to the
-#: error scratch file (anything else without a scratch file = crash).
-HANDLED_FAILURE_EXIT = 3
+# -- persistent attempt workers ---------------------------------------------
 
 
-def _attempt_child(
-    store_root: str,
-    scenario: Scenario,
-    attempt: int,
-    artifact_options,
-    error_path: str,
-) -> None:
-    """Run one attempt to completion inside a dedicated process.
+def _attempt_worker(conn: Connection, store_root: str, artifact_options) -> None:
+    """Serve attempts sent over ``conn`` until told to stop.
 
-    The attempt body is the in-process executor's; success is
-    communicated through the store itself (the record file appears),
-    handled failures through ``error_path``, crashes through the exit
-    code alone.
+    Each message is ``(scenario, attempt)``.  The worker runs the
+    in-process executor's attempt body and replies ``None`` on success,
+    or the :func:`error_info` of a handled failure and then exits, so
+    a failed attempt never leaves its process to the next one.  A crash
+    is communicated by the exit code alone; ``None`` asks it to stop.
+
+    The worker also exits once the scheduler is gone.  Fork copies the
+    scheduler's end of every pipe into the workers forked after it, so
+    a pipe that never reaches EOF would not tell; the parent-process
+    sentinel does.
     """
     # Lazy import: the executor builds on this module.
     from repro.sweeps.executor import _execute_attempt
 
-    try:
-        artifacts = None
-        if artifact_options is not None:
-            from repro.experiments.artifacts import process_artifact_cache
+    store = SweepStore(store_root)
+    scheduler = multiprocessing.parent_process().sentinel
+    while scheduler not in wait([conn, scheduler]):
+        try:
+            task = conn.recv()
+        except EOFError:
+            return
+        if task is None:
+            return
+        scenario, attempt = task
+        reply = None
+        try:
+            artifacts = None
+            if artifact_options is not None:
+                from repro.experiments.artifacts import process_artifact_cache
 
-            artifacts = process_artifact_cache(artifact_options)
-        _execute_attempt(SweepStore(store_root), scenario, attempt, artifacts)
-    except Exception as error:  # noqa: BLE001 — the whole point
-        _atomic_write_json(error_path, error_info(error))
-        os._exit(HANDLED_FAILURE_EXIT)
+                artifacts = process_artifact_cache(artifact_options)
+            _execute_attempt(store, scenario, attempt, artifacts)
+        except Exception as error:  # noqa: BLE001 — the whole point
+            reply = error_info(error)
+        try:
+            conn.send(reply)
+        except OSError:
+            return  # the scheduler is gone
+        if reply is not None:
+            return
+
+
+@dataclass
+class _Worker:
+    """The scheduler's handle on one persistent attempt worker."""
+
+    process: multiprocessing.process.BaseProcess
+    conn: Connection
+
+    @classmethod
+    def start(cls, store_root: str, artifact_options) -> "_Worker":
+        # Lazy import: the executor builds on this module.
+        from repro.sweeps.executor import _pool_context
+
+        ctx = _pool_context()
+        conn, worker_conn = ctx.Pipe()
+        # Daemonic like pool workers: an interpreter that exits while a
+        # sweep runs (a service's job thread) terminates the worker
+        # instead of waiting for it.
+        process = ctx.Process(
+            target=_attempt_worker,
+            args=(worker_conn, store_root, artifact_options),
+            daemon=True,
+        )
+        process.start()
+        worker_conn.close()
+        return cls(process, conn)
+
+    def send(self, scenario: Scenario, attempt: int) -> None:
+        try:
+            self.conn.send((scenario, attempt))
+        except OSError:
+            pass  # it died while idle; reaped as a crash
+
+    def attempt_ended(self) -> bool:
+        """True once the attempt in flight replied or its worker died."""
+        return self.conn.poll() or not self.process.is_alive()
+
+    def reply(self) -> Optional[Dict[str, object]]:
+        """The ended attempt's error, ``None`` for success.
+
+        A worker that died without replying is a ``WorkerCrash``.
+        """
+        try:
+            if self.conn.poll():
+                return self.conn.recv()
+        except EOFError:
+            pass
+        self.process.join()
+        return {
+            "type": "WorkerCrash",
+            "message": (
+                "attempt process died with exit code "
+                f"{self.process.exitcode} before completing"
+            ),
+            "traceback": "",
+        }
+
+    def stop(self, kill: bool = False) -> None:
+        """Stop and reap the worker; ``kill`` one that is mid-attempt."""
+        if kill:
+            self.process.kill()
+        else:
+            try:
+                self.conn.send(None)
+            except OSError:
+                pass  # already exited
+        self.process.join()
+        self.conn.close()
 
 
 @dataclass
 class _Running:
-    process: multiprocessing.process.BaseProcess
+    worker: _Worker
     scenario: Scenario
     attempt: int
-    error_path: str
     deadline: Optional[float]
     next_heartbeat: float
 
@@ -474,10 +566,13 @@ def _scheduled_sweep(
     store root: leases keep the instances off each other's work,
     stale-lease reclamation absorbs dead instances, and the store's
     idempotent atomic writes make even a duplicated execution
-    harmless.  Each attempt runs the in-process executor's attempt body
-    in a child process, so worker crashes and timeouts are contained
-    and retried per :class:`RetryPolicy`; scenarios that exhaust their
-    budget are quarantined under ``failed/`` and the sweep continues.
+    harmless.  Each of the ``n_workers`` attempt slots runs the
+    in-process executor's attempt body in a persistent worker process,
+    so worker crashes and timeouts are contained and retried per
+    :class:`RetryPolicy`; scenarios that exhaust their budget are
+    quarantined under ``failed/`` and the sweep continues.  Every
+    worker is stopped, and the leases of attempts still in flight
+    released, on any exit — including an exception from ``progress``.
 
     Returns the same :class:`~repro.sweeps.executor.SweepReport` as the
     in-process executor, with ``failed_ids`` / ``retried_ids`` filled
@@ -485,11 +580,11 @@ def _scheduled_sweep(
     waited are reported as cached.
 
     ``artifacts`` (an :class:`~repro.experiments.artifacts
-    .ArtifactOptions`) is forwarded to each attempt child; the on-disk
-    artifact tier is the sharing vehicle across attempts and
+    .ArtifactOptions`) is forwarded to each worker; the on-disk
+    artifact tier is the sharing vehicle across workers and
     schedulers.
     """
-    from repro.sweeps.executor import SweepReport, _pool_context
+    from repro.sweeps.executor import SweepReport
 
     options = options or SchedulerOptions()
     if n_workers < 1:
@@ -497,7 +592,6 @@ def _scheduled_sweep(
     owner = options.owner or default_owner()
     leases = LeaseManager(store.root, options.lease_ttl, owner)
     log = FailureLog(store.root)
-    ctx = _pool_context()
 
     scenarios = expand_scenarios(spec)
     report = SweepReport(
@@ -516,6 +610,8 @@ def _scheduled_sweep(
             pending[scenario.scenario_id] = scenario
 
     running: Dict[str, _Running] = {}
+    # Workers whose last attempt succeeded, ready for the next one.
+    idle: List[_Worker] = []
     failures_this_run: Dict[str, int] = {}
     next_due: Dict[str, float] = {}
     retried: set = set()
@@ -536,25 +632,6 @@ def _scheduled_sweep(
         )
         _logger.info("sweep %r [%s]: %s", spec.name, owner, render_status(snapshot))
 
-    def read_error(run: _Running) -> Dict[str, object]:
-        try:
-            with open(run.error_path) as handle:
-                error = json.load(handle)
-        except (FileNotFoundError, ValueError):
-            error = {
-                "type": "WorkerCrash",
-                "message": (
-                    "attempt process died with exit code "
-                    f"{run.process.exitcode} before completing"
-                ),
-                "traceback": "",
-            }
-        try:
-            os.unlink(run.error_path)
-        except FileNotFoundError:
-            pass
-        return error
-
     def attempt_failed(scenario_id: str, run: _Running, error) -> None:
         failures = failures_this_run.get(scenario_id, 0) + 1
         failures_this_run[scenario_id] = failures
@@ -570,94 +647,112 @@ def _scheduled_sweep(
             retried.add(scenario_id)
             next_due[scenario_id] = time.monotonic() + delay
 
-    while pending:
-        progressed = False
+    try:
+        while pending:
+            progressed = False
 
-        # Reap / supervise running attempts.
-        for scenario_id in list(running):
-            run = running[scenario_id]
-            if run.process.is_alive():
-                now = time.monotonic()
-                if run.deadline is not None and now >= run.deadline:
-                    run.process.kill()
-                    run.process.join()
-                    attempt_failed(
-                        scenario_id,
-                        run,
-                        {
-                            "type": "ScenarioTimeout",
-                            "message": (
-                                "attempt exceeded the scenario timeout of "
-                                f"{options.scenario_timeout}s and was killed"
-                            ),
-                            "traceback": "",
-                        },
-                    )
-                    progressed = True
-                elif now >= run.next_heartbeat:
-                    leases.heartbeat(scenario_id)
-                    run.next_heartbeat = now + options.effective_heartbeat
-                continue
-            run.process.join()
-            if store.has(scenario_id):
-                leases.release(scenario_id)
-                log.clear_quarantine(scenario_id)
-                del running[scenario_id]
-                del pending[scenario_id]
-                report.executed_ids.append(scenario_id)
-                if progress is not None:
-                    progress(scenario_id, True)
-            else:
-                attempt_failed(scenario_id, run, read_error(run))
-            progressed = True
-
-        # Fill free worker slots with due, claimable scenarios.
-        now = time.monotonic()
-        for scenario_id, scenario in list(pending.items()):
-            if len(running) >= n_workers:
-                break
-            if scenario_id in running:
-                continue
-            if now < next_due.get(scenario_id, 0.0):
-                continue
-            if store.has(scenario_id):
-                # Another scheduler finished it while we waited.
-                del pending[scenario_id]
-                report.cached_ids.append(scenario_id)
-                if progress is not None:
-                    progress(scenario_id, False)
+            # Reap / supervise running attempts.
+            for scenario_id in list(running):
+                run = running[scenario_id]
+                worker = run.worker
+                if not worker.attempt_ended():
+                    now = time.monotonic()
+                    if run.deadline is not None and now >= run.deadline:
+                        worker.stop(kill=True)
+                        attempt_failed(
+                            scenario_id,
+                            run,
+                            {
+                                "type": "ScenarioTimeout",
+                                "message": (
+                                    "attempt exceeded the scenario timeout of "
+                                    f"{options.scenario_timeout}s and was killed"
+                                ),
+                                "traceback": "",
+                            },
+                        )
+                        progressed = True
+                    elif now >= run.next_heartbeat:
+                        leases.heartbeat(scenario_id)
+                        run.next_heartbeat = now + options.effective_heartbeat
+                    continue
+                error = worker.reply()
+                if error is None:
+                    idle.append(worker)
+                else:
+                    worker.stop()  # any failure retires the worker
+                if error is None or store.has(scenario_id):
+                    leases.release(scenario_id)
+                    log.clear_quarantine(scenario_id)
+                    del running[scenario_id]
+                    del pending[scenario_id]
+                    report.executed_ids.append(scenario_id)
+                    if progress is not None:
+                        progress(scenario_id, True)
+                else:
+                    attempt_failed(scenario_id, run, error)
                 progressed = True
-                continue
-            if not leases.acquire(scenario_id):
-                continue  # a live owner is on it; wait or reclaim later
-            attempt = log.record_attempt(scenario_id, owner)
-            error_path = log.error_scratch_path(scenario_id, attempt)
-            process = ctx.Process(
-                target=_attempt_child,
-                args=(store.root, scenario, attempt, artifacts, error_path),
-            )
-            process.start()
-            start = time.monotonic()
-            running[scenario_id] = _Running(
-                process=process,
-                scenario=scenario,
-                attempt=attempt,
-                error_path=error_path,
-                deadline=(
-                    start + options.scenario_timeout
-                    if options.scenario_timeout is not None
-                    else None
-                ),
-                next_heartbeat=start + options.effective_heartbeat,
-            )
-            progressed = True
 
-        if next_status is not None and time.monotonic() >= next_status:
-            log_status()
-            next_status = time.monotonic() + options.status_interval
+            # Fill free worker slots with due, claimable scenarios.
+            now = time.monotonic()
+            for scenario_id, scenario in list(pending.items()):
+                if len(running) >= n_workers:
+                    break
+                if scenario_id in running:
+                    continue
+                if now < next_due.get(scenario_id, 0.0):
+                    continue
+                if not leases.acquire(scenario_id):
+                    continue  # a live owner is on it; wait or reclaim later
+                if store.has(scenario_id):
+                    # Another scheduler finished it while we waited.  Its
+                    # record lands before its lease is released, so this
+                    # check under our lease cannot miss it.
+                    leases.release(scenario_id)
+                    del pending[scenario_id]
+                    report.cached_ids.append(scenario_id)
+                    if progress is not None:
+                        progress(scenario_id, False)
+                    progressed = True
+                    continue
+                attempt = log.record_attempt(scenario_id, owner)
+                worker = idle.pop() if idle else _Worker.start(store.root, artifacts)
+                start = time.monotonic()
+                running[scenario_id] = _Running(
+                    worker=worker,
+                    scenario=scenario,
+                    attempt=attempt,
+                    deadline=(
+                        start + options.scenario_timeout
+                        if options.scenario_timeout is not None
+                        else None
+                    ),
+                    next_heartbeat=start + options.effective_heartbeat,
+                )
+                worker.send(scenario, attempt)
+                progressed = True
 
-        if pending and not progressed:
-            time.sleep(options.poll_interval)
+            if next_status is not None and time.monotonic() >= next_status:
+                log_status()
+                next_status = time.monotonic() + options.status_interval
+
+            if pending and not progressed:
+                # Wake on the first reply or worker death; the timeout
+                # bounds the wait for heartbeats, deadlines and backoff.
+                wait(
+                    [
+                        handle
+                        for run in running.values()
+                        for handle in (run.worker.conn, run.worker.process.sentinel)
+                    ],
+                    options.poll_interval,
+                )
+    finally:
+        for worker in idle:
+            worker.stop()
+        for scenario_id, run in running.items():
+            run.worker.stop(kill=True)
+            leases.release(scenario_id)
 
     if next_status is not None:
         log_status()

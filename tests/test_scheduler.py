@@ -2,13 +2,18 @@
 and the byte-identity invariant under injected faults."""
 
 import json
+import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
+import repro
 from repro.sweeps import (
     FailureLog,
     FaultPlan,
@@ -25,6 +30,8 @@ from repro.sweeps import (
     install_fault_plan,
     run,
 )
+from repro.sweeps import executor
+from repro.sweeps.executor import _pool_context
 from repro.sweeps.faultinject import FAULT_PLAN_ENV
 
 from tests.test_sweeps import QUICK, store_digests
@@ -51,6 +58,49 @@ def spec_of(sigmas, name="sched", seed=5):
         base=dict(QUICK),
         seed=seed,
     )
+
+
+@pytest.fixture()
+def worker_starts(monkeypatch):
+    """Every attempt worker process the scheduler starts, in order."""
+    ctx = _pool_context()
+    started = []
+    real = ctx.Process
+
+    def counting(*args, **kwargs):
+        process = real(*args, **kwargs)
+        started.append(process)
+        return process
+
+    monkeypatch.setattr(ctx, "Process", counting)
+    return started
+
+
+@pytest.fixture()
+def attempt_pids(monkeypatch, tmp_path):
+    """``{scenario id: [pid of each attempt that ran the campaign]}``.
+
+    Forked workers inherit the recording wrapper around the attempt
+    body's ``run_scenario``.
+    """
+    log_path = tmp_path / "attempt-pids.txt"
+    real = executor.run_scenario
+
+    def recording(scenario, **kwargs):
+        with open(log_path, "a") as handle:
+            handle.write(f"{scenario.scenario_id} {os.getpid()}\n")
+        return real(scenario, **kwargs)
+
+    monkeypatch.setattr(executor, "run_scenario", recording)
+
+    def read():
+        pids = {}
+        for line in log_path.read_text().splitlines():
+            scenario_id, pid = line.split()
+            pids.setdefault(scenario_id, []).append(int(pid))
+        return pids
+
+    return read
 
 
 def set_env_plan(monkeypatch, *rules, seed=0):
@@ -222,12 +272,15 @@ class TestFailureLog:
         log = FailureLog(store.root)
         scenario = expand_scenarios(spec_of((0.5,)))[0]
         log.record_attempt(scenario.scenario_id, "o")
-        with open(log.error_scratch_path(scenario.scenario_id, 1), "w") as f:
+        # Error scratch an older scheduler left beside the history.
+        residue = os.path.join(log.attempts_dir, f"{scenario.scenario_id}.err-1.json")
+        with open(residue, "w") as f:
             f.write("{}")
         log.quarantine(scenario, {"type": "Boom"}, attempts=1, owner="o")
         store.put(scenario.scenario_id, {"ok": True})  # later success
         removed = log.scrub(store)
         assert len(removed) == 2
+        assert residue in removed and not os.path.exists(residue)
         assert log.quarantined_ids() == []
         assert log.history(scenario.scenario_id)  # history is kept
 
@@ -452,6 +505,29 @@ class TestScheduledSweep:
         # The waiting scheduler never attempted it.
         assert FailureLog(store.root).history(scenario.scenario_id) == []
 
+    def test_result_published_before_our_claim_is_cached(self, tmp_path, monkeypatch):
+        # A rival publishes the result and releases its lease just
+        # before our claim succeeds: the claim must not execute it again.
+        spec = spec_of((0.5,))
+        scenario = expand_scenarios(spec)[0]
+        store = SweepStore(str(tmp_path / "store"))
+        claim = LeaseManager.acquire
+
+        def rival_finishes_first(self, scenario_id):
+            if not store.has(scenario_id):
+                from repro.sweeps.scenario import run_scenario
+
+                result = run_scenario(scenario)
+                store.put(scenario_id, result["record"], result["arrays"])
+            return claim(self, scenario_id)
+
+        monkeypatch.setattr(LeaseManager, "acquire", rival_finishes_first)
+        report = run(spec, store, SweepOptions(scheduler=FAST_OPTS))
+        assert report.cached_ids == [scenario.scenario_id]
+        assert report.executed_ids == []
+        assert FailureLog(store.root).history(scenario.scenario_id) == []
+        assert os.listdir(os.path.join(store.root, ".leases")) == []
+
     def test_concurrent_schedulers_execute_each_digest_once(self, tmp_path):
         spec = spec_of((0.4, 0.8, 1.2, 1.6))
         store = SweepStore(str(tmp_path / "store"))
@@ -518,3 +594,183 @@ class TestChaosInvariant:
         assert report.failed_ids == []
         assert sorted(report.executed_ids) == sorted(report.scenario_ids)
         assert store_digests(store.root) == store_digests(clean.root)
+
+
+#: A scheduler with two slots over eight quick scenarios; its workers
+#: record their pids in ``argv[1]`` as they start attempts.
+ORPHAN_SCRIPT = """
+import json, os, sys
+from repro.sweeps import (
+    GridAxis, SchedulerOptions, SweepOptions, SweepSpec, SweepStore, run,
+)
+from repro.sweeps import executor
+
+pid_dir, store_root, base = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+real = executor.run_scenario
+
+def recording(scenario, **kwargs):
+    open(os.path.join(pid_dir, str(os.getpid())), "w").close()
+    return real(scenario, **kwargs)
+
+executor.run_scenario = recording
+spec = SweepSpec(
+    name="orphans",
+    grid=(GridAxis("noise.sigma", tuple(0.25 * i for i in range(1, 9))),),
+    base=base,
+)
+options = SchedulerOptions(lease_ttl=10.0, poll_interval=0.01)
+run(spec, SweepStore(store_root), SweepOptions(n_workers=2, scheduler=options))
+"""
+
+
+def process_alive(pid):
+    """True while ``pid`` runs; a zombie nobody reaped counts as dead."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+class TestPersistentWorkers:
+    def test_fault_free_sweep_reuses_one_worker_per_slot(
+        self, tmp_path, worker_starts, attempt_pids
+    ):
+        spec = spec_of((0.4, 0.8, 1.2, 1.6))
+        store = SweepStore(str(tmp_path / "store"))
+        report = run(spec, store, SweepOptions(scheduler=FAST_OPTS))
+        assert report.n_executed == 4
+        assert len(worker_starts) == 1
+        pids = attempt_pids()
+        assert len(pids) == 4
+        assert {pid for runs in pids.values() for pid in runs} == {worker_starts[0].pid}
+        assert not worker_starts[0].is_alive()
+
+        clean = SweepStore(str(tmp_path / "clean"))
+        run(spec, clean)
+        assert store_digests(store.root) == store_digests(clean.root)
+
+    def test_each_sigkill_costs_one_respawn(self, tmp_path, monkeypatch, worker_starts):
+        spec = spec_of((0.5, 1.0))
+        clean = SweepStore(str(tmp_path / "clean"))
+        run(spec, clean)
+
+        set_env_plan(
+            monkeypatch,
+            FaultRule(site="scenario.pre", kind="sigkill", max_attempt=1),
+        )
+        store = SweepStore(str(tmp_path / "store"))
+        report = run(spec, store, SweepOptions(n_workers=2, scheduler=FAST_OPTS))
+        assert report.failed_ids == []
+        log = FailureLog(store.root)
+        killed = sum(
+            1
+            for scenario_id in report.scenario_ids
+            for entry in log.history(scenario_id)
+            if (entry["error"] or {}).get("type") == "WorkerCrash"
+        )
+        assert killed == len(report.scenario_ids)
+        assert len(worker_starts) == 2 + killed
+        assert store_digests(store.root) == store_digests(clean.root)
+
+    def test_handled_failure_retires_its_worker(
+        self, tmp_path, monkeypatch, worker_starts, attempt_pids
+    ):
+        spec = spec_of((0.5, 1.0))
+        victim, sibling = (s.scenario_id for s in expand_scenarios(spec))
+        set_env_plan(
+            monkeypatch,
+            FaultRule(site="scenario.post", key=victim, max_attempt=1),
+        )
+        store = SweepStore(str(tmp_path / "store"))
+        report = run(spec, store, SweepOptions(scheduler=FAST_OPTS))
+        assert report.retried_ids == [victim] and report.failed_ids == []
+        history = FailureLog(store.root).history(victim)
+        assert history[0]["error"]["type"] == "InjectedFault"
+        pids = attempt_pids()
+        first, retry = pids[victim]
+        assert first != retry  # the retry runs in a fresh process
+        assert pids[sibling] == [retry]  # reused after its success
+        assert len(worker_starts) == 2
+
+    def test_timeout_costs_exactly_one_respawn(
+        self, tmp_path, monkeypatch, worker_starts
+    ):
+        spec = spec_of((0.5, 1.0))
+        victim = expand_scenarios(spec)[0].scenario_id
+        set_env_plan(
+            monkeypatch,
+            FaultRule(
+                site="scenario.pre",
+                kind="delay",
+                delay=60.0,
+                key=victim,
+                max_attempt=1,
+            ),
+        )
+        store = SweepStore(str(tmp_path / "store"))
+        options = SchedulerOptions(
+            lease_ttl=10.0,
+            poll_interval=0.01,
+            scenario_timeout=2.0,
+            retry=FAST_RETRY,
+        )
+        report = run(spec, store, SweepOptions(scheduler=options))
+        assert report.n_executed == 2 and report.retried_ids == [victim]
+        history = FailureLog(store.root).history(victim)
+        assert history[0]["error"]["type"] == "ScenarioTimeout"
+        assert len(worker_starts) == 2
+        assert not any(process.is_alive() for process in worker_starts)
+
+    def test_raising_progress_stops_workers_and_releases_leases(self, tmp_path):
+        spec = spec_of((0.4, 0.8, 1.2, 1.6))
+        store = SweepStore(str(tmp_path / "store"))
+
+        def progress(scenario_id, executed):
+            raise RuntimeError("progress consumer failed")
+
+        with pytest.raises(RuntimeError, match="progress consumer"):
+            run(
+                spec,
+                store,
+                SweepOptions(n_workers=2, scheduler=FAST_OPTS),
+                progress=progress,
+            )
+        assert multiprocessing.active_children() == []
+        assert os.listdir(os.path.join(store.root, ".leases")) == []
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self"), reason="reads process state from /proc"
+    )
+    def test_killed_scheduler_leaves_no_live_worker(self, tmp_path):
+        pid_dir = tmp_path / "pids"
+        pid_dir.mkdir()
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env.pop(FAULT_PLAN_ENV, None)
+        scheduler = subprocess.Popen(
+            [
+                sys.executable,
+                "-c",
+                ORPHAN_SCRIPT,
+                str(pid_dir),
+                str(tmp_path / "store"),
+                json.dumps(QUICK),
+            ],
+            env=env,
+        )
+        try:
+            deadline = time.monotonic() + 60.0
+            while len(os.listdir(pid_dir)) < 2:
+                assert scheduler.poll() is None, "sweep ended before the kill"
+                assert time.monotonic() < deadline, "workers never started"
+                time.sleep(0.01)
+        finally:
+            scheduler.send_signal(signal.SIGKILL)
+            scheduler.wait(timeout=30)
+        workers = [int(pid) for pid in os.listdir(pid_dir)]
+        deadline = time.monotonic() + 5.0
+        while any(map(process_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(process_alive, workers))

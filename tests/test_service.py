@@ -6,6 +6,7 @@ layer is exercised end to end (routing, JSON errors, chunked NDJSON
 streaming).
 """
 
+import asyncio
 import json
 import threading
 import time
@@ -15,15 +16,20 @@ import urllib.request
 import pytest
 
 from repro.service import JOB_DONE, SweepService, job_id_for, start_service
+from repro.service import app as service_app
 from repro.service import jobs as service_jobs
 from repro.sweeps import (
+    FaultPlan,
+    FaultRule,
     GridAxis,
     SweepOptions,
     SweepSpec,
     SweepStore,
+    clear_fault_plan,
     expand_scenarios,
     run,
 )
+from repro.sweeps.faultinject import FAULT_PLAN_ENV
 from repro.sweeps.scheduler import SchedulerOptions
 from tests.test_sweeps import QUICK, quick_spec, store_digests
 
@@ -202,6 +208,57 @@ class TestSubmitPollRows:
         roc = [row for row in rows if row["kind"] == "roc"]
         assert roc and all(row["axis"] == "attack" for row in roc)
         assert {row["attack"] for row in roc} == {"none", "strip"}
+
+
+class TestRowStreamWakeUp:
+    def test_stream_wakes_on_progress_not_on_the_poll(self, service, monkeypatch):
+        # The poll interval is only the fallback for records another
+        # instance publishes; this job's own progress wakes the stream,
+        # once per scenario and once when the job ends.
+        monkeypatch.setattr(service_app, "ROWS_POLL_INTERVAL", 30.0)
+        _, client = service
+        spec = quick_spec(name="wake")
+        first, second = (s.scenario_id for s in expand_scenarios(spec))
+        stall = FaultRule(site="scenario.pre", kind="delay", delay=2.0, key=second)
+        monkeypatch.setenv(FAULT_PLAN_ENV, FaultPlan(rules=(stall,)).to_json())
+        clear_fault_plan()
+        try:
+            _, accepted = client.post("/sweeps", submission(spec))
+            start = time.monotonic()
+            url = f"{client.base_url}/sweeps/{accepted['job_id']}/rows"
+            with urllib.request.urlopen(url, timeout=120) as response:
+                arrivals = [(time.monotonic(), json.loads(line)) for line in response]
+        finally:
+            clear_fault_plan()
+        assert arrivals[-1][0] - start < 15.0
+        first_row_at = min(
+            at for at, row in arrivals if row.get("scenario_id") == first
+        )
+        assert arrivals[-1][0] - first_row_at > 1.0  # before the stalled sibling
+        rows = [row for _, row in arrivals]
+        accuracy = [row for row in rows if row["kind"] == "accuracy"]
+        assert {row["scenario_id"] for row in accuracy} == {
+            s.scenario_id for s in expand_scenarios(spec)
+        }
+        assert rows[-1] == {
+            "kind": "end",
+            "state": JOB_DONE,
+            "completed": 2,
+            "total": 2,
+        }
+
+    def test_waiter_on_a_closed_loop_is_dropped(self, tmp_path):
+        spec = quick_spec(name="closed")
+        job = service_jobs.SweepJob(
+            job_id_for(spec), spec, SweepOptions(), str(tmp_path)
+        )
+
+        async def subscribe():
+            return job.subscribe()
+
+        asyncio.run(subscribe())  # the loop closes with the waiter
+        job._notify()  # must not raise into the caller
+        assert job._waiters == {}
 
 
 class TestIdempotencyAndScrub:
