@@ -354,6 +354,7 @@ class _Lowering:
         self.slot_values: List[object] = []
         self._batch_op: Dict[int, tuple] = {}
         self._lookup_codegen: Dict[int, Optional[Tuple[int, ...]]] = {}
+        self._tables: Dict[tuple, Optional[Tuple[int, ...]]] = {}
         self._counter = 0
 
     def wire_index(self, wire: Wire) -> int:
@@ -529,12 +530,28 @@ class _Lowering:
         raises / returns out-of-range values somewhere in the domain (a
         partial function only defined on reachable codes); the lowered
         program then keeps calling the original function per cycle.
+
+        Gates that share one function object at the same widths (every
+        imported 2-input ``nand``, say) share one table.  The memo lives
+        on this lowering only: it is keyed on ``id(function)``, which
+        is unique only while the netlist holds the function, and a
+        process-wide memo would also outlive :func:`clear_program_cache`
+        and so carry work across runs meant to start cold.
         """
-        widths = [w.width for w in logic.input_wires]
+        widths = tuple(w.width for w in logic.input_wires)
+        key = (id(logic.function), widths, logic.output.width)
+        if key not in self._tables:
+            self._tables[key] = self._enumerate(logic.function, *key[1:])
+        return self._tables[key]
+
+    @staticmethod
+    def _enumerate(
+        function: Callable[..., int], widths: Tuple[int, ...], out_width: int
+    ) -> Optional[Tuple[int, ...]]:
         total = sum(widths)
         if total > MAX_TABLE_BITS:
             return None
-        out_mask = mask(logic.output.width)
+        out_mask = mask(out_width)
         table: List[int] = []
         try:
             for packed in range(1 << total):
@@ -543,7 +560,7 @@ class _Lowering:
                 for width in widths:
                     shift -= width
                     values.append((packed >> shift) & mask(width))
-                result = logic.function(*values)
+                result = function(*values)
                 result_int = int(result)
                 if result_int != result or not 0 <= result_int <= out_mask:
                     return None
@@ -2200,7 +2217,7 @@ class InterpretedEngine:
                 channels.append(Channel(event.component, event.kind))
         return channels
 
-    def _advance(self, cycles: int):
+    def _cycles(self, cycles: int):
         """Drive the netlist one settled clock period per iteration."""
         comb_order = self.netlist.combinational_order()
         sequential = self.netlist.sequential_components
@@ -2228,7 +2245,7 @@ class InterpretedEngine:
         index_of: Dict[Channel, int] = {c: i for i, c in enumerate(channels)}
         matrix = np.zeros((cycles, len(channels)))
         components = self.netlist.components
-        for cycle in self._advance(cycles):
+        for cycle in self._cycles(cycles):
             for component in components:
                 for event in component.activity():
                     channel = Channel(event.component, event.kind)
@@ -2238,7 +2255,7 @@ class InterpretedEngine:
     def wire_sequence(self, wire: Wire, cycles: int) -> List[int]:
         """Settled values of one wire after each clock edge (with reset)."""
         self.netlist.reset()
-        return [wire.value for _ in self._advance(cycles)]
+        return [wire.value for _ in self._cycles(cycles)]
 
 
 def compile_netlist(netlist: Netlist) -> CompiledNetlist:

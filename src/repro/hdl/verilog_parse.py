@@ -33,15 +33,29 @@ which simulates identically but uses that component's activity model;
 ``InputPort`` stimuli are Python callables and come back as the default
 constant-zero stimulus.
 
+The lexer is a single pass of one compiled regular expression matched
+at a cursor; line and column come from the newlines inside each
+whitespace or block-comment span.  The grammar is ASCII, as in
+Verilog-2001: identifiers are ``[A-Za-z_][A-Za-z0-9_$]*`` and digits
+are ``[0-9]``.  Any other text is legal only inside ``//`` and
+``/* */`` comments (so in ``repro:`` pragmas too) and in escaped
+identifiers (``\\name`` up to the next whitespace); anywhere else a
+non-ASCII character is an "unexpected character".
+
 All diagnostics raise :class:`VerilogParseError` carrying the 1-based
-line/column and the offending token.
+line/column and the offending token — including hostile input: no bus
+or literal may be wider than :data:`MAX_BUS_WIDTH` bits, no expression
+may nest deeper than :data:`MAX_EXPRESSION_DEPTH` levels, and a file
+that is not UTF-8 is reported with the offset of its first bad byte.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.hdl.combinational import (
     BinaryToGray,
@@ -64,6 +78,8 @@ __all__ = [
     "parse_verilog",
     "parse_verilog_file",
     "GATE_PRIMITIVES",
+    "MAX_BUS_WIDTH",
+    "MAX_EXPRESSION_DEPTH",
 ]
 
 #: Gate primitives accepted as instances (third-party netlist subset).
@@ -71,6 +87,17 @@ GATE_PRIMITIVES = ("and", "nand", "or", "nor", "xor", "xnor", "not", "buf")
 
 #: Comment pragma prefix carrying metadata with no Verilog equivalent.
 PRAGMA_PREFIX = "repro:"
+
+#: Widest bus, literal width or literal value accepted, in bits.  Far
+#: above the compiled engine's 63-bit wires and every design here; it
+#: bounds what a hostile range or literal can make the frontend build.
+MAX_BUS_WIDTH = 4096
+
+#: Deepest expression accepted: parenthesis and ``?:`` nesting while
+#: parsing, then nodes on the longest root-to-leaf path.  The exporter's
+#: deepest output, the XOR ladder of a 63-bit ``GrayToBinary``, is 64;
+#: the bound keeps the generated lookup source within Python's limits.
+MAX_EXPRESSION_DEPTH = 64
 
 _KEYWORDS = frozenset(
     {
@@ -133,8 +160,7 @@ class VerilogParseError(Exception):
 # Lexer
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "ident" | "number" | "symbol" | "pragma" | "eof"
     text: str
     line: int
@@ -143,16 +169,43 @@ class _Token:
     value: Optional[int] = None  # numbers only
 
 
-_TWO_CHAR_SYMBOLS = ("<=", ">>", "<<")
-_ONE_CHAR_SYMBOLS = set("()[]{};,:?=^~&|+-*/@#.")
+#: One alternative per token class, matched at the cursor.  Only ``/``
+#: starts two classes, so comments come before symbols; the rest are
+#: ordered by frequency.  The ``number`` group takes a literal's size
+#: digits and quote; :meth:`_Lexer._lex_number` reads the rest.
+_TOKEN_RE = re.compile(
+    r"(?P<space>[ \t\r\n]+)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_$]*)"
+    r"|(?P<comment>//[^\n]*)"
+    r"|(?P<block>/\*)"
+    r"|(?P<number>[0-9][0-9_]*'?|')"
+    r"|(?P<escaped>\\\S*)"
+    r"|(?P<symbol><=|>>|<<|[()\[\]{};,:?=^~&|+\-*/@#.])"
+)
 
 _BASE_DIGITS = {
-    "b": "01_",
-    "o": "01234567_",
-    "d": "0123456789_",
-    "h": "0123456789abcdefABCDEF_",
+    "b": re.compile("[01_]*"),
+    "o": re.compile("[0-7_]*"),
+    "d": re.compile("[0-9_]*"),
+    "h": re.compile("[0-9a-fA-F_]*"),
 }
 _BASE_RADIX = {"b": 2, "o": 8, "d": 10, "h": 16}
+
+
+def _bounded_int(digits: str, radix: int, line: int, col: int) -> int:
+    """``int(digits, radix)``, rejected past :data:`MAX_BUS_WIDTH` bits.
+
+    Every significant digit adds at least one bit, so the length check
+    bounds the conversion before it runs.
+    """
+    significant = digits.lstrip("0")
+    if len(significant) <= MAX_BUS_WIDTH:
+        value = int(significant or "0", radix)
+        if value.bit_length() <= MAX_BUS_WIDTH:
+            return value
+    raise VerilogParseError(
+        f"number is wider than the {MAX_BUS_WIDTH}-bit limit", line, col
+    )
 
 
 class _Lexer:
@@ -166,144 +219,99 @@ class _Lexer:
 
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
         self.tokens: List[_Token] = []
         self.comments: Dict[int, str] = {}
 
-    def error(self, message: str, token: Optional[str] = None) -> VerilogParseError:
-        return VerilogParseError(message, self.line, self.col, token)
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos < len(self.text) and self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
-
     def run(self) -> Tuple[List[_Token], Dict[int, str]]:
         text = self.text
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch in " \t\r\n":
-                self._advance()
-                continue
-            if text.startswith("//", self.pos):
-                self._lex_line_comment()
-                continue
-            if text.startswith("/*", self.pos):
-                self._lex_block_comment()
-                continue
-            if ch.isdigit() or ch == "'":
-                self._lex_number()
-                continue
-            if ch.isalpha() or ch == "_" or ch == "\\":
-                self._lex_identifier()
-                continue
-            two = text[self.pos : self.pos + 2]
-            if two in _TWO_CHAR_SYMBOLS:
-                self.tokens.append(_Token("symbol", two, self.line, self.col))
-                self._advance(2)
-                continue
-            if ch in _ONE_CHAR_SYMBOLS:
-                self.tokens.append(_Token("symbol", ch, self.line, self.col))
-                self._advance()
-                continue
-            raise self.error(f"unexpected character {ch!r}", ch)
-        self.tokens.append(_Token("eof", "", self.line, self.col))
+        append = self.tokens.append
+        match = _TOKEN_RE.match
+        line, line_start, pos, end = 1, 0, 0, len(text)
+        while pos < end:
+            found = match(text, pos)
+            col = pos - line_start + 1
+            if found is None:
+                char = text[pos]
+                raise VerilogParseError(
+                    f"unexpected character {char!r}", line, col, char
+                )
+            kind = found.lastgroup
+            stop = found.end()
+            if kind == "ident" or kind == "symbol":
+                append(_Token(kind, found.group(), line, col))
+            elif kind == "space" or kind == "block":
+                if kind == "block":
+                    close = text.find("*/", pos + 2)
+                    if close == -1:
+                        raise VerilogParseError("unterminated block comment", line, col)
+                    stop = close + 2
+                newlines = text.count("\n", pos, stop)
+                if newlines:
+                    line += newlines
+                    line_start = text.rindex("\n", pos, stop) + 1
+            elif kind == "number":
+                stop = self._lex_number(pos, stop, line, col)
+            elif kind == "comment":
+                body = text[pos + 2 : stop].strip()
+                if body.startswith(PRAGMA_PREFIX):
+                    payload = body[len(PRAGMA_PREFIX) :].strip()
+                    append(_Token("pragma", payload, line, col))
+                elif body:
+                    self.comments[line] = body
+            else:  # escaped identifier: backslash to the next whitespace
+                if stop == pos + 1:
+                    raise VerilogParseError("empty escaped identifier", line, col + 1)
+                append(_Token("ident", text[pos + 1 : stop], line, col))
+            pos = stop
+        append(_Token("eof", "", line, pos - line_start + 1))
         return self.tokens, self.comments
 
-    def _lex_line_comment(self) -> None:
-        line, col = self.line, self.col
-        end = self.text.find("\n", self.pos)
-        if end == -1:
-            end = len(self.text)
-        body = self.text[self.pos + 2 : end].strip()
-        self._advance(end - self.pos)
-        if body.startswith(PRAGMA_PREFIX):
-            payload = body[len(PRAGMA_PREFIX) :].strip()
-            self.tokens.append(_Token("pragma", payload, line, col))
-        elif body:
-            self.comments[line] = body
+    def _lex_number(self, start: int, stop: int, line: int, col: int) -> int:
+        """Lex the literal whose size digits (and quote) end at ``stop``.
 
-    def _lex_block_comment(self) -> None:
-        end = self.text.find("*/", self.pos + 2)
-        if end == -1:
-            raise self.error("unterminated block comment")
-        self._advance(end + 2 - self.pos)
-
-    def _lex_identifier(self) -> None:
-        line, col = self.line, self.col
-        start = self.pos
-        if self.text[self.pos] == "\\":
-            # Escaped identifier: backslash to next whitespace.
-            self._advance()
-            while self.pos < len(self.text) and not self.text[self.pos].isspace():
-                self._advance()
-            name = self.text[start + 1 : self.pos]
-            if not name:
-                raise self.error("empty escaped identifier")
-            self.tokens.append(_Token("ident", name, line, col))
-            return
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] in "_$"
-        ):
-            self._advance()
-        self.tokens.append(_Token("ident", self.text[start : self.pos], line, col))
-
-    def _lex_number(self) -> None:
-        line, col = self.line, self.col
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isdigit() or self.text[self.pos] == "_"
-        ):
-            self._advance()
+        Returns the index just past the literal.
+        """
+        text = self.text
+        if text[stop - 1] != "'":
+            digits = text[start:stop].replace("_", "")
+            value = _bounded_int(digits, 10, line, col)
+            self.tokens.append(_Token("number", digits, line, col, None, value))
+            return stop
         width: Optional[int] = None
-        if self.pos < len(self.text) and self.text[self.pos] == "'":
-            size_digits = self.text[start : self.pos].replace("_", "")
-            if size_digits:
-                width = int(size_digits)
-                if width <= 0:
-                    raise VerilogParseError(
-                        "literal width must be positive", line, col, size_digits
-                    )
-            self._advance()  # consume '
-            if self.pos >= len(self.text):
-                raise self.error("truncated sized literal")
-            base = self.text[self.pos].lower()
-            if base not in _BASE_DIGITS:
-                raise self.error(f"unknown number base {base!r}", base)
-            self._advance()
-            digit_start = self.pos
-            allowed = _BASE_DIGITS[base]
-            while self.pos < len(self.text) and self.text[self.pos] in allowed:
-                self._advance()
-            digits = self.text[digit_start : self.pos].replace("_", "")
-            if not digits:
+        size_digits = text[start : stop - 1].replace("_", "")
+        if size_digits:
+            width = _bounded_int(size_digits, 10, line, col)
+            if width > MAX_BUS_WIDTH:
                 raise VerilogParseError(
-                    "sized literal has no digits",
-                    line,
-                    col,
-                    self.text[start : self.pos],
+                    f"literal width exceeds the {MAX_BUS_WIDTH}-bit limit", line, col
                 )
-            value = int(digits, _BASE_RADIX[base])
-            text = self.text[start : self.pos]
-            if width is not None and value > mask(width):
+            if width <= 0:
                 raise VerilogParseError(
-                    f"literal value {value} does not fit in {width} bits",
-                    line,
-                    col,
-                    text,
+                    "literal width must be positive", line, col, size_digits
                 )
-            self.tokens.append(_Token("number", text, line, col, width, value))
-            return
-        digits = self.text[start : self.pos].replace("_", "")
-        self.tokens.append(
-            _Token("number", digits, line, col, None, int(digits))
-        )
+        base_col = col + stop - start
+        if stop >= len(text):
+            raise VerilogParseError("truncated sized literal", line, base_col)
+        base = text[stop].lower()
+        if base not in _BASE_DIGITS:
+            raise VerilogParseError(
+                f"unknown number base {base!r}", line, base_col, base
+            )
+        end = _BASE_DIGITS[base].match(text, stop + 1).end()
+        literal = text[start:end]
+        digits = text[stop + 1 : end].replace("_", "")
+        if not digits:
+            raise VerilogParseError("sized literal has no digits", line, col, literal)
+        value = _bounded_int(digits, _BASE_RADIX[base], line, col)
+        if width is not None and value.bit_length() > width:
+            raise VerilogParseError(
+                f"literal value {value} does not fit in {width} bits",
+                line,
+                col,
+                literal,
+            )
+        self.tokens.append(_Token("number", literal, line, col, width, value))
+        return end
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +321,9 @@ class _Lexer:
 #   ("not", operand, line, col)
 #   ("bin", op, left, right, line, col)          op in ^ & | >> << + -
 #   ("mux", cond, if_true, if_false, line, col)
+
+#: Binding strength of the (left-associative) binary operators.
+_BINARY_LEVELS = {"|": 1, "^": 2, "&": 3, ">>": 4, "<<": 4, "+": 5, "-": 5}
 
 
 # ---------------------------------------------------------------------------
@@ -398,15 +409,16 @@ class _Parser:
         self.port_decls: List[_PortDecl] = []
         self.wire_decls: List[_WireDecl] = []
         self.statements: List[_Statement] = []
+        self.nesting = 0  # open _parse_expression calls
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> _Token:
-        index = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[index]
+    def peek(self) -> _Token:
+        # The stream ends in an ``eof`` token that next() never passes.
+        return self.tokens[self.pos]
 
     def next(self) -> _Token:
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token.kind != "eof":
             self.pos += 1
         return token
@@ -500,6 +512,8 @@ class _Parser:
         msb = self.next()
         if msb.kind != "number" or msb.value is None:
             raise self.error("expected a constant msb in range", msb)
+        if msb.value >= MAX_BUS_WIDTH:
+            raise self.error(f"bus width exceeds the {MAX_BUS_WIDTH}-bit limit", msb)
         self.expect_symbol(":")
         lsb = self.next()
         if lsb.kind != "number" or lsb.value is None:
@@ -607,6 +621,11 @@ class _Parser:
         target = self.expect_ident()
         self.expect_symbol("=")
         expr = self._parse_expression()
+        if _expr_depth(expr) > MAX_EXPRESSION_DEPTH:
+            raise self.error(
+                f"expression nests deeper than {MAX_EXPRESSION_DEPTH} levels",
+                keyword,
+            )
         self.expect_symbol(";")
         self.statements.append(
             _Assign(
@@ -621,48 +640,41 @@ class _Parser:
     # -- expressions -------------------------------------------------------
 
     def _parse_expression(self) -> tuple:
-        return self._parse_ternary()
-
-    def _parse_ternary(self) -> tuple:
-        cond = self._parse_or()
+        self.nesting += 1
+        if self.nesting > MAX_EXPRESSION_DEPTH:
+            raise self.error(
+                f"expression nests deeper than {MAX_EXPRESSION_DEPTH} levels"
+            )
+        cond = self._parse_binary(1)
         if self.peek().kind == "symbol" and self.peek().text == "?":
             token = self.next()
-            if_true = self._parse_ternary()
+            if_true = self._parse_expression()
             self.expect_symbol(":")
-            if_false = self._parse_ternary()
-            return ("mux", cond, if_true, if_false, token.line, token.col)
+            if_false = self._parse_expression()
+            cond = ("mux", cond, if_true, if_false, token.line, token.col)
+        self.nesting -= 1
         return cond
 
-    def _parse_binary(self, operators: Sequence[str], inner) -> tuple:
-        left = inner()
-        while self.peek().kind == "symbol" and self.peek().text in operators:
-            token = self.next()
-            right = inner()
+    def _parse_binary(self, min_level: int) -> tuple:
+        """Left-associative operators binding at least ``min_level``."""
+        left = self._parse_unary()
+        while True:
+            token = self.peek()
+            level = _BINARY_LEVELS.get(token.text, 0) if token.kind == "symbol" else 0
+            if level < min_level:
+                return left
+            self.next()
+            right = self._parse_binary(level + 1)
             left = ("bin", token.text, left, right, token.line, token.col)
-        return left
-
-    def _parse_or(self) -> tuple:
-        return self._parse_binary(("|",), self._parse_xor)
-
-    def _parse_xor(self) -> tuple:
-        return self._parse_binary(("^",), self._parse_and)
-
-    def _parse_and(self) -> tuple:
-        return self._parse_binary(("&",), self._parse_shift)
-
-    def _parse_shift(self) -> tuple:
-        return self._parse_binary((">>", "<<"), self._parse_add)
-
-    def _parse_add(self) -> tuple:
-        return self._parse_binary(("+", "-"), self._parse_unary)
 
     def _parse_unary(self) -> tuple:
-        token = self.peek()
-        if token.kind == "symbol" and token.text == "~":
-            self.next()
-            operand = self._parse_unary()
-            return ("not", operand, token.line, token.col)
-        return self._parse_primary()
+        nots = []
+        while self.peek().kind == "symbol" and self.peek().text == "~":
+            nots.append(self.next())
+        expr = self._parse_primary()
+        for token in reversed(nots):
+            expr = ("not", expr, token.line, token.col)
+        return expr
 
     def _parse_primary(self) -> tuple:
         token = self.next()
@@ -858,6 +870,22 @@ class _Parser:
 # ---------------------------------------------------------------------------
 # Netlist construction
 
+#: Operand slice of each interior expression node.
+_OPERANDS = {"not": slice(1, 2), "bin": slice(2, 4), "mux": slice(1, 4)}
+
+
+def _expr_depth(expr: tuple) -> int:
+    """Nodes on the longest root-to-leaf path (iterative: any depth)."""
+    deepest = 0
+    stack = [(expr, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        operands = _OPERANDS.get(node[0])
+        if operands is not None:
+            stack.extend((operand, depth + 1) for operand in node[operands])
+    return deepest
+
 
 def _expr_idents(expr: tuple, out: List[tuple]) -> None:
     kind = expr[0]
@@ -893,7 +921,10 @@ _GATE_FUNCTIONS = {
 _GATE_INVERTING = frozenset({"nand", "nor", "xnor", "not"})
 
 
+@lru_cache
 def _make_gate_function(gate: str, out_width: int):
+    # Shared per (gate, width): the engine tabulates each function once
+    # per lowering instead of once per gate instance.
     out_mask = mask(out_width)
     if gate == "not":
         return lambda a: (~a) & out_mask
@@ -914,7 +945,7 @@ def _make_gate_function(gate: str, out_width: int):
 
 
 class _NetlistBuilder:
-    """Turn the parsed statement IR into a validated :class:`Netlist`."""
+    """Turn the parsed statement IR into a :class:`Netlist` (unvalidated)."""
 
     def __init__(self, parser: _Parser, name: Optional[str]):
         self.parser = parser
@@ -1026,10 +1057,6 @@ class _NetlistBuilder:
                 self._build_gate(statement)
 
         self._finish_output_ports()
-        try:
-            self.netlist.validate()
-        except NetlistError as error:
-            raise VerilogParseError(f"invalid netlist: {error}") from error
         return self.netlist
 
     # -- statement builders ------------------------------------------------
@@ -1461,10 +1488,25 @@ def _drive_loose_inputs(builder: _NetlistBuilder) -> None:
 
 def parse_verilog_file(path, name: Optional[str] = None) -> Netlist:
     """Read and parse a structural Verilog file (see :func:`parse_verilog`)."""
-    source = Path(path).read_text(encoding="utf-8")
+    path = Path(path)
+    data = path.read_bytes()
+    try:
+        source = _text_mode(data)
+    except UnicodeDecodeError as error:
+        before = _text_mode(data[: error.start])
+        raise VerilogParseError(
+            f"{path}: not UTF-8 text (bad byte at offset {error.start})",
+            before.count("\n") + 1,
+            len(before) - before.rfind("\n"),
+        ) from error
     try:
         return parse_verilog(source, name=name)
     except VerilogParseError as error:
         raise VerilogParseError(
-            f"{Path(path)}: {error.message}", error.line, error.col, error.token
+            f"{path}: {error.message}", error.line, error.col, error.token
         ) from error
+
+
+def _text_mode(data: bytes) -> str:
+    """Decode UTF-8 with universal newlines, as a text-mode read does."""
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")

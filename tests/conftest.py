@@ -16,6 +16,12 @@ settings.register_profile(
 )
 settings.load_profile("repro")
 
+# A deeper run for the fuzz tests, selected on the command line (CI's
+# verilog-fuzz job): --hypothesis-profile=fuzz --hypothesis-seed=0.
+settings.register_profile(
+    "fuzz", parent=settings.get_profile("repro"), max_examples=2000
+)
+
 
 @pytest.fixture(scope="session")
 def paper_campaign():
