@@ -3,9 +3,9 @@
 Measures the sweep runner on reduced-parameter grids:
 
 * cold execution throughput (scenarios/second, single worker — the
-  multiprocess path has identical per-scenario cost plus pool
-  overhead) and the warm path where every scenario is served from the
-  content-addressed store;
+  multi-worker path has identical per-scenario cost plus lease
+  scheduler overhead) and the warm path where every scenario is
+  served from the content-addressed store;
 * artifact sharing plus the campaign-outcome memo against a plain run
   on the same analysis grid (one fleet, one measurement tier, analysis
   axes only), cold-for-cold (``sharing_*``), plus the repeat-study

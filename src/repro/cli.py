@@ -335,22 +335,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     workers = args.workers if args.workers else default_workers()
     if args.max_retries < 0:
         raise SystemExit("error: --max-retries must be >= 0")
-    retry = RetryPolicy(max_attempts=args.max_retries + 1)
-    scheduler = None
-    if args.scenario_timeout is not None or args.lease_ttl is not None:
-        scheduler_kwargs: Dict[str, object] = {"retry": retry}
-        if args.lease_ttl is not None:
-            scheduler_kwargs["lease_ttl"] = args.lease_ttl
-        if args.scenario_timeout is not None:
-            scheduler_kwargs["scenario_timeout"] = args.scenario_timeout
-        try:
-            scheduler = SchedulerOptions(**scheduler_kwargs)
-        except ValueError as error:
-            raise SystemExit(f"error: invalid scheduler options: {error}")
+    scheduler_kwargs: Dict[str, object] = {}
+    if args.lease_ttl is not None:
+        scheduler_kwargs["lease_ttl"] = args.lease_ttl
+    if args.scenario_timeout is not None:
+        scheduler_kwargs["scenario_timeout"] = args.scenario_timeout
+    try:
+        scheduler = SchedulerOptions(**scheduler_kwargs)
+    except ValueError as error:
+        raise SystemExit(f"error: invalid scheduler options: {error}")
     if args.scrub:
         removed = store.scrub()
-        lease_ttl = args.lease_ttl if args.lease_ttl is not None else 30.0
-        removed += LeaseManager(store.root, lease_ttl).scrub()
+        removed += LeaseManager(store.root, scheduler.lease_ttl).scrub()
         removed += FailureLog(store.root).scrub(store)
         print(f"scrubbed {len(removed)} stale file(s) from {store.root}")
     artifacts = None
@@ -358,6 +354,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         from repro.experiments.artifacts import ArtifactOptions
 
         artifacts = ArtifactOptions(root=args.artifact_cache)
+    options = SweepOptions(
+        n_workers=workers,
+        artifacts=artifacts,
+        retry=RetryPolicy(max_attempts=args.max_retries + 1),
+        # Lease flags select the scheduler even for one worker.
+        scheduler=scheduler if scheduler_kwargs else None,
+    )
     print(
         f"sweep {spec.name!r}: {len(scenarios)} scenarios "
         f"({len(spec.grid)} grid axes"
@@ -369,18 +372,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             if artifacts is not None
             else ""
         )
-        + (", lease scheduler" if scheduler is not None else "")
+        + (", lease scheduler" if options.lease_scheduled else "")
     )
-    report = run(
-        spec,
-        store,
-        SweepOptions(
-            n_workers=workers,
-            artifacts=artifacts,
-            retry=retry,
-            scheduler=scheduler,
-        ),
-    )
+    report = run(spec, store, options)
     print(
         f"executed {report.n_executed}, "
         f"reused {report.n_cached} already in store"
@@ -429,9 +423,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     if args.max_retries < 0:
         raise SystemExit("error: --max-retries must be >= 0")
-    scheduler_kwargs: Dict[str, object] = {
-        "retry": RetryPolicy(max_attempts=args.max_retries + 1)
-    }
+    scheduler_kwargs: Dict[str, object] = {}
     if args.lease_ttl is not None:
         scheduler_kwargs["lease_ttl"] = args.lease_ttl
     if args.scenario_timeout is not None:
@@ -443,7 +435,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except ValueError as error:
         raise SystemExit(f"error: invalid scheduler options: {error}")
     workers = args.workers if args.workers else default_workers()
-    options = SweepOptions(n_workers=workers, scheduler=scheduler)
+    options = SweepOptions(
+        n_workers=workers,
+        retry=RetryPolicy(max_attempts=args.max_retries + 1),
+        scheduler=scheduler,
+    )
     logging.basicConfig(
         level=logging.INFO, format="%(asctime)s %(name)s: %(message)s"
     )
@@ -528,7 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="worker processes (0 = half the machine's cores)",
+        help="worker processes (0 = half the machine's cores); more "
+        "than one runs the sweep on the lease scheduler",
     )
     sweep.add_argument(
         "--share-artifacts",
@@ -561,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="kill any single scenario attempt after this long and "
         "retry it (implies lease-based scheduling with isolated "
-        "attempt processes)",
+        "attempt processes, which --workers above 1 also selects)",
     )
     sweep.add_argument(
         "--lease-ttl",
@@ -570,8 +567,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="lease time-to-live for lease-based scheduling: a worker "
         "that misses heartbeats for this long is presumed dead and its "
-        "scenario is re-leased (implies lease-based scheduling; safe "
-        "to run several schedulers on one store root)",
+        "scenario is re-leased (implies lease-based scheduling, which "
+        "--workers above 1 also selects; safe to run several "
+        "schedulers on one store root)",
     )
     sweep.add_argument(
         "--scrub",

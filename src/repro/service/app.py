@@ -123,7 +123,6 @@ class SweepService:
                     f"{', '.join(sorted(_OPTION_KEYS))})",
                 )
         defaults = self.default_options
-        scheduler = defaults.scheduler or SchedulerOptions()
         try:
             n_workers = int(payload.get("n_workers", defaults.n_workers))
             retry = defaults.retry
@@ -139,13 +138,11 @@ class SweepService:
                 scheduler_fields["scenario_timeout"] = (
                     None if timeout is None else float(timeout)
                 )
-            if scheduler_fields:
-                scheduler = replace(scheduler, **scheduler_fields)
             return replace(
                 defaults,
                 n_workers=n_workers,
                 retry=retry,
-                scheduler=scheduler,
+                scheduler=replace(defaults.scheduler, **scheduler_fields),
             )
         except (TypeError, ValueError) as error:
             raise HTTPError(400, f"options: {error}")
@@ -268,7 +265,7 @@ class SweepService:
                 "only while no writer is active on the store root",
             )
         store = SweepStore(self.store_root)
-        scheduler = self.default_options.scheduler or SchedulerOptions()
+        scheduler = self.default_options.scheduler
         removed = store.scrub()
         removed += LeaseManager(self.store_root, scheduler.lease_ttl).scrub()
         removed += FailureLog(self.store_root).scrub(store)

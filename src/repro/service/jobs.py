@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.sweeps.api import SweepOptions, run
 from repro.sweeps.executor import SweepReport
-from repro.sweeps.scheduler import error_info
+from repro.sweeps.scheduler import SchedulerOptions, error_info
 from repro.sweeps.spec import Scenario, SweepSpec, canonical_json, expand_scenarios
 from repro.sweeps.status import SweepStatus, sweep_status
 from repro.sweeps.store import SweepStore
@@ -92,8 +92,7 @@ class SweepJob:
 
     @property
     def lease_ttl(self) -> float:
-        scheduler = self.options.scheduler
-        return scheduler.lease_ttl if scheduler is not None else 30.0
+        return (self.options.scheduler or SchedulerOptions()).lease_ttl
 
     # -- change notification -------------------------------------------
 

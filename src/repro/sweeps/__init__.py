@@ -16,11 +16,12 @@ small:
 
 * :func:`run` is **the one entry point for executing a sweep**:
   ``run(spec, store, SweepOptions(...))``.  :class:`SweepOptions`
-  carries every knob — worker count, artifact sharing, retry policy,
-  and (by setting ``scheduler=SchedulerOptions(...)``) lease-based
-  fault-tolerant scheduling in which attempts run in isolated child
-  processes with timeouts and any number of instances safely share
-  one store root.  Whatever the options, the resulting
+  carries every knob — worker count, artifact sharing, retry policy
+  and :class:`SchedulerOptions`.  A single-worker sweep runs inline;
+  a sweep with more workers, or with ``scheduler=`` set, runs on the
+  lease-based fault-tolerant scheduler, in which attempts run in
+  isolated child processes with timeouts and any number of instances
+  safely share one store root.  Whatever the options, the resulting
   :class:`SweepStore` is byte-identical to a clean single-worker run.
 
 * :func:`sweep_status` snapshots a store root's execution state

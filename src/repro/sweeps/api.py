@@ -8,23 +8,24 @@ whatever the strategy.  Execution strategy never changes results:
 whatever the options, the store is byte-identical to a clean
 single-worker run.
 
-Strategy selection is one rule: ``options.scheduler`` set routes the
-sweep through the lease-based fault-tolerant scheduler
-(:mod:`repro.sweeps.scheduler` — isolated attempt processes, scenario
-timeouts, safe concurrency of many instances on one store root);
-unset runs the in-process executor (:mod:`repro.sweeps.executor` —
-inline or on a multiprocess pool).  Both run the same attempt body and
-the same failure step.
+:func:`run` expands the spec, reports the scenarios already in the
+store as cached, and hands the rest to one of two strategies.  A sweep
+with ``n_workers > 1`` or with ``options.scheduler`` set runs on the
+lease-based fault-tolerant scheduler (:mod:`repro.sweeps.scheduler` —
+isolated attempt processes, scenario timeouts, safe concurrency of
+many instances on one store root); any other sweep runs inline in the
+calling process (:mod:`repro.sweeps.executor`).  Both run the same
+attempt body and the same failure step, under the one retry setting
+``options.retry``.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.sweeps.scheduler import RetryPolicy, SchedulerOptions
-from repro.sweeps.spec import SweepSpec
+from repro.sweeps.spec import SweepSpec, expand_scenarios
 from repro.sweeps.store import SweepStore
 
 if TYPE_CHECKING:  # imported lazily at call time to avoid module cycles
@@ -37,8 +38,10 @@ class SweepOptions:
     """Every execution knob of one sweep run, in one place.
 
     ``n_workers``
-        Parallelism: pool processes (plain executor) or concurrent
-        attempt slots (lease scheduler).
+        Parallelism.  ``1`` runs the sweep inline in the calling
+        process (unless ``scheduler`` is set); more runs it on the
+        lease scheduler with that many concurrent attempt slots, each
+        a persistent worker process.
 
     ``artifacts``
         :class:`~repro.experiments.artifacts.ArtifactOptions` enabling
@@ -47,15 +50,14 @@ class SweepOptions:
         across workers, runs and service instances).
 
     ``retry``
-        Per-scenario attempt budget and backoff.  With a scheduler it
-        overrides ``scheduler.retry``; without one it bounds the
-        in-process retry loop.  ``None`` means the stock
-        :class:`~repro.sweeps.scheduler.RetryPolicy`.
+        Per-scenario attempt budget and backoff, the only retry
+        setting: both strategies read it.
 
     ``scheduler``
-        :class:`~repro.sweeps.scheduler.SchedulerOptions` switches to
-        lease-based scheduling; ``None`` selects the in-process
-        executor.
+        :class:`~repro.sweeps.scheduler.SchedulerOptions` (lease TTL,
+        scenario timeout, polling, owner, status logging).  Setting it
+        selects lease-based scheduling even with one worker; ``None``
+        means the defaults whenever ``n_workers > 1`` selects it.
 
     Results never depend on any of these: every combination converges
     on a byte-identical store.
@@ -63,12 +65,17 @@ class SweepOptions:
 
     n_workers: int = 1
     artifacts: Optional["ArtifactOptions"] = None
-    retry: Optional[RetryPolicy] = None
+    retry: RetryPolicy = field(default_factory=RetryPolicy)
     scheduler: Optional[SchedulerOptions] = None
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
             raise ValueError("n_workers must be >= 1")
+
+    @property
+    def lease_scheduled(self) -> bool:
+        """True when :func:`run` hands the sweep to the lease scheduler."""
+        return self.scheduler is not None or self.n_workers > 1
 
 
 def run(
@@ -84,34 +91,39 @@ def run(
     ``progress(scenario_id, executed)`` once per scenario —
     immediately for scenarios already in the store, on completion for
     executed ones.  Returns a
-    :class:`~repro.sweeps.executor.SweepReport`; aggregate tables are
-    read back from the store (:mod:`repro.sweeps.aggregate`) and
-    progress snapshots from :func:`repro.sweeps.status.sweep_status`.
+    :class:`~repro.sweeps.executor.SweepReport` whose id lists are
+    sorted; aggregate tables are read back from the store
+    (:mod:`repro.sweeps.aggregate`) and progress snapshots from
+    :func:`repro.sweeps.status.sweep_status`.
     """
-    from repro.sweeps.executor import _plain_sweep
+    from repro.sweeps.executor import SweepReport, _inline_sweep
     from repro.sweeps.scheduler import _scheduled_sweep
 
     options = options or SweepOptions()
-    if options.scheduler is not None:
-        scheduler = options.scheduler
-        if options.retry is not None:
-            scheduler = dataclasses.replace(scheduler, retry=options.retry)
-        return _scheduled_sweep(
-            spec,
-            store,
-            options=scheduler,
-            n_workers=options.n_workers,
-            progress=progress,
-            artifacts=options.artifacts,
-        )
-    return _plain_sweep(
-        spec,
-        store,
+    scenarios = expand_scenarios(spec)
+    report = SweepReport(
+        spec_name=spec.name,
+        store_root=store.root,
+        scenario_ids=[s.scenario_id for s in scenarios],
         n_workers=options.n_workers,
-        progress=progress,
-        artifacts=options.artifacts,
-        retry=options.retry,
     )
+    pending = []
+    for scenario in scenarios:
+        if store.has(scenario.scenario_id):
+            report.cached_ids.append(scenario.scenario_id)
+            if progress is not None:
+                progress(scenario.scenario_id, False)
+        else:
+            pending.append(scenario)
+
+    execute = _scheduled_sweep if options.lease_scheduled else _inline_sweep
+    execute(pending, store, report, options, progress)
+    # Deterministic reporting whatever the completion order.
+    report.executed_ids.sort()
+    report.cached_ids.sort()
+    report.failed_ids.sort()
+    report.retried_ids.sort()
+    return report
 
 
 __all__ = ["SweepOptions", "run"]

@@ -1,16 +1,17 @@
-"""Multiprocess sweep execution with incremental resume and graceful
-degradation.
+"""Inline sweep execution, and the report and attempt body both
+execution strategies share.
 
-This is the *in-process* execution strategy behind the unified
-:func:`repro.sweeps.run` facade (selected when
-:attr:`~repro.sweeps.api.SweepOptions.scheduler` is unset): it expands
-a :class:`~repro.sweeps.spec.SweepSpec`, skips every scenario already
-present in the :class:`~repro.sweeps.store.SweepStore`, and executes
-the missing ones — inline for ``n_workers <= 1``, otherwise on a
-``multiprocessing`` pool in chunked work units.  The lease-based
-strategy lives in :mod:`repro.sweeps.scheduler`; its attempt workers
-run this module's attempt body (:func:`_execute_attempt`) and both
-strategies share one failure step
+:func:`repro.sweeps.run` expands a
+:class:`~repro.sweeps.spec.SweepSpec`, skips every scenario already
+present in the :class:`~repro.sweeps.store.SweepStore`, and hands the
+missing ones to one of two strategies.  A sweep with one worker and no
+:attr:`~repro.sweeps.api.SweepOptions.scheduler` runs them inline, in
+the calling process, through :func:`_inline_sweep`: the in-process
+reference every byte-identity test compares against.  Every other
+sweep runs on the lease scheduler (:mod:`repro.sweeps.scheduler`),
+whose persistent attempt workers run this module's attempt body
+(:func:`_execute_attempt`).  Both strategies fill in one
+:class:`SweepReport` and share one failure step
 (:meth:`~repro.sweeps.scheduler.FailureLog.record_failure`).
 
 Determinism: a scenario's result is a pure function of its override
@@ -46,40 +47,24 @@ campaign outcomes are memoised on the analysis key, so a re-run study
 ``root`` adds a shared on-disk tier, which is how *separate worker
 processes* (and separate runs) meet: the first worker to need an
 artifact persists it, the rest load it.
-
-Chunking walks the expansion order, which groups scenarios that share
-a fleet structure; inside one worker chunk the process-wide activity,
-compiled-program and artifact caches then make consecutive scenarios
-cheap.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
-from repro.experiments.artifacts import (
-    ArtifactCache,
-    ArtifactOptions,
-    process_artifact_cache,
-)
+from repro.experiments.artifacts import ArtifactCache, process_artifact_cache
 from repro.sweeps.faultinject import fault_context, fault_point
 from repro.sweeps.scenario import run_scenario
-from repro.sweeps.scheduler import (
-    FailureLog,
-    RetryPolicy,
-    default_owner,
-    error_info,
-)
-from repro.sweeps.spec import Scenario, SweepSpec, expand_scenarios
+from repro.sweeps.scheduler import FailureLog, default_owner, error_info
+from repro.sweeps.spec import Scenario
 from repro.sweeps.store import SweepStore
 
-#: Chunks per worker the pending list is split into (larger = better
-#: load balancing, smaller = better cache locality inside a chunk).
-CHUNKS_PER_WORKER = 4
+if TYPE_CHECKING:  # the facade imports this module at call time
+    from repro.sweeps.api import SweepOptions
 
 
 @dataclass
@@ -130,8 +115,8 @@ def _execute_attempt(
 ) -> None:
     """One attempt: run the scenario and publish its result.
 
-    The attempt body of both execution strategies: the loop below calls
-    it in-process, the lease scheduler in its attempt workers.
+    The attempt body of both execution strategies: :func:`_inline_sweep`
+    calls it in-process, the lease scheduler in its attempt workers.
     """
     with fault_context(scenario.scenario_id, attempt):
         fault_point("scenario.pre")
@@ -140,94 +125,51 @@ def _execute_attempt(
         store.put(scenario.scenario_id, result["record"], result["arrays"])
 
 
-def _run_scenarios(
-    store_root: str,
+def _inline_sweep(
     scenarios: Sequence[Scenario],
-    artifacts: Optional[ArtifactCache] = None,
+    store: SweepStore,
+    report: SweepReport,
+    options: "SweepOptions",
     progress: Optional[Callable[[str, bool], None]] = None,
-    retry: Optional[RetryPolicy] = None,
-) -> Tuple[List[str], List[str], List[str]]:
-    """Execute a batch of scenarios into the store.
+) -> None:
+    """Execute the pending ``scenarios`` in this process.
 
-    Returns ``(executed, failed, retried)`` scenario-id lists.  This is
-    the one execution body shared by the inline path (all pending
-    scenarios) and by each multiprocess worker (its chunk).
-
-    Each scenario is attempted up to ``retry.max_attempts`` times with
-    backoff; exhaustion quarantines it (``failed/<id>.json``) and the
-    remaining scenarios keep executing.
+    The inline execution strategy behind :func:`repro.sweeps.run`,
+    which hands it the scenarios missing from ``store`` and the report
+    to fill in.  Each scenario is attempted up to
+    ``options.retry.max_attempts`` times with backoff; exhaustion
+    quarantines it (``failed/<id>.json``) and the remaining scenarios
+    keep executing.  ``progress`` is called as
+    ``progress(scenario_id, True)`` as each scenario lands.
     """
-    store = SweepStore(store_root)
-    log = FailureLog(store_root)
+    artifacts = options.artifacts
+    cache = process_artifact_cache(artifacts) if artifacts is not None else None
+    log = FailureLog(store.root)
     owner = default_owner()
-    retry = retry or RetryPolicy()
-    executed: List[str] = []
-    failed: List[str] = []
-    retried: List[str] = []
     for scenario in scenarios:
         scenario_id = scenario.scenario_id
         failures = 0
         while True:
             attempt = log.record_attempt(scenario_id, owner)
             try:
-                _execute_attempt(store, scenario, attempt, artifacts)
+                _execute_attempt(store, scenario, attempt, cache)
             except Exception as error:  # noqa: BLE001 — quarantine path
                 failures += 1
                 delay = log.record_failure(
-                    scenario, error_info(error), attempt, failures, retry, owner
+                    scenario, error_info(error), attempt, failures, options.retry, owner
                 )
                 if delay is None:
-                    failed.append(scenario_id)
+                    report.failed_ids.append(scenario_id)
                     break
-                if scenario_id not in retried:
-                    retried.append(scenario_id)
+                if scenario_id not in report.retried_ids:
+                    report.retried_ids.append(scenario_id)
                 time.sleep(delay)
             else:
                 log.clear_quarantine(scenario_id)
-                executed.append(scenario_id)
+                report.executed_ids.append(scenario_id)
                 if progress is not None:
                     progress(scenario_id, True)
                 break
-    return executed, failed, retried
-
-
-def _pool_worker(
-    payload: Tuple[
-        str,
-        Tuple[Scenario, ...],
-        Optional[ArtifactOptions],
-        Optional[RetryPolicy],
-    ]
-) -> Tuple[List[str], List[str], List[str]]:
-    """Module-level pool target (must be picklable on every start method).
-
-    Never lets an exception escape into ``imap_unordered`` — a
-    chunk-level catastrophe (store root unwritable, artifact tier
-    corrupt, ...) would otherwise abort the whole sweep and discard
-    every sibling chunk's progress report.  Instead the unfinished
-    scenarios of the chunk are quarantined and reported as failed.
-    """
-    store_root, scenarios, options, retry = payload
-    try:
-        artifacts = process_artifact_cache(options) if options is not None else None
-        return _run_scenarios(store_root, scenarios, artifacts, retry=retry)
-    except Exception as error:  # noqa: BLE001 — chunk-level catastrophe
-        store = SweepStore(store_root)
-        log = FailureLog(store_root)
-        owner = default_owner()
-        executed = [s.scenario_id for s in scenarios if store.has(s.scenario_id)]
-        failed = []
-        for scenario in scenarios:
-            if not store.has(scenario.scenario_id):
-                log.quarantine(scenario, error_info(error), 0, owner)
-                failed.append(scenario.scenario_id)
-        return executed, failed, []
-
-
-def _pool_context() -> multiprocessing.context.BaseContext:
-    """Prefer ``fork`` (cheap, inherits warm caches); fall back to spawn."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
 def default_workers() -> int:
@@ -235,85 +177,7 @@ def default_workers() -> int:
     return max(1, (os.cpu_count() or 2) // 2)
 
 
-def _plain_sweep(
-    spec: SweepSpec,
-    store: SweepStore,
-    n_workers: int = 1,
-    progress: Optional[Callable[[str, bool], None]] = None,
-    artifacts: Optional[ArtifactOptions] = None,
-    retry: Optional[RetryPolicy] = None,
-) -> SweepReport:
-    """The in-process execution strategy behind :func:`repro.sweeps.run`.
-
-    ``progress`` (if given) is called as ``progress(scenario_id,
-    executed)`` once per scenario — immediately for cache hits, on
-    completion for executed ones (chunk-batched under multiprocess
-    execution).  ``artifacts`` enables cross-scenario artifact sharing
-    and campaign-outcome memoisation — results are byte-identical with
-    it on or off.
-
-    ``retry`` bounds per-scenario attempts and backoff (default: the
-    stock :class:`~repro.sweeps.scheduler.RetryPolicy`); a scenario
-    that exhausts it is quarantined and the sweep continues.  Returns
-    a :class:`SweepReport`; aggregate results are read back from the
-    store (see :mod:`repro.sweeps.aggregate`).
-    """
-    if n_workers < 1:
-        raise ValueError("n_workers must be >= 1")
-    scenarios = expand_scenarios(spec)
-    report = SweepReport(
-        spec_name=spec.name,
-        store_root=store.root,
-        scenario_ids=[s.scenario_id for s in scenarios],
-        n_workers=n_workers,
-    )
-    pending: List[Scenario] = []
-    for scenario in scenarios:
-        if store.has(scenario.scenario_id):
-            report.cached_ids.append(scenario.scenario_id)
-            if progress is not None:
-                progress(scenario.scenario_id, False)
-        else:
-            pending.append(scenario)
-
-    if not pending:
-        return report
-
-    if n_workers == 1 or len(pending) == 1:
-        cache = process_artifact_cache(artifacts) if artifacts is not None else None
-        executed, failed, retried = _run_scenarios(
-            store.root, pending, cache, progress=progress, retry=retry
-        )
-        report.executed_ids.extend(executed)
-        report.failed_ids.extend(failed)
-        report.retried_ids.extend(retried)
-    else:
-        n_procs = min(n_workers, len(pending))
-        chunksize = max(1, len(pending) // (n_procs * CHUNKS_PER_WORKER))
-        chunks = [
-            tuple(pending[start:start + chunksize])
-            for start in range(0, len(pending), chunksize)
-        ]
-        payloads = [(store.root, chunk, artifacts, retry) for chunk in chunks]
-        with _pool_context().Pool(processes=n_procs) as worker_pool:
-            for executed, failed, retried in worker_pool.imap_unordered(
-                _pool_worker, payloads, chunksize=1
-            ):
-                report.executed_ids.extend(executed)
-                report.failed_ids.extend(failed)
-                report.retried_ids.extend(retried)
-                if progress is not None:
-                    for scenario_id in executed:
-                        progress(scenario_id, True)
-    # Keep reporting deterministic regardless of completion order.
-    report.executed_ids.sort()
-    report.failed_ids.sort()
-    report.retried_ids.sort()
-    return report
-
-
 __all__ = [
-    "CHUNKS_PER_WORKER",
     "SweepReport",
     "default_workers",
 ]

@@ -1,6 +1,9 @@
 """Lease-based, fault-tolerant scheduling of sweep scenarios.
 
-This is the robustness substrate under distributed sweep execution:
+This is the one multiprocess executor of :func:`repro.sweeps.run`:
+every sweep with more than one worker, or with
+:attr:`~repro.sweeps.api.SweepOptions.scheduler` set, runs here.  It
+is also the robustness substrate under distributed sweep execution:
 many scheduler instances (processes or machines) point at one shared
 :class:`~repro.sweeps.store.SweepStore` root and together execute a
 sweep, surviving worker death, stalls, and repeated failures.
@@ -50,7 +53,8 @@ budget and clears the quarantine record on success, so resume
 converges once the cause is gone.  The attempt body and this failure
 step (:meth:`FailureLog.record_failure`) are the in-process executor's
 own; only the process isolation, leases and timeouts are specific to
-this scheduler.
+this scheduler.  The retry budget is the sweep's one retry setting,
+:attr:`~repro.sweeps.api.SweepOptions.retry`.
 
 The standing invariant, now tested *under faults*
 (:mod:`repro.sweeps.faultinject`): any interleaving of crashes,
@@ -71,12 +75,16 @@ import socket
 import time
 import traceback
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing.connection import Connection, wait
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
-from repro.sweeps.spec import Scenario, SweepSpec, expand_scenarios
+from repro.sweeps.spec import Scenario
 from repro.sweeps.store import SweepStore
+
+if TYPE_CHECKING:  # the facade and the executor build on this module
+    from repro.sweeps.api import SweepOptions
+    from repro.sweeps.executor import SweepReport
 
 #: Subdirectories of the store root holding operational metadata.
 LEASE_DIR = ".leases"
@@ -136,7 +144,6 @@ class SchedulerOptions:
     poll_interval: float = 0.05
     #: Kill any single attempt after this many seconds (None = never).
     scenario_timeout: Optional[float] = None
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: Owner id (default: a fresh ``host:pid:uuid`` per run).
     owner: Optional[str] = None
     #: Seconds between periodic progress log lines (INFO on this
@@ -424,6 +431,12 @@ class FailureLog:
 # -- persistent attempt workers ---------------------------------------------
 
 
+def _pool_context() -> multiprocessing.context.BaseContext:
+    """Prefer ``fork`` (cheap, inherits warm caches); fall back to spawn."""
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+
+
 def _attempt_worker(conn: Connection, store_root: str, artifact_options) -> None:
     """Serve attempts sent over ``conn`` until told to stop.
 
@@ -478,14 +491,11 @@ class _Worker:
 
     @classmethod
     def start(cls, store_root: str, artifact_options) -> "_Worker":
-        # Lazy import: the executor builds on this module.
-        from repro.sweeps.executor import _pool_context
-
         ctx = _pool_context()
         conn, worker_conn = ctx.Pipe()
-        # Daemonic like pool workers: an interpreter that exits while a
-        # sweep runs (a service's job thread) terminates the worker
-        # instead of waiting for it.
+        # Daemonic: an interpreter that exits while a sweep runs (a
+        # service's job thread) terminates the worker instead of
+        # waiting for it.
         process = ctx.Process(
             target=_attempt_worker,
             args=(worker_conn, store_root, artifact_options),
@@ -548,25 +558,25 @@ class _Running:
 
 
 def _scheduled_sweep(
-    spec: SweepSpec,
+    scenarios: Sequence[Scenario],
     store: SweepStore,
-    options: Optional[SchedulerOptions] = None,
-    n_workers: int = 1,
+    report: "SweepReport",
+    sweep: "SweepOptions",
     progress: Optional[Callable[[str, bool], None]] = None,
-    artifacts=None,
-):
-    """Execute every missing scenario of ``spec`` under lease scheduling.
+) -> None:
+    """Execute the pending ``scenarios`` under lease scheduling.
 
-    This is the lease-based execution strategy behind the unified
-    :func:`repro.sweeps.run` facade (selected by
-    :attr:`~repro.sweeps.api.SweepOptions.scheduler`).
+    This is the multiprocess execution strategy behind the unified
+    :func:`repro.sweeps.run` facade (selected by ``n_workers > 1`` or
+    :attr:`~repro.sweeps.api.SweepOptions.scheduler`, default
+    :class:`SchedulerOptions` when unset).
 
     Safe to run concurrently with other lease-scheduled sweeps (other
     processes, other machines over a shared filesystem) on the same
     store root: leases keep the instances off each other's work,
     stale-lease reclamation absorbs dead instances, and the store's
     idempotent atomic writes make even a duplicated execution
-    harmless.  Each of the ``n_workers`` attempt slots runs the
+    harmless.  Each of the ``sweep.n_workers`` attempt slots runs the
     in-process executor's attempt body in a persistent worker process,
     so worker crashes and timeouts are contained and retried per
     :class:`RetryPolicy`; scenarios that exhaust their budget are
@@ -574,47 +584,26 @@ def _scheduled_sweep(
     worker is stopped, and the leases of attempts still in flight
     released, on any exit — including an exception from ``progress``.
 
-    Returns the same :class:`~repro.sweeps.executor.SweepReport` as the
-    in-process executor, with ``failed_ids`` / ``retried_ids`` filled
-    in.  Scenarios completed by *another* scheduler while this one
-    waited are reported as cached.
+    Fills in the facade's ``report``: executed, failed and retried
+    ids, and as cached the scenarios completed by *another* scheduler
+    while this one waited.
 
-    ``artifacts`` (an :class:`~repro.experiments.artifacts
+    ``sweep.artifacts`` (an :class:`~repro.experiments.artifacts
     .ArtifactOptions`) is forwarded to each worker; the on-disk
     artifact tier is the sharing vehicle across workers and
     schedulers.
     """
-    from repro.sweeps.executor import SweepReport
-
-    options = options or SchedulerOptions()
-    if n_workers < 1:
-        raise ValueError("n_workers must be >= 1")
+    options = sweep.scheduler or SchedulerOptions()
     owner = options.owner or default_owner()
     leases = LeaseManager(store.root, options.lease_ttl, owner)
     log = FailureLog(store.root)
-
-    scenarios = expand_scenarios(spec)
-    report = SweepReport(
-        spec_name=spec.name,
-        store_root=store.root,
-        scenario_ids=[s.scenario_id for s in scenarios],
-        n_workers=n_workers,
-    )
-    pending: Dict[str, Scenario] = {}
-    for scenario in scenarios:
-        if store.has(scenario.scenario_id):
-            report.cached_ids.append(scenario.scenario_id)
-            if progress is not None:
-                progress(scenario.scenario_id, False)
-        else:
-            pending[scenario.scenario_id] = scenario
+    pending: Dict[str, Scenario] = {s.scenario_id: s for s in scenarios}
 
     running: Dict[str, _Running] = {}
     # Workers whose last attempt succeeded, ready for the next one.
     idle: List[_Worker] = []
     failures_this_run: Dict[str, int] = {}
     next_due: Dict[str, float] = {}
-    retried: set = set()
     next_status = (
         time.monotonic() + options.status_interval
         if options.status_interval is not None
@@ -630,13 +619,15 @@ def _scheduled_sweep(
             scenario_ids=report.scenario_ids,
             lease_ttl=options.lease_ttl,
         )
-        _logger.info("sweep %r [%s]: %s", spec.name, owner, render_status(snapshot))
+        _logger.info(
+            "sweep %r [%s]: %s", report.spec_name, owner, render_status(snapshot)
+        )
 
     def attempt_failed(scenario_id: str, run: _Running, error) -> None:
         failures = failures_this_run.get(scenario_id, 0) + 1
         failures_this_run[scenario_id] = failures
         delay = log.record_failure(
-            run.scenario, error, run.attempt, failures, options.retry, owner
+            run.scenario, error, run.attempt, failures, sweep.retry, owner
         )
         leases.release(scenario_id)
         del running[scenario_id]
@@ -644,7 +635,8 @@ def _scheduled_sweep(
             report.failed_ids.append(scenario_id)
             del pending[scenario_id]
         else:
-            retried.add(scenario_id)
+            if scenario_id not in report.retried_ids:
+                report.retried_ids.append(scenario_id)
             next_due[scenario_id] = time.monotonic() + delay
 
     try:
@@ -696,7 +688,7 @@ def _scheduled_sweep(
             # Fill free worker slots with due, claimable scenarios.
             now = time.monotonic()
             for scenario_id, scenario in list(pending.items()):
-                if len(running) >= n_workers:
+                if len(running) >= sweep.n_workers:
                     break
                 if scenario_id in running:
                     continue
@@ -716,7 +708,9 @@ def _scheduled_sweep(
                     progressed = True
                     continue
                 attempt = log.record_attempt(scenario_id, owner)
-                worker = idle.pop() if idle else _Worker.start(store.root, artifacts)
+                worker = (
+                    idle.pop() if idle else _Worker.start(store.root, sweep.artifacts)
+                )
                 start = time.monotonic()
                 running[scenario_id] = _Running(
                     worker=worker,
@@ -756,11 +750,6 @@ def _scheduled_sweep(
 
     if next_status is not None:
         log_status()
-    report.executed_ids.sort()
-    report.cached_ids.sort()
-    report.failed_ids.sort()
-    report.retried_ids.extend(sorted(retried))
-    return report
 
 
 __all__ = [

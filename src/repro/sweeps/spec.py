@@ -62,7 +62,7 @@ ATTACK_FIELD = "attack"
 #: Overridable campaign-config paths (dotted = nested dataclass field).
 #: ``apply_config_overrides`` validates sub-fields exhaustively; this
 #: set exists so a spec fails at *construction* time, before any
-#: process pool is spun up.
+#: worker process starts.
 CONFIG_FIELDS = frozenset(
     {
         "watermarked",
@@ -462,7 +462,8 @@ def expand_scenarios(spec: SweepSpec) -> List[Scenario]:
     Grid order is the cartesian product in axis-declaration order
     (rightmost axis fastest); random draws come last.  Neighbouring
     scenarios tend to share a fleet structure, which keeps the
-    process-wide activity/program caches hot inside each worker chunk.
+    process-wide activity/program caches hot in the process running
+    them, inline or in a reused attempt worker.
     """
     grid_values = [
         [(axis.field, value) for value in axis.values] for axis in spec.grid

@@ -23,7 +23,12 @@ import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.sweeps.scheduler import LEASE_DIR, FailureLog, LeaseManager
+from repro.sweeps.scheduler import (
+    LEASE_DIR,
+    FailureLog,
+    LeaseManager,
+    SchedulerOptions,
+)
 from repro.sweeps.store import SweepStore
 
 
@@ -68,7 +73,7 @@ class SweepStatus:
 def sweep_status(
     store_root: str,
     scenario_ids: Optional[Sequence[str]] = None,
-    lease_ttl: float = 30.0,
+    lease_ttl: float = SchedulerOptions.lease_ttl,
 ) -> SweepStatus:
     """Snapshot the execution state of ``store_root``.
 

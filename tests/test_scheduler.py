@@ -1,6 +1,7 @@
 """Tests for lease-based scheduling, retry/quarantine, store hygiene,
 and the byte-identity invariant under injected faults."""
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -31,16 +32,14 @@ from repro.sweeps import (
     run,
 )
 from repro.sweeps import executor
-from repro.sweeps.executor import _pool_context
+from repro.sweeps.scheduler import _pool_context
 from repro.sweeps.faultinject import FAULT_PLAN_ENV
 
 from tests.test_sweeps import QUICK, store_digests
 
 #: No backoff sleeps: recovery tests already pay for child processes.
 FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base=0.0)
-FAST_OPTS = SchedulerOptions(
-    lease_ttl=10.0, poll_interval=0.01, retry=FAST_RETRY
-)
+FAST_OPTS = SchedulerOptions(lease_ttl=10.0, poll_interval=0.01)
 
 
 @pytest.fixture(autouse=True)
@@ -388,7 +387,9 @@ class TestScheduledSweep:
         run(spec, serial)
         scheduled = SweepStore(str(tmp_path / "sched"))
         report = run(
-            spec, scheduled, SweepOptions(n_workers=2, scheduler=FAST_OPTS)
+            spec,
+            scheduled,
+            SweepOptions(n_workers=2, retry=FAST_RETRY, scheduler=FAST_OPTS),
         )
         assert report.n_executed == 2
         assert report.failed_ids == [] and report.retried_ids == []
@@ -408,7 +409,11 @@ class TestScheduledSweep:
             FaultRule(site="scenario.pre", kind="sigkill", max_attempt=1),
         )
         store = SweepStore(str(tmp_path / "store"))
-        report = run(spec, store, SweepOptions(n_workers=2, scheduler=FAST_OPTS))
+        report = run(
+            spec,
+            store,
+            SweepOptions(n_workers=2, retry=FAST_RETRY, scheduler=FAST_OPTS),
+        )
         assert report.failed_ids == []
         assert sorted(report.retried_ids) == sorted(report.scenario_ids)
         assert store_digests(store.root) == store_digests(clean.root)
@@ -431,16 +436,15 @@ class TestScheduledSweep:
             FaultRule(site="scenario.post", kind="crash", max_attempt=1),
         )
         store = SweepStore(str(tmp_path / "store"))
-        options = SchedulerOptions(
-            lease_ttl=10.0,
-            poll_interval=0.01,
+        options = SweepOptions(
             retry=RetryPolicy(max_attempts=1, backoff_base=0.0),
+            scheduler=SchedulerOptions(lease_ttl=10.0, poll_interval=0.01),
         )
-        first = run(spec, store, SweepOptions(scheduler=options))
+        first = run(spec, store, options)
         assert first.failed_ids == [scenario_id]
         assert not store.has(scenario_id)
 
-        second = run(spec, store, SweepOptions(scheduler=options))
+        second = run(spec, store, options)
         assert second.executed_ids == [scenario_id]
         assert FailureLog(store.root).load_quarantine(scenario_id) is None
         assert store_digests(store.root) == store_digests(clean.root)
@@ -459,9 +463,15 @@ class TestScheduledSweep:
             lease_ttl=10.0,
             poll_interval=0.01,
             scenario_timeout=0.5,
-            retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
         )
-        report = run(spec, store, SweepOptions(scheduler=options))
+        report = run(
+            spec,
+            store,
+            SweepOptions(
+                retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
+                scheduler=options,
+            ),
+        )
         assert report.executed_ids == [scenario_id]
         assert report.retried_ids == [scenario_id]
         history = FailureLog(store.root).history(scenario_id)
@@ -475,7 +485,9 @@ class TestScheduledSweep:
         dead = LeaseManager(store.root, ttl=0.05, owner="dead-worker")
         assert dead.acquire(scenario_id)
         time.sleep(0.1)
-        report = run(spec, store, SweepOptions(scheduler=FAST_OPTS))
+        report = run(
+            spec, store, SweepOptions(retry=FAST_RETRY, scheduler=FAST_OPTS)
+        )
         assert report.executed_ids == [scenario_id]
         assert store.has(scenario_id)
 
@@ -498,7 +510,9 @@ class TestScheduledSweep:
 
         thread = threading.Thread(target=finish_externally)
         thread.start()
-        report = run(spec, store, SweepOptions(scheduler=FAST_OPTS))
+        report = run(
+            spec, store, SweepOptions(retry=FAST_RETRY, scheduler=FAST_OPTS)
+        )
         thread.join()
         assert report.cached_ids == [scenario.scenario_id]
         assert report.executed_ids == []
@@ -522,7 +536,9 @@ class TestScheduledSweep:
             return claim(self, scenario_id)
 
         monkeypatch.setattr(LeaseManager, "acquire", rival_finishes_first)
-        report = run(spec, store, SweepOptions(scheduler=FAST_OPTS))
+        report = run(
+            spec, store, SweepOptions(retry=FAST_RETRY, scheduler=FAST_OPTS)
+        )
         assert report.cached_ids == [scenario.scenario_id]
         assert report.executed_ids == []
         assert FailureLog(store.root).history(scenario.scenario_id) == []
@@ -535,7 +551,9 @@ class TestScheduledSweep:
 
         def go(i):
             reports[i] = run(
-                spec, store, SweepOptions(n_workers=2, scheduler=FAST_OPTS)
+                spec,
+                store,
+                SweepOptions(n_workers=2, retry=FAST_RETRY, scheduler=FAST_OPTS),
             )
 
         threads = [
@@ -585,12 +603,12 @@ class TestChaosInvariant:
         assert dead.acquire(scenarios[1].scenario_id)
         time.sleep(0.1)
 
-        options = SchedulerOptions(
-            lease_ttl=10.0,
-            poll_interval=0.01,
+        options = SweepOptions(
+            n_workers=2,
             retry=RetryPolicy(max_attempts=5, backoff_base=0.0),
+            scheduler=SchedulerOptions(lease_ttl=10.0, poll_interval=0.01),
         )
-        report = run(spec, store, SweepOptions(n_workers=2, scheduler=options))
+        report = run(spec, store, options)
         assert report.failed_ids == []
         assert sorted(report.executed_ids) == sorted(report.scenario_ids)
         assert store_digests(store.root) == store_digests(clean.root)
@@ -623,6 +641,30 @@ run(spec, SweepStore(store_root), SweepOptions(n_workers=2, scheduler=options))
 """
 
 
+#: A multi-worker sweep with no scheduler options over the spec in
+#: ``argv[1]``, retried per ``argv[3]``; prints its report's failed and
+#: retried ids.
+MULTI_WORKER_SCRIPT = """
+import json, sys
+from repro.sweeps import RetryPolicy, SweepOptions, SweepSpec, SweepStore, run
+
+spec = SweepSpec.from_json_dict(json.loads(sys.argv[1]))
+options = SweepOptions(n_workers=2, retry=RetryPolicy(**json.loads(sys.argv[3])))
+report = run(spec, SweepStore(sys.argv[2]), options)
+print(json.dumps({"failed": report.failed_ids, "retried": report.retried_ids}))
+"""
+
+
+def script_env(**extra):
+    """This environment with ``repro`` importable and no fault plan."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop(FAULT_PLAN_ENV, None)
+    env.update(extra)
+    return env
+
+
 def process_alive(pid):
     """True while ``pid`` runs; a zombie nobody reaped counts as dead."""
     try:
@@ -638,7 +680,9 @@ class TestPersistentWorkers:
     ):
         spec = spec_of((0.4, 0.8, 1.2, 1.6))
         store = SweepStore(str(tmp_path / "store"))
-        report = run(spec, store, SweepOptions(scheduler=FAST_OPTS))
+        report = run(
+            spec, store, SweepOptions(retry=FAST_RETRY, scheduler=FAST_OPTS)
+        )
         assert report.n_executed == 4
         assert len(worker_starts) == 1
         pids = attempt_pids()
@@ -660,7 +704,11 @@ class TestPersistentWorkers:
             FaultRule(site="scenario.pre", kind="sigkill", max_attempt=1),
         )
         store = SweepStore(str(tmp_path / "store"))
-        report = run(spec, store, SweepOptions(n_workers=2, scheduler=FAST_OPTS))
+        report = run(
+            spec,
+            store,
+            SweepOptions(n_workers=2, retry=FAST_RETRY, scheduler=FAST_OPTS),
+        )
         assert report.failed_ids == []
         log = FailureLog(store.root)
         killed = sum(
@@ -683,7 +731,9 @@ class TestPersistentWorkers:
             FaultRule(site="scenario.post", key=victim, max_attempt=1),
         )
         store = SweepStore(str(tmp_path / "store"))
-        report = run(spec, store, SweepOptions(scheduler=FAST_OPTS))
+        report = run(
+            spec, store, SweepOptions(retry=FAST_RETRY, scheduler=FAST_OPTS)
+        )
         assert report.retried_ids == [victim] and report.failed_ids == []
         history = FailureLog(store.root).history(victim)
         assert history[0]["error"]["type"] == "InjectedFault"
@@ -713,9 +763,10 @@ class TestPersistentWorkers:
             lease_ttl=10.0,
             poll_interval=0.01,
             scenario_timeout=2.0,
-            retry=FAST_RETRY,
         )
-        report = run(spec, store, SweepOptions(scheduler=options))
+        report = run(
+            spec, store, SweepOptions(retry=FAST_RETRY, scheduler=options)
+        )
         assert report.n_executed == 2 and report.retried_ids == [victim]
         history = FailureLog(store.root).history(victim)
         assert history[0]["error"]["type"] == "ScenarioTimeout"
@@ -733,7 +784,7 @@ class TestPersistentWorkers:
             run(
                 spec,
                 store,
-                SweepOptions(n_workers=2, scheduler=FAST_OPTS),
+                SweepOptions(n_workers=2, retry=FAST_RETRY, scheduler=FAST_OPTS),
                 progress=progress,
             )
         assert multiprocessing.active_children() == []
@@ -745,10 +796,6 @@ class TestPersistentWorkers:
     def test_killed_scheduler_leaves_no_live_worker(self, tmp_path):
         pid_dir = tmp_path / "pids"
         pid_dir.mkdir()
-        src = os.path.dirname(os.path.dirname(repro.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        env.pop(FAULT_PLAN_ENV, None)
         scheduler = subprocess.Popen(
             [
                 sys.executable,
@@ -758,7 +805,7 @@ class TestPersistentWorkers:
                 str(tmp_path / "store"),
                 json.dumps(QUICK),
             ],
-            env=env,
+            env=script_env(),
         )
         try:
             deadline = time.monotonic() + 60.0
@@ -774,3 +821,50 @@ class TestPersistentWorkers:
         while any(map(process_alive, workers)) and time.monotonic() < deadline:
             time.sleep(0.05)
         assert not any(map(process_alive, workers))
+
+
+class TestDefaultMultiWorkerSweep:
+    def test_worker_crash_is_retried_not_waited_for(self, tmp_path):
+        # Several workers and no scheduler options: every first attempt
+        # kills its worker after the campaign, before the publish.  The
+        # sweep runs in a child with a deadline, so a sweep that waits
+        # forever on a dead worker fails here instead of hanging.
+        spec = spec_of((0.5, 1.0))
+        clean = SweepStore(str(tmp_path / "clean"))
+        run(spec, clean)
+
+        plan = FaultPlan(
+            rules=(FaultRule(site="scenario.post", kind="crash", max_attempt=1),)
+        )
+        store = SweepStore(str(tmp_path / "store"))
+        sweep = subprocess.Popen(
+            [
+                sys.executable,
+                "-c",
+                MULTI_WORKER_SCRIPT,
+                json.dumps(spec.to_json_dict()),
+                store.root,
+                json.dumps(dataclasses.asdict(FAST_RETRY)),
+            ],
+            env=script_env(**{FAULT_PLAN_ENV: plan.to_json()}),
+            stdout=subprocess.PIPE,
+            start_new_session=True,
+        )
+        try:
+            out, _ = sweep.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(sweep.pid, signal.SIGKILL)
+            sweep.communicate(timeout=30)
+            pytest.fail("the sweep hung on a crashed worker")
+        assert sweep.returncode == 0
+        report = json.loads(out.decode().splitlines()[-1])
+        scenario_ids = sorted(s.scenario_id for s in expand_scenarios(spec))
+        assert report == {"failed": [], "retried": scenario_ids}
+        log = FailureLog(store.root)
+        for scenario_id in scenario_ids:
+            errors = [entry["error"] for entry in log.history(scenario_id)]
+            assert [(error or {}).get("type") for error in errors] == [
+                "WorkerCrash",
+                None,
+            ]
+        assert store_digests(store.root) == store_digests(clean.root)

@@ -532,7 +532,7 @@ class TestUnifiedFacade:
 
         spec = quick_spec(name="facade", attacks=("none", "strip"))
         plain = SweepStore(str(tmp_path / "plain"))
-        run(spec, plain, SweepOptions(n_workers=2))
+        run(spec, plain)
 
         scheduled = SweepStore(str(tmp_path / "scheduled"))
         run(
@@ -554,11 +554,15 @@ class TestUnifiedFacade:
             scheduled,
             SweepOptions(scheduler=SchedulerOptions(poll_interval=0.01)),
         )
+        # Several workers select the scheduler without scheduler options.
+        multi = SweepStore(str(tmp_path / "multi"))
+        run(spec, multi, SweepOptions(n_workers=2))
         # Both executors record attempt history in .attempts/; only the
         # lease scheduler takes leases.
         assert not os.path.exists(os.path.join(plain.root, ".leases"))
         assert os.path.isdir(os.path.join(scheduled.root, ".leases"))
-        assert len(plain) == len(scheduled) == 1
+        assert os.path.isdir(os.path.join(multi.root, ".leases"))
+        assert len(plain) == len(scheduled) == len(multi) == 1
 
     def test_default_options_run(self, tmp_path):
         spec = quick_spec(name="defaults", sigmas=(0.5,))
