@@ -72,7 +72,12 @@ def derive_acquisition_seed(key: str, device_name: str, n_cycles: int) -> int:
 
 
 def usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask, where the OS has one)."""
+    """CPUs this process may run on (its affinity mask, where the OS has one).
+
+    Sizes each keyed acquisition's thread pool and, through
+    :func:`repro.sweeps.executor.default_workers`, the default number
+    of sweep attempt slots.
+    """
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

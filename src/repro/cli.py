@@ -22,6 +22,7 @@ pairs over campaign-config paths (``noise.sigma``, ``parameters.n2``,
 ``adc.bits``, ``watermarked``, ``attack``, ...); values are parsed as
 JSON scalars.  Without ``--axis`` a default 24-scenario surface (noise
 x trace budget x attack) is swept at a reduced, fast parameter point.
+Without ``--workers`` it gets one attempt slot per usable CPU.
 ``--share-artifacts`` reuses manufactured fleets, acquired trace
 matrices and whole memoised campaign outcomes across scenarios whose
 config tiers agree (byte-identical results, order-of-magnitude faster
@@ -262,6 +263,16 @@ def _parse_random_axis(option: str) -> "tuple[str, float, float, bool, bool]":
     )
 
 
+def _check_count_flags(args: argparse.Namespace) -> None:
+    """Reject negative ``--workers``/``--max-retries`` before any work."""
+    for flag, value in (
+        ("--workers", args.workers),
+        ("--max-retries", args.max_retries),
+    ):
+        if value < 0:
+            raise SystemExit(f"error: {flag} must be >= 0")
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.sweeps import (
         FailureLog,
@@ -281,6 +292,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     from repro.sweeps.executor import default_workers
 
+    _check_count_flags(args)
     if args.axis:
         fields = [field for field, _ in args.axis]
         duplicates = sorted({f for f in fields if fields.count(f) > 1})
@@ -333,8 +345,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     scenarios = expand_scenarios(spec)
     store = SweepStore(args.store)
     workers = args.workers if args.workers else default_workers()
-    if args.max_retries < 0:
-        raise SystemExit("error: --max-retries must be >= 0")
     scheduler_kwargs: Dict[str, object] = {}
     if args.lease_ttl is not None:
         scheduler_kwargs["lease_ttl"] = args.lease_ttl
@@ -421,8 +431,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.sweeps import RetryPolicy, SchedulerOptions, SweepOptions
     from repro.sweeps.executor import default_workers
 
-    if args.max_retries < 0:
-        raise SystemExit("error: --max-retries must be >= 0")
+    _check_count_flags(args)
     scheduler_kwargs: Dict[str, object] = {}
     if args.lease_ttl is not None:
         scheduler_kwargs["lease_ttl"] = args.lease_ttl
@@ -524,8 +533,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="worker processes (0 = half the machine's cores); more "
-        "than one runs the sweep on the lease scheduler",
+        help="worker processes (0 = one per usable CPU); more than "
+        "one runs the sweep on the lease scheduler",
     )
     sweep.add_argument(
         "--share-artifacts",
@@ -604,8 +613,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="default worker processes per job (0 = half the cores); "
-        "submissions may override via options.n_workers",
+        help="default worker processes per job (0 = one per usable "
+        "CPU); submissions may override via options.n_workers, up to "
+        "the larger of this and the usable CPUs",
     )
     serve.add_argument(
         "--max-retries",

@@ -13,7 +13,9 @@ Endpoints
     when an identical running job was joined — job ids are
     content-addressed, so resubmitting a spec is idempotent).
     Malformed specs return 400 with the offending path
-    (:class:`~repro.sweeps.spec.SpecValidationError`).
+    (:class:`~repro.sweeps.spec.SpecValidationError`), as does an
+    ``options.n_workers`` that is not an integer from 1 to the larger
+    of the instance default and the usable CPUs.
 
 ``GET /sweeps`` / ``GET /sweeps/{job_id}``
     List jobs / poll one job: state, report, and the shared
@@ -55,6 +57,7 @@ from dataclasses import dataclass, replace
 from typing import AsyncIterator, Dict, Optional, Tuple
 
 import repro
+from repro.acquisition import bench
 from repro.service.httpd import HTTPError, HTTPServer, Request, Router
 from repro.service.jobs import JobManager, SweepJob
 from repro.sweeps.aggregate import roc_by_axis, tidy_accuracy
@@ -123,8 +126,18 @@ class SweepService:
                     f"{', '.join(sorted(_OPTION_KEYS))})",
                 )
         defaults = self.default_options
+        n_workers = payload.get("n_workers", defaults.n_workers)
+        # Bounded: one request must not fork a worker per scenario.
+        limit = max(defaults.n_workers, bench.usable_cpus())
+        if (
+            isinstance(n_workers, bool)
+            or not isinstance(n_workers, int)
+            or not 1 <= n_workers <= limit
+        ):
+            raise HTTPError(
+                400, f"options.n_workers: expected an integer from 1 to {limit}"
+            )
         try:
-            n_workers = int(payload.get("n_workers", defaults.n_workers))
             retry = defaults.retry
             if "max_retries" in payload:
                 retry = RetryPolicy(

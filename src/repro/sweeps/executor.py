@@ -51,11 +51,11 @@ artifact persists it, the rest load it.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
+from repro.acquisition import bench
 from repro.experiments.artifacts import ArtifactCache, process_artifact_cache
 from repro.sweeps.faultinject import fault_context, fault_point
 from repro.sweeps.scenario import run_scenario
@@ -173,8 +173,16 @@ def _inline_sweep(
 
 
 def default_workers() -> int:
-    """A sensible worker count for this machine (half the cores, >= 1)."""
-    return max(1, (os.cpu_count() or 2) // 2)
+    """One attempt slot per CPU this process may run on.
+
+    The same count (:func:`~repro.acquisition.bench.usable_cpus`, the
+    affinity mask where the OS has one) that sizes each acquisition's
+    thread pool, so a default multi-CPU sweep runs on the lease
+    scheduler with one persistent attempt worker per CPU.  Each slot
+    holds one campaign's traces at a time; pass an explicit worker
+    count to bound memory.
+    """
+    return bench.usable_cpus()
 
 
 __all__ = [

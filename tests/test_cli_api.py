@@ -1,8 +1,11 @@
 """Tests for the CLI, the public API surface and the report module."""
 
+import os
+
 import pytest
 
 import repro
+import repro.acquisition.bench as bench_module
 from repro.cli import build_parser, main
 from repro.core.report import (
     render_comparison,
@@ -12,6 +15,7 @@ from repro.core.report import (
     render_verdicts,
     summarize_scores,
 )
+from tests.test_sweeps import store_digests
 
 
 class TestPublicAPI:
@@ -289,6 +293,37 @@ class TestSweepCLI:
             "--workers", "1",
         ]) == 0
         assert "2 scenarios" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["sweep", "serve"])
+    def test_negative_workers_exit_cleanly(self, tmp_path, command):
+        with pytest.raises(SystemExit, match="--workers must be >= 0"):
+            main([command, "--workers", "-1", "--store", str(tmp_path / "store")])
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_bare_sweep_takes_one_slot_per_usable_cpu(
+        self, tmp_path, capsys, monkeypatch, cpus
+    ):
+        # No --workers: one attempt slot per usable CPU, lease-scheduled
+        # above one, and the same result bytes as a one-worker run.
+        argv = [
+            "sweep",
+            "--axis", "noise.sigma=0.5,1.0",
+            "--base", "parameters.k=4",
+            "--base", "parameters.m=4",
+            "--base", "parameters.n1=32",
+            "--base", "parameters.n2=64",
+        ]
+        reference = str(tmp_path / "reference")
+        assert main(argv + ["--store", reference, "--workers", "1"]) == 0
+        monkeypatch.setattr(bench_module, "usable_cpus", lambda: cpus)
+        store = str(tmp_path / "default")
+        capsys.readouterr()
+        assert main(argv + ["--store", store]) == 0
+        out = capsys.readouterr().out
+        assert f"{cpus} worker(s)" in out
+        assert (", lease scheduler" in out) == (cpus > 1)
+        assert os.path.isdir(os.path.join(store, ".leases")) == (cpus > 1)
+        assert store_digests(store) == store_digests(reference)
 
     def test_invalid_axis_field_exits_cleanly(self, tmp_path):
         with pytest.raises(SystemExit, match="invalid sweep"):

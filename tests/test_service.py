@@ -139,6 +139,20 @@ class TestHealthAndErrors:
         assert status == 400
         assert "options.turbo" in body["error"]
 
+    @pytest.mark.parametrize(
+        "n_workers", [2.7, True, "3", None, 0, -1, 1_000_000]
+    )
+    def test_invalid_worker_count_rejected(self, service, n_workers):
+        # Only a JSON integer from 1 to max(default, usable CPUs): no
+        # silent truncation, and no worker per scenario from one POST.
+        instance, client = service
+        status, body = client.post(
+            "/sweeps", submission(quick_spec(), n_workers=n_workers)
+        )
+        assert status == 400
+        assert "options.n_workers" in body["error"]
+        assert instance.jobs.jobs() == []
+
 
 class TestSubmitPollRows:
     def test_submit_poll_rows_byte_identical_to_direct_run(

@@ -18,6 +18,7 @@ from repro.sweeps import (
     SweepOptions,
     SweepSpec,
     SweepStore,
+    default_workers,
     expand_scenarios,
     render_status,
     run,
@@ -573,6 +574,13 @@ class TestUnifiedFacade:
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError):
             SweepOptions(n_workers=0)
+
+    def test_default_workers_follow_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False
+        )
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert default_workers() == 3
 
 
 class TestSweepStatus:
