@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.acquisition.bench import RngLike, make_rng
 from repro.acquisition.traces import TraceSet
-from repro.core.averaging import k_averaged_set, k_averaged_trace
+from repro.core.averaging import k_average_rows, k_averaged_set, k_averaged_trace
 from repro.core.correlation import pearson_many, pearson_rows
 from repro.core.selection import uniform_distinct_indices
 
@@ -144,8 +144,15 @@ class CorrelationProcess:
 
         A precomputed ``reference`` (``A_RefD``) may be passed so one
         reference serves several DUTs, exactly as in the paper's
-        four-DUT experiment.
+        four-DUT experiment.  It is rejected with
+        ``single_reference=False``, which draws a fresh reference per
+        coefficient and would otherwise ignore it.
         """
+        if reference is not None and not self.single_reference:
+            raise ValueError(
+                "reference= cannot be used with single_reference=False: "
+                "that mode draws a fresh reference per coefficient"
+            )
         self._check_sets(t_ref, t_dut)
         generator = make_rng(rng)
         p = self.parameters
@@ -173,8 +180,8 @@ class CorrelationProcess:
                 dut_indices[i] = uniform_distinct_indices(
                     t_dut.n_traces, p.k, generator
                 )
-            a_refs = t_ref.matrix[ref_indices].mean(axis=1)
-            a_duts = t_dut.matrix[dut_indices].mean(axis=1)
+            a_refs = k_average_rows(t_ref.matrix, ref_indices)
+            a_duts = k_average_rows(t_dut.matrix, dut_indices)
             coefficients = pearson_rows(a_refs, a_duts)
 
         return CorrelationResult(

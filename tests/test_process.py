@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.acquisition.traces import TraceSet
+from repro.core.averaging import k_averaged_set
+from repro.core.correlation import pearson_many
 from repro.core.process import (
     CorrelationProcess,
     CorrelationResult,
@@ -109,12 +111,24 @@ class TestCorrelationProcess:
             CorrelationProcess(SMALL).run(t_ref, t_dut, rng)
 
     def test_precomputed_reference_is_used(self):
+        # With a reference passed, the run draws only the DUT set from
+        # its generator and correlates it against that reference.
         t_ref, t_dut = synthetic_sets()
         process = CorrelationProcess(SMALL)
         reference = process.reference_trace(t_ref, np.random.default_rng(1))
-        r1 = process.run(t_ref, t_dut, np.random.default_rng(2), reference=reference)
-        r2 = process.run(t_ref, t_dut, np.random.default_rng(2), reference=reference)
-        np.testing.assert_allclose(r1.coefficients, r2.coefficients)
+        result = process.run(
+            t_ref, t_dut, np.random.default_rng(2), reference=reference
+        )
+        a_dut = k_averaged_set(t_dut, SMALL.k, SMALL.m, np.random.default_rng(2))
+        expected = pearson_many(reference, a_dut)
+        assert result.coefficients.tobytes() == expected.tobytes()
+
+    def test_reference_rejected_with_fresh_references(self):
+        t_ref, t_dut = synthetic_sets()
+        process = CorrelationProcess(SMALL, single_reference=False)
+        reference = process.reference_trace(t_ref, np.random.default_rng(1))
+        with pytest.raises(ValueError, match="reference=.*single_reference=False"):
+            process.run(t_ref, t_dut, 2, reference=reference)
 
     def test_single_reference_reduces_variance(self):
         # E8 ablation: a fresh reference per coefficient inflates the
