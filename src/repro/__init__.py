@@ -9,7 +9,8 @@ end on a simulated hardware substrate:
   (alpha, k, m, n1, n2) parameter mathematics;
 * :mod:`repro.fsm` + :mod:`repro.hdl` — FSMs, counters and the
   watermark leakage component as cycle-accurate netlists;
-* :mod:`repro.crypto` — GF(2^8), the AES SBox and AES-128;
+* :mod:`repro.crypto` — GF(2^8) and the AES SBox of the leakage
+  component;
 * :mod:`repro.power` + :mod:`repro.acquisition` — the synthetic power
   chain replacing the paper's FPGAs and oscilloscope;
 * :mod:`repro.experiments` — drivers reproducing Fig. 4, Fig. 5 and

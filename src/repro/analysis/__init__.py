@@ -28,13 +28,7 @@ from repro.analysis.montecarlo import (
     property_p1_numeric,
     property_p2_numeric,
 )
-from repro.analysis.stats import (
-    SummaryStats,
-    binomial_confidence,
-    signal_to_noise_ratio,
-    variance_ratio_f_test,
-    welch_t_test,
-)
+from repro.analysis.stats import binomial_confidence
 
 __all__ = [
     "group_rows",
@@ -42,11 +36,7 @@ __all__ = [
     "pivot",
     "render_pivot",
     "render_rows",
-    "SummaryStats",
-    "welch_t_test",
-    "variance_ratio_f_test",
     "binomial_confidence",
-    "signal_to_noise_ratio",
     "ReuseEstimate",
     "estimate_reuse_probability",
     "property_p1_numeric",

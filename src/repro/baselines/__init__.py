@@ -11,15 +11,6 @@ from repro.baselines.becker import (
     attach_pn_leakage,
     pn_sequence,
 )
-from repro.baselines.graph_coloring import (
-    GraphWatermark,
-    coincidence_probability,
-    embed_signature,
-    greedy_coloring,
-    is_proper_coloring,
-    overhead_in_colors,
-    verify_signature,
-)
 from repro.baselines.output_mark import (
     OutputMark,
     OutputMarkVerifier,
@@ -52,11 +43,4 @@ __all__ = [
     "attach_pn_leakage",
     "BeckerDetector",
     "PNDetection",
-    "GraphWatermark",
-    "embed_signature",
-    "verify_signature",
-    "greedy_coloring",
-    "is_proper_coloring",
-    "coincidence_probability",
-    "overhead_in_colors",
 ]

@@ -1,25 +1,16 @@
-"""Cryptographic substrate: GF(2^8), the AES SBox and AES-128.
+"""Cryptographic substrate: GF(2^8) arithmetic and the AES SBox.
 
 The paper's leakage component stores the AES SBox in a small RAM; this
-package builds that SBox from first principles and ships the complete
-cipher it belongs to.
+package builds that SBox from first principles.
 """
 
-from repro.crypto.aes import decrypt_block, decrypt_bytes, encrypt_block, encrypt_bytes
-from repro.crypto.gf256 import gf_add, gf_inverse, gf_mul, gf_pow
-from repro.crypto.sbox import INVERSE_SBOX, SBOX, build_inverse_sbox, build_sbox
+from repro.crypto.gf256 import gf_inverse, gf_mul, gf_pow
+from repro.crypto.sbox import SBOX, build_sbox
 
 __all__ = [
     "SBOX",
-    "INVERSE_SBOX",
     "build_sbox",
-    "build_inverse_sbox",
-    "gf_add",
     "gf_mul",
     "gf_pow",
     "gf_inverse",
-    "encrypt_block",
-    "decrypt_block",
-    "encrypt_bytes",
-    "decrypt_bytes",
 ]

@@ -12,8 +12,6 @@ All functions operate on Python integers in ``[0, 255]``.
 
 from __future__ import annotations
 
-from typing import List
-
 #: The Rijndael reduction polynomial x^8 + x^4 + x^3 + x + 1.
 RIJNDAEL_POLY = 0x11B
 
@@ -27,13 +25,6 @@ def _check_byte(value: int, name: str = "value") -> None:
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
     if not 0 <= value <= BYTE_MASK:
         raise ValueError(f"{name} must be in [0, 255], got {value}")
-
-
-def gf_add(a: int, b: int) -> int:
-    """Add two GF(2^8) elements (XOR of the coefficient vectors)."""
-    _check_byte(a, "a")
-    _check_byte(b, "b")
-    return a ^ b
 
 
 def gf_mul(a: int, b: int) -> int:
@@ -83,32 +74,3 @@ def gf_inverse(a: int) -> int:
     if a == 0:
         return 0
     return gf_pow(a, 254)
-
-
-def gf_xtime(a: int) -> int:
-    """Multiply by x (i.e. by 0x02) — the primitive AES MixColumns step."""
-    _check_byte(a, "a")
-    a <<= 1
-    if a & 0x100:
-        a ^= RIJNDAEL_POLY
-    return a & BYTE_MASK
-
-
-def inverse_table() -> List[int]:
-    """Return the full 256-entry inversion table (index 0 maps to 0)."""
-    return [gf_inverse(a) for a in range(256)]
-
-
-def is_generator(a: int) -> bool:
-    """Return True if ``a`` generates the multiplicative group GF(2^8)*.
-
-    A non-zero element is a generator when its order is exactly 255,
-    i.e. no proper divisor d of 255 satisfies ``a^d == 1``.
-    """
-    _check_byte(a, "a")
-    if a == 0:
-        return False
-    for divisor in (1, 3, 5, 15, 17, 51, 85):
-        if gf_pow(a, divisor) == 1:
-            return False
-    return gf_pow(a, 255) == 1

@@ -3,9 +3,7 @@
 The paper's side-channel leakage component stores the AES SBox in a
 2^8-entry RAM and feeds it ``state XOR Kw``.  This module builds the
 SBox from first principles — multiplicative inversion in GF(2^8)
-followed by the AES affine transformation — and also provides the
-inverse SBox so the full AES cipher in :mod:`repro.crypto.aes` can
-decrypt.
+followed by the AES affine transformation.
 """
 
 from __future__ import annotations
@@ -50,20 +48,8 @@ def build_sbox() -> List[int]:
     return [sbox_entry(value) for value in range(256)]
 
 
-def build_inverse_sbox() -> List[int]:
-    """Build the inverse SBox by inverting the forward permutation."""
-    forward = build_sbox()
-    inverse = [0] * 256
-    for index, output in enumerate(forward):
-        inverse[output] = index
-    return inverse
-
-
 #: The AES SBox, generated once at import time.
 SBOX: Tuple[int, ...] = tuple(build_sbox())
-
-#: The inverse AES SBox.
-INVERSE_SBOX: Tuple[int, ...] = tuple(build_inverse_sbox())
 
 #: First eight entries of the FIPS-197 table, used as an import-time
 #: sanity anchor (the test suite checks the complete table).
@@ -71,17 +57,3 @@ _FIPS_197_PREFIX = (0x63, 0x7C, 0x77, 0x7B, 0xF2, 0x6B, 0x6F, 0xC5)
 
 if SBOX[:8] != _FIPS_197_PREFIX:  # pragma: no cover - construction bug guard
     raise AssertionError("generated AES SBox does not match FIPS-197")
-
-
-def sbox_lookup(value: int) -> int:
-    """Look up one byte in the forward SBox with bounds checking."""
-    if not 0 <= value <= BYTE_MASK:
-        raise ValueError(f"value must be in [0, 255], got {value}")
-    return SBOX[value]
-
-
-def inverse_sbox_lookup(value: int) -> int:
-    """Look up one byte in the inverse SBox with bounds checking."""
-    if not 0 <= value <= BYTE_MASK:
-        raise ValueError(f"value must be in [0, 255], got {value}")
-    return INVERSE_SBOX[value]

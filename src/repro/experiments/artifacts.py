@@ -211,7 +211,11 @@ def analysis_key(config: "CampaignConfig", fleet_tag: str = "none") -> str:
 
 @dataclass(frozen=True)
 class ArtifactOptions:
-    """Picklable sharing configuration (travels in pool payloads).
+    """Sharing configuration, passed to each attempt worker at its start.
+
+    The lease scheduler hands it to every worker process it starts as
+    an argument, which the spawn start method pickles, so it must stay
+    picklable.
 
     ``root`` enables the on-disk tier under that directory; ``None``
     keeps sharing process-local.  ``max_trace_bytes`` bounds the

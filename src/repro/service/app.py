@@ -14,8 +14,11 @@ Endpoints
     content-addressed, so resubmitting a spec is idempotent).
     Malformed specs return 400 with the offending path
     (:class:`~repro.sweeps.spec.SpecValidationError`), as does an
-    ``options.n_workers`` that is not an integer from 1 to the larger
-    of the instance default and the usable CPUs.
+    option out of its range, named in the error:
+    ``options.n_workers`` must be an integer from 1 to the larger of
+    the instance default and the usable CPUs, ``options.max_retries``
+    an integer >= 0, ``options.lease_ttl`` a finite number > 0, and
+    ``options.scenario_timeout`` null or a finite number > 0.
 
 ``GET /sweeps`` / ``GET /sweeps/{job_id}``
     List jobs / poll one job: state, report, and the shared
@@ -52,6 +55,7 @@ from __future__ import annotations
 
 import asyncio
 import logging
+import math
 import threading
 from dataclasses import dataclass, replace
 from typing import AsyncIterator, Dict, Optional, Tuple
@@ -83,6 +87,17 @@ ROWS_POLL_INTERVAL = 0.2
 _OPTION_KEYS = frozenset(
     {"n_workers", "max_retries", "scenario_timeout", "lease_ttl"}
 )
+
+
+def _seconds(value: object) -> Optional[float]:
+    """A JSON number as a finite count of seconds > 0, else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        seconds = float(value)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return seconds if math.isfinite(seconds) and seconds > 0 else None
 
 
 class SweepService:
@@ -137,27 +152,39 @@ class SweepService:
             raise HTTPError(
                 400, f"options.n_workers: expected an integer from 1 to {limit}"
             )
+        retry = defaults.retry
+        if "max_retries" in payload:
+            max_retries = payload["max_retries"]
+            if (
+                isinstance(max_retries, bool)
+                or not isinstance(max_retries, int)
+                or max_retries < 0
+            ):
+                raise HTTPError(400, "options.max_retries: expected an integer >= 0")
+            retry = RetryPolicy(max_attempts=max_retries + 1)
+        scheduler_fields: Dict[str, object] = {}
+        if "lease_ttl" in payload:
+            lease_ttl = _seconds(payload["lease_ttl"])
+            if lease_ttl is None:
+                raise HTTPError(400, "options.lease_ttl: expected a finite number > 0")
+            scheduler_fields["lease_ttl"] = lease_ttl
+        if "scenario_timeout" in payload:
+            timeout = payload["scenario_timeout"]
+            seconds = None if timeout is None else _seconds(timeout)
+            if timeout is not None and seconds is None:
+                raise HTTPError(
+                    400,
+                    "options.scenario_timeout: expected null or a finite number > 0",
+                )
+            scheduler_fields["scenario_timeout"] = seconds
         try:
-            retry = defaults.retry
-            if "max_retries" in payload:
-                retry = RetryPolicy(
-                    max_attempts=int(payload["max_retries"]) + 1
-                )
-            scheduler_fields: Dict[str, object] = {}
-            if "lease_ttl" in payload:
-                scheduler_fields["lease_ttl"] = float(payload["lease_ttl"])
-            if "scenario_timeout" in payload:
-                timeout = payload["scenario_timeout"]
-                scheduler_fields["scenario_timeout"] = (
-                    None if timeout is None else float(timeout)
-                )
             return replace(
                 defaults,
                 n_workers=n_workers,
                 retry=retry,
                 scheduler=replace(defaults.scheduler, **scheduler_fields),
             )
-        except (TypeError, ValueError) as error:
+        except ValueError as error:
             raise HTTPError(400, f"options: {error}")
 
     def _job_or_404(self, request: Request) -> SweepJob:

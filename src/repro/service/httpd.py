@@ -1,6 +1,6 @@
 """A deliberately small asyncio HTTP/1.1 layer for the sweep service.
 
-The repo's tier-1 dependency set is numpy + scipy; pulling in a web
+The package's one runtime dependency is numpy; pulling in a web
 framework for five JSON endpoints would be the tail wagging the dog.
 This module implements exactly the slice of HTTP the service needs on
 top of ``asyncio.start_server``:
@@ -72,13 +72,23 @@ class Request:
     params: Dict[str, str] = field(default_factory=dict)
 
     def json(self) -> object:
-        """The request body parsed as JSON (400 on malformed input)."""
+        """The request body parsed as JSON (400 on malformed input).
+
+        ``NaN``, ``Infinity`` and ``-Infinity`` are not JSON, although
+        Python's parser accepts them by default; they are rejected too.
+        """
         if not self.body:
             return {}
         try:
-            return json.loads(self.body.decode("utf-8"))
+            return json.loads(
+                self.body.decode("utf-8"), parse_constant=_reject_constant
+            )
         except (UnicodeDecodeError, ValueError) as error:
             raise HTTPError(400, f"request body is not valid JSON: {error}")
+
+
+def _reject_constant(name: str) -> object:
+    raise ValueError(f"{name} is not a JSON value")
 
 
 #: A JSON handler returns (status, payload); a stream handler returns

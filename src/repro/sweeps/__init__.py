@@ -72,12 +72,9 @@ from repro.sweeps.scheduler import (
     SchedulerOptions,
 )
 from repro.sweeps.scenario import (
-    ATTACKS,
-    apply_attack,
     outcome_arrays,
     outcome_metrics,
     run_scenario,
-    run_scenario_campaign,
 )
 from repro.sweeps.spec import (
     ANALYSIS_FIELDS,
@@ -91,8 +88,6 @@ from repro.sweeps.spec import (
     SweepSpec,
     expand_scenarios,
     scenario_config,
-    spec_from_dict,
-    spec_to_dict,
 )
 from repro.sweeps.status import (
     SweepStatus,
@@ -103,7 +98,6 @@ from repro.sweeps.store import SweepStore
 
 __all__ = [
     "ANALYSIS_FIELDS",
-    "ATTACKS",
     "ATTACK_FIELD",
     "CONFIG_FIELDS",
     "SCHEMA_VERSION",
@@ -125,7 +119,6 @@ __all__ = [
     "SweepStore",
     "accuracy_pivot",
     "active_fault_plan",
-    "apply_attack",
     "clear_fault_plan",
     "default_workers",
     "expand_scenarios",
@@ -140,10 +133,7 @@ __all__ = [
     "roc_by_axis",
     "run",
     "run_scenario",
-    "run_scenario_campaign",
     "scenario_config",
-    "spec_from_dict",
-    "spec_to_dict",
     "sweep_status",
     "tidy_accuracy",
 ]

@@ -16,43 +16,14 @@ deterministically ordered, canonically typed data.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
-from repro.attacks import FLEET_TRANSFORMS, apply_fleet_transform
 from repro.experiments.artifacts import ArtifactCache
 from repro.experiments.designs import EXPECTED_MATCHES
 from repro.experiments.runner import CampaignOutcome, run_campaign
-from repro.sweeps.spec import ATTACK_FIELD, Scenario, scenario_config
-
-#: DUT netlist transforms selectable through the ``"attack"`` axis —
-#: the shared registry from :mod:`repro.attacks` (re-exported under
-#: the historical sweep-level names).
-ATTACKS: Dict[str, Optional[Callable]] = FLEET_TRANSFORMS
-
-#: Alias of :func:`repro.attacks.apply_fleet_transform`.
-apply_attack = apply_fleet_transform
-
-
-def run_scenario_campaign(
-    scenario: Scenario,
-    artifacts: Optional[ArtifactCache] = None,
-) -> CampaignOutcome:
-    """Manufacture, attack and measure one scenario's campaign.
-
-    The attack name travels as the campaign's ``fleet_tag``:
-    :func:`~repro.experiments.runner.run_campaign` manufactures the
-    fleet and applies the named transform itself, so tampered fleets
-    never alias pristine ones in any cache.  With an ``artifacts``
-    cache, the fleet and every acquired trace matrix are shared across
-    scenarios whose fleet/measurement tiers agree — byte-identically
-    to the unshared path, because acquisition streams are keyed per
-    device (see :mod:`repro.experiments.artifacts`) — and whole
-    campaign outcomes are memoised on the analysis key.
-    """
-    config = scenario_config(scenario)
-    return run_campaign(config, artifacts=artifacts, fleet_tag=scenario.attack)
+from repro.sweeps.spec import Scenario, scenario_config
 
 
 def outcome_metrics(outcome: CampaignOutcome) -> Dict[str, object]:
@@ -92,11 +63,22 @@ def run_scenario(
 
     The returned mapping has two parts: ``"record"`` (JSON-able —
     scenario identity, overrides, metrics) and ``"arrays"`` (the raw
-    correlation sets for the array bundle).  ``artifacts`` enables
-    cross-scenario fleet/trace sharing and campaign-outcome
-    memoisation without changing a byte of the payload.
+    correlation sets for the array bundle).
+
+    The attack name travels as the campaign's ``fleet_tag``:
+    :func:`~repro.experiments.runner.run_campaign` manufactures the
+    fleet and applies the named transform itself, so tampered fleets
+    never alias pristine ones in any cache.  With an ``artifacts``
+    cache, the fleet and every acquired trace matrix are shared across
+    scenarios whose fleet/measurement tiers agree — byte-identically
+    to the unshared path, because acquisition streams are keyed per
+    device (see :mod:`repro.experiments.artifacts`) — and whole
+    campaign outcomes are memoised on the analysis key, without
+    changing a byte of the payload.
     """
-    outcome = run_scenario_campaign(scenario, artifacts=artifacts)
+    outcome = run_campaign(
+        scenario_config(scenario), artifacts=artifacts, fleet_tag=scenario.attack
+    )
     record = {
         "scenario_id": scenario.scenario_id,
         "overrides": dict(scenario.overrides),
@@ -108,11 +90,7 @@ def run_scenario(
 
 
 __all__ = [
-    "ATTACKS",
-    "ATTACK_FIELD",
-    "apply_attack",
     "run_scenario",
-    "run_scenario_campaign",
     "outcome_metrics",
     "outcome_arrays",
 ]

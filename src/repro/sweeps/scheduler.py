@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import multiprocessing
 import os
 import socket
@@ -115,6 +116,9 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
+        backoff = (self.backoff_base, self.backoff_factor, self.backoff_max)
+        if not all(map(math.isfinite, backoff)):
+            raise ValueError("backoff delays and backoff_factor must be finite")
         if self.backoff_base < 0 or self.backoff_max < 0:
             raise ValueError("backoff delays must be >= 0")
         if self.backoff_factor < 1.0:
@@ -152,14 +156,22 @@ class SchedulerOptions:
     status_interval: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.lease_ttl <= 0:
-            raise ValueError("lease_ttl must be > 0")
-        if self.heartbeat_interval is not None and self.heartbeat_interval <= 0:
-            raise ValueError("heartbeat_interval must be > 0")
-        if self.scenario_timeout is not None and self.scenario_timeout <= 0:
-            raise ValueError("scenario_timeout must be > 0")
-        if self.status_interval is not None and self.status_interval <= 0:
-            raise ValueError("status_interval must be > 0")
+        # Every period is a finite number of seconds > 0: a NaN lease is
+        # never stale and never heartbeated, a NaN timeout never fires,
+        # and an infinite lease of a dead instance never expires for
+        # the other instances on its root.
+        for name in (
+            "lease_ttl",
+            "heartbeat_interval",
+            "poll_interval",
+            "scenario_timeout",
+            "status_interval",
+        ):
+            value = getattr(self, name)
+            if value is None and name not in ("lease_ttl", "poll_interval"):
+                continue
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
     @property
     def effective_heartbeat(self) -> float:

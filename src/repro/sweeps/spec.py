@@ -44,6 +44,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Tuple
 
@@ -56,7 +57,7 @@ from repro.experiments.runner import CampaignConfig, apply_config_overrides
 SCHEMA_VERSION = 1
 
 #: The special axis applying a DUT netlist transform (see
-#: :data:`repro.sweeps.scenario.ATTACKS`).
+#: :data:`repro.attacks.FLEET_TRANSFORMS`).
 ATTACK_FIELD = "attack"
 
 #: Overridable campaign-config paths (dotted = nested dataclass field).
@@ -145,6 +146,10 @@ def _check_value(field_name: str, value: object) -> None:
         raise TypeError(
             f"axis {field_name!r}: value {value!r} is not a JSON scalar"
         )
+    # NaN and the infinities are not JSON values: canonical_json would
+    # write them into digests and records as bare tokens.
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"axis {field_name!r}: value {value!r} is not finite")
 
 
 @dataclass(frozen=True)
@@ -179,6 +184,10 @@ class RandomAxis:
         _check_field(self.field)
         if self.field == ATTACK_FIELD:
             raise ValueError("the attack axis cannot be randomly sampled")
+        if not (math.isfinite(self.low) and math.isfinite(self.high)):
+            raise ValueError(
+                f"axis {self.field!r}: bounds {self.low} and {self.high} must be finite"
+            )
         if not self.low < self.high:
             raise ValueError(
                 f"axis {self.field!r}: low {self.low} must be < high {self.high}"
@@ -338,6 +347,10 @@ class SweepSpec:
                 raise SpecValidationError(
                     f"base.{key}", f"value {value!r} is not a JSON scalar"
                 ) from None
+            except ValueError:
+                raise SpecValidationError(
+                    f"base.{key}", f"value {value!r} is not finite"
+                ) from None
         seed = payload.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise SpecValidationError("seed", "expected an integer")
@@ -411,7 +424,7 @@ def _random_axis_from_json(entry: object, path: str) -> RandomAxis:
             log=bool(entry.get("log", False)),
             integer=bool(entry.get("integer", False)),
         )
-    except ValueError as error:
+    except (ValueError, OverflowError) as error:
         message = error.args[0] if error.args else str(error)
         raise SpecValidationError(path, str(message)) from error
 
@@ -504,19 +517,6 @@ def scenario_config(scenario: Scenario) -> CampaignConfig:
     return apply_config_overrides(CampaignConfig(), overrides)
 
 
-def spec_from_dict(payload: Mapping[str, object]) -> SweepSpec:
-    """Alias of :meth:`SweepSpec.from_json_dict` tolerating payloads
-    written before ``schema_version`` existed (they are version 1)."""
-    if isinstance(payload, Mapping) and "schema_version" not in payload:
-        payload = {**dict(payload), "schema_version": SCHEMA_VERSION}
-    return SweepSpec.from_json_dict(payload)
-
-
-def spec_to_dict(spec: SweepSpec) -> Dict[str, object]:
-    """Alias of :meth:`SweepSpec.to_json_dict`."""
-    return spec.to_json_dict()
-
-
 __all__ = [
     "ANALYSIS_FIELDS",
     "ATTACK_FIELD",
@@ -530,6 +530,4 @@ __all__ = [
     "canonical_json",
     "expand_scenarios",
     "scenario_config",
-    "spec_from_dict",
-    "spec_to_dict",
 ]

@@ -1,6 +1,8 @@
 """Tests for the CLI, the public API surface and the report module."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -16,6 +18,40 @@ from repro.core.report import (
     summarize_scores,
 )
 from tests.test_sweeps import store_digests
+
+#: Imports the whole package and runs a campaign with every ``scipy``
+#: import refused: numpy is the only runtime dependency.
+NO_SCIPY_SCRIPT = """
+import importlib.abc
+import sys
+
+
+class RefuseScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError("scipy blocked")
+        return None
+
+
+sys.meta_path.insert(0, RefuseScipy())
+
+import repro
+import repro.acquisition
+import repro.analysis
+import repro.attacks
+import repro.baselines
+import repro.cli
+import repro.core
+import repro.crypto
+import repro.experiments
+import repro.fsm
+import repro.hdl
+import repro.power
+import repro.service
+import repro.sweeps
+
+sys.exit(repro.cli.main(["campaign"]))
+"""
 
 
 class TestPublicAPI:
@@ -52,6 +88,20 @@ class TestPublicAPI:
         ):
             for name in module.__all__:
                 assert hasattr(module, name), f"{module.__name__}.{name}"
+
+    def test_runs_without_scipy(self):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", NO_SCIPY_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "higher-mean accuracy:    1.00" in result.stdout
 
     def test_paper_plan_exported(self):
         assert repro.PAPER_PLAN.parameters.n2 == 10_000
@@ -298,6 +348,31 @@ class TestSweepCLI:
     def test_negative_workers_exit_cleanly(self, tmp_path, command):
         with pytest.raises(SystemExit, match="--workers must be >= 0"):
             main([command, "--workers", "-1", "--store", str(tmp_path / "store")])
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--lease-ttl", "nan"),
+            ("--lease-ttl", "inf"),
+            ("--scenario-timeout", "nan"),
+            ("--scenario-timeout", "inf"),
+        ],
+    )
+    def test_non_finite_scheduler_flags_exit_cleanly(self, tmp_path, flag, value):
+        # A NaN lease is never stale and a NaN timeout never fires.
+        with pytest.raises(SystemExit, match="invalid scheduler options"):
+            main([
+                "sweep",
+                "--axis", "noise.sigma=0.5",
+                "--base", "parameters.k=4",
+                "--base", "parameters.m=4",
+                "--base", "parameters.n1=32",
+                "--base", "parameters.n2=64",
+                "--store", str(tmp_path / "store"),
+                "--workers", "1",
+                flag, value,
+            ])
+        assert store_digests(str(tmp_path / "store")) == {}
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_bare_sweep_takes_one_slot_per_usable_cpu(

@@ -4,46 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.crypto.gf256 import (
-    RIJNDAEL_POLY,
-    gf_add,
-    gf_inverse,
-    gf_mul,
-    gf_pow,
-    gf_xtime,
-    inverse_table,
-    is_generator,
-)
+from repro.crypto.gf256 import RIJNDAEL_POLY, gf_inverse, gf_mul, gf_pow
 
 bytes_ = st.integers(min_value=0, max_value=255)
-
-
-class TestAdd:
-    def test_add_is_xor(self):
-        assert gf_add(0x57, 0x83) == 0xD4
-
-    def test_add_identity(self):
-        assert gf_add(0x42, 0) == 0x42
-
-    @given(bytes_)
-    def test_self_inverse(self, a):
-        assert gf_add(a, a) == 0
-
-    @given(bytes_, bytes_)
-    def test_commutative(self, a, b):
-        assert gf_add(a, b) == gf_add(b, a)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            gf_add(256, 0)
-        with pytest.raises(ValueError):
-            gf_add(0, -1)
-
-    def test_rejects_non_int(self):
-        with pytest.raises(TypeError):
-            gf_add(1.5, 2)
-        with pytest.raises(TypeError):
-            gf_add(True, 2)
 
 
 class TestMul:
@@ -54,11 +17,10 @@ class TestMul:
     def test_xtime_example(self):
         # {57} * {02} = {ae}.
         assert gf_mul(0x57, 0x02) == 0xAE
-        assert gf_xtime(0x57) == 0xAE
 
     def test_xtime_with_reduction(self):
         # {ae} * {02} overflows and reduces: {47}.
-        assert gf_xtime(0xAE) == 0x47
+        assert gf_mul(0xAE, 0x02) == 0x47
 
     def test_multiply_by_zero(self):
         assert gf_mul(0xFF, 0) == 0
@@ -76,9 +38,8 @@ class TestMul:
 
     @given(bytes_, bytes_, bytes_)
     def test_distributive_over_add(self, a, b, c):
-        left = gf_mul(a, gf_add(b, c))
-        right = gf_add(gf_mul(a, b), gf_mul(a, c))
-        assert left == right
+        # Field addition is XOR of the coefficient vectors.
+        assert gf_mul(a, b ^ c) == gf_mul(a, b) ^ gf_mul(a, c)
 
     @given(bytes_)
     def test_result_is_a_byte(self, a):
@@ -87,6 +48,18 @@ class TestMul:
     def test_no_zero_divisors(self):
         for a in range(1, 256):
             assert gf_mul(a, 0x03) != 0
+
+    def test_rejects_out_of_range(self):
+        with pytest.raises(ValueError):
+            gf_mul(256, 0)
+        with pytest.raises(ValueError):
+            gf_mul(0, -1)
+
+    def test_rejects_non_int(self):
+        with pytest.raises(TypeError):
+            gf_mul(1.5, 2)
+        with pytest.raises(TypeError):
+            gf_mul(True, 2)
 
 
 class TestPow:
@@ -122,29 +95,12 @@ class TestInverse:
         assert gf_mul(a, gf_inverse(a)) == 1
 
     def test_table_is_an_involution(self):
-        table = inverse_table()
+        table = [gf_inverse(a) for a in range(256)]
         for a in range(256):
             assert table[table[a]] == a
 
     def test_table_is_a_permutation(self):
-        assert sorted(inverse_table()) == list(range(256))
-
-
-class TestGenerator:
-    def test_three_is_a_generator(self):
-        # 0x03 generates GF(2^8)* under the Rijndael polynomial.
-        assert is_generator(0x03)
-
-    def test_one_is_not_a_generator(self):
-        assert not is_generator(1)
-
-    def test_zero_is_not_a_generator(self):
-        assert not is_generator(0)
-
-    def test_generator_count_is_phi_255(self):
-        # phi(255) = phi(3) phi(5) phi(17) = 2 * 4 * 16 = 128.
-        count = sum(1 for a in range(256) if is_generator(a))
-        assert count == 128
+        assert sorted(gf_inverse(a) for a in range(256)) == list(range(256))
 
 
 def test_rijndael_polynomial_value():

@@ -129,6 +129,14 @@ class TestRetryPolicy:
         with pytest.raises(ValueError, match="delays"):
             RetryPolicy(backoff_base=-1.0)
 
+    @pytest.mark.parametrize(
+        "field", ["backoff_base", "backoff_factor", "backoff_max"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_backoff_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            RetryPolicy(**{field: value})
+
 
 class TestSchedulerOptions:
     def test_validation(self):
@@ -136,6 +144,23 @@ class TestSchedulerOptions:
             SchedulerOptions(lease_ttl=0.0)
         with pytest.raises(ValueError, match="scenario_timeout"):
             SchedulerOptions(scenario_timeout=0.0)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "lease_ttl",
+            "heartbeat_interval",
+            "poll_interval",
+            "scenario_timeout",
+            "status_interval",
+        ],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+    def test_every_period_finite_and_positive(self, field, value):
+        # A NaN lease is never stale, a NaN timeout never fires, and an
+        # infinite lease of a dead instance never expires for the others.
+        with pytest.raises(ValueError, match=f"{field} must be finite and > 0"):
+            SchedulerOptions(**{field: value})
 
     def test_heartbeat_defaults_to_quarter_ttl(self):
         assert SchedulerOptions(lease_ttl=20.0).effective_heartbeat == 5.0

@@ -47,6 +47,10 @@ class Client:
         body = json.dumps({} if payload is None else payload).encode()
         return self._request("POST", path, body)
 
+    def post_text(self, path, text):
+        """POST a body verbatim, for numbers ``json.dumps`` cannot write."""
+        return self._request("POST", path, text.encode())
+
     def _request(self, method, path, body=None):
         request = urllib.request.Request(
             self.base_url + path,
@@ -152,6 +156,69 @@ class TestHealthAndErrors:
         assert status == 400
         assert "options.n_workers" in body["error"]
         assert instance.jobs.jobs() == []
+
+    @pytest.mark.parametrize(
+        "option, constant",
+        [
+            ("max_retries", "Infinity"),
+            ("lease_ttl", "NaN"),
+            ("lease_ttl", "Infinity"),
+            ("scenario_timeout", "NaN"),
+            ("scenario_timeout", "-Infinity"),
+        ],
+    )
+    def test_non_json_constants_rejected(self, service, option, constant):
+        # Python's parser takes NaN and +-Infinity, which JSON does not
+        # have; an infinite options.max_retries used to be a 500.
+        instance, client = service
+        status, body = client.post(
+            "/sweeps", submission(quick_spec(), **{option: float(constant)})
+        )
+        assert status == 400
+        assert "not valid JSON" in body["error"]
+        assert instance.jobs.jobs() == []
+
+    @pytest.mark.parametrize("max_retries", [True, 2.7, "3", 1e9, -1, None])
+    def test_invalid_max_retries_rejected(self, service, max_retries):
+        # Only a JSON integer >= 0: no bool, float or string coercion.
+        instance, client = service
+        status, body = client.post(
+            "/sweeps", submission(quick_spec(), max_retries=max_retries)
+        )
+        assert status == 400
+        assert "options.max_retries" in body["error"]
+        assert instance.jobs.jobs() == []
+
+    @pytest.mark.parametrize(
+        "option, text",
+        [
+            pytest.param(option, text, id=f"{option}={text[:8]}")
+            for option in ("lease_ttl", "scenario_timeout")
+            for text in ("true", '"30"', "0", "-1.5", "[1]", "1e400", "1" + "0" * 400)
+        ]
+        + [("lease_ttl", "null")],
+    )
+    def test_invalid_seconds_rejected(self, service, option, text):
+        # A finite JSON number > 0 (scenario_timeout may also be null):
+        # 1e400 parses as an infinite float, a 401-digit integer
+        # overflows float().
+        instance, client = service
+        payload = json.dumps(submission(quick_spec(), **{option: "VALUE"}))
+        status, body = client.post_text("/sweeps", payload.replace('"VALUE"', text))
+        assert status == 400
+        assert f"options.{option}" in body["error"]
+        assert instance.jobs.jobs() == []
+
+    def test_valid_options_applied(self, service):
+        instance, _ = service
+        options = instance._merge_options(
+            {"max_retries": 0, "lease_ttl": 5, "scenario_timeout": None}
+        )
+        assert options.retry.max_attempts == 1
+        assert options.scheduler.lease_ttl == 5.0
+        assert options.scheduler.scenario_timeout is None
+        options = instance._merge_options({"scenario_timeout": 2.5})
+        assert options.scheduler.scenario_timeout == 2.5
 
 
 class TestSubmitPollRows:

@@ -1,14 +1,49 @@
 """Tests for waveform rendering, noise and process variation."""
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.core.correlation import pearson
+from repro.experiments.runner import CampaignConfig, manufacture_fleet
 from repro.power.noise import NoiseModel
 from repro.power.supply import WaveformConfig, render_waveform
 from repro.power.variation import DeviceVariation, VariationModel
+
+#: sha256 over the ``deterministic_waveform()`` bytes of the default
+#: paper fleet (RefDs, then DUTs), as scipy's ``lfilter`` rendered them.
+PAPER_FLEET_WAVEFORM_SHA256 = (
+    "f7650a5a6cd328cd83d1be89beabdabe02266a036069bbca0a3ec844b1f90542"
+)
+
+#: The paper's fleet and one fleet per vendored corpus circuit.
+CORPUS = Path(__file__).resolve().parents[1] / "benchmarks" / "netlists"
+FLEET_DESIGNS = ["paper"] + [
+    f"imported:benchmarks/netlists/{path.name}" for path in sorted(CORPUS.glob("*.v"))
+]
+
+#: Finite samples that stress the filter's rounding: signed zeros,
+#: subnormals, negatives and magnitudes near the float64 limit.
+finite_samples = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, -4e-323, 2.2e-308, -2.2e-308, 1e308, -1e308]
+    ),
+)
+
+
+def lfilter_render(cycle_power, config):
+    """The rendering with ``scipy.signal.lfilter`` as the PDN filter."""
+    signal = pytest.importorskip("scipy.signal")
+    samples = np.outer(np.asarray(cycle_power, dtype=float), config.pulse_kernel())
+    return signal.lfilter(
+        [1.0 - config.pdn_pole], [1.0, -config.pdn_pole], samples.reshape(-1)
+    )
 
 
 class TestWaveformConfig:
@@ -69,6 +104,39 @@ class TestRenderWaveform:
     def test_samples_per_cycle_scales_length(self, s):
         config = WaveformConfig(samples_per_cycle=s, pdn_pole=0.0)
         assert render_waveform(np.ones(7), config).size == 7 * s
+
+
+class TestPDNFilterBytes:
+    """The in-tree PDN filter keeps ``scipy.signal.lfilter``'s bytes."""
+
+    # With one sample per cycle the filter sees the input itself; this
+    # vector tells lfilter's ``z = x*0.0 + p*y`` from ``z = p*y``.
+    @example(np.array([-4e-323, 0.0, -0.0]), 0.25, 1)
+    @given(
+        arrays(np.float64, st.integers(1, 48), elements=finite_samples),
+        st.sampled_from([0.25, 0.05, 0.5, 0.9, 0.999]),
+        st.sampled_from([1, 4]),
+    )
+    def test_matches_lfilter_on_finite_inputs(self, cycle_power, pole, spc):
+        config = WaveformConfig(samples_per_cycle=spc, pdn_pole=pole)
+        expected = lfilter_render(cycle_power, config)
+        assert render_waveform(cycle_power, config).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("design", FLEET_DESIGNS)
+    def test_matches_lfilter_on_fleet_cycle_power(self, design):
+        refds, duts = manufacture_fleet(CampaignConfig(design=design))
+        for device in (*refds.values(), *duts.values()):
+            cycle_power = device.effective_model.cycle_power(device.activity())
+            rendered = render_waveform(cycle_power, device.waveform)
+            expected = lfilter_render(cycle_power, device.waveform)
+            assert rendered.tobytes() == expected.tobytes(), device.name
+
+    def test_paper_fleet_waveform_digest(self):
+        refds, duts = manufacture_fleet(CampaignConfig())
+        digest = hashlib.sha256()
+        for device in (*refds.values(), *duts.values()):
+            digest.update(device.deterministic_waveform().tobytes())
+        assert digest.hexdigest() == PAPER_FLEET_WAVEFORM_SHA256
 
 
 class TestNoiseModel:

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from repro.experiments.runner import CampaignConfig, apply_config_overrides
+from repro.attacks import FLEET_TRANSFORMS, apply_fleet_transform
 from repro.sweeps import (
-    ATTACKS,
     SCHEMA_VERSION,
     GridAxis,
     RandomAxis,
@@ -23,8 +23,6 @@ from repro.sweeps import (
     render_status,
     run,
     scenario_config,
-    spec_from_dict,
-    spec_to_dict,
     sweep_status,
 )
 from repro.sweeps.aggregate import (
@@ -181,7 +179,7 @@ class TestSweepSpec:
             base={"watermarked": False},
             seed=11,
         )
-        clone = spec_from_dict(json.loads(json.dumps(spec_to_dict(spec))))
+        clone = SweepSpec.from_json_dict(json.loads(json.dumps(spec.to_json_dict())))
         assert clone == spec
         assert [s.scenario_id for s in expand_scenarios(clone)] == [
             s.scenario_id for s in expand_scenarios(spec)
@@ -245,6 +243,36 @@ class TestSpecWireFormat:
                 "base.noise.sigma",
             ),
             (lambda p: p.update(grid="no"), "grid"),
+            pytest.param(
+                lambda p: p.update(base={"noise.sigma": float("nan")}),
+                "base.noise.sigma",
+                id="nan-base.noise.sigma",
+            ),
+            pytest.param(
+                lambda p: p.update(base={"variation.gain_sigma": float("nan")}),
+                "base.variation.gain_sigma",
+                id="nan-base.variation.gain_sigma",
+            ),
+            pytest.param(
+                lambda p: p["grid"][0].update(values=[0.5, float("inf")]),
+                "grid[0].values",
+                id="inf-grid[0].values",
+            ),
+            pytest.param(
+                lambda p: p["random"][0].update(high=float("inf")),
+                "random[0]",
+                id="inf-random[0].high",
+            ),
+            pytest.param(
+                lambda p: p["random"][1].update(low=-float("inf")),
+                "random[1]",
+                id="inf-random[1].low",
+            ),
+            pytest.param(
+                lambda p: p["random"][1].update(high=10**400),
+                "random[1]",
+                id="overflow-random[1].high",
+            ),
         ],
     )
     def test_validation_errors_name_offending_path(self, mutate, path):
@@ -254,6 +282,23 @@ class TestSpecWireFormat:
             SweepSpec.from_json_dict(payload)
         assert excinfo.value.path == path
         assert str(excinfo.value).startswith(path + ":")
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda v: GridAxis("noise.sigma", (0.5, v)),
+            lambda v: GridAxis("parameters.k", (v,)),
+            lambda v: RandomAxis("noise.sigma", 0.1, v),
+            lambda v: RandomAxis("noise.sigma", -v, 1.0),
+            lambda v: SweepSpec(name="x", base={"variation.gain_sigma": v}),
+        ],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_values_rejected(self, build, value):
+        # NaN would expand into a campaign with sigma = NaN and write the
+        # non-JSON token NaN into the scenario digest and record.
+        with pytest.raises(ValueError, match="finite"):
+            build(value)
 
     def test_non_mapping_payload_rejected(self):
         with pytest.raises(SpecValidationError) as excinfo:
@@ -408,13 +453,11 @@ class TestWorkerDeterminism:
 
 class TestAttacks:
     def test_attack_names(self):
-        assert set(ATTACKS) == {"none", "strip", "strip_pads"}
+        assert set(FLEET_TRANSFORMS) == {"none", "strip", "strip_pads"}
 
     def test_unknown_attack_fails_fast(self):
-        from repro.sweeps.scenario import apply_attack
-
         with pytest.raises(KeyError, match="unknown attack"):
-            apply_attack({}, "melt")
+            apply_fleet_transform({}, "melt")
 
     def test_strip_attack_defeats_identification(self, tmp_path):
         # At low noise the genuine fleet identifies perfectly; a fully

@@ -850,13 +850,15 @@ class TestImportedCampaignAndSweep:
 
     def test_sweep_spec_accepts_design_axis(self):
         from repro.sweeps.spec import (
+            SCHEMA_VERSION,
+            SweepSpec,
             expand_scenarios,
             scenario_config,
-            spec_from_dict,
         )
 
-        spec = spec_from_dict(
+        spec = SweepSpec.from_json_dict(
             {
+                "schema_version": SCHEMA_VERSION,
                 "name": "design-axis",
                 "base": {"parameters.k": 8, "parameters.m": 2,
                          "parameters.n1": 12, "parameters.n2": 16},
