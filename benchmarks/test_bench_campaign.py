@@ -4,10 +4,12 @@ The acquisition step ``Pw(device, n)`` dominates a campaign, so a
 sweep over *analysis-side* axes (``parameters.k/m/n1/n2``) pays for
 the same fleet manufacture and the same trace matrices once per
 scenario unless artifacts are shared.  This benchmark runs one such
-grid cold (no sharing) and shared (process-wide
-:class:`~repro.experiments.artifacts.ArtifactCache`), verifies the two
-stores are byte-identical, and records the scenario throughputs plus
-the cache's peak trace-matrix footprint in ``BENCH_campaign.json``.
+grid cold (each scenario alone through ``run_scenario``, no sharing)
+and shared (``run``, whose process-wide
+:class:`~repro.experiments.artifacts.ArtifactCache` every sweep uses),
+verifies the two stores are byte-identical, and records the scenario
+throughputs plus the cache's peak trace-matrix footprint in
+``BENCH_campaign.json``.
 Future PRs must not regress these numbers (nor ``BENCH_engine.json``
 or ``BENCH_sweep.json``).
 """
@@ -27,7 +29,15 @@ from repro.experiments.artifacts import (
     clear_process_artifact_cache,
     process_artifact_cache,
 )
-from repro.sweeps import GridAxis, SweepOptions, SweepSpec, SweepStore, run
+from repro.sweeps import (
+    GridAxis,
+    SweepOptions,
+    SweepSpec,
+    SweepStore,
+    expand_scenarios,
+    run,
+)
+from repro.sweeps.scenario import run_scenario
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_campaign.json"
 
@@ -39,7 +49,7 @@ MIN_ASSERTED_SPEEDUP = 3.0
 #: pinned, so every scenario can share one fleet and one acquisition
 #: stream (the n2=1500 scenarios slice the n2=6000 matrices by prefix).
 #: The working set (4 x 6000-trace DUT matrices + references, ~203 MB)
-#: stays inside the cache's default 256 MiB budget.
+#: is the one measurement group the cache retains.
 GRID = (
     GridAxis("parameters.k", (6, 10, 14, 18)),
     GridAxis("parameters.m", (8, 16)),
@@ -83,8 +93,20 @@ def test_bench_campaign_sharing(capsys):
         assert report.n_executed == n_scenarios
         return root, seconds
 
+    def timed_unshared():
+        root = tempfile.mkdtemp(prefix="bench_campaign_")
+        roots.append(root)
+        store = SweepStore(root)
+        start = time.perf_counter()
+        for scenario in expand_scenarios(_spec()):
+            result = run_scenario(scenario)
+            store.put(scenario.scenario_id, result["record"], result["arrays"])
+        seconds = time.perf_counter() - start
+        assert len(store) == n_scenarios
+        return root, seconds
+
     try:
-        cold_root, cold_seconds = timed_sweep(None)
+        cold_root, cold_seconds = timed_unshared()
         clear_process_artifact_cache()
         options = ArtifactOptions()
         shared_root, shared_seconds = timed_sweep(options)

@@ -6,11 +6,12 @@ Measures the sweep runner on reduced-parameter grids:
   multi-worker path has identical per-scenario cost plus lease
   scheduler overhead) and the warm path where every scenario is
   served from the content-addressed store;
-* artifact sharing plus the campaign-outcome memo against a plain run
-  on the same analysis grid (one fleet, one measurement tier, analysis
-  axes only), cold-for-cold (``sharing_*``), plus the repeat-study
-  regime where every campaign outcome is memoised
-  (``sharing_repeat_*``).
+* artifact sharing plus the campaign-outcome memo against an unshared
+  run on the same analysis grid (one fleet, one measurement tier,
+  analysis axes only), cold-for-cold (``sharing_*``), plus the
+  repeat-study regime where every campaign outcome is memoised
+  (``sharing_repeat_*``).  Every ``run`` shares, so the unshared
+  baseline runs each scenario alone through ``run_scenario``.
 
 Numbers land in ``BENCH_sweep.json``; the CI regression gate
 (``benchmarks/check_bench.py``) holds future PRs to them.
@@ -31,7 +32,15 @@ from repro.experiments.artifacts import (
     clear_process_artifact_cache,
 )
 from repro.hdl.engine import clear_program_cache
-from repro.sweeps import GridAxis, SweepOptions, SweepSpec, SweepStore, run
+from repro.sweeps import (
+    GridAxis,
+    SweepOptions,
+    SweepSpec,
+    SweepStore,
+    expand_scenarios,
+    run,
+)
+from repro.sweeps.scenario import run_scenario
 
 BENCH_FILE = pathlib.Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
 
@@ -86,6 +95,15 @@ def _sharing_spec() -> SweepSpec:
     )
 
 
+def _run_unshared(spec: SweepSpec, root: str) -> SweepStore:
+    """Each scenario run alone, with no artifact cache."""
+    store = SweepStore(root)
+    for scenario in expand_scenarios(spec):
+        result = run_scenario(scenario)
+        store.put(scenario.scenario_id, result["record"], result["arrays"])
+    return store
+
+
 @pytest.fixture(scope="module")
 def results():
     return {}
@@ -94,12 +112,17 @@ def results():
 def test_bench_sweep_cold(benchmark, results):
     roots = []
 
-    def run_cold():
+    def setup():
+        # Cold: no campaign outcome memoised by the previous round.
+        clear_process_artifact_cache()
         root = tempfile.mkdtemp(prefix="bench_sweep_")
         roots.append(root)
+        return (root,), {}
+
+    def run_cold(root):
         return run(_spec(), SweepStore(root))
 
-    report = benchmark.pedantic(run_cold, rounds=3, iterations=1)
+    report = benchmark.pedantic(run_cold, setup=setup, rounds=3, iterations=1)
     for root in roots:
         shutil.rmtree(root, ignore_errors=True)
     assert report.n_executed == 12
@@ -119,7 +142,7 @@ def test_bench_sweep_warm_store(benchmark, results):
 
 
 def test_bench_sweep_sharing_grid_plain(benchmark, results):
-    """Baseline for the sharing entries: same grid, plain executor."""
+    """Baseline for the sharing entries: same grid, nothing shared."""
     roots = []
 
     def setup():
@@ -129,10 +152,10 @@ def test_bench_sweep_sharing_grid_plain(benchmark, results):
         return (root,), {}
 
     def run_plain(root):
-        return run(_sharing_spec(), SweepStore(root))
+        return _run_unshared(_sharing_spec(), root)
 
-    report = benchmark.pedantic(run_plain, setup=setup, rounds=3, iterations=1)
-    assert report.n_executed == 12
+    store = benchmark.pedantic(run_plain, setup=setup, rounds=3, iterations=1)
+    assert len(store) == 12
     results["_plain_root"] = roots[-1]
     results["_plain_keep"] = roots
     results["sharing_grid_plain_seconds"] = benchmark.stats.stats.mean

@@ -22,12 +22,14 @@ pairs over campaign-config paths (``noise.sigma``, ``parameters.n2``,
 ``adc.bits``, ``watermarked``, ``attack``, ...); values are parsed as
 JSON scalars.  Without ``--axis`` a default 24-scenario surface (noise
 x trace budget x attack) is swept at a reduced, fast parameter point.
-Without ``--workers`` it gets one attempt slot per usable CPU.
-``--share-artifacts`` reuses manufactured fleets, acquired trace
-matrices and whole memoised campaign outcomes across scenarios whose
-config tiers agree (byte-identical results, order-of-magnitude faster
-analysis-axis grids and repeat studies); ``--artifact-cache DIR`` adds
-an on-disk tier shared by all workers and runs.
+Without ``--workers`` it gets one attempt slot per usable CPU.  Every
+sweep reuses manufactured fleets, acquired trace matrices and whole
+memoised campaign outcomes across scenarios whose config tiers agree
+(byte-identical results, order-of-magnitude faster analysis-axis
+grids and repeat studies); each process keeps one measurement group's
+traces, and scenarios of one group run back to back.
+``--artifact-cache DIR`` adds an on-disk tier shared by all workers
+and runs.
 
 Sweeps degrade gracefully instead of aborting: failures retry with
 backoff (``--max-retries``, default 2 re-attempts) and scenarios that
@@ -274,6 +276,7 @@ def _check_count_flags(args: argparse.Namespace) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.experiments.artifacts import ArtifactOptions
     from repro.sweeps import (
         FailureLog,
         GridAxis,
@@ -359,14 +362,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         removed += LeaseManager(store.root, scheduler.lease_ttl).scrub()
         removed += FailureLog(store.root).scrub(store)
         print(f"scrubbed {len(removed)} stale file(s) from {store.root}")
-    artifacts = None
-    if args.share_artifacts or args.artifact_cache:
-        from repro.experiments.artifacts import ArtifactOptions
-
-        artifacts = ArtifactOptions(root=args.artifact_cache)
     options = SweepOptions(
         n_workers=workers,
-        artifacts=artifacts,
+        artifacts=ArtifactOptions(root=args.artifact_cache),
         retry=RetryPolicy(max_attempts=args.max_retries + 1),
         # Lease flags select the scheduler even for one worker.
         scheduler=scheduler if scheduler_kwargs else None,
@@ -376,12 +374,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"({len(spec.grid)} grid axes"
         + (f", {len(spec.random)} random axes x {spec.n_random}" if spec.random else "")
         + f"), store {store.root}, {workers} worker(s)"
-        + (
-            f", shared artifacts"
-            + (f" (disk tier: {args.artifact_cache})" if args.artifact_cache else "")
-            if artifacts is not None
-            else ""
-        )
+        + (f", artifact disk tier {args.artifact_cache}" if args.artifact_cache else "")
         + (", lease scheduler" if options.lease_scheduled else "")
     )
     report = run(spec, store, options)
@@ -537,19 +530,13 @@ def build_parser() -> argparse.ArgumentParser:
         "one runs the sweep on the lease scheduler",
     )
     sweep.add_argument(
-        "--share-artifacts",
-        action="store_true",
-        help="share manufactured fleets and acquired trace matrices "
-        "across scenarios that agree on the fleet/measurement tiers "
-        "(byte-identical results; pin fleet_seed/measurement_seed via "
-        "--base to unlock sharing on analysis-axis grids)",
-    )
-    sweep.add_argument(
         "--artifact-cache",
         metavar="DIR",
         default=None,
-        help="on-disk artifact tier shared by all workers and runs "
-        "(implies --share-artifacts)",
+        help="on-disk tier of the trace matrices and campaign outcomes "
+        "every sweep shares, read by all workers and runs (pin "
+        "fleet_seed/measurement_seed via --base to share on "
+        "analysis-axis grids)",
     )
     sweep.add_argument(
         "--max-retries",

@@ -38,9 +38,12 @@ Campaigns run inside a sweep may additionally tamper with the DUTs
 the ``fleet_tag``, so attacked and pristine fleets never share
 artifacts.
 
-:class:`ArtifactCache` is the two-tier store built on those keys: a
-process-wide byte-budgeted LRU over trace matrices (plus a small fleet
-LRU), optionally backed by an on-disk content-addressed tier that
+:class:`ArtifactCache` is the two-tier store built on those keys.  In
+memory it retains the trace matrices of one measurement group (one
+measurement base key) at a time, plus small LRUs of fleets and
+outcomes; :func:`repro.sweeps.run` orders a sweep so that scenarios
+sharing a measurement run back to back, which is what lets that one
+group serve them all.  An optional on-disk content-addressed tier
 reuses the :class:`~repro.sweeps.store.SweepStore` machinery
 (deterministic array bundles, atomic completion-marker writes) so
 sweep workers — or separate runs — share acquisitions through the
@@ -80,17 +83,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 #: the acquisition byte stream change incompatibly.
 ARTIFACT_SCHEMA = 1
 
-#: Default byte budget of the in-memory trace-matrix LRU (256 MiB —
-#: two paper-sized DUT acquisitions).
-DEFAULT_TRACE_BUDGET = 256 * 1024 * 1024
+#: Manufactured fleets kept alive per cache (a paper fleet with its
+#: simulated waveforms is about 0.14 MB).
+FLEET_SLOTS = 8
 
-#: Default number of manufactured fleets kept alive per process.
-DEFAULT_FLEET_SLOTS = 8
-
-#: Default number of memoised campaign outcomes kept alive per process
-#: (an outcome is just 16 correlation sets plus verdicts — tiny next
-#: to a trace matrix, so dozens are cheap).
-DEFAULT_OUTCOME_SLOTS = 32
+#: Memoised campaign outcomes kept alive per cache (an outcome is just
+#: 16 correlation sets plus verdicts — tiny next to a trace matrix, so
+#: dozens are cheap).
+OUTCOME_SLOTS = 32
 
 
 def _canonical_json(value: object) -> str:
@@ -218,22 +218,10 @@ class ArtifactOptions:
     picklable.
 
     ``root`` enables the on-disk tier under that directory; ``None``
-    keeps sharing process-local.  ``max_trace_bytes`` bounds the
-    in-memory trace LRU.
+    keeps sharing process-local.
     """
 
     root: Optional[str] = None
-    max_trace_bytes: int = DEFAULT_TRACE_BUDGET
-    max_fleets: int = DEFAULT_FLEET_SLOTS
-    max_outcomes: int = DEFAULT_OUTCOME_SLOTS
-
-    def __post_init__(self) -> None:
-        if self.max_trace_bytes <= 0:
-            raise ValueError("max_trace_bytes must be positive")
-        if self.max_fleets <= 0:
-            raise ValueError("max_fleets must be positive")
-        if self.max_outcomes <= 0:
-            raise ValueError("max_outcomes must be positive")
 
 
 @dataclass
@@ -276,7 +264,7 @@ class ArtifactCache:
         self.options = options if options is not None else ArtifactOptions()
         self.stats = ArtifactStats()
         self._fleets: "OrderedDict[str, object]" = OrderedDict()
-        self._traces: "OrderedDict[Tuple[str, str, int], TraceSet]" = OrderedDict()
+        self._traces: Dict[Tuple[str, str, int], TraceSet] = {}
         self._outcomes: "OrderedDict[str, object]" = OrderedDict()
         self._store = None
         if self.options.root is not None:
@@ -312,7 +300,7 @@ class ArtifactCache:
         self.stats.fleet_misses += 1
         built = factory()
         self._fleets[key] = built
-        while len(self._fleets) > self.options.max_fleets:
+        while len(self._fleets) > FLEET_SLOTS:
             self._fleets.popitem(last=False)
         return built
 
@@ -340,12 +328,6 @@ class ArtifactCache:
             self.stats.note_bytes(-old.matrix.nbytes)
         self._traces[key] = traces
         self.stats.note_bytes(traces.matrix.nbytes)
-        while (
-            self.stats.bytes_in_memory > self.options.max_trace_bytes
-            and len(self._traces) > 1
-        ):
-            _, evicted = self._traces.popitem(last=False)
-            self.stats.note_bytes(-evicted.matrix.nbytes)
 
     def traces(
         self,
@@ -367,16 +349,19 @@ class ArtifactCache:
     ) -> List[TraceSet]:
         """Acquire-or-reuse traces for ``(device, n_traces)`` requests.
 
-        Lookup order: memory LRU, disk tier, cold acquisition.  A hit
-        whose matrix holds at least ``n_traces`` rows is served as a
-        read-only prefix view; a larger request re-acquires from the
-        same keyed stream (the old entry is a prefix of the new one)
-        and replaces the cache entry.  Every lookup, LRU update and
-        disk access happens on the calling thread; the misses are
-        acquired together, concurrently, by
-        :func:`~repro.acquisition.bench.acquire_keyed`.
+        Lookup order: memory, disk tier, cold acquisition.  Memory
+        holds one measurement group: the trace matrices of any other
+        measurement base key are dropped first.  A hit whose matrix
+        holds at least ``n_traces`` rows is served as a read-only
+        prefix view; a larger request re-acquires from the same keyed
+        stream (the old entry is a prefix of the new one) and replaces
+        the cache entry.  Every lookup and disk access happens on the
+        calling thread; the misses are acquired together,
+        concurrently, by :func:`~repro.acquisition.bench.acquire_keyed`.
         """
         base_key = measurement_base_key(config, fleet_tag)
+        for key in [key for key in self._traces if key[0] != base_key]:
+            self.stats.note_bytes(-self._traces.pop(key).matrix.nbytes)
         served: List[Optional[TraceSet]] = []
         misses: List[Tuple[int, Tuple[str, str, int]]] = []
         for index, (device, n_traces) in enumerate(requests):
@@ -406,7 +391,6 @@ class ArtifactCache:
         """A cached (memory, then disk) prefix of ``n_traces`` rows, if any."""
         cached = self._traces.get(key)
         if cached is not None and cached.n_traces >= n_traces:
-            self._traces.move_to_end(key)
             self.stats.trace_hits += 1
             return self._prefix(cached, n_traces)
         loaded = self._load_from_store(key, n_traces)
@@ -470,7 +454,7 @@ class ArtifactCache:
     def _remember_outcome_in_memory(self, key: str, outcome: object) -> None:
         self._outcomes[key] = outcome
         self._outcomes.move_to_end(key)
-        while len(self._outcomes) > self.options.max_outcomes:
+        while len(self._outcomes) > OUTCOME_SLOTS:
             self._outcomes.popitem(last=False)
 
     # -- disk tier ---------------------------------------------------------
@@ -663,8 +647,8 @@ def clear_process_artifact_cache() -> None:
 
 __all__ = [
     "ARTIFACT_SCHEMA",
-    "DEFAULT_OUTCOME_SLOTS",
-    "DEFAULT_TRACE_BUDGET",
+    "FLEET_SLOTS",
+    "OUTCOME_SLOTS",
     "ArtifactCache",
     "ArtifactOptions",
     "ArtifactStats",

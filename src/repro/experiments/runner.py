@@ -323,43 +323,6 @@ def run_campaign(
     return outcome
 
 
-def repeated_accuracy(
-    base_config: Optional[CampaignConfig] = None,
-    n_repeats: int = 5,
-    distinguisher_names: Sequence[str] = ("higher-mean", "lower-variance"),
-    artifacts: Optional[ArtifactCache] = None,
-) -> Dict[str, float]:
-    """Identification accuracy over repeated campaigns (E10).
-
-    Re-seeds measurement and analysis per repeat while keeping the same
-    manufactured fleet, i.e. repeats the lab session on the same chips:
-    the devices are built once (through ``artifacts`` when given, so a
-    whole study — or several studies on the same base config — shares
-    one fleet and its simulated waveforms) and passed to every
-    :func:`run_campaign`.  Each repeat's measurement seed differs, so
-    trace acquisition is per-repeat by design; only fleet-tier work is
-    shared.
-    """
-    if n_repeats <= 0:
-        raise ValueError("n_repeats must be positive")
-    cfg = base_config if base_config is not None else CampaignConfig()
-    if artifacts is not None:
-        fleet = artifacts.fleet(cfg, "none", lambda: manufacture_fleet(cfg))
-    else:
-        fleet = manufacture_fleet(cfg)
-    totals = {name: 0.0 for name in distinguisher_names}
-    for repeat in range(n_repeats):
-        repeat_cfg = replace(
-            cfg,
-            measurement_seed=cfg.measurement_seed + 1000 * (repeat + 1),
-            analysis_seed=cfg.analysis_seed + 1000 * (repeat + 1),
-        )
-        outcome = run_campaign(repeat_cfg, fleet=fleet, artifacts=artifacts)
-        for name in distinguisher_names:
-            totals[name] += outcome.accuracy(name)
-    return {name: total / n_repeats for name, total in totals.items()}
-
-
 __all__ = [
     "CampaignConfig",
     "CampaignOutcome",
@@ -367,7 +330,6 @@ __all__ = [
     "build_campaign_fleet",
     "manufacture_fleet",
     "run_campaign",
-    "repeated_accuracy",
     "DUT_ORDER",
     "REF_ORDER",
     "DUT_CONTENTS",

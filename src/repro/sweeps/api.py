@@ -17,19 +17,32 @@ many instances on one store root); any other sweep runs inline in the
 calling process (:mod:`repro.sweeps.executor`).  Both run the same
 attempt body and the same failure step, under the one retry setting
 ``options.retry``.
+
+Every sweep shares artifacts: each process that runs attempts keeps
+one :class:`~repro.experiments.artifacts.ArtifactCache`, which retains
+the trace matrices of one measurement group.  So :func:`run` hands
+the pending scenarios over grouped: scenarios whose overrides agree
+outside :data:`~repro.sweeps.spec.ANALYSIS_FIELDS` run back to back,
+the groups in order of first appearance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
+from repro.experiments.artifacts import ArtifactOptions
 from repro.sweeps.scheduler import RetryPolicy, SchedulerOptions
-from repro.sweeps.spec import SweepSpec, expand_scenarios
+from repro.sweeps.spec import (
+    ANALYSIS_FIELDS,
+    Scenario,
+    SweepSpec,
+    canonical_json,
+    expand_scenarios,
+)
 from repro.sweeps.store import SweepStore
 
 if TYPE_CHECKING:  # imported lazily at call time to avoid module cycles
-    from repro.experiments.artifacts import ArtifactOptions
     from repro.sweeps.executor import SweepReport
 
 
@@ -44,10 +57,11 @@ class SweepOptions:
         a persistent worker process.
 
     ``artifacts``
-        :class:`~repro.experiments.artifacts.ArtifactOptions` enabling
+        :class:`~repro.experiments.artifacts.ArtifactOptions` of the
         cross-scenario fleet/trace sharing and campaign-outcome
-        memoisation (an options ``root`` adds the on-disk tier shared
-        across workers, runs and service instances).
+        memoisation every sweep runs with (an options ``root`` adds
+        the on-disk tier shared across workers, runs and service
+        instances).
 
     ``retry``
         Per-scenario attempt budget and backoff, the only retry
@@ -64,7 +78,7 @@ class SweepOptions:
     """
 
     n_workers: int = 1
-    artifacts: Optional["ArtifactOptions"] = None
+    artifacts: ArtifactOptions = field(default_factory=ArtifactOptions)
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     scheduler: Optional[SchedulerOptions] = None
 
@@ -107,14 +121,26 @@ def run(
         scenario_ids=[s.scenario_id for s in scenarios],
         n_workers=options.n_workers,
     )
-    pending = []
+    # Pending scenarios of one measurement group run back to back, so
+    # the one group each process retains serves them all.  The key
+    # reads the overrides alone: an invalid scenario must still reach
+    # its attempt and be quarantined there.
+    groups: Dict[str, List[Scenario]] = {}
     for scenario in scenarios:
         if store.has(scenario.scenario_id):
             report.cached_ids.append(scenario.scenario_id)
             if progress is not None:
                 progress(scenario.scenario_id, False)
         else:
-            pending.append(scenario)
+            key = canonical_json(
+                {
+                    name: value
+                    for name, value in scenario.overrides.items()
+                    if name not in ANALYSIS_FIELDS
+                }
+            )
+            groups.setdefault(key, []).append(scenario)
+    pending = [scenario for group in groups.values() for scenario in group]
 
     execute = _scheduled_sweep if options.lease_scheduled else _inline_sweep
     execute(pending, store, report, options, progress)

@@ -80,6 +80,7 @@ from dataclasses import dataclass
 from multiprocessing.connection import Connection, wait
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
+from repro.experiments.artifacts import process_artifact_cache
 from repro.sweeps.spec import Scenario
 from repro.sweeps.store import SweepStore
 
@@ -478,11 +479,7 @@ def _attempt_worker(conn: Connection, store_root: str, artifact_options) -> None
         scenario, attempt = task
         reply = None
         try:
-            artifacts = None
-            if artifact_options is not None:
-                from repro.experiments.artifacts import process_artifact_cache
-
-                artifacts = process_artifact_cache(artifact_options)
+            artifacts = process_artifact_cache(artifact_options)
             _execute_attempt(store, scenario, attempt, artifacts)
         except Exception as error:  # noqa: BLE001 — the whole point
             reply = error_info(error)
@@ -601,8 +598,11 @@ def _scheduled_sweep(
     while this one waited.
 
     ``sweep.artifacts`` (an :class:`~repro.experiments.artifacts
-    .ArtifactOptions`) is forwarded to each worker; the on-disk
-    artifact tier is the sharing vehicle across workers and
+    .ArtifactOptions`) is forwarded to each worker, whose process-wide
+    cache keeps one measurement group's traces between attempts; the
+    slots take the pending scenarios in the grouped order
+    :func:`repro.sweeps.run` hands over.  The on-disk artifact tier,
+    when configured, is the sharing vehicle across workers and
     schedulers.
     """
     options = sweep.scheduler or SchedulerOptions()

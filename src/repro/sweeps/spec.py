@@ -28,15 +28,18 @@ assignment.  Results therefore do not depend on worker count or
 execution order, and repeat-style sweeps are just an explicit axis over
 ``measurement_seed``.
 
-**Artifact sharing.**  Scenarios whose fleet and measurement tiers
-agree (see :mod:`repro.experiments.artifacts`) can share manufactured
-fleets and acquired trace matrices.  Because the derived seeds mix the
-*whole* assignment, an analysis-axis-only grid (:data:`ANALYSIS_FIELDS`
-— ``parameters.k/m/n1/n2``, ``analysis_seed``, ``single_reference``)
-still gets a distinct ``measurement_seed`` per scenario; to unlock
-sharing, pin ``fleet_seed`` and ``measurement_seed`` in ``base`` —
-scenario digests stay stable either way, since the digest covers the
-final override values, not how they were derived.
+**Artifact sharing.**  Every sweep shares manufactured fleets and
+acquired trace matrices between scenarios whose fleet and measurement
+tiers agree (see :mod:`repro.experiments.artifacts`).  Each process
+keeps one measurement group's traces, so :func:`repro.sweeps.run`
+runs the scenarios whose overrides agree outside
+:data:`ANALYSIS_FIELDS` back to back.  Because the derived seeds mix
+the *whole* assignment, an analysis-axis-only grid
+(``parameters.k/m/n1/n2``, ``analysis_seed``, ``single_reference``)
+still gets a distinct ``measurement_seed`` per scenario; pinning
+``fleet_seed`` and ``measurement_seed`` in ``base`` is what lets it
+share — scenario digests stay stable either way, since the digest
+covers the final override values, not how they were derived.
 """
 
 from __future__ import annotations
@@ -96,7 +99,9 @@ CONFIG_FIELDS = frozenset(
 #: ceilings — keyed acquisition is prefix-stable across budgets).  A
 #: grid confined to these fields can share every fleet and acquisition
 #: artifact once ``fleet_seed``/``measurement_seed`` are pinned in
-#: ``base``.
+#: ``base``.  :func:`repro.sweeps.run` groups pending scenarios by their
+#: overrides outside this set, so one measurement group runs back to
+#: back.
 ANALYSIS_FIELDS = frozenset(
     {
         "parameters.k",
@@ -148,8 +153,21 @@ def _check_value(field_name: str, value: object) -> None:
         )
     # NaN and the infinities are not JSON values: canonical_json would
     # write them into digests and records as bare tokens.
-    if isinstance(value, float) and not math.isfinite(value):
+    if isinstance(value, (int, float)) and not _finite(value):
         raise ValueError(f"axis {field_name!r}: value {value!r} is not finite")
+
+
+def _finite(number: float) -> bool:
+    """True when ``number`` converts to a finite float.
+
+    An integer beyond the float range is not: it would only fail inside
+    a campaign, where a float-valued field such as ``noise.sigma``
+    converts it.
+    """
+    try:
+        return math.isfinite(number)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -184,7 +202,7 @@ class RandomAxis:
         _check_field(self.field)
         if self.field == ATTACK_FIELD:
             raise ValueError("the attack axis cannot be randomly sampled")
-        if not (math.isfinite(self.low) and math.isfinite(self.high)):
+        if not (_finite(self.low) and _finite(self.high)):
             raise ValueError(
                 f"axis {self.field!r}: bounds {self.low} and {self.high} must be finite"
             )

@@ -48,8 +48,15 @@ from repro.experiments.runner import (
 )
 from repro.power.models import PowerModel
 from repro.power.noise import NoiseModel
-from repro.sweeps import GridAxis, SweepOptions, SweepSpec, SweepStore, run
-from repro.sweeps.scenario import outcome_arrays, outcome_metrics
+from repro.sweeps import (
+    GridAxis,
+    SweepOptions,
+    SweepSpec,
+    SweepStore,
+    expand_scenarios,
+    run,
+)
+from repro.sweeps.scenario import outcome_arrays, outcome_metrics, run_scenario
 from repro.acquisition.device import Device
 
 
@@ -477,8 +484,6 @@ class TestArtifactCache:
         # An arbitrary fleet= cannot be combined with artifacts=: the
         # trace cache could not tell its traces from the config-built
         # fleet's.  A fleet obtained from the cache itself is fine.
-        from repro.experiments.runner import manufacture_fleet, repeated_accuracy
-
         cfg = quick_config()
         cache = ArtifactCache()
         with pytest.raises(ValueError, match="artifacts.fleet"):
@@ -488,21 +493,21 @@ class TestArtifactCache:
         baseline = coefficient_matrix(run_campaign(cfg))
         for pair, coefficients in coefficient_matrix(outcome).items():
             np.testing.assert_array_equal(coefficients, baseline[pair])
-        # repeated_accuracy routes its fleet through the cache, so the
-        # provenance check accepts it.
-        shared = repeated_accuracy(cfg, n_repeats=2, artifacts=ArtifactCache())
-        unshared = repeated_accuracy(cfg, n_repeats=2)
-        assert shared == unshared
 
-    def test_memory_budget_evicts_lru(self):
-        device = make_device()
+    def test_memory_keeps_one_measurement_group(self):
         cfg = quick_config()
-        row_bytes = 8 * device.trace_length()
-        cache = ArtifactCache(ArtifactOptions(max_trace_bytes=30 * row_bytes))
+        other = dataclasses.replace(cfg, measurement_seed=cfg.measurement_seed + 1)
+        set_bytes = 20 * 8 * make_device().trace_length()
+        cache = ArtifactCache()
         cache.traces(cfg, make_device("a"), 20)
         cache.traces(cfg, make_device("b"), 20)
-        assert cache.stats.bytes_in_memory <= 30 * row_bytes
-        assert cache.stats.peak_bytes >= 20 * row_bytes
+        assert cache.stats.bytes_in_memory == 2 * set_bytes
+        # Another measurement base key drops the first group whole.
+        cache.traces(other, make_device("a"), 20)
+        assert cache.stats.bytes_in_memory == set_bytes
+        assert cache.stats.peak_bytes == 2 * set_bytes
+        cache.traces(cfg, make_device("a"), 20)
+        assert (cache.stats.trace_hits, cache.stats.trace_misses) == (0, 4)
 
     def test_disk_tier_round_trip(self, tmp_path):
         root = str(tmp_path / "artifacts")
@@ -534,18 +539,15 @@ class TestArtifactCache:
         with pytest.raises(KeyError):
             cache.fleet(quick_config())
 
-    def test_process_cache_reconfigures_on_new_options(self):
+    def test_process_cache_reconfigures_on_new_options(self, tmp_path):
         clear_process_artifact_cache()
         try:
+            root = str(tmp_path)
             default = process_artifact_cache()
             assert process_artifact_cache() is default
-            resized = process_artifact_cache(
-                ArtifactOptions(max_trace_bytes=1024)
-            )
-            assert resized is not default
-            assert process_artifact_cache(
-                ArtifactOptions(max_trace_bytes=1024)
-            ) is resized
+            on_disk = process_artifact_cache(ArtifactOptions(root=root))
+            assert on_disk is not default
+            assert process_artifact_cache(ArtifactOptions(root=root)) is on_disk
         finally:
             clear_process_artifact_cache()
 
@@ -579,6 +581,15 @@ class TestArtifactCache:
         assert run_campaign(cfg, artifacts=cache) is pristine
 
 
+def unshared_store(spec, root):
+    """The reference store: each scenario run alone, with no cache."""
+    store = SweepStore(root)
+    for scenario in expand_scenarios(spec):
+        result = run_scenario(scenario)
+        store.put(scenario.scenario_id, result["record"], result["arrays"])
+    return store
+
+
 def sharing_spec(name="shared", seed=5, pinned=True, attacks=("none",)):
     base = {
         "parameters.n1": 32,
@@ -605,14 +616,9 @@ class TestSweepSharingByteIdentity:
         self, tmp_path, n_workers
     ):
         spec = sharing_spec(attacks=("none", "strip"))
-        plain = SweepStore(str(tmp_path / f"plain{n_workers}"))
+        plain = unshared_store(spec, str(tmp_path / "plain"))
         shared = SweepStore(str(tmp_path / f"shared{n_workers}"))
-        run(spec, plain, SweepOptions(n_workers=n_workers))
-        run(
-            spec,
-            shared,
-            SweepOptions(n_workers=n_workers, artifacts=ArtifactOptions()),
-        )
+        run(spec, shared, SweepOptions(n_workers=n_workers))
         assert store_digests(plain.root) == store_digests(shared.root)
 
     def test_disk_tier_matches_memory_only_sharing(self, tmp_path):
@@ -634,10 +640,9 @@ class TestSweepSharingByteIdentity:
         # (no sharing opportunity), but enabling the cache must remain
         # a no-op on the results.
         spec = sharing_spec(pinned=False)
-        plain = SweepStore(str(tmp_path / "plain"))
+        plain = unshared_store(spec, str(tmp_path / "plain"))
         shared = SweepStore(str(tmp_path / "shared"))
-        run(spec, plain)
-        run(spec, shared, SweepOptions(artifacts=ArtifactOptions()))
+        run(spec, shared)
         assert store_digests(plain.root) == store_digests(shared.root)
 
     def test_sharing_skips_redundant_acquisition(self, tmp_path):
@@ -659,14 +664,87 @@ class TestSweepSharingByteIdentity:
         clear_process_artifact_cache()
         try:
             spec = sharing_spec(attacks=("none", "strip"))
-            plain = SweepStore(str(tmp_path / "plain"))
-            run(spec, plain)
-            options = SweepOptions(artifacts=ArtifactOptions())
-            run(spec, SweepStore(str(tmp_path / "first")), options)
+            plain = unshared_store(spec, str(tmp_path / "plain"))
+            run(spec, SweepStore(str(tmp_path / "first")))
             repeat = SweepStore(str(tmp_path / "repeat"))
-            report = run(spec, repeat, options)
+            report = run(spec, repeat)
             assert report.n_executed == spec.n_scenarios
             assert process_artifact_cache().stats.outcome_hits == spec.n_scenarios
             assert store_digests(repeat.root) == store_digests(plain.root)
         finally:
             clear_process_artifact_cache()
+
+
+class TestEverySweepShares:
+    """Default options share, one measurement group per process."""
+
+    def test_default_inline_sweep_runs_each_group_back_to_back(self, tmp_path):
+        clear_process_artifact_cache()
+        try:
+            # Expansion alternates the attack; grouped, each attack's
+            # fleet and eight trace sets are built once.
+            spec = sharing_spec(attacks=("none", "strip"))
+            run(spec, SweepStore(str(tmp_path / "store")), SweepOptions())
+            stats = process_artifact_cache().stats
+            assert stats.fleet_misses == 2
+            assert (stats.trace_misses, stats.trace_hits) == (16, 48)
+            # Only the last group's trace sets stay in memory.
+            assert stats.bytes_in_memory == stats.bytes_acquired // 2
+            assert stats.peak_bytes == stats.bytes_in_memory
+        finally:
+            clear_process_artifact_cache()
+
+    @pytest.mark.parametrize("pinned", [True, False])
+    def test_pending_scenarios_run_grouped_by_first_appearance(self, tmp_path, pinned):
+        spec = sharing_spec(pinned=pinned, attacks=("none", "strip"))
+        expanded = expand_scenarios(spec)
+        if pinned:  # two measurement groups, one per attack
+            expected = [s for s in expanded if s.attack == "none"]
+            expected += [s for s in expanded if s.attack == "strip"]
+        else:  # derived seeds: every scenario its own group, order kept
+            expected = expanded
+        landed = []
+        run(
+            spec,
+            SweepStore(str(tmp_path / "store")),
+            progress=lambda scenario_id, executed: landed.append(scenario_id),
+        )
+        assert landed == [s.scenario_id for s in expected]
+
+    def test_two_workers_share_within_a_group(self, tmp_path, monkeypatch):
+        # Analysis axes only, seeds pinned: one measurement group.
+        spec = SweepSpec(
+            name="analysis",
+            grid=(
+                GridAxis("parameters.k", (4, 8)),
+                GridAxis("analysis_seed", (1, 2, 3)),
+            ),
+            base={
+                "parameters.m": 4,
+                "parameters.n1": 32,
+                "parameters.n2": 64,
+                "fleet_seed": 2014,
+                "measurement_seed": 42,
+            },
+            seed=5,
+        )
+        acquired = tmp_path / "acquired"
+        acquire = Oscilloscope.acquire
+
+        def logged_acquire(self, *args, **kwargs):
+            # Forked workers inherit the patch; O_APPEND keeps their
+            # one-byte writes whole.
+            with open(acquired, "a") as log:
+                log.write(".")
+            return acquire(self, *args, **kwargs)
+
+        clear_process_artifact_cache()
+        monkeypatch.setattr(Oscilloscope, "acquire", logged_acquire)
+        shared = SweepStore(str(tmp_path / "shared"))
+        run(spec, shared, SweepOptions(n_workers=2))
+        # Each worker acquires the group's eight trace sets once, not
+        # once per scenario (6 x 8 = 48).
+        assert len(acquired.read_text()) <= 2 * 8
+        monkeypatch.undo()
+        plain = unshared_store(spec, str(tmp_path / "plain"))
+        assert store_digests(shared.root) == store_digests(plain.root)

@@ -125,6 +125,7 @@ class TestHealthAndErrors:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=30)
+        excinfo.value.close()
         assert excinfo.value.code == 400
 
     def test_invalid_spec_names_offending_path(self, service):

@@ -259,6 +259,24 @@ class TestSpecWireFormat:
                 id="inf-grid[0].values",
             ),
             pytest.param(
+                lambda p: p["grid"][0].update(values=[0.5, 10**400]),
+                "grid[0].values",
+                id="overflow-grid[0].values",
+            ),
+            *(
+                pytest.param(
+                    lambda p, key=key: p.update(base={key: 10**400}),
+                    f"base.{key}",
+                    id=f"overflow-base.{key}",
+                )
+                for key in (
+                    "noise.sigma",
+                    "noise.drift_sigma",
+                    "adc.headroom",
+                    "variation.gain_sigma",
+                )
+            ),
+            pytest.param(
                 lambda p: p["random"][0].update(high=float("inf")),
                 "random[0]",
                 id="inf-random[0].high",
@@ -293,10 +311,13 @@ class TestSpecWireFormat:
             lambda v: SweepSpec(name="x", base={"variation.gain_sigma": v}),
         ],
     )
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), 10**400], ids=["nan", "inf", "1e400"]
+    )
     def test_non_finite_values_rejected(self, build, value):
         # NaN would expand into a campaign with sigma = NaN and write the
-        # non-JSON token NaN into the scenario digest and record.
+        # non-JSON token NaN into the scenario digest and record; an
+        # integer beyond the float range fails the campaign's noise draw.
         with pytest.raises(ValueError, match="finite"):
             build(value)
 
