@@ -7,12 +7,6 @@ from repro.acquisition.bench import (
     derive_acquisition_seed,
     make_rng,
 )
-from repro.acquisition.io import (
-    load_campaign,
-    load_trace_set,
-    save_campaign,
-    save_trace_set,
-)
 from repro.acquisition.device import Device, prime_fleet_activity
 from repro.acquisition.faults import (
     clip_traces,
@@ -34,10 +28,6 @@ __all__ = [
     "acquire_traces",
     "derive_acquisition_seed",
     "make_rng",
-    "save_trace_set",
-    "load_trace_set",
-    "save_campaign",
-    "load_campaign",
     "clip_traces",
     "drop_samples",
     "desynchronize",

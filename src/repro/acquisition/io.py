@@ -1,179 +1,23 @@
-"""Trace-set and result persistence.
+"""Result persistence: deterministic array bundles.
 
-Real side-channel campaigns separate acquisition from analysis: the
-bench writes traces to disk, the analyst loads them later.  TraceSets
-round-trip through NumPy ``.npz`` archives with their device name and
-a format version; a campaign directory additionally carries a
-``campaign.json`` manifest (device inventory, shapes and free-form
-metadata) that is validated on load, so campaigns are archivable and
-shareable.
-
-The module also provides *deterministic* array bundles
-(:func:`save_array_bundle` / :func:`load_array_bundle`): npz-compatible
-archives whose bytes depend only on their contents — zip timestamps are
-pinned — so content-addressed stores (see :mod:`repro.sweeps.store`)
-can compare results file-by-file across runs and machines.
+:func:`save_array_bundle` / :func:`load_array_bundle` write and read
+npz-compatible archives whose bytes depend only on their contents —
+zip timestamps are pinned — so the content-addressed sweep store (see
+:mod:`repro.sweeps.store`) can compare results file-by-file across
+runs and machines.
 """
 
 from __future__ import annotations
 
 import io as _io
 import json
-import os
 import zipfile
-from typing import Any, Dict, Iterable, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional
 
 import numpy as np
 
-from repro.acquisition.traces import TraceSet
-
-#: Format version written into every archive and manifest.
-FORMAT_VERSION = 1
-
-#: File name of the campaign manifest inside a campaign directory.
-MANIFEST_NAME = "campaign.json"
-
 #: Reserved entry name carrying the JSON metadata of an array bundle.
 _BUNDLE_METADATA_KEY = "__bundle_metadata__"
-
-
-def save_trace_set(traces: TraceSet, path: str) -> None:
-    """Write one trace set to an ``.npz`` archive."""
-    np.savez_compressed(
-        path,
-        matrix=traces.matrix,
-        device_name=np.array(traces.device_name),
-        format_version=np.array(FORMAT_VERSION),
-    )
-
-
-def load_trace_set(path: str) -> TraceSet:
-    """Load a trace set written by :func:`save_trace_set`."""
-    with np.load(path, allow_pickle=False) as archive:
-        if "matrix" not in archive or "device_name" not in archive:
-            raise ValueError(f"{path} is not a trace-set archive")
-        version = int(archive["format_version"]) if "format_version" in archive else 0
-        if version > FORMAT_VERSION:
-            raise ValueError(
-                f"{path} was written by a newer format (version {version})"
-            )
-        return TraceSet(str(archive["device_name"]), archive["matrix"])
-
-
-def save_campaign(
-    trace_sets: Dict[str, TraceSet],
-    directory: str,
-    metadata: Optional[Mapping[str, Any]] = None,
-) -> Dict[str, str]:
-    """Write several trace sets plus a manifest; returns name -> path.
-
-    ``metadata`` is any JSON-serialisable mapping (acquisition
-    settings, operator notes, …); it round-trips through
-    :func:`load_campaign_metadata`.
-    """
-    os.makedirs(directory, exist_ok=True)
-    by_device: Dict[str, str] = {}
-    for name, traces in trace_sets.items():
-        if traces.device_name in by_device:
-            raise ValueError(
-                f"entries {by_device[traces.device_name]!r} and {name!r} both "
-                f"hold traces of device {traces.device_name!r}; a campaign "
-                "stores one trace set per device"
-            )
-        by_device[traces.device_name] = name
-    paths: Dict[str, str] = {}
-    devices: Dict[str, Dict[str, Any]] = {}
-    for name, traces in trace_sets.items():
-        safe = name.replace("#", "_").replace("/", "_")
-        filename = f"{safe}.npz"
-        path = os.path.join(directory, filename)
-        save_trace_set(traces, path)
-        paths[name] = path
-        # Key the manifest on the archive-internal device name — that
-        # is what load_campaign keys its result on, regardless of the
-        # (possibly aliased) dict key used at save time.
-        devices[traces.device_name] = {
-            "file": filename,
-            "n_traces": int(traces.n_traces),
-            "trace_length": int(traces.trace_length),
-        }
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "devices": devices,
-        "metadata": dict(metadata) if metadata is not None else {},
-    }
-    with open(os.path.join(directory, MANIFEST_NAME), "w") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return paths
-
-
-def _load_manifest(directory: str) -> Optional[Dict[str, Any]]:
-    path = os.path.join(directory, MANIFEST_NAME)
-    if not os.path.exists(path):
-        return None
-    with open(path) as handle:
-        manifest = json.load(handle)
-    if not isinstance(manifest, dict) or "devices" not in manifest:
-        raise ValueError(f"{path} is not a campaign manifest")
-    version = int(manifest.get("format_version", 0))
-    if version > FORMAT_VERSION:
-        raise ValueError(
-            f"{path} was written by a newer format (version {version})"
-        )
-    return manifest
-
-
-def load_campaign_metadata(directory: str) -> Dict[str, Any]:
-    """The free-form metadata saved with a campaign (empty when none)."""
-    manifest = _load_manifest(directory)
-    if manifest is None:
-        return {}
-    return dict(manifest.get("metadata", {}))
-
-
-def load_campaign(
-    directory: str, names: Optional[Iterable[str]] = None
-) -> Dict[str, TraceSet]:
-    """Load every ``.npz`` trace set in a directory, keyed by device name.
-
-    When the directory carries a manifest (written by
-    :func:`save_campaign`), the loaded sets are validated against it:
-    every declared device must be present with its declared shape, so a
-    truncated or hand-edited campaign fails loudly here rather than
-    deep inside the correlation process.
-    """
-    if not os.path.isdir(directory):
-        raise FileNotFoundError(f"no such campaign directory: {directory}")
-    loaded: Dict[str, TraceSet] = {}
-    for entry in sorted(os.listdir(directory)):
-        if not entry.endswith(".npz"):
-            continue
-        traces = load_trace_set(os.path.join(directory, entry))
-        loaded[traces.device_name] = traces
-    manifest = _load_manifest(directory)
-    if manifest is not None:
-        for name, info in manifest["devices"].items():
-            if name not in loaded:
-                raise ValueError(
-                    f"campaign manifest declares device {name!r} but "
-                    f"{info.get('file')} is missing or unreadable"
-                )
-            traces = loaded[name]
-            declared = (int(info["n_traces"]), int(info["trace_length"]))
-            actual = (traces.n_traces, traces.trace_length)
-            if declared != actual:
-                raise ValueError(
-                    f"device {name!r}: manifest declares shape {declared}, "
-                    f"archive holds {actual}"
-                )
-    if names is not None:
-        wanted = list(names)
-        missing = set(wanted) - set(loaded)
-        if missing:
-            raise KeyError(f"campaign is missing devices: {sorted(missing)}")
-        return {name: loaded[name] for name in wanted}
-    return loaded
 
 
 def save_array_bundle(
@@ -222,13 +66,6 @@ def load_array_bundle(path: str) -> "tuple[Dict[str, np.ndarray], Dict[str, Any]
 
 
 __all__ = [
-    "FORMAT_VERSION",
-    "MANIFEST_NAME",
-    "save_trace_set",
-    "load_trace_set",
-    "save_campaign",
-    "load_campaign",
-    "load_campaign_metadata",
     "save_array_bundle",
     "load_array_bundle",
 ]

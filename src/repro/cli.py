@@ -27,9 +27,8 @@ sweep reuses manufactured fleets, acquired trace matrices and whole
 memoised campaign outcomes across scenarios whose config tiers agree
 (byte-identical results, order-of-magnitude faster analysis-axis
 grids and repeat studies); each process keeps one measurement group's
-traces, and scenarios of one group run back to back.
-``--artifact-cache DIR`` adds an on-disk tier shared by all workers
-and runs.
+traces in memory, and scenarios of one group run back to back.  A
+sweep writes nothing outside its store root.
 
 Sweeps degrade gracefully instead of aborting: failures retry with
 backoff (``--max-retries``, default 2 re-attempts) and scenarios that
@@ -276,7 +275,6 @@ def _check_count_flags(args: argparse.Namespace) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments.artifacts import ArtifactOptions
     from repro.sweeps import (
         FailureLog,
         GridAxis,
@@ -364,7 +362,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"scrubbed {len(removed)} stale file(s) from {store.root}")
     options = SweepOptions(
         n_workers=workers,
-        artifacts=ArtifactOptions(root=args.artifact_cache),
         retry=RetryPolicy(max_attempts=args.max_retries + 1),
         # Lease flags select the scheduler even for one worker.
         scheduler=scheduler if scheduler_kwargs else None,
@@ -374,7 +371,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"({len(spec.grid)} grid axes"
         + (f", {len(spec.random)} random axes x {spec.n_random}" if spec.random else "")
         + f"), store {store.root}, {workers} worker(s)"
-        + (f", artifact disk tier {args.artifact_cache}" if args.artifact_cache else "")
         + (", lease scheduler" if options.lease_scheduled else "")
     )
     report = run(spec, store, options)
@@ -515,7 +511,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=_parse_base,
         action="append",
         metavar="FIELD=VALUE",
-        help="fixed override applied to every scenario (repeatable)",
+        help="fixed override applied to every scenario (repeatable); "
+        "pin fleet_seed and measurement_seed here to share one "
+        "acquisition across an analysis-axis grid",
     )
     sweep.add_argument(
         "--store",
@@ -528,15 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="worker processes (0 = one per usable CPU); more than "
         "one runs the sweep on the lease scheduler",
-    )
-    sweep.add_argument(
-        "--artifact-cache",
-        metavar="DIR",
-        default=None,
-        help="on-disk tier of the trace matrices and campaign outcomes "
-        "every sweep shares, read by all workers and runs (pin "
-        "fleet_seed/measurement_seed via --base to share on "
-        "analysis-axis grids)",
     )
     sweep.add_argument(
         "--max-retries",

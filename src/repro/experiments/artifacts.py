@@ -38,19 +38,18 @@ Campaigns run inside a sweep may additionally tamper with the DUTs
 the ``fleet_tag``, so attacked and pristine fleets never share
 artifacts.
 
-:class:`ArtifactCache` is the two-tier store built on those keys.  In
-memory it retains the trace matrices of one measurement group (one
+:class:`ArtifactCache` is the in-memory cache built on those keys.
+It retains the trace matrices of one measurement group (one
 measurement base key) at a time, plus small LRUs of fleets and
 outcomes; :func:`repro.sweeps.run` orders a sweep so that scenarios
 sharing a measurement run back to back, which is what lets that one
-group serve them all.  An optional on-disk content-addressed tier
-reuses the :class:`~repro.sweeps.store.SweepStore` machinery
-(deterministic array bundles, atomic completion-marker writes) so
-sweep workers — or separate runs — share acquisitions through the
-filesystem.  Sharing is *transparent*: because per-device acquisition
-seeds derive from the measurement base key rather than from a
-sequential bench RNG, a cache hit returns byte-for-byte what a cold
-acquisition would have produced.
+group serve them all.  Nothing is written to disk: a rerun into the
+same :class:`~repro.sweeps.store.SweepStore` skips every finished
+scenario, and a trace matrix costs about as much to re-acquire from
+its keyed stream as to load from a compressed bundle.  Sharing is
+*transparent*: because per-device acquisition seeds derive from the
+measurement base key rather than from a sequential bench RNG, a cache
+hit returns byte-for-byte what a cold acquisition would have produced.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -69,8 +68,6 @@ from typing import (
     Sequence,
     Tuple,
 )
-
-import numpy as np
 
 from repro.acquisition.bench import acquire_keyed
 from repro.acquisition.oscilloscope import Oscilloscope
@@ -211,17 +208,14 @@ def analysis_key(config: "CampaignConfig", fleet_tag: str = "none") -> str:
 
 @dataclass(frozen=True)
 class ArtifactOptions:
-    """Sharing configuration, passed to each attempt worker at its start.
+    """Sharing configuration; it has no settings.
 
-    The lease scheduler hands it to every worker process it starts as
-    an argument, which the spawn start method pickles, so it must stay
-    picklable.
-
-    ``root`` enables the on-disk tier under that directory; ``None``
-    keeps sharing process-local.
+    Every sweep shares through the one in-memory
+    :class:`ArtifactCache` of its process.  The class stays only
+    because the repository benchmark (``perfbench/workloads.py``)
+    constructs ``SweepOptions(artifacts=ArtifactOptions())`` and calls
+    ``process_artifact_cache(ArtifactOptions())``.
     """
-
-    root: Optional[str] = None
 
 
 @dataclass
@@ -232,10 +226,8 @@ class ArtifactStats:
     fleet_misses: int = 0
     trace_hits: int = 0
     trace_misses: int = 0
-    disk_hits: int = 0
     outcome_hits: int = 0
     outcome_misses: int = 0
-    outcome_disk_hits: int = 0
     bytes_acquired: int = 0
     bytes_in_memory: int = 0
     peak_bytes: int = 0
@@ -246,7 +238,7 @@ class ArtifactStats:
 
 
 class ArtifactCache:
-    """Two-tier (memory + optional disk) cache of campaign artifacts.
+    """In-memory cache of campaign artifacts: fleets, traces, outcomes.
 
     The cache never *computes* fleets itself — callers pass a factory
     so manufacture (and any attack transform) stays where it belongs —
@@ -256,23 +248,15 @@ class ArtifactCache:
     :func:`~repro.acquisition.bench.acquire_keyed`, the same keyed path
     a ``MeasurementBench(key=...)`` uses.  One instance per process is
     the intended shape (see :func:`process_artifact_cache`); sweep
-    workers each hold their own and meet, if configured, in the shared
-    disk tier.
+    workers each hold their own (a forked worker starts from a copy of
+    its parent's).
     """
 
-    def __init__(self, options: Optional[ArtifactOptions] = None):
-        self.options = options if options is not None else ArtifactOptions()
+    def __init__(self) -> None:
         self.stats = ArtifactStats()
         self._fleets: "OrderedDict[str, object]" = OrderedDict()
         self._traces: Dict[Tuple[str, str, int], TraceSet] = {}
         self._outcomes: "OrderedDict[str, object]" = OrderedDict()
-        self._store = None
-        if self.options.root is not None:
-            # Deferred import: repro.sweeps pulls in the runner module,
-            # which imports this one.
-            from repro.sweeps.store import SweepStore
-
-            self._store = SweepStore(self.options.root)
 
     # -- fleets ------------------------------------------------------------
 
@@ -305,12 +289,6 @@ class ArtifactCache:
         return built
 
     # -- traces ------------------------------------------------------------
-
-    def _artifact_id(self, base_key: str, device_name: str, cycles: int) -> str:
-        return _digest(
-            "traces",
-            {"base": base_key, "device": device_name, "cycles": cycles},
-        )
 
     def _freeze(self, traces: TraceSet) -> TraceSet:
         if traces.matrix.flags.writeable:
@@ -349,13 +327,12 @@ class ArtifactCache:
     ) -> List[TraceSet]:
         """Acquire-or-reuse traces for ``(device, n_traces)`` requests.
 
-        Lookup order: memory, disk tier, cold acquisition.  Memory
-        holds one measurement group: the trace matrices of any other
-        measurement base key are dropped first.  A hit whose matrix
-        holds at least ``n_traces`` rows is served as a read-only
-        prefix view; a larger request re-acquires from the same keyed
-        stream (the old entry is a prefix of the new one) and replaces
-        the cache entry.  Every lookup and disk access happens on the
+        The cache holds one measurement group: the trace matrices of
+        any other measurement base key are dropped first.  A hit whose
+        matrix holds at least ``n_traces`` rows is served as a
+        read-only prefix view; a larger request re-acquires from the
+        same keyed stream (the old entry is a prefix of the new one)
+        and replaces the cache entry.  Every lookup happens on the
         calling thread; the misses are acquired together,
         concurrently, by :func:`~repro.acquisition.bench.acquire_keyed`.
         """
@@ -383,38 +360,27 @@ class ArtifactCache:
             self._freeze(traces)
             self.stats.bytes_acquired += traces.matrix.nbytes
             self._remember(key, traces)
-            self._save_to_store(key, traces)
             served[index] = traces
         return served
 
     def _lookup(self, key: Tuple[str, str, int], n_traces: int) -> Optional[TraceSet]:
-        """A cached (memory, then disk) prefix of ``n_traces`` rows, if any."""
+        """A cached prefix of ``n_traces`` rows, if any."""
         cached = self._traces.get(key)
         if cached is not None and cached.n_traces >= n_traces:
             self.stats.trace_hits += 1
             return self._prefix(cached, n_traces)
-        loaded = self._load_from_store(key, n_traces)
-        if loaded is not None:
-            self.stats.disk_hits += 1
-            self._remember(key, loaded)
-            return self._prefix(loaded, n_traces)
         return None
 
     # -- campaign outcomes (the fourth artifact tier) ----------------------
-
-    def _outcome_id(self, key: str) -> str:
-        return _digest("outcome", {"analysis": key})
 
     def outcome(
         self, config: "CampaignConfig", fleet_tag: str = "none"
     ) -> Optional[object]:
         """The memoised :class:`CampaignOutcome` for this config, if any.
 
-        Lookup order: memory LRU, then the disk tier (reconstructed
-        from its deterministic record + array bundle).  Returns
-        ``None`` on a miss — the caller runs the campaign and stores
-        it back through :meth:`remember_outcome`.  Equal analysis keys
-        guarantee byte-identical outcomes, so a hit is
+        Returns ``None`` on a miss — the caller runs the campaign and
+        stores it back through :meth:`remember_outcome`.  Equal
+        analysis keys guarantee byte-identical outcomes, so a hit is
         indistinguishable from re-running the campaign (down to the
         sweep store digests derived from it).
         """
@@ -424,15 +390,6 @@ class ArtifactCache:
             self._outcomes.move_to_end(key)
             self.stats.outcome_hits += 1
             return cached
-        if self._store is not None:
-            artifact_id = self._outcome_id(key)
-            if self._store.has(artifact_id):
-                record = self._store.get(artifact_id)
-                arrays = self._store.get_arrays(artifact_id)
-                loaded = _outcome_from_record(config, record, arrays)
-                self.stats.outcome_disk_hits += 1
-                self._remember_outcome_in_memory(key, loaded)
-                return loaded
         self.stats.outcome_misses += 1
         return None
 
@@ -444,66 +401,15 @@ class ArtifactCache:
     ) -> None:
         """Memoise one computed campaign outcome on its analysis key."""
         key = analysis_key(config, fleet_tag)
-        self._remember_outcome_in_memory(key, outcome)
-        if self._store is not None:
-            artifact_id = self._outcome_id(key)
-            if not self._store.has(artifact_id):
-                record, arrays = _outcome_record(key, outcome)
-                self._store.put(artifact_id, record, arrays)
-
-    def _remember_outcome_in_memory(self, key: str, outcome: object) -> None:
         self._outcomes[key] = outcome
         self._outcomes.move_to_end(key)
         while len(self._outcomes) > OUTCOME_SLOTS:
             self._outcomes.popitem(last=False)
 
-    # -- disk tier ---------------------------------------------------------
-
-    def _load_from_store(
-        self, key: Tuple[str, str, int], n_traces: int
-    ) -> Optional[TraceSet]:
-        if self._store is None:
-            return None
-        artifact_id = self._artifact_id(*key)
-        if not self._store.has(artifact_id):
-            return None
-        record = self._store.get(artifact_id)
-        if int(record.get("n_traces", 0)) < n_traces:
-            return None
-        arrays = self._store.get_arrays(artifact_id)
-        matrix = arrays.get("traces")
-        if matrix is None or matrix.shape[0] < n_traces:
-            return None
-        return self._freeze(TraceSet(key[1], matrix))
-
-    def _save_to_store(self, key: Tuple[str, str, int], traces: TraceSet) -> None:
-        # Concurrent workers may interleave the has()/put() pair, so a
-        # smaller acquisition can transiently clobber a larger one on
-        # disk.  That is benign for correctness — loads check the row
-        # count and fall back to re-acquiring the keyed stream — it only
-        # costs a redundant acquisition on the losing side.
-        if self._store is None:
-            return
-        base_key, device_name, cycles = key
-        artifact_id = self._artifact_id(*key)
-        if self._store.has(artifact_id):
-            existing = self._store.get(artifact_id)
-            if int(existing.get("n_traces", 0)) >= traces.n_traces:
-                return
-        record = {
-            "artifact": "traces",
-            "schema": ARTIFACT_SCHEMA,
-            "base_key": base_key,
-            "device": device_name,
-            "cycles": cycles,
-            "n_traces": traces.n_traces,
-        }
-        self._store.put(artifact_id, record, {"traces": traces.matrix})
-
     # -- maintenance -------------------------------------------------------
 
     def clear(self) -> None:
-        """Drop every in-memory artifact (the disk tier is untouched)."""
+        """Drop every cached artifact and reset the stats."""
         self._fleets.clear()
         self._traces.clear()
         self._outcomes.clear()
@@ -511,111 +417,6 @@ class ArtifactCache:
 
     def __len__(self) -> int:
         return len(self._fleets) + len(self._traces) + len(self._outcomes)
-
-
-# -- campaign-outcome serialisation ----------------------------------------
-#
-# The disk tier persists a CampaignOutcome as a (record, arrays) pair
-# through the same content-addressed store machinery as trace matrices.
-# Fidelity matters more than elegance here: a reconstructed outcome
-# must be byte-indistinguishable from the computed one for *every*
-# consumer — sweep metrics, correlation-set bundles, accuracy tables —
-# so floats travel through canonical JSON (repr round-trips exactly),
-# coefficient arrays travel through the deterministic npz bundle, and
-# all dict orderings are recorded explicitly.
-
-
-def _outcome_record(
-    key: str, outcome
-) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
-    """Serialise one CampaignOutcome into a store (record, arrays) pair."""
-    reports: Dict[str, object] = {}
-    arrays: Dict[str, np.ndarray] = {}
-    for ref, report in outcome.reports.items():
-        duts = list(report.results)
-        for dut in duts:
-            arrays[f"C/{ref}/{dut}"] = np.asarray(
-                report.results[dut].coefficients, dtype=np.float64
-            )
-        reports[ref] = {
-            "ref_name": report.ref_name,
-            "duts": duts,
-            "verdicts": [
-                {
-                    "distinguisher": verdict.distinguisher,
-                    "chosen_dut": verdict.chosen_dut,
-                    "confidence_percent": float(verdict.confidence_percent),
-                    "scores": [
-                        [name, float(score)]
-                        for name, score in verdict.scores.items()
-                    ],
-                }
-                for verdict in report.verdicts
-            ],
-        }
-    record = {
-        "artifact": "outcome",
-        "schema": ARTIFACT_SCHEMA,
-        "analysis_key": key,
-        "ref_order": list(outcome.ref_order),
-        "dut_order": list(outcome.dut_order),
-        "report_order": list(outcome.reports),
-        "reports": reports,
-    }
-    return record, arrays
-
-
-def _outcome_from_record(
-    config: "CampaignConfig",
-    record: Mapping[str, object],
-    arrays: Mapping[str, np.ndarray],
-):
-    """Rebuild a CampaignOutcome from its persisted form.
-
-    ``config`` is the caller's config: it necessarily shares the
-    analysis key the record was stored under, so its parameters and
-    distinguishers describe the persisted outcome exactly.
-    """
-    # Deferred imports: the runner module imports this one.
-    from repro.core.distinguishers import Verdict
-    from repro.core.process import CorrelationResult
-    from repro.core.verification import VerificationReport
-    from repro.experiments.runner import CampaignOutcome
-
-    reports = {}
-    for ref in record["report_order"]:
-        payload = record["reports"][ref]
-        ref_name = payload["ref_name"]
-        results = {
-            dut: CorrelationResult(
-                ref_name=ref_name,
-                dut_name=dut,
-                parameters=config.parameters,
-                coefficients=np.asarray(arrays[f"C/{ref}/{dut}"], dtype=np.float64),
-            )
-            for dut in payload["duts"]
-        }
-        verdicts = [
-            Verdict(
-                distinguisher=entry["distinguisher"],
-                chosen_dut=entry["chosen_dut"],
-                confidence_percent=float(entry["confidence_percent"]),
-                scores={name: float(score) for name, score in entry["scores"]},
-            )
-            for entry in payload["verdicts"]
-        ]
-        reports[ref] = VerificationReport(
-            ref_name=ref_name,
-            parameters=config.parameters,
-            results=results,
-            verdicts=verdicts,
-        )
-    return CampaignOutcome(
-        config=config,
-        reports=reports,
-        dut_order=tuple(record["dut_order"]),
-        ref_order=tuple(record["ref_order"]),
-    )
 
 
 #: The per-process cache behind :func:`process_artifact_cache`.
@@ -627,15 +428,14 @@ def process_artifact_cache(
 ) -> ArtifactCache:
     """The process-wide :class:`ArtifactCache` (created on first use).
 
-    Passing ``options`` different from the live cache's replaces it —
-    sweep workers call this with the payload's options, so a forked
-    worker inherits the parent's warm cache whenever the configuration
-    matches.
+    A forked sweep worker starts from a copy of its parent's cache.
+    ``options`` changes nothing; the parameter stays only because the
+    repository benchmark (``perfbench/workloads.py``) passes
+    ``ArtifactOptions()``.
     """
     global _PROCESS_CACHE
-    wanted = options if options is not None else ArtifactOptions()
-    if _PROCESS_CACHE is None or _PROCESS_CACHE.options != wanted:
-        _PROCESS_CACHE = ArtifactCache(wanted)
+    if _PROCESS_CACHE is None:
+        _PROCESS_CACHE = ArtifactCache()
     return _PROCESS_CACHE
 
 

@@ -62,7 +62,7 @@ from typing import AsyncIterator, Dict, Optional, Tuple
 
 import repro
 from repro.acquisition import bench
-from repro.service.httpd import HTTPError, HTTPServer, Request, Router
+from repro.service.httpd import MAX_LINE_BYTES, HTTPError, HTTPServer, Request, Router
 from repro.service.jobs import JobManager, SweepJob
 from repro.sweeps.aggregate import roc_by_axis, tidy_accuracy
 from repro.sweeps.api import SweepOptions
@@ -317,7 +317,7 @@ class SweepService:
     async def serve(self, host: str = "127.0.0.1", port: int = 8734) -> None:
         """Serve until cancelled (the async entry point)."""
         server = await asyncio.start_server(
-            self._httpd.handle_connection, host, port
+            self._httpd.handle_connection, host, port, limit=MAX_LINE_BYTES
         )
         bound = server.sockets[0].getsockname()
         _logger.info(
@@ -371,7 +371,7 @@ def start_service(
         stop = asyncio.Event()
         try:
             server = await asyncio.start_server(
-                service._httpd.handle_connection, host, port
+                service._httpd.handle_connection, host, port, limit=MAX_LINE_BYTES
             )
         except OSError as error:
             state["error"] = error

@@ -6,7 +6,9 @@ This module implements exactly the slice of HTTP the service needs on
 top of ``asyncio.start_server``:
 
 * request parsing (request line, headers, ``Content-Length`` bodies)
-  with hard size limits;
+  with hard size limits and a read deadline (a client that has not
+  sent its whole request within :data:`REQUEST_READ_SECONDS` gets a
+  ``408`` and is disconnected);
 * pattern routing (``/sweeps/{job_id}/rows`` style placeholders);
 * JSON responses (a handler returns ``(status, payload)``);
 * chunked NDJSON streaming (a handler declared with ``stream=True``
@@ -35,6 +37,12 @@ MAX_BODY_BYTES = 4 * 1024 * 1024
 MAX_LINE_BYTES = 64 * 1024
 MAX_HEADERS = 100
 
+#: Seconds a client has to send its whole request (request line,
+#: headers and body); without it, a client that stops mid-request
+#: would hold its connection forever.  Responses, including long NDJSON
+#: row streams, are not bounded by it.
+REQUEST_READ_SECONDS = 10.0
+
 _PHRASES = {
     200: "OK",
     201: "Created",
@@ -42,6 +50,7 @@ _PHRASES = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     409: "Conflict",
     413: "Payload Too Large",
     500: "Internal Server Error",
@@ -153,12 +162,19 @@ class Router:
         return None, None, allowed
 
 
+async def _read_line(reader: asyncio.StreamReader, what: str) -> bytes:
+    """One line off the wire; 400 once it outgrows the stream's limit
+    (:data:`MAX_LINE_BYTES`, which the servers pass to
+    ``asyncio.start_server``)."""
+    try:
+        return await reader.readline()
+    except (asyncio.LimitOverrunError, ValueError):
+        raise HTTPError(400, f"{what} too long")
+
+
 async def _read_request(reader: asyncio.StreamReader) -> Optional[Request]:
     """Parse one request off the wire (None on a closed connection)."""
-    try:
-        request_line = await reader.readline()
-    except (asyncio.LimitOverrunError, ValueError):
-        raise HTTPError(400, "request line too long")
+    request_line = await _read_line(reader, "request line")
     if not request_line:
         return None
     parts = request_line.decode("latin-1").strip().split()
@@ -167,7 +183,7 @@ async def _read_request(reader: asyncio.StreamReader) -> Optional[Request]:
     method, target, _version = parts
     headers: Dict[str, str] = {}
     for _ in range(MAX_HEADERS):
-        line = await reader.readline()
+        line = await _read_line(reader, "header line")
         if line in (b"\r\n", b"\n", b""):
             break
         name, colon, value = line.decode("latin-1").partition(":")
@@ -235,10 +251,19 @@ class HTTPServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            request = await _read_request(reader)
+            request = await asyncio.wait_for(
+                _read_request(reader), REQUEST_READ_SECONDS
+            )
         except HTTPError as error:
             await self._write_json(
                 writer, error.status, {"error": error.message}
+            )
+            return
+        except asyncio.TimeoutError:
+            await self._write_json(
+                writer,
+                408,
+                {"error": f"request not received within {REQUEST_READ_SECONDS} s"},
             )
             return
         if request is None:

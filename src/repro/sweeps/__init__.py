@@ -16,8 +16,8 @@ small:
 
 * :func:`run` is **the one entry point for executing a sweep**:
   ``run(spec, store, SweepOptions(...))``.  :class:`SweepOptions`
-  carries every knob — worker count, the artifact disk tier, retry
-  policy and :class:`SchedulerOptions`.  Every sweep shares fleets,
+  carries every knob — worker count, retry policy and
+  :class:`SchedulerOptions`.  Every sweep shares fleets,
   traces and campaign outcomes between scenarios that agree on them.
   A single-worker sweep runs inline;
   a sweep with more workers, or with ``scheduler=`` set, runs on the

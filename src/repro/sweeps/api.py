@@ -57,11 +57,12 @@ class SweepOptions:
         a persistent worker process.
 
     ``artifacts``
-        :class:`~repro.experiments.artifacts.ArtifactOptions` of the
-        cross-scenario fleet/trace sharing and campaign-outcome
-        memoisation every sweep runs with (an options ``root`` adds
-        the on-disk tier shared across workers, runs and service
-        instances).
+        :class:`~repro.experiments.artifacts.ArtifactOptions`, which
+        has no settings: every sweep shares fleets, traces and campaign
+        outcomes through its process's in-memory artifact cache.  The
+        field stays only because the repository benchmark
+        (``perfbench/workloads.py``) constructs
+        ``SweepOptions(artifacts=ArtifactOptions())``.
 
     ``retry``
         Per-scenario attempt budget and backoff, the only retry

@@ -37,18 +37,16 @@ exercised under injected faults (:mod:`repro.sweeps.faultinject`) by
 the tier-1 suite and CI's chaos smoke job.
 
 Artifact sharing: every attempt, inline or in a worker, runs against
-its process's :class:`~repro.experiments.artifacts.ArtifactCache`
-(configured by :attr:`~repro.sweeps.api.SweepOptions.artifacts`), so
+its process's :class:`~repro.experiments.artifacts.ArtifactCache`, so
 scenarios that differ only in analysis-side axes reuse one fleet
 manufacture and one trace acquisition — byte-identically, because
 acquisition streams are keyed per device, never sequential — and whole
 campaign outcomes are memoised on the analysis key, so a re-run study
-(same scenarios, fresh store) skips re-analysis entirely.  The cache
-retains one measurement group's traces; :func:`repro.sweeps.run`
-hands over the pending scenarios grouped so that this suffices.  An
-options ``root`` adds a shared on-disk tier, which is how *separate
-worker processes* (and separate runs) meet: the first worker to need
-an artifact persists it, the rest load it.
+(same scenarios, fresh store) in the same process skips re-analysis
+entirely.  The cache retains one measurement group's traces;
+:func:`repro.sweeps.run` hands over the pending scenarios grouped so
+that this suffices.  The cache lives in memory only: separate worker
+processes and separate runs meet in the result store alone.
 """
 
 from __future__ import annotations
@@ -144,7 +142,7 @@ def _inline_sweep(
     keep executing.  ``progress`` is called as
     ``progress(scenario_id, True)`` as each scenario lands.
     """
-    cache = process_artifact_cache(options.artifacts)
+    cache = process_artifact_cache()
     log = FailureLog(store.root)
     owner = default_owner()
     for scenario in scenarios:

@@ -450,7 +450,7 @@ def _pool_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
-def _attempt_worker(conn: Connection, store_root: str, artifact_options) -> None:
+def _attempt_worker(conn: Connection, store_root: str) -> None:
     """Serve attempts sent over ``conn`` until told to stop.
 
     Each message is ``(scenario, attempt)``.  The worker runs the
@@ -479,7 +479,7 @@ def _attempt_worker(conn: Connection, store_root: str, artifact_options) -> None
         scenario, attempt = task
         reply = None
         try:
-            artifacts = process_artifact_cache(artifact_options)
+            artifacts = process_artifact_cache()
             _execute_attempt(store, scenario, attempt, artifacts)
         except Exception as error:  # noqa: BLE001 — the whole point
             reply = error_info(error)
@@ -499,7 +499,7 @@ class _Worker:
     conn: Connection
 
     @classmethod
-    def start(cls, store_root: str, artifact_options) -> "_Worker":
+    def start(cls, store_root: str) -> "_Worker":
         ctx = _pool_context()
         conn, worker_conn = ctx.Pipe()
         # Daemonic: an interpreter that exits while a sweep runs (a
@@ -507,7 +507,7 @@ class _Worker:
         # waiting for it.
         process = ctx.Process(
             target=_attempt_worker,
-            args=(worker_conn, store_root, artifact_options),
+            args=(worker_conn, store_root),
             daemon=True,
         )
         process.start()
@@ -597,13 +597,11 @@ def _scheduled_sweep(
     ids, and as cached the scenarios completed by *another* scheduler
     while this one waited.
 
-    ``sweep.artifacts`` (an :class:`~repro.experiments.artifacts
-    .ArtifactOptions`) is forwarded to each worker, whose process-wide
-    cache keeps one measurement group's traces between attempts; the
-    slots take the pending scenarios in the grouped order
-    :func:`repro.sweeps.run` hands over.  The on-disk artifact tier,
-    when configured, is the sharing vehicle across workers and
-    schedulers.
+    Each worker's process-wide artifact cache (a forked worker starts
+    from a copy of this process's) keeps one measurement group's traces
+    between attempts; the slots take the pending scenarios in the
+    grouped order :func:`repro.sweeps.run` hands over.  Workers share
+    nothing but the store: each acquires the groups it runs.
     """
     options = sweep.scheduler or SchedulerOptions()
     owner = options.owner or default_owner()
@@ -720,9 +718,7 @@ def _scheduled_sweep(
                     progressed = True
                     continue
                 attempt = log.record_attempt(scenario_id, owner)
-                worker = (
-                    idle.pop() if idle else _Worker.start(store.root, sweep.artifacts)
-                )
+                worker = idle.pop() if idle else _Worker.start(store.root)
                 start = time.monotonic()
                 running[scenario_id] = _Running(
                     worker=worker,

@@ -27,11 +27,9 @@ root, so it is an explicit operation (CLI ``sweep --scrub``), never
 automatic.
 
 The class is deliberately generic — a directory of (record, arrays)
-pairs keyed by digest with atomic, deterministic writes — so other
-content-addressed tiers reuse it: the artifact cache
-(:mod:`repro.experiments.artifacts`) persists acquired trace matrices
-through the same machinery, which is what lets separate sweep workers
-(and separate runs) share acquisitions over a plain filesystem.
+pairs keyed by digest with atomic, deterministic writes — and it
+holds all the state a sweep keeps on disk: the artifact cache
+(:mod:`repro.experiments.artifacts`) lives in memory only.
 """
 
 from __future__ import annotations

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import os
 import sys
+import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -56,7 +56,7 @@ from repro.sweeps import (
     expand_scenarios,
     run,
 )
-from repro.sweeps.scenario import outcome_arrays, outcome_metrics, run_scenario
+from repro.sweeps.scenario import run_scenario
 from repro.acquisition.device import Device
 
 
@@ -509,67 +509,16 @@ class TestArtifactCache:
         cache.traces(cfg, make_device("a"), 20)
         assert (cache.stats.trace_hits, cache.stats.trace_misses) == (0, 4)
 
-    def test_disk_tier_round_trip(self, tmp_path):
-        root = str(tmp_path / "artifacts")
-        cfg = quick_config()
-        device = make_device()
-        writer = ArtifactCache(ArtifactOptions(root=root))
-        acquired = writer.traces(cfg, device, 25)
-        reader = ArtifactCache(ArtifactOptions(root=root))
-        loaded = reader.traces(cfg, make_device(), 25)
-        assert reader.stats.disk_hits == 1
-        assert reader.stats.trace_misses == 0
-        np.testing.assert_array_equal(acquired.matrix, loaded.matrix)
-
-    def test_disk_tier_upgrades_to_larger_ceiling(self, tmp_path):
-        root = str(tmp_path / "artifacts")
-        cfg = quick_config()
-        first = ArtifactCache(ArtifactOptions(root=root))
-        first.traces(cfg, make_device(), 10)
-        second = ArtifactCache(ArtifactOptions(root=root))
-        bigger = second.traces(cfg, make_device(), 40)
-        assert second.stats.trace_misses == 1  # disk copy too small
-        third = ArtifactCache(ArtifactOptions(root=root))
-        reloaded = third.traces(cfg, make_device(), 40)
-        assert third.stats.disk_hits == 1
-        np.testing.assert_array_equal(bigger.matrix, reloaded.matrix)
+    def test_options_are_a_fieldless_shim(self):
+        # The cache lives in memory only: there is no tier to point at.
+        assert dataclasses.fields(ArtifactOptions) == ()
+        with pytest.raises(TypeError):
+            ArtifactOptions(root="somewhere")
 
     def test_fleet_requires_factory_on_miss(self):
         cache = ArtifactCache()
         with pytest.raises(KeyError):
             cache.fleet(quick_config())
-
-    def test_process_cache_reconfigures_on_new_options(self, tmp_path):
-        clear_process_artifact_cache()
-        try:
-            root = str(tmp_path)
-            default = process_artifact_cache()
-            assert process_artifact_cache() is default
-            on_disk = process_artifact_cache(ArtifactOptions(root=root))
-            assert on_disk is not default
-            assert process_artifact_cache(ArtifactOptions(root=root)) is on_disk
-        finally:
-            clear_process_artifact_cache()
-
-    def test_outcome_disk_tier_round_trips_exactly(self, tmp_path):
-        root = str(tmp_path / "artifacts")
-        cfg = quick_config()
-        computed = run_campaign(
-            cfg, artifacts=ArtifactCache(ArtifactOptions(root=root))
-        )
-        reader = ArtifactCache(ArtifactOptions(root=root))
-        loaded = reader.outcome(cfg, "none")
-        assert loaded is not None
-        assert reader.stats.outcome_disk_hits == 1
-        assert json.dumps(outcome_metrics(loaded), sort_keys=True) == json.dumps(
-            outcome_metrics(computed), sort_keys=True
-        )
-        fresh_arrays = outcome_arrays(computed)
-        for key, values in outcome_arrays(loaded).items():
-            np.testing.assert_array_equal(values, fresh_arrays[key])
-        # A second in-process lookup is a memory hit, not a disk read.
-        assert reader.outcome(cfg, "none") is loaded
-        assert reader.stats.outcome_hits == 1
 
     def test_fleet_tags_never_alias_outcomes(self):
         cache = ArtifactCache()
@@ -620,20 +569,6 @@ class TestSweepSharingByteIdentity:
         shared = SweepStore(str(tmp_path / f"shared{n_workers}"))
         run(spec, shared, SweepOptions(n_workers=n_workers))
         assert store_digests(plain.root) == store_digests(shared.root)
-
-    def test_disk_tier_matches_memory_only_sharing(self, tmp_path):
-        spec = sharing_spec()
-        memory = SweepStore(str(tmp_path / "memory"))
-        disk = SweepStore(str(tmp_path / "disk"))
-        run(spec, memory, SweepOptions(artifacts=ArtifactOptions()))
-        run(
-            spec,
-            disk,
-            SweepOptions(artifacts=ArtifactOptions(root=str(tmp_path / "tier"))),
-        )
-        assert store_digests(memory.root) == store_digests(disk.root)
-        # The tier actually persisted trace artifacts.
-        assert len(SweepStore(str(tmp_path / "tier"))) > 0
 
     def test_unpinned_derived_seeds_still_byte_identical(self, tmp_path):
         # Without pinned seeds every scenario acquires its own traces
@@ -710,6 +645,27 @@ class TestEverySweepShares:
             progress=lambda scenario_id, executed: landed.append(scenario_id),
         )
         assert landed == [s.scenario_id for s in expected]
+
+    def test_sweep_writes_only_its_store(self, tmp_path, monkeypatch):
+        # The store is the one on-disk state: a sweep, inline or on
+        # workers, leaves nothing in the working or temporary directory.
+        work = tmp_path / "work"
+        temporary = tmp_path / "tmp"
+        work.mkdir()
+        temporary.mkdir()
+        monkeypatch.chdir(work)
+        monkeypatch.setenv("TMPDIR", str(temporary))
+        monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+        try:
+            for n_workers in (1, 2):
+                clear_process_artifact_cache()
+                store = SweepStore(str(tmp_path / f"store{n_workers}"))
+                run(sharing_spec(), store, SweepOptions(n_workers=n_workers))
+                assert len(store) == 4
+        finally:
+            clear_process_artifact_cache()
+        assert sorted(os.listdir(tmp_path)) == ["store1", "store2", "tmp", "work"]
+        assert os.listdir(work) == [] and os.listdir(temporary) == []
 
     def test_two_workers_share_within_a_group(self, tmp_path, monkeypatch):
         # Analysis axes only, seeds pinned: one measurement group.

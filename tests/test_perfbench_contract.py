@@ -71,3 +71,30 @@ def test_imported_names_resolve(module_name, name):
     module = importlib.import_module(module_name)
     if name is not None:
         assert hasattr(module, name), f"{module_name}.{name}"
+
+
+def test_artifact_calls_of_the_workloads():
+    # ``analysis_grid`` builds its options and reads its counters this
+    # way; a missing shim or a renamed counter would fail every op.
+    from repro.experiments.artifacts import (
+        ArtifactOptions,
+        clear_process_artifact_cache,
+        process_artifact_cache,
+    )
+    from repro.sweeps import SweepOptions
+
+    SweepOptions(artifacts=ArtifactOptions())
+    clear_process_artifact_cache()
+    try:
+        cache = process_artifact_cache(ArtifactOptions())
+        assert cache is process_artifact_cache()
+        for name in (
+            "fleet_misses",
+            "trace_hits",
+            "trace_misses",
+            "outcome_hits",
+            "peak_bytes",
+        ):
+            assert getattr(cache.stats, name) == 0, name
+    finally:
+        clear_process_artifact_cache()

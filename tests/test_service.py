@@ -8,15 +8,18 @@ streaming).
 
 import asyncio
 import json
+import socket
 import threading
 import time
 import urllib.error
 import urllib.request
+from urllib.parse import urlsplit
 
 import pytest
 
 from repro.service import JOB_DONE, SweepService, job_id_for, start_service
 from repro.service import app as service_app
+from repro.service import httpd
 from repro.service import jobs as service_jobs
 from repro.sweeps import (
     FaultPlan,
@@ -220,6 +223,151 @@ class TestHealthAndErrors:
         assert options.scheduler.scenario_timeout is None
         options = instance._merge_options({"scenario_timeout": 2.5})
         assert options.scheduler.scenario_timeout == 2.5
+
+
+def raw_reply(client, data):
+    """Send ``data`` on a fresh connection; every byte of the reply."""
+    url = urlsplit(client.base_url)
+    with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+        sock.sendall(data)
+        reply = b""
+        while True:
+            chunk = sock.recv(4096)
+            if not chunk:
+                return reply
+            reply += chunk
+
+
+class TestReadDeadline:
+    @pytest.mark.parametrize(
+        "partial",
+        [
+            b"GET /health HTTP/1.1\r\nHost: loc",
+            b"POST /sweeps HTTP/1.1\r\nContent-Length: 10\r\n\r\n{}",
+            b"",
+        ],
+        ids=["mid-headers", "mid-body", "idle"],
+    )
+    def test_stalled_request_is_answered_408(self, service, monkeypatch, partial):
+        _, client = service
+        monkeypatch.setattr(httpd, "REQUEST_READ_SECONDS", 0.5)
+        reply = raw_reply(client, partial)
+        assert reply.startswith(b"HTTP/1.1 408 Request Timeout\r\n")
+        # A client that sends its request in time is still served.
+        status, payload = client.get("/health")
+        assert status == 200 and payload["status"] == "ok"
+
+    def test_deadline_bounds_the_whole_request(self, service, monkeypatch):
+        # Header lines trickling in well inside the deadline each do
+        # not restart it: the request as a whole is overdue at 0.5 s.
+        _, client = service
+        monkeypatch.setattr(httpd, "REQUEST_READ_SECONDS", 0.5)
+        url = urlsplit(client.base_url)
+        with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+            sock.settimeout(0.1)
+            sock.sendall(b"GET /health HTTP/1.1\r\n")
+            started = time.monotonic()
+            reply = b""
+            for index in range(50):
+                try:
+                    reply = sock.recv(4096)
+                    break
+                except socket.timeout:
+                    sock.sendall(f"X-Trickle-{index}: 1\r\n".encode())
+            elapsed = time.monotonic() - started
+        assert reply.startswith(b"HTTP/1.1 408 ")
+        assert elapsed < 2.5
+
+    def test_slow_handler_is_not_bounded(self, service, monkeypatch):
+        # The deadline covers reading the request, not answering it.
+        instance, client = service
+        monkeypatch.setattr(httpd, "REQUEST_READ_SECONDS", 0.2)
+
+        async def slow(request):
+            await asyncio.sleep(0.6)
+            return 200, {"slept": 0.6}
+
+        instance.router.add("GET", "/slow", slow)
+        assert client.get("/slow") == (200, {"slept": 0.6})
+
+    def test_stream_is_not_bounded(self, service, monkeypatch):
+        # NDJSON streams (the rows endpoint) outlive the deadline.
+        instance, client = service
+        monkeypatch.setattr(httpd, "REQUEST_READ_SECONDS", 0.2)
+
+        async def ticks(request):
+            for tick in range(3):
+                await asyncio.sleep(0.3)
+                yield {"tick": tick}
+
+        instance.router.add("GET", "/ticks", ticks, stream=True)
+        assert client.stream("/ticks") == [{"tick": 0}, {"tick": 1}, {"tick": 2}]
+
+
+def _too_many_headers():
+    lines = b"".join(b"X-N: 1\r\n" for _ in range(httpd.MAX_HEADERS + 1))
+    return b"GET /health HTTP/1.1\r\n" + lines + b"\r\n"
+
+
+#: A line one byte over the stream limit, with no line end: the server
+#: rejects it only once it holds every byte sent, so it answers and
+#: closes with nothing left unread.
+_OVER_LIMIT = b"a" * (httpd.MAX_LINE_BYTES + 1)
+_TOO_LARGE = httpd.MAX_BODY_BYTES + 1
+
+
+class TestRequestLimits:
+    @pytest.mark.parametrize(
+        "request_bytes, status, error",
+        [
+            (b"GET /health\r\n\r\n", 400, "malformed request line"),
+            (b"GET /health HTTP/1.1\r\nHost\r\n\r\n", 400, "malformed header"),
+            (_too_many_headers(), 400, "too many headers"),
+            (
+                b"POST /sweeps HTTP/1.1\r\nContent-Length: ten\r\n\r\n",
+                400,
+                "malformed Content-Length",
+            ),
+            (
+                b"POST /sweeps HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
+                400,
+                "malformed Content-Length",
+            ),
+            (
+                b"POST /sweeps HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % _TOO_LARGE,
+                413,
+                "exceeds",
+            ),
+            (_OVER_LIMIT, 400, "request line too long"),
+            (b"GET /health HTTP/1.1\r\n" + _OVER_LIMIT, 400, "header line too long"),
+        ],
+        ids=[
+            "no-version",
+            "header-without-colon",
+            "too-many-headers",
+            "length-not-a-number",
+            "negative-length",
+            "body-too-large",
+            "request-line-too-long",
+            "header-line-too-long",
+        ],
+    )
+    def test_bad_request_is_answered(self, service, request_bytes, status, error):
+        _, client = service
+        reply = raw_reply(client, request_bytes)
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split(b" ", 2)[1] == str(status).encode()
+        assert error in json.loads(body)["error"]
+        # The server outlives the bad request.
+        assert client.get("/health")[0] == 200
+
+    def test_closed_connection_gets_no_reply(self, service):
+        _, client = service
+        url = urlsplit(client.base_url)
+        with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+            sock.shutdown(socket.SHUT_WR)
+            assert sock.recv(4096) == b""
+        assert client.get("/health")[0] == 200
 
 
 class TestSubmitPollRows:

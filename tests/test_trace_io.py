@@ -1,107 +1,8 @@
-"""Tests for trace-set persistence."""
-
-import os
+"""Tests for the sweep store's array bundles (and the counter
+netlist builders)."""
 
 import numpy as np
 import pytest
-
-from repro.acquisition.io import (
-    load_campaign,
-    load_trace_set,
-    save_campaign,
-    save_trace_set,
-)
-from repro.acquisition.traces import TraceSet
-
-
-@pytest.fixture()
-def traces(rng):
-    return TraceSet("DUT#1", rng.normal(size=(12, 32)))
-
-
-class TestRoundTrip:
-    def test_save_load_preserves_everything(self, traces, tmp_path):
-        path = str(tmp_path / "traces.npz")
-        save_trace_set(traces, path)
-        loaded = load_trace_set(path)
-        assert loaded.device_name == "DUT#1"
-        np.testing.assert_allclose(loaded.matrix, traces.matrix)
-
-    def test_load_rejects_foreign_archive(self, tmp_path):
-        path = str(tmp_path / "other.npz")
-        np.savez(path, something=np.zeros(3))
-        with pytest.raises(ValueError, match="not a trace-set archive"):
-            load_trace_set(path)
-
-    def test_load_rejects_future_version(self, traces, tmp_path):
-        path = str(tmp_path / "future.npz")
-        np.savez(
-            path,
-            matrix=traces.matrix,
-            device_name=np.array("x"),
-            format_version=np.array(99),
-        )
-        with pytest.raises(ValueError, match="newer format"):
-            load_trace_set(path)
-
-
-class TestCampaign:
-    def test_save_load_campaign(self, rng, tmp_path):
-        sets = {
-            "DUT#1": TraceSet("DUT#1", rng.normal(size=(4, 8))),
-            "DUT#2": TraceSet("DUT#2", rng.normal(size=(4, 8))),
-        }
-        directory = str(tmp_path / "campaign")
-        paths = save_campaign(sets, directory)
-        assert set(paths) == {"DUT#1", "DUT#2"}
-        assert all(os.path.exists(p) for p in paths.values())
-        loaded = load_campaign(directory)
-        assert set(loaded) == {"DUT#1", "DUT#2"}
-        np.testing.assert_allclose(loaded["DUT#1"].matrix, sets["DUT#1"].matrix)
-
-    def test_hash_in_name_is_sanitised(self, rng, tmp_path):
-        sets = {"DUT#1": TraceSet("DUT#1", rng.normal(size=(2, 4)))}
-        paths = save_campaign(sets, str(tmp_path / "c"))
-        assert "#" not in os.path.basename(paths["DUT#1"])
-
-    def test_load_with_required_names(self, rng, tmp_path):
-        sets = {"A": TraceSet("A", rng.normal(size=(2, 4)))}
-        directory = str(tmp_path / "c")
-        save_campaign(sets, directory)
-        with pytest.raises(KeyError, match="missing devices"):
-            load_campaign(directory, names=["A", "B"])
-
-    def test_load_missing_directory(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_campaign(str(tmp_path / "nope"))
-
-    def test_verification_works_on_reloaded_traces(self, tmp_path):
-        # End-to-end: acquire, save, reload, verify.
-        from repro.acquisition.bench import MeasurementBench
-        from repro.acquisition.device import Device
-        from repro.core.process import ProcessParameters
-        from repro.core.verification import WatermarkVerifier
-        from repro.experiments.designs import build_paper_ip
-        from repro.power.models import PowerModel
-
-        refd = Device("RefD", build_paper_ip("IP_A"), PowerModel(), default_cycles=256)
-        dut = Device("DUT", build_paper_ip("IP_A"), PowerModel(), default_cycles=256)
-        other = Device("DUT2", build_paper_ip("IP_C"), PowerModel(), default_cycles=256)
-        bench = MeasurementBench(seed=0)
-        params = ProcessParameters(k=20, m=8, n1=160, n2=1600)
-        sets = {
-            "RefD": bench.measure(refd, params.n1),
-            "DUT": bench.measure(dut, params.n2),
-            "DUT2": bench.measure(other, params.n2),
-        }
-        directory = str(tmp_path / "campaign")
-        save_campaign(sets, directory)
-        loaded = load_campaign(directory)
-        verifier = WatermarkVerifier(params)
-        report = verifier.identify(
-            loaded["RefD"], {"DUT": loaded["DUT"], "DUT2": loaded["DUT2"]}, rng=1
-        )
-        assert report.verdict_of("lower-variance").chosen_dut == "DUT"
 
 
 class TestCounterBuilders:
@@ -151,61 +52,6 @@ class TestCounterBuilders:
         assert set(series) == {1.0}
 
 
-class TestCampaignManifest:
-    def _sets(self, rng):
-        return {
-            "DUT#1": TraceSet("DUT#1", rng.normal(size=(4, 8))),
-            "IP_A": TraceSet("IP_A", rng.normal(size=(6, 8))),
-        }
-
-    def test_metadata_round_trip(self, rng, tmp_path):
-        from repro.acquisition.io import load_campaign_metadata
-
-        directory = str(tmp_path / "campaign")
-        metadata = {"sigma": 1.5, "operator": "bench-7", "n_cycles": 256}
-        save_campaign(self._sets(rng), directory, metadata=metadata)
-        assert load_campaign_metadata(directory) == metadata
-        # Loading validates against the manifest and still succeeds.
-        loaded = load_campaign(directory, names=["DUT#1", "IP_A"])
-        assert list(loaded) == ["DUT#1", "IP_A"]
-
-    def test_metadata_defaults_empty(self, rng, tmp_path):
-        from repro.acquisition.io import load_campaign_metadata
-
-        directory = str(tmp_path / "campaign")
-        save_campaign(self._sets(rng), directory)
-        assert load_campaign_metadata(directory) == {}
-        # Directories without a manifest (pre-manifest campaigns) load too.
-        bare = str(tmp_path / "bare")
-        os.makedirs(bare)
-        save_trace_set(self._sets(rng)["DUT#1"], os.path.join(bare, "d.npz"))
-        assert load_campaign_metadata(bare) == {}
-        assert list(load_campaign(bare)) == ["DUT#1"]
-
-    def test_validation_catches_missing_device(self, rng, tmp_path):
-        directory = str(tmp_path / "campaign")
-        paths = save_campaign(self._sets(rng), directory)
-        os.unlink(paths["IP_A"])
-        with pytest.raises(ValueError, match="IP_A"):
-            load_campaign(directory)
-
-    def test_validation_catches_shape_mismatch(self, rng, tmp_path):
-        directory = str(tmp_path / "campaign")
-        paths = save_campaign(self._sets(rng), directory)
-        save_trace_set(TraceSet("DUT#1", rng.normal(size=(2, 8))), paths["DUT#1"])
-        with pytest.raises(ValueError, match="manifest declares shape"):
-            load_campaign(directory)
-
-    def test_load_campaign_names_none_is_valid(self, rng, tmp_path):
-        # Regression: the annotation used to be a bare Iterable[str]
-        # with a None default; None must remain a supported value.
-        directory = str(tmp_path / "campaign")
-        save_campaign(self._sets(rng), directory)
-        assert len(load_campaign(directory, names=None)) == 2
-        with pytest.raises(KeyError, match="missing devices"):
-            load_campaign(directory, names=["DUT#9"])
-
-
 class TestArrayBundles:
     def test_round_trip(self, rng, tmp_path):
         from repro.acquisition.io import load_array_bundle, save_array_bundle
@@ -238,20 +84,92 @@ class TestArrayBundles:
                 str(tmp_path / "x.npz"), {"__bundle_metadata__": np.ones(1)}
             )
 
-    def test_aliased_save_keys_still_load(self, rng, tmp_path):
-        # The manifest must describe archive-internal device names, so
-        # campaigns saved under aliased dict keys stay loadable.
-        directory = str(tmp_path / "campaign")
-        save_campaign(
-            {"alias": TraceSet("DUT#1", rng.normal(size=(4, 8)))}, directory
-        )
-        loaded = load_campaign(directory)
-        assert list(loaded) == ["DUT#1"]
+    def test_dtypes_and_shapes_survive(self, rng, tmp_path):
+        from repro.acquisition.io import load_array_bundle, save_array_bundle
 
-    def test_duplicate_device_names_rejected_at_save(self, rng, tmp_path):
-        sets = {
-            "run_a": TraceSet("DUT#1", rng.normal(size=(4, 8))),
-            "run_b": TraceSet("DUT#1", rng.normal(size=(6, 8))),
+        arrays = {
+            "float64": rng.normal(size=(3, 4)),
+            "float32": rng.normal(size=5).astype(np.float32),
+            "int64": np.arange(-3, 3),
+            "uint8": np.arange(6, dtype=np.uint8).reshape(2, 3),
+            "bool": np.array([True, False, True]),
+            "scalar": np.array(2.5),
+            "empty": np.zeros((0, 3)),
+            "special": np.array([np.nan, np.inf, -np.inf, -0.0]),
         }
-        with pytest.raises(ValueError, match="one trace set per device"):
-            save_campaign(sets, str(tmp_path / "campaign"))
+        path = str(tmp_path / "bundle.npz")
+        save_array_bundle(path, arrays)
+        loaded, _ = load_array_bundle(path)
+        for name, values in arrays.items():
+            assert loaded[name].dtype == values.dtype, name
+            assert loaded[name].shape == values.shape, name
+            assert loaded[name].tobytes() == values.tobytes(), name
+
+    def test_metadata_defaults_to_empty(self, tmp_path):
+        from repro.acquisition.io import load_array_bundle, save_array_bundle
+
+        path = str(tmp_path / "bundle.npz")
+        save_array_bundle(path, {"a": np.ones(2)})
+        assert load_array_bundle(path)[1] == {}
+
+    def test_metadata_key_order_does_not_change_bytes(self, tmp_path):
+        from repro.acquisition.io import save_array_bundle
+
+        first = str(tmp_path / "first.npz")
+        second = str(tmp_path / "second.npz")
+        save_array_bundle(first, {"a": np.ones(2)}, metadata={"x": 1, "y": [2, 3]})
+        save_array_bundle(second, {"a": np.ones(2)}, metadata={"y": [2, 3], "x": 1})
+        with open(first, "rb") as f1, open(second, "rb") as f2:
+            assert f1.read() == f2.read()
+
+    def test_object_arrays_never_pickled(self, tmp_path):
+        from repro.acquisition.io import load_array_bundle, save_array_bundle
+
+        objects = np.array([{"a": 1}], dtype=object)
+        with pytest.raises(ValueError, match="allow_pickle"):
+            save_array_bundle(str(tmp_path / "saved.npz"), {"objects": objects})
+        # A foreign archive holding a pickle is refused on load too.
+        foreign = str(tmp_path / "foreign.npz")
+        np.savez(foreign, objects=objects)
+        with pytest.raises(ValueError, match="allow_pickle"):
+            load_array_bundle(foreign)
+
+    def test_verification_works_on_reloaded_traces(self, tmp_path):
+        # End-to-end: acquire, save the trace matrices as one bundle,
+        # reload them and reach the same verdict bit for bit.
+        from repro.acquisition.bench import MeasurementBench
+        from repro.acquisition.device import Device
+        from repro.acquisition.io import load_array_bundle, save_array_bundle
+        from repro.acquisition.traces import TraceSet
+        from repro.core.process import ProcessParameters
+        from repro.core.verification import WatermarkVerifier
+        from repro.experiments.designs import build_paper_ip
+        from repro.power.models import PowerModel
+
+        def device(name, ip):
+            return Device(name, build_paper_ip(ip), PowerModel(), default_cycles=256)
+
+        bench = MeasurementBench(seed=0)
+        params = ProcessParameters(k=20, m=8, n1=160, n2=1600)
+        sets = {
+            "RefD": bench.measure(device("RefD", "IP_A"), params.n1),
+            "DUT": bench.measure(device("DUT", "IP_A"), params.n2),
+            "DUT2": bench.measure(device("DUT2", "IP_C"), params.n2),
+        }
+        path = str(tmp_path / "campaign.npz")
+        save_array_bundle(path, {name: s.matrix for name, s in sets.items()})
+        arrays, _ = load_array_bundle(path)
+        loaded = {name: TraceSet(name, matrix) for name, matrix in arrays.items()}
+        verifier = WatermarkVerifier(params)
+        reports = [
+            verifier.identify(
+                found["RefD"], {"DUT": found["DUT"], "DUT2": found["DUT2"]}, rng=1
+            )
+            for found in (sets, loaded)
+        ]
+        assert reports[1].verdict_of("lower-variance").chosen_dut == "DUT"
+        for dut in ("DUT", "DUT2"):
+            np.testing.assert_array_equal(
+                reports[0].results[dut].coefficients,
+                reports[1].results[dut].coefficients,
+            )
