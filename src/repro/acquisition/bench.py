@@ -1,36 +1,33 @@
 """Measurement campaigns: the paper's ``Pw(device, n)`` step.
 
 :func:`acquire_traces` is the library-level entry point for power
-acquisition; :class:`MeasurementBench` bundles an oscilloscope and a
-randomness policy so a whole experiment shares one reproducible
-measurement chain.
+acquisition; :class:`MeasurementBench` bundles an oscilloscope and one
+sequential RNG stream so a whole experiment shares one reproducible
+measurement chain.  The stream is consumed in acquisition order, as on
+a real bench where measurement order matters: two benches with the
+same seed reproduce each other only if they measure the same devices
+in the same order, so a bench always measures serially, in request
+order.
 
-A bench has two seeding modes:
+Campaigns acquire on *keyed* streams instead, through
+:func:`acquire_keyed`, the one keyed acquisition path (behind both
+:func:`~repro.experiments.runner.run_campaign` and the artifact
+cache): every ``(device, cycle-count)`` pair gets its own generator
+seeded from :func:`derive_acquisition_seed`, so acquiring DUT#3 alone
+yields byte-identical traces to acquiring it inside a full campaign.
+This is what makes trace sets *sharing-safe*: the artifact cache
+(:mod:`repro.experiments.artifacts`) can reuse one acquisition across
+scenarios because its bytes do not depend on what else was measured.
+Keyed acquisition is also *prefix-stable*: the first ``n`` traces of a
+large acquisition equal a direct ``n``-trace acquisition (see
+:class:`~repro.power.noise.NoiseModel`).
 
-* **Sequential** (``seed=...``) — one RNG stream consumed in
-  acquisition order, as on a real bench where measurement order
-  matters.  Two benches with the same seed reproduce each other only
-  if they measure the same devices in the same order, so a sequential
-  bench always measures serially, in request order.
-* **Keyed** (``key=...``) — every ``(device, cycle-count)`` pair gets
-  its own generator seeded from
-  :func:`derive_acquisition_seed`, so acquiring DUT#3 alone yields
-  byte-identical traces to acquiring it inside a full campaign.  This
-  is what makes trace sets *sharing-safe*: the artifact cache
-  (:mod:`repro.experiments.artifacts`) can reuse one acquisition
-  across scenarios because its bytes do not depend on what else was
-  measured.  Keyed acquisition is also *prefix-stable*: the first
-  ``n`` traces of a large acquisition equal a direct ``n``-trace
-  acquisition (see :class:`~repro.power.noise.NoiseModel`).
-
-Keyed streams are independent, so :func:`acquire_keyed` — the one
-keyed acquisition path, behind both :meth:`MeasurementBench.measure_all`
-and the artifact cache — acquires a batch of them concurrently.  The
-calling thread renders every waveform and allocates every result
-matrix; worker threads only run the oscilloscope's numpy kernel over
-those preallocated buffers (numpy releases the GIL inside its
-generators and ufuncs), and the pool is shut down before the call
-returns.
+Keyed streams are independent, so :func:`acquire_keyed` acquires a
+batch of them concurrently.  The calling thread renders every waveform
+and allocates every result matrix; worker threads only run the
+oscilloscope's numpy kernel over those preallocated buffers (numpy
+releases the GIL inside its generators and ufuncs), and the pool is
+shut down before the call returns.
 """
 
 from __future__ import annotations
@@ -132,8 +129,8 @@ def acquire_traces(
 class MeasurementBench:
     """One measurement setup shared across a whole experiment.
 
-    Holds the oscilloscope and the seeding policy (see the module
-    docstring) so campaigns are exactly reproducible, and caches
+    Holds the oscilloscope and the sequential RNG stream (see the
+    module docstring) so experiments are exactly reproducible, and caches
     acquired trace sets per device.  Cached matrices are frozen
     (``writeable = False``) and served as zero-copy views — consumers
     must treat trace sets as immutable, which everything in
@@ -144,11 +141,9 @@ class MeasurementBench:
         self,
         oscilloscope: Optional[Oscilloscope] = None,
         seed: RngLike = None,
-        key: Optional[str] = None,
     ):
         self.oscilloscope = oscilloscope if oscilloscope is not None else Oscilloscope()
         self.rng = make_rng(seed)
-        self.key = key
         self._cache: Dict[str, TraceSet] = {}
 
     def measure(
@@ -173,27 +168,16 @@ class MeasurementBench:
         ``n_cycles=None`` and an explicit ``n_cycles=default_cycles``
         hit the same entry instead of acquiring twice.  Hits are served
         as read-only prefix views of the cached matrix — no per-hit
-        copy of multi-MB trace matrices.  A keyed bench acquires its
-        misses concurrently through :func:`acquire_keyed`; a sequential
-        bench measures each one in request order on its shared stream.
+        copy of multi-MB trace matrices.  Misses are measured in
+        request order on the bench's one stream.
         """
-        requests = list(requests)
-        results: List[Optional[TraceSet]] = []
-        deferred: List[int] = []
-        for index, (device, n_traces) in enumerate(requests):
+        results: List[TraceSet] = []
+        for device, n_traces in requests:
             traces = self._lookup(device, n_traces, n_cycles) if cache else None
-            if traces is None and self.key is not None:
-                deferred.append(index)
-            elif traces is None:
-                # One shared stream: measure now, in request order.
+            if traces is None:
                 traces = self.oscilloscope.acquire(device, n_traces, self.rng, n_cycles)
                 self._keep(device, n_cycles, traces, cache)
             results.append(traces)
-        misses = [requests[index] for index in deferred]
-        acquired = acquire_keyed(self.oscilloscope, self.key, misses, n_cycles)
-        for index, (device, _), traces in zip(deferred, misses, acquired):
-            self._keep(device, n_cycles, traces, cache)
-            results[index] = traces
         return results
 
     @staticmethod

@@ -41,6 +41,11 @@ timeout, and several sweep invocations may safely share one store root
 scenarios are re-leased after the TTL.  ``--scrub`` clears crash
 residue (orphaned temp files and bundles, expired leases) before
 running.
+
+``sweep`` and ``serve`` turn their execution flags
+(:data:`OPTION_FLAGS`) into one :class:`~repro.sweeps.api.SweepOptions`
+through one helper, which validates them all and exits with an error
+naming the bad flag.
 """
 
 from __future__ import annotations
@@ -264,14 +269,39 @@ def _parse_random_axis(option: str) -> "tuple[str, float, float, bool, bool]":
     )
 
 
-def _check_count_flags(args: argparse.Namespace) -> None:
-    """Reject negative ``--workers``/``--max-retries`` before any work."""
-    for flag, value in (
-        ("--workers", args.workers),
-        ("--max-retries", args.max_retries),
-    ):
-        if value < 0:
-            raise SystemExit(f"error: {flag} must be >= 0")
+#: The sweep-option flags of ``sweep`` and ``serve``, by the
+#: :class:`~repro.sweeps.api.SweepOptions` field each sets
+#: (``--status-interval`` is ``serve``'s alone).
+OPTION_FLAGS: "Dict[str, str]" = {
+    "n_workers": "--workers",
+    "max_retries": "--max-retries",
+    "lease_ttl": "--lease-ttl",
+    "scenario_timeout": "--scenario-timeout",
+    "status_interval": "--status-interval",
+}
+
+
+def _sweep_options(args: argparse.Namespace):
+    """The :class:`~repro.sweeps.api.SweepOptions` the flags ask for.
+
+    ``--workers 0`` means one slot per usable CPU.  A value the options
+    reject exits with an error naming its flag.
+    """
+    from repro.sweeps import SweepOptions, default_workers
+
+    try:
+        return SweepOptions(
+            n_workers=args.workers or default_workers(),
+            max_retries=args.max_retries,
+            lease_ttl=args.lease_ttl,
+            scenario_timeout=args.scenario_timeout,
+            status_interval=getattr(args, "status_interval", None),
+        )
+    except ValueError as error:
+        field = str(error).partition(":")[0]
+        if field in ("n_workers", "max_retries"):
+            raise SystemExit(f"error: {OPTION_FLAGS[field]} must be >= 0")
+        raise SystemExit(f"error: invalid scheduler options: {error}")
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -280,9 +310,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         GridAxis,
         LeaseManager,
         RandomAxis,
-        RetryPolicy,
-        SchedulerOptions,
-        SweepOptions,
         SweepSpec,
         SweepStore,
         expand_scenarios,
@@ -291,9 +318,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         run,
         sweep_status,
     )
-    from repro.sweeps.executor import default_workers
 
-    _check_count_flags(args)
     if args.axis:
         fields = [field for field, _ in args.axis]
         duplicates = sorted({f for f in fields if fields.count(f) > 1})
@@ -343,34 +368,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except (KeyError, ValueError, TypeError) as error:
         message = error.args[0] if error.args else error
         raise SystemExit(f"error: invalid sweep: {message}")
-    scenarios = expand_scenarios(spec)
     store = SweepStore(args.store)
-    workers = args.workers if args.workers else default_workers()
-    scheduler_kwargs: Dict[str, object] = {}
-    if args.lease_ttl is not None:
-        scheduler_kwargs["lease_ttl"] = args.lease_ttl
-    if args.scenario_timeout is not None:
-        scheduler_kwargs["scenario_timeout"] = args.scenario_timeout
-    try:
-        scheduler = SchedulerOptions(**scheduler_kwargs)
-    except ValueError as error:
-        raise SystemExit(f"error: invalid scheduler options: {error}")
+    options = _sweep_options(args)
+    scenarios = expand_scenarios(spec)
     if args.scrub:
         removed = store.scrub()
-        removed += LeaseManager(store.root, scheduler.lease_ttl).scrub()
+        removed += LeaseManager(store.root).scrub()
         removed += FailureLog(store.root).scrub(store)
         print(f"scrubbed {len(removed)} stale file(s) from {store.root}")
-    options = SweepOptions(
-        n_workers=workers,
-        retry=RetryPolicy(max_attempts=args.max_retries + 1),
-        # Lease flags select the scheduler even for one worker.
-        scheduler=scheduler if scheduler_kwargs else None,
-    )
     print(
         f"sweep {spec.name!r}: {len(scenarios)} scenarios "
         f"({len(spec.grid)} grid axes"
         + (f", {len(spec.random)} random axes x {spec.n_random}" if spec.random else "")
-        + f"), store {store.root}, {workers} worker(s)"
+        + f"), store {store.root}, {options.n_workers} worker(s)"
         + (", lease scheduler" if options.lease_scheduled else "")
     )
     report = run(spec, store, options)
@@ -417,27 +427,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import logging
 
     from repro.service import SweepService
-    from repro.sweeps import RetryPolicy, SchedulerOptions, SweepOptions
-    from repro.sweeps.executor import default_workers
 
-    _check_count_flags(args)
-    scheduler_kwargs: Dict[str, object] = {}
-    if args.lease_ttl is not None:
-        scheduler_kwargs["lease_ttl"] = args.lease_ttl
-    if args.scenario_timeout is not None:
-        scheduler_kwargs["scenario_timeout"] = args.scenario_timeout
-    if args.status_interval is not None:
-        scheduler_kwargs["status_interval"] = args.status_interval
-    try:
-        scheduler = SchedulerOptions(**scheduler_kwargs)
-    except ValueError as error:
-        raise SystemExit(f"error: invalid scheduler options: {error}")
-    workers = args.workers if args.workers else default_workers()
-    options = SweepOptions(
-        n_workers=workers,
-        retry=RetryPolicy(max_attempts=args.max_retries + 1),
-        scheduler=scheduler,
-    )
+    options = _sweep_options(args)
     logging.basicConfig(
         level=logging.INFO, format="%(asctime)s %(name)s: %(message)s"
     )

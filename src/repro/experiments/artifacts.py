@@ -246,10 +246,10 @@ class ArtifactCache:
     per-device streams is exactly what makes a hit byte-identical to a
     cold run.  Misses go through
     :func:`~repro.acquisition.bench.acquire_keyed`, the same keyed path
-    a ``MeasurementBench(key=...)`` uses.  One instance per process is
-    the intended shape (see :func:`process_artifact_cache`); sweep
-    workers each hold their own (a forked worker starts from a copy of
-    its parent's).
+    an unshared :func:`~repro.experiments.runner.run_campaign` uses.
+    One instance per process is the intended shape (see
+    :func:`process_artifact_cache`); sweep workers each hold their own
+    (a forked worker starts from a copy of its parent's).
     """
 
     def __init__(self) -> None:

@@ -14,7 +14,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.acquisition.bench import MeasurementBench
+from repro.acquisition.bench import acquire_keyed
 from repro.acquisition.device import prime_fleet_activity
 from repro.acquisition.oscilloscope import ADCConfig, Oscilloscope
 from repro.attacks.removal import apply_fleet_transform
@@ -299,11 +299,11 @@ def run_campaign(
     if artifacts is not None:
         acquired = artifacts.traces_all(cfg, requests, fleet_tag=fleet_tag)
     else:
-        bench = MeasurementBench(
+        acquired = acquire_keyed(
             Oscilloscope(cfg.noise, cfg.adc),
-            key=measurement_base_key(cfg, fleet_tag),
+            measurement_base_key(cfg, fleet_tag),
+            requests,
         )
-        acquired = bench.measure_all(requests)
     t_duts = dict(zip(DUT_ORDER, acquired))
     t_refs = dict(zip(REF_ORDER, acquired[len(DUT_ORDER) :]))
     verifier = WatermarkVerifier(

@@ -13,12 +13,16 @@ Endpoints
     when an identical running job was joined — job ids are
     content-addressed, so resubmitting a spec is idempotent).
     Malformed specs return 400 with the offending path
-    (:class:`~repro.sweeps.spec.SpecValidationError`), as does an
-    option out of its range, named in the error:
-    ``options.n_workers`` must be an integer from 1 to the larger of
-    the instance default and the usable CPUs, ``options.max_retries``
-    an integer >= 0, ``options.lease_ttl`` a finite number > 0, and
-    ``options.scenario_timeout`` null or a finite number > 0.
+    (:class:`~repro.sweeps.spec.SpecValidationError`), as does a spec
+    of more than :data:`MAX_JOB_SCENARIOS` scenarios (naming
+    ``spec.n_random`` when random axes drive the count, else
+    ``spec.grid``).  ``options`` overrides the instance's
+    :class:`~repro.sweeps.api.SweepOptions` fields ``n_workers``,
+    ``max_retries``, ``lease_ttl`` and ``scenario_timeout``; a value
+    :class:`~repro.sweeps.api.SweepOptions` rejects is a 400 naming
+    the option, and so are ``options.n_workers`` above the larger of
+    the instance default and the usable CPUs and a null
+    ``options.lease_ttl`` (jobs are always lease-scheduled).
 
 ``GET /sweeps`` / ``GET /sweeps/{job_id}``
     List jobs / poll one job: state, report, and the shared
@@ -55,9 +59,8 @@ from __future__ import annotations
 
 import asyncio
 import logging
-import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import AsyncIterator, Dict, Optional, Tuple
 
 import repro
@@ -66,12 +69,7 @@ from repro.service.httpd import MAX_LINE_BYTES, HTTPError, HTTPServer, Request, 
 from repro.service.jobs import JobManager, SweepJob
 from repro.sweeps.aggregate import roc_by_axis, tidy_accuracy
 from repro.sweeps.api import SweepOptions
-from repro.sweeps.scheduler import (
-    FailureLog,
-    LeaseManager,
-    RetryPolicy,
-    SchedulerOptions,
-)
+from repro.sweeps.scheduler import DEFAULT_LEASE_TTL, FailureLog, LeaseManager
 from repro.sweeps.spec import SCHEMA_VERSION, ATTACK_FIELD, SpecValidationError, SweepSpec
 from repro.sweeps.store import SweepStore
 
@@ -83,21 +81,16 @@ _logger = logging.getLogger(__name__)
 #: instance on the same root is seen.
 ROWS_POLL_INTERVAL = 0.2
 
-#: Request-option keys accepted by ``POST /sweeps``.
+#: Most scenarios one submitted spec may expand to.  Expansion runs on
+#: the event loop, so a larger spec would stall every route.
+MAX_JOB_SCENARIOS = 10_000
+
+#: Request-option keys accepted by ``POST /sweeps``: the
+#: :class:`SweepOptions` fields but the shim and the status log
+#: period, which is the instance's.
 _OPTION_KEYS = frozenset(
-    {"n_workers", "max_retries", "scenario_timeout", "lease_ttl"}
-)
-
-
-def _seconds(value: object) -> Optional[float]:
-    """A JSON number as a finite count of seconds > 0, else None."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    try:
-        seconds = float(value)
-    except OverflowError:  # an integer beyond the float range
-        return None
-    return seconds if math.isfinite(seconds) and seconds > 0 else None
+    option.name for option in fields(SweepOptions)
+) - {"artifacts", "status_interval"}
 
 
 class SweepService:
@@ -110,10 +103,10 @@ class SweepService:
     ):
         self.store_root = store_root
         defaults = default_options or SweepOptions()
-        if defaults.scheduler is None:
+        if defaults.lease_ttl is None:
             # The service invariant: jobs are lease-scheduled, so any
             # number of instances can share this store root safely.
-            defaults = replace(defaults, scheduler=SchedulerOptions())
+            defaults = replace(defaults, lease_ttl=DEFAULT_LEASE_TTL)
         self.default_options = defaults
         self.jobs = JobManager(store_root)
         self.router = Router()
@@ -140,52 +133,21 @@ class SweepService:
                     f"options.{key}: unknown option (accepted: "
                     f"{', '.join(sorted(_OPTION_KEYS))})",
                 )
+        if "lease_ttl" in payload and payload["lease_ttl"] is None:
+            # A one-worker job without a TTL would run inline, unleased.
+            raise HTTPError(400, "options.lease_ttl: expected a finite number > 0")
         defaults = self.default_options
-        n_workers = payload.get("n_workers", defaults.n_workers)
+        try:
+            options = replace(defaults, **payload)
+        except ValueError as error:
+            raise HTTPError(400, f"options.{error}")
         # Bounded: one request must not fork a worker per scenario.
         limit = max(defaults.n_workers, bench.usable_cpus())
-        if (
-            isinstance(n_workers, bool)
-            or not isinstance(n_workers, int)
-            or not 1 <= n_workers <= limit
-        ):
+        if options.n_workers > limit:
             raise HTTPError(
                 400, f"options.n_workers: expected an integer from 1 to {limit}"
             )
-        retry = defaults.retry
-        if "max_retries" in payload:
-            max_retries = payload["max_retries"]
-            if (
-                isinstance(max_retries, bool)
-                or not isinstance(max_retries, int)
-                or max_retries < 0
-            ):
-                raise HTTPError(400, "options.max_retries: expected an integer >= 0")
-            retry = RetryPolicy(max_attempts=max_retries + 1)
-        scheduler_fields: Dict[str, object] = {}
-        if "lease_ttl" in payload:
-            lease_ttl = _seconds(payload["lease_ttl"])
-            if lease_ttl is None:
-                raise HTTPError(400, "options.lease_ttl: expected a finite number > 0")
-            scheduler_fields["lease_ttl"] = lease_ttl
-        if "scenario_timeout" in payload:
-            timeout = payload["scenario_timeout"]
-            seconds = None if timeout is None else _seconds(timeout)
-            if timeout is not None and seconds is None:
-                raise HTTPError(
-                    400,
-                    "options.scenario_timeout: expected null or a finite number > 0",
-                )
-            scheduler_fields["scenario_timeout"] = seconds
-        try:
-            return replace(
-                defaults,
-                n_workers=n_workers,
-                retry=retry,
-                scheduler=replace(defaults.scheduler, **scheduler_fields),
-            )
-        except ValueError as error:
-            raise HTTPError(400, f"options: {error}")
+        return options
 
     def _job_or_404(self, request: Request) -> SweepJob:
         job_id = request.params["job_id"]
@@ -225,6 +187,13 @@ class SweepService:
             spec = SweepSpec.from_json_dict(payload["spec"])
         except SpecValidationError as error:
             raise HTTPError(400, f"spec.{error.path}: {error.detail}")
+        if spec.n_scenarios > MAX_JOB_SCENARIOS:
+            raise HTTPError(
+                400,
+                f"spec.{'n_random' if spec.random else 'grid'}: the spec expands "
+                f"to {spec.n_scenarios} scenarios, more than the "
+                f"{MAX_JOB_SCENARIOS} one job may run",
+            )
         options = self._merge_options(payload.get("options"))
         job, created = self.jobs.submit(spec, options)
         description = job.describe(job.status())
@@ -305,9 +274,8 @@ class SweepService:
                 "only while no writer is active on the store root",
             )
         store = SweepStore(self.store_root)
-        scheduler = self.default_options.scheduler
         removed = store.scrub()
-        removed += LeaseManager(self.store_root, scheduler.lease_ttl).scrub()
+        removed += LeaseManager(self.store_root).scrub()
         removed += FailureLog(self.store_root).scrub(store)
         _logger.info("scrub removed %d file(s)", len(removed))
         return 200, {"removed": len(removed), "paths": removed}
@@ -404,6 +372,7 @@ def start_service(
 
 
 __all__ = [
+    "MAX_JOB_SCENARIOS",
     "ROWS_POLL_INTERVAL",
     "ServiceHandle",
     "SweepService",

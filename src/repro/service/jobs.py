@@ -14,13 +14,18 @@ construction:
   to check (the "repeated questions are ~free" tier).
 
 * **Lease-scheduled execution.**  The service always routes jobs
-  through the lease scheduler
-  (:class:`~repro.sweeps.scheduler.SchedulerOptions`), so any number
+  through the lease scheduler (its options always set
+  :attr:`~repro.sweeps.api.SweepOptions.lease_ttl`), so any number
   of service instances may point at one store root: leases keep their
   workers off each other's scenarios, a dead instance's leases expire,
   and results publish through idempotent atomic writes — every
   scenario digest is executed exactly once across the fleet in the
   healthy case, and duplicated execution is harmless in every other.
+
+An instance keeps at most :data:`MAX_FINISHED_JOBS` finished jobs (each
+holds its expanded scenario list); older ones are forgotten, and their
+ids answer 404 like any unknown id — resubmitting the spec re-runs it
+from the store.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.sweeps.api import SweepOptions, run
 from repro.sweeps.executor import SweepReport
-from repro.sweeps.scheduler import SchedulerOptions, error_info
+from repro.sweeps.scheduler import error_info
 from repro.sweeps.spec import Scenario, SweepSpec, canonical_json, expand_scenarios
 from repro.sweeps.status import SweepStatus, sweep_status
 from repro.sweeps.store import SweepStore
@@ -46,6 +51,11 @@ JOB_RUNNING = "running"
 JOB_DONE = "done"
 JOB_QUARANTINED = "quarantined"  # finished, but some scenarios failed
 JOB_ERROR = "error"  # the run itself raised (store unwritable, ...)
+
+#: Jobs one instance keeps once they end, counting the one a submit
+#: starts: each submit forgets the oldest terminal jobs beyond it, and
+#: their ids answer 404.  Read at call time.
+MAX_FINISHED_JOBS = 64
 
 
 def job_id_for(spec: SweepSpec) -> str:
@@ -89,10 +99,6 @@ class SweepJob:
     @property
     def running(self) -> bool:
         return self.state == JOB_RUNNING
-
-    @property
-    def lease_ttl(self) -> float:
-        return (self.options.scheduler or SchedulerOptions()).lease_ttl
 
     # -- change notification -------------------------------------------
 
@@ -150,11 +156,7 @@ class SweepJob:
 
     def status(self) -> SweepStatus:
         """Live progress snapshot scoped to this job's scenarios."""
-        return sweep_status(
-            self.store_root,
-            scenario_ids=self.scenario_ids,
-            lease_ttl=self.lease_ttl,
-        )
+        return sweep_status(self.store_root, scenario_ids=self.scenario_ids)
 
     def describe(self, status: Optional[SweepStatus] = None) -> Dict[str, object]:
         """The job's JSON form for API responses."""
@@ -196,7 +198,9 @@ class JobManager:
         Returns ``(job, created)``: ``created`` is False when an
         identical spec is already running here and the caller joined
         it.  A terminal job is replaced by a fresh run — ~free when
-        its results are all still in the store.
+        its results are all still in the store.  A created job counts
+        toward :data:`MAX_FINISHED_JOBS`: the oldest terminal jobs
+        beyond it are forgotten, and running jobs always stay.
         """
         job_id = job_id_for(spec)
         with self._lock:
@@ -205,6 +209,12 @@ class JobManager:
                 return existing, False
             job = SweepJob(job_id, spec, options, self.store_root)
             self._jobs[job_id] = job
+            finished = sorted(
+                (old for old in self._jobs.values() if not old.running),
+                key=lambda old: old.submitted_at,
+            )
+            for old in finished[: max(0, len(finished) - MAX_FINISHED_JOBS + 1)]:
+                del self._jobs[old.job_id]
             job.start()
             _logger.info(
                 "job %s submitted: %r, %d scenarios",
@@ -232,6 +242,7 @@ __all__ = [
     "JOB_ERROR",
     "JOB_QUARANTINED",
     "JOB_RUNNING",
+    "MAX_FINISHED_JOBS",
     "JobManager",
     "SweepJob",
     "job_id_for",

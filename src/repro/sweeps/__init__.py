@@ -15,16 +15,17 @@ small:
   speak.
 
 * :func:`run` is **the one entry point for executing a sweep**:
-  ``run(spec, store, SweepOptions(...))``.  :class:`SweepOptions`
-  carries every knob — worker count, retry policy and
-  :class:`SchedulerOptions`.  Every sweep shares fleets,
-  traces and campaign outcomes between scenarios that agree on them.
-  A single-worker sweep runs inline;
-  a sweep with more workers, or with ``scheduler=`` set, runs on the
-  lease-based fault-tolerant scheduler, in which attempts run in
-  isolated child processes with timeouts and any number of instances
-  safely share one store root.  Whatever the options, the resulting
-  :class:`SweepStore` is byte-identical to a clean single-worker run.
+  ``run(spec, store, SweepOptions(...))``.  :class:`SweepOptions` is
+  one flat, validated value with every setting — ``n_workers``,
+  ``max_retries``, ``lease_ttl``, ``scenario_timeout`` and
+  ``status_interval``.  Every sweep shares fleets, traces and campaign
+  outcomes between scenarios that agree on them.  A single-worker
+  sweep with no lease setting runs inline; a sweep with more workers,
+  or with any of the three seconds fields set, runs on the lease-based
+  fault-tolerant scheduler, in which attempts run in isolated child
+  processes with timeouts and any number of instances safely share one
+  store root.  Whatever the options, the resulting :class:`SweepStore`
+  is byte-identical to a clean single-worker run.
 
 * :func:`sweep_status` snapshots a store root's execution state
   (completed / pending / leased / quarantined / attempt counts) —
@@ -36,7 +37,7 @@ small:
 
 Execution is resumable (the store is content-addressed; only missing
 scenario digests run) and fault-tolerant: failures retry with backoff
-(:class:`RetryPolicy`), exhausted scenarios are quarantined under
+(``max_retries`` times), exhausted scenarios are quarantined under
 ``failed/`` while the sweep continues, and every recovery path is
 exercised under the deterministic fault-injection harness
 (:mod:`repro.sweeps.faultinject`).
@@ -70,8 +71,6 @@ from repro.sweeps.faultinject import (
 from repro.sweeps.scheduler import (
     FailureLog,
     LeaseManager,
-    RetryPolicy,
-    SchedulerOptions,
 )
 from repro.sweeps.scenario import (
     outcome_arrays,
@@ -110,9 +109,7 @@ __all__ = [
     "InjectedFault",
     "LeaseManager",
     "RandomAxis",
-    "RetryPolicy",
     "Scenario",
-    "SchedulerOptions",
     "SpecValidationError",
     "SweepOptions",
     "SweepSpec",

@@ -2,21 +2,23 @@
 
     ``run(spec, store, options=SweepOptions(...), progress=...)``
 
-:class:`SweepOptions` carries every execution knob, so embedders (the
-HTTP sweep service, the CLI, tests, notebooks) call one function
-whatever the strategy.  Execution strategy never changes results:
-whatever the options, the store is byte-identical to a clean
-single-worker run.
+:class:`SweepOptions` holds every setting of a sweep run in one flat,
+validated value, under the names the CLI flags and the service's
+``options`` use, so embedders (the HTTP sweep service, the CLI, tests,
+notebooks) call one function whatever the strategy.  Execution
+strategy never changes results: whatever the options, the store is
+byte-identical to a clean single-worker run.
 
 :func:`run` expands the spec, reports the scenarios already in the
 store as cached, and hands the rest to one of two strategies.  A sweep
-with ``n_workers > 1`` or with ``options.scheduler`` set runs on the
+with ``n_workers > 1``, or with any of ``lease_ttl``,
+``scenario_timeout`` or ``status_interval`` set, runs on the
 lease-based fault-tolerant scheduler (:mod:`repro.sweeps.scheduler` —
 isolated attempt processes, scenario timeouts, safe concurrency of
 many instances on one store root); any other sweep runs inline in the
 calling process (:mod:`repro.sweeps.executor`).  Both run the same
 attempt body and the same failure step, under the one retry setting
-``options.retry``.
+``options.max_retries``.
 
 Every sweep shares artifacts: each process that runs attempts keeps
 one :class:`~repro.experiments.artifacts.ArtifactCache`, which retains
@@ -32,11 +34,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.experiments.artifacts import ArtifactOptions
-from repro.sweeps.scheduler import RetryPolicy, SchedulerOptions
 from repro.sweeps.spec import (
     ANALYSIS_FIELDS,
     Scenario,
     SweepSpec,
+    _finite,
     canonical_json,
     expand_scenarios,
 )
@@ -48,13 +50,12 @@ if TYPE_CHECKING:  # imported lazily at call time to avoid module cycles
 
 @dataclass(frozen=True)
 class SweepOptions:
-    """Every execution knob of one sweep run, in one place.
+    """Every setting of one sweep run, in one place.
 
     ``n_workers``
-        Parallelism.  ``1`` runs the sweep inline in the calling
-        process (unless ``scheduler`` is set); more runs it on the
-        lease scheduler with that many concurrent attempt slots, each
-        a persistent worker process.
+        Attempt slots.  ``1`` runs the sweep inline in the calling
+        process (unless a lease field below is set); more run it on the
+        lease scheduler, each slot a persistent worker process.
 
     ``artifacts``
         :class:`~repro.experiments.artifacts.ArtifactOptions`, which
@@ -64,33 +65,53 @@ class SweepOptions:
         (``perfbench/workloads.py``) constructs
         ``SweepOptions(artifacts=ArtifactOptions())``.
 
-    ``retry``
-        Per-scenario attempt budget and backoff, the only retry
-        setting: both strategies read it.
+    ``max_retries``
+        Re-attempts per scenario and run after its first failure, the
+        one retry setting of both strategies.  A scenario that fails
+        ``max_retries + 1`` times is quarantined.
 
-    ``scheduler``
-        :class:`~repro.sweeps.scheduler.SchedulerOptions` (lease TTL,
-        scenario timeout, polling, owner, status logging).  Setting it
-        selects lease-based scheduling even with one worker; ``None``
-        means the defaults whenever ``n_workers > 1`` selects it.
+    ``lease_ttl``, ``scenario_timeout``, ``status_interval``
+        Seconds, or ``None``: the lease TTL
+        (:data:`~repro.sweeps.scheduler.DEFAULT_LEASE_TTL` when unset),
+        the wall-clock limit of one attempt (none when unset) and the
+        period of the scheduler's progress log lines (none when unset).
+        Setting any of them selects the lease scheduler even for one
+        worker.
 
-    Results never depend on any of these: every combination converges
-    on a byte-identical store.
+    Every field is validated here: a bad value raises ``ValueError``
+    whose message starts with the field's name.  Results never depend
+    on any of these: every combination converges on a byte-identical
+    store.
     """
 
     n_workers: int = 1
     artifacts: ArtifactOptions = field(default_factory=ArtifactOptions)
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    scheduler: Optional[SchedulerOptions] = None
+    max_retries: int = 2
+    lease_ttl: Optional[float] = None
+    scenario_timeout: Optional[float] = None
+    status_interval: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
+        for name, minimum in (("n_workers", 1), ("max_retries", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+                raise ValueError(f"{name}: expected an integer >= {minimum}")
+        # A NaN lease is never stale and never heartbeated, a NaN
+        # timeout never fires, and an infinite lease of a dead instance
+        # never expires for the other instances on its root.
+        for name in ("lease_ttl", "scenario_timeout", "status_interval"):
+            value = getattr(self, name)
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if value is not None and not (number and _finite(value) and value > 0):
+                raise ValueError(f"{name}: expected a finite number > 0")
 
     @property
     def lease_scheduled(self) -> bool:
         """True when :func:`run` hands the sweep to the lease scheduler."""
-        return self.scheduler is not None or self.n_workers > 1
+        return self.n_workers > 1 or any(
+            value is not None
+            for value in (self.lease_ttl, self.scenario_timeout, self.status_interval)
+        )
 
 
 def run(

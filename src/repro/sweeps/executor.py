@@ -5,9 +5,10 @@ execution strategies share.
 :class:`~repro.sweeps.spec.SweepSpec`, skips every scenario already
 present in the :class:`~repro.sweeps.store.SweepStore`, and hands the
 missing ones to one of two strategies.  A sweep with one worker and no
-:attr:`~repro.sweeps.api.SweepOptions.scheduler` runs them inline, in
-the calling process, through :func:`_inline_sweep`: the in-process
-reference every byte-identity test compares against.  Every other
+lease setting (:attr:`~repro.sweeps.api.SweepOptions.lease_scheduled`
+is False) runs them inline, in the calling process, through
+:func:`_inline_sweep`: the in-process reference every byte-identity
+test compares against.  Every other
 sweep runs on the lease scheduler (:mod:`repro.sweeps.scheduler`),
 whose persistent attempt workers run this module's attempt body
 (:func:`_execute_attempt`).  Both strategies fill in one
@@ -24,9 +25,9 @@ the scenarios in flight — a rerun picks up exactly the missing ones.
 
 Fault tolerance: one failing scenario no longer aborts the sweep.
 Every attempt is wrapped; failures are retried with exponential
-backoff per the :class:`~repro.sweeps.scheduler.RetryPolicy` (attempt
-numbers persist in ``.attempts/`` beside the store, so seeded fault
-plans stay deterministic across runs), and a scenario that exhausts
+backoff up to :attr:`~repro.sweeps.api.SweepOptions.max_retries` times
+(attempt numbers persist in ``.attempts/`` beside the store, so seeded
+fault plans stay deterministic across runs), and a scenario that exhausts
 its budget is quarantined as a ``failed/<id>.json`` record — the sweep
 continues and the loss surfaces in :attr:`SweepReport.failed_ids`
 instead of discarding every sibling's progress.  Retries rewrite
@@ -137,7 +138,7 @@ def _inline_sweep(
     The inline execution strategy behind :func:`repro.sweeps.run`,
     which hands it the scenarios missing from ``store`` and the report
     to fill in.  Each scenario is attempted up to
-    ``options.retry.max_attempts`` times with backoff; exhaustion
+    ``options.max_retries + 1`` times with backoff; exhaustion
     quarantines it (``failed/<id>.json``) and the remaining scenarios
     keep executing.  ``progress`` is called as
     ``progress(scenario_id, True)`` as each scenario lands.
@@ -155,7 +156,12 @@ def _inline_sweep(
             except Exception as error:  # noqa: BLE001 — quarantine path
                 failures += 1
                 delay = log.record_failure(
-                    scenario, error_info(error), attempt, failures, options.retry, owner
+                    scenario,
+                    error_info(error),
+                    attempt,
+                    failures,
+                    options.max_retries,
+                    owner,
                 )
                 if delay is None:
                     report.failed_ids.append(scenario_id)

@@ -1,8 +1,9 @@
 """Lease-based, fault-tolerant scheduling of sweep scenarios.
 
 This is the one multiprocess executor of :func:`repro.sweeps.run`:
-every sweep with more than one worker, or with
-:attr:`~repro.sweeps.api.SweepOptions.scheduler` set, runs here.  It
+every sweep with more than one worker, or with any of
+:class:`~repro.sweeps.api.SweepOptions`' ``lease_ttl``,
+``scenario_timeout`` or ``status_interval`` set, runs here.  It
 is also the robustness substrate under distributed sweep execution:
 many scheduler instances (processes or machines) point at one shared
 :class:`~repro.sweeps.store.SweepStore` root and together execute a
@@ -16,8 +17,9 @@ a scheduler claims an *atomic lease file*
 (``<root>/.leases/<id>.lease`` — a complete claim file hard-linked
 into place, so exactly one claimant wins and none sees it half
 written) recording the owner id, a heartbeat timestamp and the lease
-TTL.  While an attempt runs, the scheduler heartbeats the
-lease; a lease whose heartbeat is older than its TTL is *stale* and
+TTL (:data:`DEFAULT_LEASE_TTL` unless the sweep sets ``lease_ttl``).
+While an attempt runs, the scheduler heartbeats the lease every
+quarter TTL; a lease whose heartbeat is older than its TTL is *stale* and
 any scheduler may reclaim it — a dead worker's scenarios are re-leased
 automatically.  Leases are an efficiency mechanism, not a correctness
 one: if a paused-but-alive owner is reclaimed and the digest executes
@@ -42,9 +44,10 @@ other process, and never outlive the sweep that forked them.
 
 Failed attempts are recorded in ``<root>/.attempts/<id>.json`` (a
 persistent history: attempt numbers survive scheduler restarts, which
-keeps seeded fault plans deterministic across reruns) and retried with
-exponential backoff up to :attr:`RetryPolicy.max_attempts` per
-scheduler run.  A scenario that exhausts its attempts is
+keeps seeded fault plans deterministic across reruns) and retried up
+to ``max_retries`` times per scheduler run, with exponential backoff
+(:data:`BACKOFF_BASE` seconds after the first failure, doubling, at
+most :data:`BACKOFF_MAX`).  A scenario that exhausts its attempts is
 *quarantined*: a ``<root>/failed/<id>.json`` record (exception type,
 message, traceback, attempt count) is written and the sweep
 **continues** — one poisoned scenario costs its own result, not the
@@ -54,7 +57,7 @@ converges once the cause is gone.  The attempt body and this failure
 step (:meth:`FailureLog.record_failure`) are the in-process executor's
 own; only the process isolation, leases and timeouts are specific to
 this scheduler.  The retry budget is the sweep's one retry setting,
-:attr:`~repro.sweeps.api.SweepOptions.retry`.
+:attr:`~repro.sweeps.api.SweepOptions.max_retries`.
 
 The standing invariant, now tested *under faults*
 (:mod:`repro.sweeps.faultinject`): any interleaving of crashes,
@@ -69,7 +72,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import multiprocessing
 import os
 import socket
@@ -93,90 +95,28 @@ LEASE_DIR = ".leases"
 ATTEMPT_DIR = ".attempts"
 FAILED_DIR = "failed"
 
+#: Lease TTL of a lease-scheduled sweep that sets none, in seconds.
+DEFAULT_LEASE_TTL = 30.0
+
+#: Backoff after a scenario's n-th failed attempt in one run:
+#: ``BACKOFF_BASE * BACKOFF_FACTOR ** (n - 1)`` seconds, at most
+#: ``BACKOFF_MAX``.  Read at call time, so tests may patch them.
+BACKOFF_BASE = 0.1
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX = 5.0
+
+#: Longest wait between supervision passes of the lease scheduler
+#: (heartbeats, timeouts, backoff, foreign leases), in seconds.  A
+#: finished attempt wakes the scheduler at once; this is not a sleep
+#: after every completion.  Read at call time, so tests may patch it.
+POLL_INTERVAL = 0.05
+
 _logger = logging.getLogger(__name__)
 
 
 def default_owner() -> str:
     """A unique owner id for one scheduler instance."""
     return f"{socket.gethostname()}:{os.getpid()}:{uuid.uuid4().hex[:8]}"
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Per-scenario retry budget and exponential backoff schedule."""
-
-    #: Attempts per scenario *per run* (1 = no retry).
-    max_attempts: int = 3
-    #: Delay after the first failed attempt, in seconds.
-    backoff_base: float = 0.1
-    #: Multiplier applied per further failure.
-    backoff_factor: float = 2.0
-    #: Ceiling on any single delay.
-    backoff_max: float = 5.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        backoff = (self.backoff_base, self.backoff_factor, self.backoff_max)
-        if not all(map(math.isfinite, backoff)):
-            raise ValueError("backoff delays and backoff_factor must be finite")
-        if self.backoff_base < 0 or self.backoff_max < 0:
-            raise ValueError("backoff delays must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
-
-    def delay(self, failures: int) -> float:
-        """Backoff after the ``failures``-th consecutive failure (1-based)."""
-        if failures < 1:
-            return 0.0
-        return min(
-            self.backoff_max,
-            self.backoff_base * self.backoff_factor ** (failures - 1),
-        )
-
-
-@dataclass(frozen=True)
-class SchedulerOptions:
-    """Tuning knobs of one lease-scheduled sweep run."""
-
-    #: Seconds without a heartbeat after which a lease is stale.
-    lease_ttl: float = 30.0
-    #: Heartbeat period while an attempt runs (default: ``lease_ttl/4``).
-    heartbeat_interval: Optional[float] = None
-    #: Longest wait between supervision passes (heartbeats, timeouts,
-    #: backoff, foreign leases).  A finished attempt wakes the
-    #: scheduler at once; this is not a sleep after every completion.
-    poll_interval: float = 0.05
-    #: Kill any single attempt after this many seconds (None = never).
-    scenario_timeout: Optional[float] = None
-    #: Owner id (default: a fresh ``host:pid:uuid`` per run).
-    owner: Optional[str] = None
-    #: Seconds between periodic progress log lines (INFO on this
-    #: module's logger, rendered by the shared
-    #: :func:`repro.sweeps.status.render_status` snapshot; None = off).
-    status_interval: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        # Every period is a finite number of seconds > 0: a NaN lease is
-        # never stale and never heartbeated, a NaN timeout never fires,
-        # and an infinite lease of a dead instance never expires for
-        # the other instances on its root.
-        for name in (
-            "lease_ttl",
-            "heartbeat_interval",
-            "poll_interval",
-            "scenario_timeout",
-            "status_interval",
-        ):
-            value = getattr(self, name)
-            if value is None and name not in ("lease_ttl", "poll_interval"):
-                continue
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-
-    @property
-    def effective_heartbeat(self) -> float:
-        return self.heartbeat_interval or self.lease_ttl / 4.0
 
 
 def _atomic_write_json(path: str, payload: object) -> None:
@@ -195,9 +135,17 @@ class LeaseManager:
     place — exactly one claimant wins.  Reclaiming a stale lease renames it to a
     per-claimant scratch name first; the rename succeeds for exactly
     one reclaimer, so a stale lease is stolen at most once per expiry.
+    Every claim records ``ttl``, and a lease is stale once its
+    heartbeat is older than the TTL it records, so a manager that only
+    reads or scrubs leases can keep the default.
     """
 
-    def __init__(self, root: str, ttl: float, owner: Optional[str] = None):
+    def __init__(
+        self,
+        root: str,
+        ttl: float = DEFAULT_LEASE_TTL,
+        owner: Optional[str] = None,
+    ):
         self.root = root
         self.ttl = ttl
         self.owner = owner or default_owner()
@@ -357,24 +305,25 @@ class FailureLog:
         error: Dict[str, object],
         attempt: int,
         failures: int,
-        retry: RetryPolicy,
+        max_retries: int,
         owner: str,
     ) -> Optional[float]:
         """The failure step shared by both executors.
 
         Attaches ``error`` to the latest attempt entry; ``failures``
         counts this run's failed attempts of the scenario, this one
-        included.  Once it reaches ``retry.max_attempts`` the scenario
-        is quarantined as of ``attempt`` and ``None`` is returned;
+        included.  Once it exceeds ``max_retries`` (a scenario gets
+        ``max_retries + 1`` attempts per run) the scenario is
+        quarantined as of ``attempt`` and ``None`` is returned;
         otherwise the backoff delay before the next attempt.  Callers
         holding a lease release it only after this returns, so no other
         owner writes the history meanwhile.
         """
         self.record_error(scenario.scenario_id, error)
-        if failures >= retry.max_attempts:
+        if failures > max_retries:
             self.quarantine(scenario, error, attempt, owner)
             return None
-        return retry.delay(failures)
+        return min(BACKOFF_MAX, BACKOFF_BASE * BACKOFF_FACTOR ** (failures - 1))
 
     # -- quarantine ------------------------------------------------------
 
@@ -576,9 +525,10 @@ def _scheduled_sweep(
     """Execute the pending ``scenarios`` under lease scheduling.
 
     This is the multiprocess execution strategy behind the unified
-    :func:`repro.sweeps.run` facade (selected by ``n_workers > 1`` or
-    :attr:`~repro.sweeps.api.SweepOptions.scheduler`, default
-    :class:`SchedulerOptions` when unset).
+    :func:`repro.sweeps.run` facade, selected by
+    :attr:`~repro.sweeps.api.SweepOptions.lease_scheduled`.  Leases
+    live ``sweep.lease_ttl`` seconds (:data:`DEFAULT_LEASE_TTL` when
+    unset) and are heartbeated every quarter of that.
 
     Safe to run concurrently with other lease-scheduled sweeps (other
     processes, other machines over a shared filesystem) on the same
@@ -587,8 +537,8 @@ def _scheduled_sweep(
     idempotent atomic writes make even a duplicated execution
     harmless.  Each of the ``sweep.n_workers`` attempt slots runs the
     in-process executor's attempt body in a persistent worker process,
-    so worker crashes and timeouts are contained and retried per
-    :class:`RetryPolicy`; scenarios that exhaust their budget are
+    so worker crashes and timeouts are contained and retried up to
+    ``sweep.max_retries`` times; scenarios that exhaust their budget are
     quarantined under ``failed/`` and the sweep continues.  Every
     worker is stopped, and the leases of attempts still in flight
     released, on any exit — including an exception from ``progress``.
@@ -603,9 +553,10 @@ def _scheduled_sweep(
     grouped order :func:`repro.sweeps.run` hands over.  Workers share
     nothing but the store: each acquires the groups it runs.
     """
-    options = sweep.scheduler or SchedulerOptions()
-    owner = options.owner or default_owner()
-    leases = LeaseManager(store.root, options.lease_ttl, owner)
+    lease_ttl = sweep.lease_ttl or DEFAULT_LEASE_TTL
+    heartbeat = lease_ttl / 4.0
+    owner = default_owner()
+    leases = LeaseManager(store.root, lease_ttl, owner)
     log = FailureLog(store.root)
     pending: Dict[str, Scenario] = {s.scenario_id: s for s in scenarios}
 
@@ -615,8 +566,8 @@ def _scheduled_sweep(
     failures_this_run: Dict[str, int] = {}
     next_due: Dict[str, float] = {}
     next_status = (
-        time.monotonic() + options.status_interval
-        if options.status_interval is not None
+        time.monotonic() + sweep.status_interval
+        if sweep.status_interval is not None
         else None
     )
 
@@ -624,11 +575,7 @@ def _scheduled_sweep(
         # Lazy import: repro.sweeps.status builds on this module.
         from repro.sweeps.status import render_status, sweep_status
 
-        snapshot = sweep_status(
-            store.root,
-            scenario_ids=report.scenario_ids,
-            lease_ttl=options.lease_ttl,
-        )
+        snapshot = sweep_status(store.root, scenario_ids=report.scenario_ids)
         _logger.info(
             "sweep %r [%s]: %s", report.spec_name, owner, render_status(snapshot)
         )
@@ -637,7 +584,7 @@ def _scheduled_sweep(
         failures = failures_this_run.get(scenario_id, 0) + 1
         failures_this_run[scenario_id] = failures
         delay = log.record_failure(
-            run.scenario, error, run.attempt, failures, sweep.retry, owner
+            run.scenario, error, run.attempt, failures, sweep.max_retries, owner
         )
         leases.release(scenario_id)
         del running[scenario_id]
@@ -668,7 +615,7 @@ def _scheduled_sweep(
                                 "type": "ScenarioTimeout",
                                 "message": (
                                     "attempt exceeded the scenario timeout of "
-                                    f"{options.scenario_timeout}s and was killed"
+                                    f"{sweep.scenario_timeout}s and was killed"
                                 ),
                                 "traceback": "",
                             },
@@ -676,7 +623,7 @@ def _scheduled_sweep(
                         progressed = True
                     elif now >= run.next_heartbeat:
                         leases.heartbeat(scenario_id)
-                        run.next_heartbeat = now + options.effective_heartbeat
+                        run.next_heartbeat = now + heartbeat
                     continue
                 error = worker.reply()
                 if error is None:
@@ -725,18 +672,18 @@ def _scheduled_sweep(
                     scenario=scenario,
                     attempt=attempt,
                     deadline=(
-                        start + options.scenario_timeout
-                        if options.scenario_timeout is not None
+                        start + sweep.scenario_timeout
+                        if sweep.scenario_timeout is not None
                         else None
                     ),
-                    next_heartbeat=start + options.effective_heartbeat,
+                    next_heartbeat=start + heartbeat,
                 )
                 worker.send(scenario, attempt)
                 progressed = True
 
             if next_status is not None and time.monotonic() >= next_status:
                 log_status()
-                next_status = time.monotonic() + options.status_interval
+                next_status = time.monotonic() + sweep.status_interval
 
             if pending and not progressed:
                 # Wake on the first reply or worker death; the timeout
@@ -747,7 +694,7 @@ def _scheduled_sweep(
                         for run in running.values()
                         for handle in (run.worker.conn, run.worker.process.sentinel)
                     ],
-                    options.poll_interval,
+                    POLL_INTERVAL,
                 )
     finally:
         for worker in idle:
@@ -762,12 +709,11 @@ def _scheduled_sweep(
 
 __all__ = [
     "ATTEMPT_DIR",
+    "DEFAULT_LEASE_TTL",
     "FAILED_DIR",
     "LEASE_DIR",
     "FailureLog",
     "LeaseManager",
-    "RetryPolicy",
-    "SchedulerOptions",
     "default_owner",
     "error_info",
 ]

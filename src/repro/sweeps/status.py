@@ -23,12 +23,7 @@ import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.sweeps.scheduler import (
-    LEASE_DIR,
-    FailureLog,
-    LeaseManager,
-    SchedulerOptions,
-)
+from repro.sweeps.scheduler import LEASE_DIR, FailureLog, LeaseManager
 from repro.sweeps.store import SweepStore
 
 
@@ -73,16 +68,14 @@ class SweepStatus:
 def sweep_status(
     store_root: str,
     scenario_ids: Optional[Sequence[str]] = None,
-    lease_ttl: float = SchedulerOptions.lease_ttl,
 ) -> SweepStatus:
     """Snapshot the execution state of ``store_root``.
 
     ``scenario_ids`` scopes every count to one sweep's expansion (and
     makes ``total``/``pending`` known); without it the snapshot covers
-    everything in the root, which may mix several sweeps.
-    ``lease_ttl`` is only the staleness default for lease files that
-    do not carry their own TTL (every lease written by this codebase
-    does).
+    everything in the root, which may mix several sweeps.  A lease is
+    live while its heartbeat is younger than the TTL it carries (every
+    lease this code writes carries one; a torn lease reads as stale).
     """
     store = SweepStore(store_root)
     log = FailureLog(store_root)
@@ -102,7 +95,7 @@ def sweep_status(
         # LeaseManager creates its directory on construction, so it is
         # only instantiated once the directory is known to exist — a
         # status snapshot must not mutate the root it describes.
-        leases = LeaseManager(store_root, ttl=lease_ttl)
+        leases = LeaseManager(store_root)
         for entry in sorted(os.listdir(lease_dir)):
             if not entry.endswith(".lease"):
                 continue

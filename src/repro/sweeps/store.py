@@ -204,17 +204,5 @@ class SweepStore:
             _fsync_dir(self.root)
         return removed
 
-    def size_bytes(self) -> int:
-        """Total bytes of all completed records and bundles on disk."""
-        total = 0
-        for scenario_id in self.ids():
-            for path in (
-                self.record_path(scenario_id),
-                self.arrays_path(scenario_id),
-            ):
-                if os.path.exists(path):
-                    total += os.path.getsize(path)
-        return total
-
 
 __all__ = ["SweepStore"]

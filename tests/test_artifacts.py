@@ -155,15 +155,11 @@ class TestConfigKeys:
 class TestKeyedAcquisition:
     def test_device_alone_equals_device_inside_campaign(self):
         # The sharing-safe property: acquiring one device is independent
-        # of what else the bench measured before it.
-        scope_kwargs = dict(noise=NoiseModel(sigma=1.0), adc=ADCConfig())
+        # of what else was measured with it.
+        scope = Oscilloscope(noise=NoiseModel(sigma=1.0), adc=ADCConfig())
         d1, d2 = make_device("a"), make_device("b")
-        full = MeasurementBench(Oscilloscope(**scope_kwargs), key="K")
-        full.measure(d1, 30)
-        inside = full.measure(d2, 20)
-        alone = MeasurementBench(Oscilloscope(**scope_kwargs), key="K").measure(
-            d2, 20
-        )
+        inside = bench_module.acquire_keyed(scope, "K", [(d1, 30), (d2, 20)])[1]
+        alone = bench_module.acquire_keyed(scope, "K", [(d2, 20)])[0]
         np.testing.assert_array_equal(inside.matrix, alone.matrix)
 
     def test_prefix_stability_across_budgets(self):
@@ -324,7 +320,7 @@ def acquisition_threads(monkeypatch):
 
 
 class TestConcurrentAcquisition:
-    @pytest.mark.parametrize("shared", [False, True], ids=["bench", "artifacts"])
+    @pytest.mark.parametrize("shared", [False, True], ids=["unshared", "artifacts"])
     def test_campaign_equals_devices_acquired_alone(self, monkeypatch, shared):
         threads = acquisition_threads(monkeypatch)
         cfg = quick_config()
@@ -334,8 +330,8 @@ class TestConcurrentAcquisition:
         scope = Oscilloscope(cfg.noise, cfg.adc)
 
         def alone(device, n_traces):
-            bench = MeasurementBench(scope, key=measurement_base_key(cfg))
-            return bench.measure(device, n_traces)
+            key = measurement_base_key(cfg)
+            return bench_module.acquire_keyed(scope, key, [(device, n_traces)])[0]
 
         t_duts = {name: alone(duts[name], QUICK.n2) for name in DUT_ORDER}
         verifier = WatermarkVerifier(

@@ -1,7 +1,6 @@
 """Tests for lease-based scheduling, retry/quarantine, store hygiene,
 and the byte-identity invariant under injected faults."""
 
-import dataclasses
 import json
 import multiprocessing
 import os
@@ -21,8 +20,6 @@ from repro.sweeps import (
     FaultRule,
     GridAxis,
     LeaseManager,
-    RetryPolicy,
-    SchedulerOptions,
     SweepOptions,
     SweepSpec,
     SweepStore,
@@ -31,15 +28,16 @@ from repro.sweeps import (
     install_fault_plan,
     run,
 )
-from repro.sweeps import executor
+from repro.sweeps import executor, scheduler
 from repro.sweeps.scheduler import _pool_context
 from repro.sweeps.faultinject import FAULT_PLAN_ENV
 
 from tests.test_sweeps import QUICK, store_digests
 
-#: No backoff sleeps: recovery tests already pay for child processes.
-FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base=0.0)
-FAST_OPTS = SchedulerOptions(lease_ttl=10.0, poll_interval=0.01)
+#: A lease TTL: lease-scheduled even with one worker.
+LEASED = SweepOptions(lease_ttl=10.0)
+#: Two slots on the lease scheduler.
+TWO_LEASED = SweepOptions(n_workers=2, lease_ttl=10.0)
 
 
 @pytest.fixture(autouse=True)
@@ -48,6 +46,14 @@ def _pristine_plan(monkeypatch):
     clear_fault_plan()
     yield
     clear_fault_plan()
+
+
+@pytest.fixture()
+def fast_retries(monkeypatch):
+    """No backoff sleeps and quick supervision passes: recovery tests
+    already pay for child processes."""
+    monkeypatch.setattr(scheduler, "BACKOFF_BASE", 0.0)
+    monkeypatch.setattr(scheduler, "POLL_INTERVAL", 0.01)
 
 
 def spec_of(sigmas, name="sched", seed=5):
@@ -110,63 +116,17 @@ def set_env_plan(monkeypatch, *rules, seed=0):
     return plan
 
 
-class TestRetryPolicy:
-    def test_backoff_schedule(self):
-        policy = RetryPolicy(
-            max_attempts=5, backoff_base=0.1, backoff_factor=2.0, backoff_max=0.3
-        )
-        assert policy.delay(0) == 0.0
-        assert policy.delay(1) == pytest.approx(0.1)
-        assert policy.delay(2) == pytest.approx(0.2)
-        assert policy.delay(3) == pytest.approx(0.3)  # capped
-        assert policy.delay(9) == pytest.approx(0.3)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="max_attempts"):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError, match="backoff_factor"):
-            RetryPolicy(backoff_factor=0.5)
-        with pytest.raises(ValueError, match="delays"):
-            RetryPolicy(backoff_base=-1.0)
-
-    @pytest.mark.parametrize(
-        "field", ["backoff_base", "backoff_factor", "backoff_max"]
-    )
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    def test_non_finite_backoff_rejected(self, field, value):
-        with pytest.raises(ValueError, match="finite"):
-            RetryPolicy(**{field: value})
-
-
-class TestSchedulerOptions:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="lease_ttl"):
-            SchedulerOptions(lease_ttl=0.0)
-        with pytest.raises(ValueError, match="scenario_timeout"):
-            SchedulerOptions(scenario_timeout=0.0)
-
-    @pytest.mark.parametrize(
-        "field",
-        [
-            "lease_ttl",
-            "heartbeat_interval",
-            "poll_interval",
-            "scenario_timeout",
-            "status_interval",
-        ],
-    )
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
-    def test_every_period_finite_and_positive(self, field, value):
-        # A NaN lease is never stale, a NaN timeout never fires, and an
-        # infinite lease of a dead instance never expires for the others.
-        with pytest.raises(ValueError, match=f"{field} must be finite and > 0"):
-            SchedulerOptions(**{field: value})
-
-    def test_heartbeat_defaults_to_quarter_ttl(self):
-        assert SchedulerOptions(lease_ttl=20.0).effective_heartbeat == 5.0
-        assert (
-            SchedulerOptions(heartbeat_interval=1.5).effective_heartbeat == 1.5
-        )
+class TestBackoff:
+    def test_schedule_doubles_from_a_tenth_and_caps_at_five_seconds(
+        self, tmp_path
+    ):
+        log = FailureLog(str(tmp_path))
+        scenario = expand_scenarios(spec_of((0.5,)))[0]
+        error = {"type": "Boom", "message": "m", "traceback": ""}
+        delays = [
+            log.record_failure(scenario, error, n, n, 10, "o") for n in range(1, 10)
+        ]
+        assert delays == pytest.approx([0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 5.0, 5.0, 5.0])
 
 
 class TestLeaseManager:
@@ -259,17 +219,19 @@ class TestFailureLog:
         assert history[0]["error"] is None
         assert history[1]["error"]["type"] == "Boom"
 
-    def test_record_failure_backs_off_then_quarantines(self, tmp_path):
+    def test_record_failure_backs_off_then_quarantines(self, tmp_path, monkeypatch):
+        # One retry: the second failure quarantines.  The backoff is
+        # read when the failure is recorded.
+        monkeypatch.setattr(scheduler, "BACKOFF_BASE", 0.25)
         log = FailureLog(str(tmp_path))
         scenario = expand_scenarios(spec_of((0.5,)))[0]
-        retry = RetryPolicy(max_attempts=2, backoff_base=0.25)
         error = {"type": "Boom", "message": "m", "traceback": ""}
         attempt = log.record_attempt(scenario.scenario_id, "o")
-        delay = log.record_failure(scenario, error, attempt, 1, retry, "o")
+        delay = log.record_failure(scenario, error, attempt, 1, 1, "o")
         assert delay == pytest.approx(0.25)
         assert log.quarantined_ids() == []
         attempt = log.record_attempt(scenario.scenario_id, "o")
-        assert log.record_failure(scenario, error, attempt, 2, retry, "o") is None
+        assert log.record_failure(scenario, error, attempt, 2, 1, "o") is None
         assert log.load_quarantine(scenario.scenario_id)["attempts"] == 2
         history = log.history(scenario.scenario_id)
         assert [entry["error"]["type"] for entry in history] == ["Boom", "Boom"]
@@ -343,6 +305,7 @@ class TestStoreScrub:
         assert store_digests(store.root) == store_digests(clean.root)
 
 
+@pytest.mark.usefixtures("fast_retries")
 class TestExecutorFaultTolerance:
     def test_transient_fault_retried_byte_identically(self, tmp_path):
         spec = spec_of((0.5, 1.0))
@@ -358,7 +321,7 @@ class TestExecutorFaultTolerance:
             )
         )
         store = SweepStore(str(tmp_path / "store"))
-        report = run(spec, store, SweepOptions(retry=FAST_RETRY))
+        report = run(spec, store)
         assert report.failed_ids == []
         assert report.retried_ids == [victim]
         assert store_digests(store.root) == store_digests(clean.root)
@@ -374,7 +337,7 @@ class TestExecutorFaultTolerance:
             )
         )
         store = SweepStore(str(tmp_path / "store"))
-        report = run(spec, store, SweepOptions(retry=FAST_RETRY))
+        report = run(spec, store)
         assert report.failed_ids == []
         assert store_digests(store.root) == store_digests(clean.root)
 
@@ -388,34 +351,27 @@ class TestExecutorFaultTolerance:
             FaultPlan(rules=(FaultRule(site="scenario.pre", key=victim),))
         )
         store = SweepStore(str(tmp_path / "store"))
-        report = run(
-            spec,
-            store,
-            SweepOptions(retry=RetryPolicy(max_attempts=2, backoff_base=0.0)),
-        )
+        report = run(spec, store, SweepOptions(max_retries=1))
         assert report.failed_ids == [victim]
         assert len(store) == 1  # the sibling completed
         assert FailureLog(store.root).load_quarantine(victim)["attempts"] == 2
 
         clear_fault_plan()  # the cause is gone; resume converges
-        resumed = run(spec, store, SweepOptions(retry=FAST_RETRY))
+        resumed = run(spec, store)
         assert resumed.executed_ids == [victim]
         assert resumed.n_cached == 1
         assert FailureLog(store.root).load_quarantine(victim) is None
         assert store_digests(store.root) == store_digests(clean.root)
 
 
+@pytest.mark.usefixtures("fast_retries")
 class TestScheduledSweep:
     def test_clean_run_matches_plain_executor(self, tmp_path):
         spec = spec_of((0.5, 1.0))
         serial = SweepStore(str(tmp_path / "serial"))
         run(spec, serial)
         scheduled = SweepStore(str(tmp_path / "sched"))
-        report = run(
-            spec,
-            scheduled,
-            SweepOptions(n_workers=2, retry=FAST_RETRY, scheduler=FAST_OPTS),
-        )
+        report = run(spec, scheduled, TWO_LEASED)
         assert report.n_executed == 2
         assert report.failed_ids == [] and report.retried_ids == []
         assert store_digests(scheduled.root) == store_digests(serial.root)
@@ -434,11 +390,7 @@ class TestScheduledSweep:
             FaultRule(site="scenario.pre", kind="sigkill", max_attempt=1),
         )
         store = SweepStore(str(tmp_path / "store"))
-        report = run(
-            spec,
-            store,
-            SweepOptions(n_workers=2, retry=FAST_RETRY, scheduler=FAST_OPTS),
-        )
+        report = run(spec, store, TWO_LEASED)
         assert report.failed_ids == []
         assert sorted(report.retried_ids) == sorted(report.scenario_ids)
         assert store_digests(store.root) == store_digests(clean.root)
@@ -461,10 +413,7 @@ class TestScheduledSweep:
             FaultRule(site="scenario.post", kind="crash", max_attempt=1),
         )
         store = SweepStore(str(tmp_path / "store"))
-        options = SweepOptions(
-            retry=RetryPolicy(max_attempts=1, backoff_base=0.0),
-            scheduler=SchedulerOptions(lease_ttl=10.0, poll_interval=0.01),
-        )
+        options = SweepOptions(max_retries=0, lease_ttl=10.0)
         first = run(spec, store, options)
         assert first.failed_ids == [scenario_id]
         assert not store.has(scenario_id)
@@ -484,23 +433,34 @@ class TestScheduledSweep:
             ),
         )
         store = SweepStore(str(tmp_path / "store"))
-        options = SchedulerOptions(
-            lease_ttl=10.0,
-            poll_interval=0.01,
-            scenario_timeout=0.5,
-        )
-        report = run(
-            spec,
-            store,
-            SweepOptions(
-                retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
-                scheduler=options,
-            ),
-        )
+        options = SweepOptions(max_retries=1, lease_ttl=10.0, scenario_timeout=0.5)
+        report = run(spec, store, options)
         assert report.executed_ids == [scenario_id]
         assert report.retried_ids == [scenario_id]
         history = FailureLog(store.root).history(scenario_id)
         assert history[0]["error"]["type"] == "ScenarioTimeout"
+
+    def test_heartbeat_every_quarter_ttl(self, tmp_path, monkeypatch):
+        # A 1.2 s attempt under a 0.8 s lease: the scheduler refreshes
+        # the lease every 0.2 s, never sooner.
+        beats = []
+        heartbeat = LeaseManager.heartbeat
+
+        def recording(self, scenario_id):
+            beats.append(time.monotonic())
+            return heartbeat(self, scenario_id)
+
+        monkeypatch.setattr(LeaseManager, "heartbeat", recording)
+        set_env_plan(
+            monkeypatch, FaultRule(site="scenario.pre", kind="delay", delay=1.2)
+        )
+        store = SweepStore(str(tmp_path / "store"))
+        report = run(spec_of((0.5,)), store, SweepOptions(lease_ttl=0.8))
+        assert report.n_executed == 1
+        gaps = np.diff(beats)
+        assert len(gaps) >= 3
+        assert gaps.min() >= 0.19
+        assert np.median(gaps) < 0.3  # not a TTL/2 period
 
     def test_expired_lease_is_reclaimed(self, tmp_path):
         spec = spec_of((0.5,))
@@ -510,9 +470,7 @@ class TestScheduledSweep:
         dead = LeaseManager(store.root, ttl=0.05, owner="dead-worker")
         assert dead.acquire(scenario_id)
         time.sleep(0.1)
-        report = run(
-            spec, store, SweepOptions(retry=FAST_RETRY, scheduler=FAST_OPTS)
-        )
+        report = run(spec, store, LEASED)
         assert report.executed_ids == [scenario_id]
         assert store.has(scenario_id)
 
@@ -535,9 +493,7 @@ class TestScheduledSweep:
 
         thread = threading.Thread(target=finish_externally)
         thread.start()
-        report = run(
-            spec, store, SweepOptions(retry=FAST_RETRY, scheduler=FAST_OPTS)
-        )
+        report = run(spec, store, LEASED)
         thread.join()
         assert report.cached_ids == [scenario.scenario_id]
         assert report.executed_ids == []
@@ -561,9 +517,7 @@ class TestScheduledSweep:
             return claim(self, scenario_id)
 
         monkeypatch.setattr(LeaseManager, "acquire", rival_finishes_first)
-        report = run(
-            spec, store, SweepOptions(retry=FAST_RETRY, scheduler=FAST_OPTS)
-        )
+        report = run(spec, store, LEASED)
         assert report.cached_ids == [scenario.scenario_id]
         assert report.executed_ids == []
         assert FailureLog(store.root).history(scenario.scenario_id) == []
@@ -575,11 +529,7 @@ class TestScheduledSweep:
         reports = [None, None]
 
         def go(i):
-            reports[i] = run(
-                spec,
-                store,
-                SweepOptions(n_workers=2, retry=FAST_RETRY, scheduler=FAST_OPTS),
-            )
+            reports[i] = run(spec, store, TWO_LEASED)
 
         threads = [
             threading.Thread(target=go, args=(i,)) for i in range(2)
@@ -600,6 +550,7 @@ class TestScheduledSweep:
         assert store_digests(store.root) == store_digests(clean.root)
 
 
+@pytest.mark.usefixtures("fast_retries")
 class TestChaosInvariant:
     def test_mixed_fault_soup_converges(self, tmp_path, monkeypatch):
         """The acceptance scenario: seeded exceptions, a SIGKILL'd
@@ -628,11 +579,7 @@ class TestChaosInvariant:
         assert dead.acquire(scenarios[1].scenario_id)
         time.sleep(0.1)
 
-        options = SweepOptions(
-            n_workers=2,
-            retry=RetryPolicy(max_attempts=5, backoff_base=0.0),
-            scheduler=SchedulerOptions(lease_ttl=10.0, poll_interval=0.01),
-        )
+        options = SweepOptions(n_workers=2, max_retries=4, lease_ttl=10.0)
         report = run(spec, store, options)
         assert report.failed_ids == []
         assert sorted(report.executed_ids) == sorted(report.scenario_ids)
@@ -643,10 +590,8 @@ class TestChaosInvariant:
 #: record their pids in ``argv[1]`` as they start attempts.
 ORPHAN_SCRIPT = """
 import json, os, sys
-from repro.sweeps import (
-    GridAxis, SchedulerOptions, SweepOptions, SweepSpec, SweepStore, run,
-)
-from repro.sweeps import executor
+from repro.sweeps import GridAxis, SweepOptions, SweepSpec, SweepStore, run
+from repro.sweeps import executor, scheduler
 
 pid_dir, store_root, base = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
 real = executor.run_scenario
@@ -661,20 +606,21 @@ spec = SweepSpec(
     grid=(GridAxis("noise.sigma", tuple(0.25 * i for i in range(1, 9))),),
     base=base,
 )
-options = SchedulerOptions(lease_ttl=10.0, poll_interval=0.01)
-run(spec, SweepStore(store_root), SweepOptions(n_workers=2, scheduler=options))
+scheduler.POLL_INTERVAL = 0.01
+run(spec, SweepStore(store_root), SweepOptions(n_workers=2, lease_ttl=10.0))
 """
 
 
-#: A multi-worker sweep with no scheduler options over the spec in
-#: ``argv[1]``, retried per ``argv[3]``; prints its report's failed and
-#: retried ids.
+#: A multi-worker sweep with no lease setting over the spec in
+#: ``argv[1]``, with ``argv[3]`` retries and no backoff; prints its
+#: report's failed and retried ids.
 MULTI_WORKER_SCRIPT = """
 import json, sys
-from repro.sweeps import RetryPolicy, SweepOptions, SweepSpec, SweepStore, run
+from repro.sweeps import SweepOptions, SweepSpec, SweepStore, run, scheduler
 
+scheduler.BACKOFF_BASE = 0.0
 spec = SweepSpec.from_json_dict(json.loads(sys.argv[1]))
-options = SweepOptions(n_workers=2, retry=RetryPolicy(**json.loads(sys.argv[3])))
+options = SweepOptions(n_workers=2, max_retries=int(sys.argv[3]))
 report = run(spec, SweepStore(sys.argv[2]), options)
 print(json.dumps({"failed": report.failed_ids, "retried": report.retried_ids}))
 """
@@ -699,15 +645,14 @@ def process_alive(pid):
         return False
 
 
+@pytest.mark.usefixtures("fast_retries")
 class TestPersistentWorkers:
     def test_fault_free_sweep_reuses_one_worker_per_slot(
         self, tmp_path, worker_starts, attempt_pids
     ):
         spec = spec_of((0.4, 0.8, 1.2, 1.6))
         store = SweepStore(str(tmp_path / "store"))
-        report = run(
-            spec, store, SweepOptions(retry=FAST_RETRY, scheduler=FAST_OPTS)
-        )
+        report = run(spec, store, LEASED)
         assert report.n_executed == 4
         assert len(worker_starts) == 1
         pids = attempt_pids()
@@ -729,11 +674,7 @@ class TestPersistentWorkers:
             FaultRule(site="scenario.pre", kind="sigkill", max_attempt=1),
         )
         store = SweepStore(str(tmp_path / "store"))
-        report = run(
-            spec,
-            store,
-            SweepOptions(n_workers=2, retry=FAST_RETRY, scheduler=FAST_OPTS),
-        )
+        report = run(spec, store, TWO_LEASED)
         assert report.failed_ids == []
         log = FailureLog(store.root)
         killed = sum(
@@ -756,9 +697,7 @@ class TestPersistentWorkers:
             FaultRule(site="scenario.post", key=victim, max_attempt=1),
         )
         store = SweepStore(str(tmp_path / "store"))
-        report = run(
-            spec, store, SweepOptions(retry=FAST_RETRY, scheduler=FAST_OPTS)
-        )
+        report = run(spec, store, LEASED)
         assert report.retried_ids == [victim] and report.failed_ids == []
         history = FailureLog(store.root).history(victim)
         assert history[0]["error"]["type"] == "InjectedFault"
@@ -784,14 +723,8 @@ class TestPersistentWorkers:
             ),
         )
         store = SweepStore(str(tmp_path / "store"))
-        options = SchedulerOptions(
-            lease_ttl=10.0,
-            poll_interval=0.01,
-            scenario_timeout=2.0,
-        )
-        report = run(
-            spec, store, SweepOptions(retry=FAST_RETRY, scheduler=options)
-        )
+        options = SweepOptions(lease_ttl=10.0, scenario_timeout=2.0)
+        report = run(spec, store, options)
         assert report.n_executed == 2 and report.retried_ids == [victim]
         history = FailureLog(store.root).history(victim)
         assert history[0]["error"]["type"] == "ScenarioTimeout"
@@ -809,7 +742,7 @@ class TestPersistentWorkers:
             run(
                 spec,
                 store,
-                SweepOptions(n_workers=2, retry=FAST_RETRY, scheduler=FAST_OPTS),
+                TWO_LEASED,
                 progress=progress,
             )
         assert multiprocessing.active_children() == []
@@ -850,7 +783,7 @@ class TestPersistentWorkers:
 
 class TestDefaultMultiWorkerSweep:
     def test_worker_crash_is_retried_not_waited_for(self, tmp_path):
-        # Several workers and no scheduler options: every first attempt
+        # Several workers and no lease setting: every first attempt
         # kills its worker after the campaign, before the publish.  The
         # sweep runs in a child with a deadline, so a sweep that waits
         # forever on a dead worker fails here instead of hanging.
@@ -869,7 +802,7 @@ class TestDefaultMultiWorkerSweep:
                 MULTI_WORKER_SCRIPT,
                 json.dumps(spec.to_json_dict()),
                 store.root,
-                json.dumps(dataclasses.asdict(FAST_RETRY)),
+                "2",
             ],
             env=script_env(**{FAULT_PLAN_ENV: plan.to_json()}),
             stdout=subprocess.PIPE,

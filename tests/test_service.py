@@ -7,6 +7,7 @@ streaming).
 """
 
 import asyncio
+import dataclasses
 import json
 import socket
 import threading
@@ -17,6 +18,8 @@ from urllib.parse import urlsplit
 
 import pytest
 
+from repro.acquisition import bench
+from repro.cli import OPTION_FLAGS, _sweep_options, build_parser
 from repro.service import JOB_DONE, SweepService, job_id_for, start_service
 from repro.service import app as service_app
 from repro.service import httpd
@@ -25,6 +28,7 @@ from repro.sweeps import (
     FaultPlan,
     FaultRule,
     GridAxis,
+    RandomAxis,
     SweepOptions,
     SweepSpec,
     SweepStore,
@@ -33,7 +37,6 @@ from repro.sweeps import (
     run,
 )
 from repro.sweeps.faultinject import FAULT_PLAN_ENV
-from repro.sweeps.scheduler import SchedulerOptions
 from tests.test_sweeps import QUICK, quick_spec, store_digests
 
 
@@ -218,11 +221,97 @@ class TestHealthAndErrors:
         options = instance._merge_options(
             {"max_retries": 0, "lease_ttl": 5, "scenario_timeout": None}
         )
-        assert options.retry.max_attempts == 1
-        assert options.scheduler.lease_ttl == 5.0
-        assert options.scheduler.scenario_timeout is None
+        assert options.max_retries == 0
+        assert options.lease_ttl == 5.0
+        assert options.scenario_timeout is None
         options = instance._merge_options({"scenario_timeout": 2.5})
-        assert options.scheduler.scenario_timeout == 2.5
+        assert options.scenario_timeout == 2.5
+
+
+class TestScenarioBudget:
+    def test_over_budget_spec_is_400_naming_the_field(self, service, monkeypatch):
+        # Expansion runs on the event loop: an over-budget spec must be
+        # refused before it, and the instance must keep answering.
+        monkeypatch.setattr(service_app, "MAX_JOB_SCENARIOS", 4)
+        instance, client = service
+        grid = quick_spec(sigmas=(0.5, 1.0, 1.5), attacks=("none", "strip"))
+        drawn = SweepSpec(
+            name="drawn",
+            random=(RandomAxis("noise.sigma", 0.5, 2.0),),
+            n_random=6,
+            base=dict(QUICK),
+        )
+        for spec, field in ((grid, "spec.grid"), (drawn, "spec.n_random")):
+            status, body = client.post("/sweeps", submission(spec))
+            assert status == 400
+            assert body["error"].startswith(f"{field}: ")
+            assert "6 scenarios" in body["error"]
+        assert instance.jobs.jobs() == []
+        assert client.get("/health")[0] == 200
+        status, accepted = client.post("/sweeps", submission(quick_spec()))
+        assert status == 202
+        assert client.wait(accepted["job_id"])["state"] == JOB_DONE
+
+    def test_unbounded_spec_is_refused_at_once(self, service):
+        assert service_app.MAX_JOB_SCENARIOS == 10_000
+        instance, client = service
+        spec = SweepSpec(
+            name="huge",
+            random=(RandomAxis("noise.sigma", 0.5, 2.0),),
+            n_random=10**12,
+            base=dict(QUICK),
+        )
+        start = time.monotonic()
+        status, body = client.post("/sweeps", submission(spec))
+        assert time.monotonic() - start < 1.0
+        assert status == 400 and body["error"].startswith("spec.n_random: ")
+        assert instance.jobs.jobs() == []
+
+
+class TestOptionSurfaces:
+    """The CLI flags, the service's ``options`` and :class:`SweepOptions`
+    name the same settings."""
+
+    FIELDS = {f.name for f in dataclasses.fields(SweepOptions)} - {"artifacts"}
+
+    def test_serve_flags_map_one_to_one_onto_the_fields(self):
+        assert set(OPTION_FLAGS) == self.FIELDS
+        pinned = ["serve", "--workers", "1"]
+        default = _sweep_options(build_parser().parse_args(pinned))
+        for field, flag in OPTION_FLAGS.items():
+            options = _sweep_options(build_parser().parse_args(pinned + [flag, "7"]))
+            changed = {
+                name
+                for name in self.FIELDS
+                if getattr(options, name) != getattr(default, name)
+            }
+            assert changed == {field}, flag
+            assert getattr(options, field) == 7
+
+    def test_service_options_are_the_fields_but_status_interval(
+        self, service, monkeypatch
+    ):
+        monkeypatch.setattr(bench, "usable_cpus", lambda: 8)
+        instance, client = service
+        accepted = self.FIELDS - {"status_interval"}
+        for name in accepted:
+            assert getattr(instance._merge_options({name: 7}), name) == 7
+        status, body = client.post(
+            "/sweeps", submission(quick_spec(), status_interval=7)
+        )
+        assert status == 400
+        listed = body["error"].partition("(accepted: ")[2].rstrip(")")
+        assert set(listed.split(", ")) == accepted
+
+    def test_every_lease_setting_selects_the_scheduler(self):
+        assert not SweepOptions().lease_scheduled
+        for changes in (
+            {"n_workers": 2},
+            {"lease_ttl": 30.0},
+            {"scenario_timeout": 60.0},
+            {"status_interval": 5.0},
+        ):
+            assert SweepOptions(**changes).lease_scheduled, changes
 
 
 def raw_reply(client, data):
@@ -568,6 +657,46 @@ class TestQuarantineSurfaced:
         assert detail[0]["type"] and detail[0]["attempts"] == 1
 
 
+class TestJobHistory:
+    def test_oldest_finished_job_is_forgotten(self, service, monkeypatch):
+        monkeypatch.setattr(service_jobs, "MAX_FINISHED_JOBS", 2)
+        _, client = service
+        job_ids = []
+        for name in ("first", "second", "third"):
+            spec = quick_spec(name=name, sigmas=(0.5,))
+            status, accepted = client.post("/sweeps", submission(spec))
+            assert status == 202
+            assert client.wait(accepted["job_id"])["state"] == JOB_DONE
+            job_ids.append(accepted["job_id"])
+        _, listed = client.get("/sweeps")
+        assert [job["job_id"] for job in listed["jobs"]] == job_ids[1:]
+        status, body = client.get(f"/sweeps/{job_ids[0]}")
+        assert status == 404 and "resubmit the spec" in body["error"]
+
+    def test_running_jobs_are_kept(self, service, monkeypatch):
+        monkeypatch.setattr(service_jobs, "MAX_FINISHED_JOBS", 1)
+        release = threading.Event()
+
+        def held_run(spec, store, options=None, progress=None):
+            assert release.wait(timeout=60)
+            return service_jobs.SweepReport(spec.name, store.root, [])
+
+        monkeypatch.setattr(service_jobs, "run", held_run)
+        _, client = service
+        names = ("first", "second", "third")
+        job_ids = [
+            client.post("/sweeps", submission(quick_spec(name=name)))[1]["job_id"]
+            for name in names
+        ]
+        try:
+            _, listed = client.get("/sweeps")
+            assert [job["job_id"] for job in listed["jobs"]] == job_ids
+        finally:
+            release.set()
+        for job_id in job_ids:
+            client.wait(job_id)
+
+
 class TestJobIdentity:
     def test_job_id_is_content_addressed(self):
         spec = quick_spec(name="a")
@@ -582,12 +711,8 @@ class TestMultiInstance:
         store root converges on one byte-identical result set, with
         every scenario executed exactly once across the pair."""
         root = str(tmp_path / "shared")
-        first = start_service(
-            SweepService(root, SweepOptions(scheduler=SchedulerOptions()))
-        )
-        second = start_service(
-            SweepService(root, SweepOptions(scheduler=SchedulerOptions()))
-        )
+        first = start_service(SweepService(root))
+        second = start_service(SweepService(root))
         try:
             clients = [Client(first.base_url), Client(second.base_url)]
             spec = quick_spec(

@@ -1,6 +1,7 @@
 """Tests for the scenario-sweep subsystem (spec, store, executor,
 aggregation) and the engine plumbing it rides on."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -31,6 +32,7 @@ from repro.sweeps.aggregate import (
     roc_by_axis,
     tidy_accuracy,
 )
+from repro.sweeps import scheduler
 from repro.sweeps.executor import SweepReport
 
 #: Cheap correlation parameters shared by the executor tests: a full
@@ -416,23 +418,20 @@ class TestRunSweep:
         report = run(extended, store)
         assert report.n_cached == 2 and report.n_executed == 2
 
-    def test_failure_quarantines_and_continues(self, tmp_path):
+    def test_failure_quarantines_and_continues(self, tmp_path, monkeypatch):
         # n1 = 2 < k = 4 violates expression (1) at campaign time, so
         # that scenario can never succeed; it must be quarantined while
         # every sibling completes and the sweep returns normally.
-        from repro.sweeps import FailureLog, RetryPolicy
+        from repro.sweeps import FailureLog
 
+        monkeypatch.setattr(scheduler, "BACKOFF_BASE", 0.0)
         spec = SweepSpec(
             name="fail",
             grid=(GridAxis("parameters.n1", (32, 2, 48)),),
             base={k: v for k, v in QUICK.items() if k != "parameters.n1"},
         )
         store = SweepStore(str(tmp_path / "store"))
-        report = run(
-            spec,
-            store,
-            SweepOptions(retry=RetryPolicy(max_attempts=2, backoff_base=0.0)),
-        )
+        report = run(spec, store, SweepOptions(max_retries=1))
         bad = expand_scenarios(spec)[1].scenario_id
         assert report.failed_ids == [bad]
         assert len(store) == 2
@@ -592,34 +591,24 @@ class TestRocOrdering:
 class TestUnifiedFacade:
     """``repro.sweeps.run`` over both execution strategies."""
 
-    def test_plain_and_scheduled_runs_byte_identical(self, tmp_path):
-        from repro.sweeps import SchedulerOptions
-
+    def test_plain_and_scheduled_runs_byte_identical(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(scheduler, "POLL_INTERVAL", 0.01)
         spec = quick_spec(name="facade", attacks=("none", "strip"))
         plain = SweepStore(str(tmp_path / "plain"))
         run(spec, plain)
 
         scheduled = SweepStore(str(tmp_path / "scheduled"))
-        run(
-            spec,
-            scheduled,
-            SweepOptions(scheduler=SchedulerOptions(poll_interval=0.01)),
-        )
+        run(spec, scheduled, SweepOptions(lease_ttl=30.0))
         assert store_digests(scheduled.root) == store_digests(plain.root)
 
-    def test_scheduler_option_routes_to_lease_scheduler(self, tmp_path):
-        from repro.sweeps import SchedulerOptions
-
+    def test_lease_setting_routes_to_lease_scheduler(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(scheduler, "POLL_INTERVAL", 0.01)
         spec = quick_spec(name="routed", sigmas=(0.5,))
         plain = SweepStore(str(tmp_path / "plain"))
         run(spec, plain)
         scheduled = SweepStore(str(tmp_path / "scheduled"))
-        run(
-            spec,
-            scheduled,
-            SweepOptions(scheduler=SchedulerOptions(poll_interval=0.01)),
-        )
-        # Several workers select the scheduler without scheduler options.
+        run(spec, scheduled, SweepOptions(scenario_timeout=60.0))
+        # Several workers select the scheduler without a lease setting.
         multi = SweepStore(str(tmp_path / "multi"))
         run(spec, multi, SweepOptions(n_workers=2))
         # Both executors record attempt history in .attempts/; only the
@@ -645,6 +634,40 @@ class TestUnifiedFacade:
         )
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         assert default_workers() == 3
+
+
+#: A bad value of each :class:`SweepOptions` field.
+BAD_OPTIONS = (
+    [("n_workers", value) for value in (2.5, True, "2", 0)]
+    + [("max_retries", value) for value in (-1, True, 2.5)]
+    + [
+        (name, value)
+        for name in ("lease_ttl", "scenario_timeout", "status_interval")
+        for value in (float("nan"), float("inf"), 0, True, 10**400)
+    ]
+)
+
+
+class TestSweepOptions:
+    def test_six_settings(self):
+        assert [field.name for field in dataclasses.fields(SweepOptions)] == [
+            "n_workers",
+            "artifacts",
+            "max_retries",
+            "lease_ttl",
+            "scenario_timeout",
+            "status_interval",
+        ]
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [pytest.param(*bad, id=f"{bad[0]}={bad[1]!r:.8}") for bad in BAD_OPTIONS],
+    )
+    def test_bad_value_raises_naming_the_field(self, name, value):
+        # The one validation site: an integer beyond the float range is
+        # not a finite number of seconds, and no bool passes as a number.
+        with pytest.raises(ValueError, match=f"^{name}: expected"):
+            SweepOptions(**{name: value})
 
 
 class TestSweepStatus:
@@ -681,9 +704,8 @@ class TestSweepStatus:
         assert not os.path.exists(os.path.join(store.root, ".leases"))
         assert not os.path.exists(os.path.join(store.root, ".attempts"))
 
-    def test_quarantine_counted(self, tmp_path):
-        from repro.sweeps import RetryPolicy
-
+    def test_quarantine_counted(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(scheduler, "BACKOFF_BASE", 0.0)
         spec = SweepSpec(
             name="qstat",
             grid=(GridAxis("parameters.n1", (32, 2)),),
@@ -691,13 +713,7 @@ class TestSweepStatus:
         )
         scenario_ids = [s.scenario_id for s in expand_scenarios(spec)]
         store = SweepStore(str(tmp_path / "store"))
-        run(
-            spec,
-            store,
-            SweepOptions(
-                retry=RetryPolicy(max_attempts=2, backoff_base=0.0)
-            ),
-        )
+        run(spec, store, SweepOptions(max_retries=1))
         status = sweep_status(store.root, scenario_ids=scenario_ids)
         assert status.completed == 1 and status.quarantined == 1
         assert status.pending == 0 and status.done
