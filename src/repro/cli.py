@@ -308,7 +308,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.sweeps import (
         FailureLog,
         GridAxis,
-        LeaseManager,
         RandomAxis,
         SweepSpec,
         SweepStore,
@@ -316,6 +315,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         render_status,
         render_sweep_summary,
         run,
+        scrub,
         sweep_status,
     )
 
@@ -372,9 +372,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     options = _sweep_options(args)
     scenarios = expand_scenarios(spec)
     if args.scrub:
-        removed = store.scrub()
-        removed += LeaseManager(store.root).scrub()
-        removed += FailureLog(store.root).scrub(store)
+        removed = scrub(store)
         print(f"scrubbed {len(removed)} stale file(s) from {store.root}")
     print(
         f"sweep {spec.name!r}: {len(scenarios)} scenarios "

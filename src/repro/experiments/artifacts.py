@@ -2,31 +2,27 @@
 
 A campaign's cost is dominated by the acquisition step ``Pw(device,
 n)`` — 400 reference + 4 x 10 000 DUT traces — yet a scenario sweep
-whose axes are *analysis-side* (``parameters.k/m/n1/n2``,
-distinguishers, ``analysis_seed``) re-manufactures the fleet and
+whose axes are *analysis-side* re-manufactures the fleet and
 re-acquires every trace set per scenario.  This module closes that
 gap by splitting :class:`~repro.experiments.runner.CampaignConfig`
-into three derived cache keys:
+into tiers, in one table (:data:`TIERS`), and deriving a cache key
+from each:
 
-* **fleet key** (:func:`fleet_key`) — everything that determines the
-  manufactured silicon: power model, variation model, waveform
-  rendering, ``fleet_seed``, ``watermarked``, ``engine``.  Two configs
-  with equal fleet keys describe byte-identical device fleets.
-* **measurement key** (:func:`measurement_key`) — the fleet key plus
-  the measurement chain (noise model, ADC, ``measurement_seed``) and
-  the resolved ``n1``/``n2`` trace ceilings.  It identifies one
+* **fleet key** (:func:`fleet_key`) — the manufactured silicon.  Two
+  configs with equal fleet keys describe byte-identical device fleets.
+* **measurement key** (:func:`measurement_key`) — the fleet plus the
+  measurement chain and the trace ceilings.  It identifies one
   concrete set of acquired trace matrices.  The ceiling-free prefix of
   this key (:func:`measurement_base_key`) seeds the per-device
   acquisition streams, so trace sets are *prefix-reusable*: a scenario
   needing ``n2 = 2 500`` traces slices the first 2 500 rows of a
   cached ``n2 = 10 000`` matrix and gets exactly the bytes a direct
   2 500-trace acquisition would produce.
-* **analysis key** (:func:`analysis_key`) — everything, including
-  ``k``/``m``, ``analysis_seed``, ``single_reference`` and the
-  distinguisher set.  Two configs with equal analysis keys produce
-  byte-identical campaign outcomes; it is the natural memoisation key
-  for a full :func:`~repro.experiments.runner.run_campaign` result,
-  and :class:`ArtifactCache` uses it exactly so: the *outcome tier*
+* **analysis key** (:func:`analysis_key`) — everything.  Two configs
+  with equal analysis keys produce byte-identical campaign outcomes;
+  it is the natural memoisation key for a full
+  :func:`~repro.experiments.runner.run_campaign` result, and
+  :class:`ArtifactCache` uses it exactly so: the *outcome tier*
   (:meth:`ArtifactCache.outcome` / :meth:`ArtifactCache.remember_outcome`)
   memoises whole :class:`~repro.experiments.runner.CampaignOutcome`
   objects, so repeat-style studies and re-run sweeps skip manufacture,
@@ -34,9 +30,8 @@ into three derived cache keys:
   nothing else — neither the fleet tier nor the trace tier.
 
 Campaigns run inside a sweep may additionally tamper with the DUTs
-(the ``attack`` axis); the transform name is folded into every key as
-the ``fleet_tag``, so attacked and pristine fleets never share
-artifacts.
+(the ``attack`` axis); the transform name is the table's
+``fleet_tag``, so attacked and pristine fleets never share artifacts.
 
 :class:`ArtifactCache` is the in-memory cache built on those keys.
 It retains the trace matrices of one measurement group (one
@@ -90,6 +85,46 @@ FLEET_SLOTS = 8
 OUTCOME_SLOTS = 32
 
 
+#: The tier of every :class:`~repro.experiments.runner.CampaignConfig`
+#: field, and of the sweep's ``attack`` axis (``fleet_tag``).  A tier
+#: decides which keys move when one of its fields alone changes:
+#:
+#: * ``fleet``, the manufactured silicon: all four keys, except
+#:   ``engine``, which moves :func:`fleet_key` only.  Cached devices pin
+#:   their simulation path, but the engines are bit-identical on
+#:   waveforms, so ``engine`` must not re-seed acquisition.
+#: * ``measurement``, the chain behind ``Pw(device, n)``: every key but
+#:   :func:`fleet_key`.
+#: * ``ceiling``, the analysis-side trace budgets: :func:`measurement_key`
+#:   and :func:`analysis_key`, never :func:`measurement_base_key`, so
+#:   traces acquired at different budgets share one keyed stream.
+#: * ``analysis``, what is computed from the traces: :func:`analysis_key`
+#:   only.
+#:
+#: Each field joins its tier's key payload under the last component of
+#: its dotted path.
+TIERS: Mapping[str, str] = {
+    "power_model": "fleet",
+    "variation": "fleet",
+    "waveform": "fleet",
+    "fleet_seed": "fleet",
+    "watermarked": "fleet",
+    "design": "fleet",
+    "engine": "fleet",
+    "fleet_tag": "fleet",
+    "noise": "measurement",
+    "adc": "measurement",
+    "measurement_seed": "measurement",
+    "parameters.n1": "ceiling",
+    "parameters.n2": "ceiling",
+    "parameters.k": "analysis",
+    "parameters.m": "analysis",
+    "analysis_seed": "analysis",
+    "single_reference": "analysis",
+    "distinguishers": "analysis",
+}
+
+
 def _canonical_json(value: object) -> str:
     """Canonical (sorted, compact) JSON used for key digests."""
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
@@ -98,6 +133,8 @@ def _canonical_json(value: object) -> str:
 def _payload(value: object) -> object:
     """JSON-able canonical form of a config fragment (dataclasses
     become sorted field dicts; mappings are sorted by key)."""
+    if isinstance(value, (bool, int, float, str)) or value is None:
+        return value
     if is_dataclass(value) and not isinstance(value, type):
         return {
             f.name: _payload(getattr(value, f.name)) for f in fields(value)
@@ -106,8 +143,6 @@ def _payload(value: object) -> object:
         return {str(key): _payload(value[key]) for key in sorted(value)}
     if isinstance(value, (list, tuple)):
         return [_payload(item) for item in value]
-    if isinstance(value, (bool, int, float, str)) or value is None:
-        return value
     raise TypeError(f"cannot canonicalise {value!r} into an artifact key")
 
 
@@ -116,92 +151,73 @@ def _digest(kind: str, payload: object) -> str:
     return hashlib.sha256(body.encode()).hexdigest()[:32]
 
 
-def _fleet_payload(config: "CampaignConfig", fleet_tag: str) -> Dict[str, object]:
-    """The *physical* fleet identity: what the silicon and its
-    deterministic waveforms depend on."""
-    payload = {
-        "power_model": _payload(config.power_model),
-        "variation": _payload(config.variation),
-        "waveform": _payload(config.waveform),
-        "fleet_seed": config.fleet_seed,
-        "watermarked": config.watermarked,
-        "fleet_tag": fleet_tag,
-    }
-    # Only non-default designs join the payload, so every digest minted
-    # before the ``design`` field existed stays byte-identical.
-    if config.design != "paper":
-        payload["design"] = config.design
+def _tier_payload(
+    config: "CampaignConfig", tier: str, fleet_tag: str = "none"
+) -> Dict[str, object]:
+    """The key payload of one tier: each of its :data:`TIERS` fields
+    under the last component of the field's path."""
+    payload: Dict[str, object] = {}
+    for path in (path for path in TIERS if TIERS[path] == tier):
+        if path == "fleet_tag":
+            value: object = fleet_tag
+        elif path == "distinguishers":
+            value = [d.name for d in config.distinguishers]
+        else:
+            value = config
+            for name in path.split("."):
+                value = getattr(value, name)
+        # Only non-default designs join, so every digest minted before
+        # the ``design`` field existed stays byte-identical.
+        if path != "design" or value != "paper":
+            payload[path.rpartition(".")[2]] = _payload(value)
     return payload
 
 
 def fleet_key(config: "CampaignConfig", fleet_tag: str = "none") -> str:
-    """Digest of everything that determines the manufactured fleet.
+    """Digest of the fleet tier: the manufactured fleet.
 
     ``fleet_tag`` names the DUT transform applied after manufacture
     (the sweep ``attack`` axis); ``"none"`` is the pristine fleet.
-    ``engine`` is part of this key — not because it changes any
-    waveform byte (compiled and interpreted simulation are
-    bit-identical), but because cached :class:`~repro.acquisition.device.Device`
-    objects pin their simulation path, so a fleet must only be reused
-    by configs asking for the same engine.
     """
-    return _digest(
-        "fleet",
-        dict(_fleet_payload(config, fleet_tag), engine=config.engine),
-    )
+    return _digest("fleet", _tier_payload(config, "fleet", fleet_tag))
 
 
 def measurement_base_key(config: "CampaignConfig", fleet_tag: str = "none") -> str:
-    """Ceiling-free measurement key: fleet key + noise/ADC/seed.
+    """Ceiling-free measurement key: the fleet and measurement tiers.
 
     This is the seed material for the per-device acquisition streams
     (see :func:`~repro.acquisition.bench.derive_acquisition_seed`); it
-    deliberately excludes two things:
-
-    * the ``n1``/``n2`` ceilings, so trace matrices acquired at
-      different budgets share one noise stream and can be reused by
-      prefix;
-    * the ``engine``, so campaigns differing only in simulation path
-      keep byte-identical measurements (the engines are bit-equivalent
-      on the waveforms).
+    leaves out the trace ceilings and ``engine`` (see :data:`TIERS`).
     """
+    fleet = _tier_payload(config, "fleet", fleet_tag)
+    del fleet["engine"]
     return _digest(
         "measurement_base",
-        {
-            "fleet": _fleet_payload(config, fleet_tag),
-            "noise": _payload(config.noise),
-            "adc": _payload(config.adc),
-            "measurement_seed": config.measurement_seed,
-        },
+        {"fleet": fleet, **_tier_payload(config, "measurement")},
     )
 
 
 def measurement_key(config: "CampaignConfig", fleet_tag: str = "none") -> str:
     """Digest identifying one concrete set of acquired trace matrices:
-    the base key plus the resolved ``n1``/``n2`` trace ceilings."""
+    the base key plus the trace ceilings."""
     return _digest(
         "measurement",
         {
             "base": measurement_base_key(config, fleet_tag),
-            "n1": config.parameters.n1,
-            "n2": config.parameters.n2,
+            **_tier_payload(config, "ceiling"),
         },
     )
 
 
 def analysis_key(config: "CampaignConfig", fleet_tag: str = "none") -> str:
-    """Digest of the full campaign identity — fleet, measurement and
-    every analysis-side axis.  Equal keys mean byte-identical
-    :func:`~repro.experiments.runner.run_campaign` outcomes."""
+    """Digest of the full campaign identity: every tier.  Equal keys
+    mean byte-identical :func:`~repro.experiments.runner.run_campaign`
+    outcomes."""
     return _digest(
         "analysis",
         {
             "measurement": measurement_key(config, fleet_tag),
-            "k": config.parameters.k,
-            "m": config.parameters.m,
-            "analysis_seed": config.analysis_seed,
-            "single_reference": config.single_reference,
-            "distinguishers": [d.name for d in config.distinguishers],
+            **_tier_payload(config, "analysis"),
         },
     )
 
@@ -449,6 +465,7 @@ __all__ = [
     "ARTIFACT_SCHEMA",
     "FLEET_SLOTS",
     "OUTCOME_SLOTS",
+    "TIERS",
     "ArtifactCache",
     "ArtifactOptions",
     "ArtifactStats",

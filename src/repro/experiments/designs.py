@@ -22,7 +22,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.acquisition.device import Device, prime_fleet_activity
+from repro.acquisition.device import Device
 from repro.fsm.counters import build_binary_counter, build_gray_counter, build_lfsr
 from repro.fsm.watermark import WatermarkedIP, attach_leakage_component
 from repro.hdl.combinational import LookupLogic
@@ -275,7 +275,6 @@ def build_device_fleet(
     seed: int = 2014,
     watermarked: bool = True,
     engine: str = "auto",
-    prime_activity: bool = False,
     design: str = "paper",
 ) -> Tuple[Dict[str, Device], Dict[str, Device]]:
     """Manufacture the eight devices of the paper's experiment.
@@ -299,12 +298,7 @@ def build_device_fleet(
     Although each device owns a private netlist, the RefD and DUT built
     from the same IP are structurally identical, so the fleet-level
     activity cache (see :mod:`repro.acquisition.device`) simulates each
-    of the four distinct netlists exactly once per cycle count.  With
-    ``prime_activity=True`` those distinct netlists are simulated
-    immediately — grouped by shape and executed in batched engine runs
-    (:func:`~repro.acquisition.device.prime_fleet_activity`) — instead
-    of lazily one by one on first use; the cached bytes are identical
-    either way.
+    of the four distinct netlists exactly once per cycle count.
     """
     model = power_model if power_model is not None else PowerModel()
     rng = np.random.default_rng(seed)
@@ -334,6 +328,4 @@ def build_device_fleet(
         dut_name: manufacture(dut_name, ip_name)
         for dut_name, ip_name in DUT_CONTENTS.items()
     }
-    if prime_activity:
-        prime_fleet_activity((*refds.values(), *duts.values()))
     return refds, duts

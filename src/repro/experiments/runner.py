@@ -48,25 +48,12 @@ class CampaignConfig:
     ``"compiled"`` or ``"interpreted"`` — see
     :class:`~repro.hdl.simulator.Simulator`.
 
-    The fields split into three artifact tiers, each with a derived
-    cache key (see :mod:`repro.experiments.artifacts`):
-
-    * **fleet** — ``power_model``, ``variation``, ``waveform``,
-      ``fleet_seed``, ``watermarked``, ``design``, ``engine`` determine
-      the manufactured silicon
-      (:func:`~repro.experiments.artifacts.fleet_key`);
-    * **measurement** — plus ``noise``, ``adc``, ``measurement_seed``
-      and the ``parameters.n1``/``n2`` trace ceilings, they determine
-      the acquired trace matrices
-      (:func:`~repro.experiments.artifacts.measurement_key`);
-    * **analysis** — plus ``parameters.k``/``m``, ``analysis_seed``,
-      ``single_reference`` and ``distinguishers``, they determine the
-      full campaign outcome
-      (:func:`~repro.experiments.artifacts.analysis_key`).
-
-    Campaigns sharing a prefix of those tiers can share the matching
-    artifacts byte-identically, which is what makes analysis-side
-    scenario sweeps an order of magnitude cheaper.
+    Each field belongs to one artifact tier, which decides the cache
+    keys it moves; the tier table is
+    :data:`repro.experiments.artifacts.TIERS`.  Campaigns sharing a
+    prefix of those tiers can share the matching artifacts
+    byte-identically, which is what makes analysis-side scenario
+    sweeps an order of magnitude cheaper.
     """
 
     parameters: ProcessParameters = field(default_factory=ProcessParameters)

@@ -16,7 +16,11 @@ Endpoints
     (:class:`~repro.sweeps.spec.SpecValidationError`), as does a spec
     of more than :data:`MAX_JOB_SCENARIOS` scenarios (naming
     ``spec.n_random`` when random axes drive the count, else
-    ``spec.grid``).  ``options`` overrides the instance's
+    ``spec.grid``) and a spec whose costliest scenario would acquire
+    more than :data:`MAX_SCENARIO_TRACE_BYTES` of traces (naming the
+    largest trace ceiling: ``spec.base.parameters.n2``,
+    ``spec.grid[i].values`` or ``spec.random[i]``).  ``options``
+    overrides the instance's
     :class:`~repro.sweeps.api.SweepOptions` fields ``n_workers``,
     ``max_retries``, ``lease_ttl`` and ``scenario_timeout``; a value
     :class:`~repro.sweeps.api.SweepOptions` rejects is a 400 naming
@@ -65,11 +69,15 @@ from typing import AsyncIterator, Dict, Optional, Tuple
 
 import repro
 from repro.acquisition import bench
+from repro.experiments.artifacts import TIERS
+from repro.experiments.designs import PERIOD_CYCLES
+from repro.experiments.runner import CampaignConfig
+from repro.power.supply import WaveformConfig
 from repro.service.httpd import MAX_LINE_BYTES, HTTPError, HTTPServer, Request, Router
 from repro.service.jobs import JobManager, SweepJob
 from repro.sweeps.aggregate import roc_by_axis, tidy_accuracy
 from repro.sweeps.api import SweepOptions
-from repro.sweeps.scheduler import DEFAULT_LEASE_TTL, FailureLog, LeaseManager
+from repro.sweeps.scheduler import DEFAULT_LEASE_TTL, FailureLog, scrub
 from repro.sweeps.spec import SCHEMA_VERSION, ATTACK_FIELD, SpecValidationError, SweepSpec
 from repro.sweeps.store import SweepStore
 
@@ -85,12 +93,54 @@ ROWS_POLL_INTERVAL = 0.2
 #: the event loop, so a larger spec would stall every route.
 MAX_JOB_SCENARIOS = 10_000
 
+#: Most trace bytes one scenario of a submitted spec may acquire: 1 GiB,
+#: three paper campaigns (~341 MB each).  An attempt worker holds that
+#: much at once, so a larger scenario could exhaust the host's memory.
+MAX_SCENARIO_TRACE_BYTES = 1 << 30
+
+#: Bytes of one trace: a counter period of float64 samples.
+TRACE_BYTES = PERIOD_CYCLES * WaveformConfig().samples_per_cycle * 8
+
 #: Request-option keys accepted by ``POST /sweeps``: the
 #: :class:`SweepOptions` fields but the shim and the status log
 #: period, which is the instance's.
 _OPTION_KEYS = frozenset(
     option.name for option in fields(SweepOptions)
 ) - {"artifacts", "status_interval"}
+
+
+def _number(value: object) -> float:
+    """A trace ceiling as a number, or 0 when it is none (its scenario
+    fails in its attempt)."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return value if number else 0
+
+
+def _costliest_scenario(spec: SweepSpec) -> Tuple[float, Optional[str]]:
+    """Trace bytes of the spec's costliest scenario, and the path of the
+    largest trace ceiling the spec sets (``None`` when it sets none).
+
+    A campaign measures four devices at each ceiling, ``4 * (n1 + n2)``
+    traces in all.  Axes win over ``base``, and a random axis is costed
+    at its ``high``.
+    """
+    traces, largest = 0.0, (0.0, None)
+    defaults = CampaignConfig().parameters
+    for field in (field for field, tier in TIERS.items() if tier == "ceiling"):
+        value, path = getattr(defaults, field.rpartition(".")[2]), None
+        if field in spec.base:
+            value, path = _number(spec.base[field]), f"spec.base.{field}"
+        for index, axis in enumerate(spec.grid):
+            if axis.field == field:
+                value = max(_number(item) for item in axis.values)
+                path = f"spec.grid[{index}].values"
+        for index, axis in enumerate(spec.random):
+            if axis.field == field:
+                value, path = axis.high, f"spec.random[{index}]"
+        traces += 4 * value
+        if path is not None and value > largest[0]:
+            largest = (value, path)
+    return traces * TRACE_BYTES, largest[1]
 
 
 class SweepService:
@@ -194,6 +244,13 @@ class SweepService:
                 f"to {spec.n_scenarios} scenarios, more than the "
                 f"{MAX_JOB_SCENARIOS} one job may run",
             )
+        cost, path = _costliest_scenario(spec)
+        if cost > MAX_SCENARIO_TRACE_BYTES:
+            raise HTTPError(
+                400,
+                f"{path}: a scenario would acquire {cost:.3g} bytes of traces, "
+                f"more than the {MAX_SCENARIO_TRACE_BYTES} one scenario may",
+            )
         options = self._merge_options(payload.get("options"))
         job, created = self.jobs.submit(spec, options)
         description = job.describe(job.status())
@@ -273,10 +330,7 @@ class SweepService:
                 f"{running} job(s) are running on this instance; scrub "
                 "only while no writer is active on the store root",
             )
-        store = SweepStore(self.store_root)
-        removed = store.scrub()
-        removed += LeaseManager(self.store_root).scrub()
-        removed += FailureLog(self.store_root).scrub(store)
+        removed = scrub(SweepStore(self.store_root))
         _logger.info("scrub removed %d file(s)", len(removed))
         return 200, {"removed": len(removed), "paths": removed}
 

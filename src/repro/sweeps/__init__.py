@@ -71,6 +71,7 @@ from repro.sweeps.faultinject import (
 from repro.sweeps.scheduler import (
     FailureLog,
     LeaseManager,
+    scrub,
 )
 from repro.sweeps.scenario import (
     outcome_arrays,
@@ -133,6 +134,7 @@ __all__ = [
     "run",
     "run_scenario",
     "scenario_config",
+    "scrub",
     "sweep_status",
     "tidy_accuracy",
 ]

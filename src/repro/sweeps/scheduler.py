@@ -137,7 +137,8 @@ class LeaseManager:
     one reclaimer, so a stale lease is stolen at most once per expiry.
     Every claim records ``ttl``, and a lease is stale once its
     heartbeat is older than the TTL it records, so a manager that only
-    reads or scrubs leases can keep the default.
+    reads or scrubs leases can keep the default.  The directory is made
+    by the first claim: reading or scrubbing leaves a root unchanged.
     """
 
     def __init__(
@@ -150,7 +151,6 @@ class LeaseManager:
         self.ttl = ttl
         self.owner = owner or default_owner()
         self.dir = os.path.join(root, LEASE_DIR)
-        os.makedirs(self.dir, exist_ok=True)
 
     def path(self, scenario_id: str) -> str:
         return os.path.join(self.dir, f"{scenario_id}.lease")
@@ -182,6 +182,7 @@ class LeaseManager:
         take it for a torn, stale lease and steal a live claim.
         """
         path = self.path(scenario_id)
+        os.makedirs(self.dir, exist_ok=True)
         for _ in range(3):
             claim = f"{path}.tmp-{uuid.uuid4().hex[:8]}"
             with open(claim, "w") as handle:
@@ -224,6 +225,8 @@ class LeaseManager:
     def scrub(self) -> List[str]:
         """Remove expired leases and reclaim scratch; returns paths."""
         removed: List[str] = []
+        if not os.path.isdir(self.dir):
+            return removed
         for entry in sorted(os.listdir(self.dir)):
             path = os.path.join(self.dir, entry)
             if not os.path.isfile(path):
@@ -388,6 +391,21 @@ class FailureLog:
                 os.unlink(path)
                 removed.append(path)
         return removed
+
+
+def scrub(store: SweepStore) -> List[str]:
+    """Remove a store root's crash residue; returns the removed paths.
+
+    That is the store's own scratch (:meth:`SweepStore.scrub`), expired
+    leases and lease scratch, attempt scratch and the quarantines of
+    completed scenarios.  Run it only while no sweep writes to the
+    root: CLI ``sweep --scrub`` and the service's ``POST /admin/scrub``
+    do.  It creates nothing, so an inline store stays lease-free.
+    """
+    removed = store.scrub()
+    removed += LeaseManager(store.root).scrub()
+    removed += FailureLog(store.root).scrub(store)
+    return removed
 
 
 # -- persistent attempt workers ---------------------------------------------
@@ -716,4 +734,5 @@ __all__ = [
     "LeaseManager",
     "default_owner",
     "error_info",
+    "scrub",
 ]

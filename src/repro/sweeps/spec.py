@@ -30,16 +30,16 @@ execution order, and repeat-style sweeps are just an explicit axis over
 
 **Artifact sharing.**  Every sweep shares manufactured fleets and
 acquired trace matrices between scenarios whose fleet and measurement
-tiers agree (see :mod:`repro.experiments.artifacts`).  Each process
-keeps one measurement group's traces, so :func:`repro.sweeps.run`
-runs the scenarios whose overrides agree outside
-:data:`ANALYSIS_FIELDS` back to back.  Because the derived seeds mix
-the *whole* assignment, an analysis-axis-only grid
-(``parameters.k/m/n1/n2``, ``analysis_seed``, ``single_reference``)
-still gets a distinct ``measurement_seed`` per scenario; pinning
-``fleet_seed`` and ``measurement_seed`` in ``base`` is what lets it
-share — scenario digests stay stable either way, since the digest
-covers the final override values, not how they were derived.
+tiers agree (the tier table is
+:data:`repro.experiments.artifacts.TIERS`).  Each process keeps one
+measurement group's traces, so :func:`repro.sweeps.run` runs the
+scenarios whose overrides agree outside :data:`ANALYSIS_FIELDS` back
+to back.  Because the derived seeds mix the *whole* assignment, a grid
+over :data:`ANALYSIS_FIELDS` alone still gets a distinct
+``measurement_seed`` per scenario; pinning ``fleet_seed`` and
+``measurement_seed`` in ``base`` is what lets it share — scenario
+digests stay stable either way, since the digest covers the final
+override values, not how they were derived.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
+from repro.experiments.artifacts import TIERS
 from repro.experiments.runner import CampaignConfig, apply_config_overrides
 
 #: Version stamped into every scenario digest; bump when the scenario
@@ -94,23 +95,14 @@ CONFIG_FIELDS = frozenset(
     }
 )
 
-#: Analysis-side sweep fields: they change what is *computed from* the
-#: acquired traces, never the traces themselves (``n1``/``n2`` are mere
-#: ceilings — keyed acquisition is prefix-stable across budgets).  A
-#: grid confined to these fields can share every fleet and acquisition
-#: artifact once ``fleet_seed``/``measurement_seed`` are pinned in
-#: ``base``.  :func:`repro.sweeps.run` groups pending scenarios by their
-#: overrides outside this set, so one measurement group runs back to
-#: back.
+#: Analysis-side sweep fields: the sweepable ``ceiling`` and
+#: ``analysis`` paths of :data:`~repro.experiments.artifacts.TIERS`.
+#: They change what is *computed from* the acquired traces, never the
+#: traces themselves.  :func:`repro.sweeps.run` groups pending
+#: scenarios by their overrides outside this set, so one measurement
+#: group runs back to back.
 ANALYSIS_FIELDS = frozenset(
-    {
-        "parameters.k",
-        "parameters.m",
-        "parameters.n1",
-        "parameters.n2",
-        "analysis_seed",
-        "single_reference",
-    }
+    path for path in CONFIG_FIELDS if TIERS.get(path) in ("ceiling", "analysis")
 )
 
 #: Seeds derived per scenario when not pinned by base/axes.

@@ -23,7 +23,7 @@ import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.sweeps.scheduler import LEASE_DIR, FailureLog, LeaseManager
+from repro.sweeps.scheduler import FailureLog, LeaseManager
 from repro.sweeps.store import SweepStore
 
 
@@ -90,13 +90,9 @@ def sweep_status(
     quarantined = scoped(log.quarantined_ids())
 
     leased = 0
-    lease_dir = os.path.join(store_root, LEASE_DIR)
-    if os.path.isdir(lease_dir):
-        # LeaseManager creates its directory on construction, so it is
-        # only instantiated once the directory is known to exist — a
-        # status snapshot must not mutate the root it describes.
-        leases = LeaseManager(store_root)
-        for entry in sorted(os.listdir(lease_dir)):
+    leases = LeaseManager(store_root)
+    if os.path.isdir(leases.dir):
+        for entry in sorted(os.listdir(leases.dir)):
             if not entry.endswith(".lease"):
                 continue
             scenario_id = entry[: -len(".lease")]

@@ -26,7 +26,9 @@ from repro.acquisition.bench import MeasurementBench, derive_acquisition_seed
 from repro.acquisition.oscilloscope import BLOCK_ROWS, ADCConfig, Oscilloscope
 from repro.acquisition.traces import TraceSet
 from repro.core.process import ProcessParameters
+from repro.core.distinguishers import PAPER_DISTINGUISHERS
 from repro.experiments.artifacts import (
+    TIERS,
     ArtifactCache,
     ArtifactOptions,
     analysis_key,
@@ -48,7 +50,11 @@ from repro.experiments.runner import (
 )
 from repro.power.models import PowerModel
 from repro.power.noise import NoiseModel
+from repro.power.supply import WaveformConfig
 from repro.sweeps import (
+    ANALYSIS_FIELDS,
+    ATTACK_FIELD,
+    CONFIG_FIELDS,
     GridAxis,
     SweepOptions,
     SweepSpec,
@@ -150,6 +156,94 @@ class TestConfigKeys:
             analysis_key(base),
         ):
             assert isinstance(key, str) and len(key) == 32
+
+
+#: One changed value per field of the tier table.  ``fleet_tag`` is the
+#: key functions' argument; every other path is a config field.
+CHANGED = {
+    "power_model": PowerModel(static_power=0.75),
+    "variation": None,
+    "waveform": WaveformConfig(),
+    "fleet_seed": 777,
+    "watermarked": False,
+    "design": "imported:benchmarks/netlists/c17.v",
+    "engine": "interpreted",
+    "fleet_tag": "strip",
+    "noise": NoiseModel(sigma=1.5),
+    "adc": None,
+    "measurement_seed": 1234,
+    "parameters.n1": 64,
+    "parameters.n2": 128,
+    "parameters.k": 8,
+    "parameters.m": 8,
+    "analysis_seed": 99,
+    "single_reference": False,
+    "distinguishers": PAPER_DISTINGUISHERS[:1],
+}
+
+#: The tier a field belongs to, read off which of ``(fleet_key,
+#: measurement_base_key, measurement_key, analysis_key)`` move when it
+#: alone changes.
+TIER_OF_MOVED_KEYS = {
+    (True, True, True, True): "fleet",
+    (True, False, False, False): "fleet",  # engine only
+    (False, True, True, True): "measurement",
+    (False, False, True, True): "ceiling",
+    (False, False, False, True): "analysis",
+}
+
+
+def all_keys(config, fleet_tag="none"):
+    return tuple(
+        key(config, fleet_tag)
+        for key in (fleet_key, measurement_base_key, measurement_key, analysis_key)
+    )
+
+
+class TestTierTable:
+    def test_table_holds_every_config_field(self):
+        assert set(CHANGED) == set(TIERS)
+        heads = {path.partition(".")[0] for path in TIERS} - {"fleet_tag"}
+        assert heads == {f.name for f in dataclasses.fields(CampaignConfig)}
+        parameters = {
+            path.partition(".")[2] for path in TIERS if path.startswith("parameters.")
+        }
+        assert parameters == {f.name for f in dataclasses.fields(ProcessParameters)}
+
+    @pytest.mark.parametrize("path", sorted(TIERS))
+    def test_moved_keys_give_the_tier(self, path):
+        base = quick_config()
+        head, _, name = path.partition(".")
+        if path == "fleet_tag":
+            changed = all_keys(base, CHANGED[path])
+        elif name:
+            nested = dataclasses.replace(getattr(base, head), **{name: CHANGED[path]})
+            changed = all_keys(dataclasses.replace(base, **{head: nested}))
+        else:
+            changed = all_keys(dataclasses.replace(base, **{path: CHANGED[path]}))
+        moved = tuple(old != new for old, new in zip(all_keys(base), changed))
+        assert TIER_OF_MOVED_KEYS[moved] == TIERS[path]
+        assert (moved == (True, False, False, False)) == (path == "engine")
+
+    def test_analysis_fields_are_the_sweepable_ceiling_and_analysis_paths(self):
+        assert ANALYSIS_FIELDS == {
+            path
+            for path, tier in TIERS.items()
+            if tier in ("ceiling", "analysis") and path in CONFIG_FIELDS
+        }
+        assert ANALYSIS_FIELDS == {
+            "parameters.k",
+            "parameters.m",
+            "parameters.n1",
+            "parameters.n2",
+            "analysis_seed",
+            "single_reference",
+        }
+
+    def test_every_sweep_field_has_a_tier(self):
+        # A sub-field (noise.sigma) takes the tier of its dataclass.
+        for path in CONFIG_FIELDS - {ATTACK_FIELD}:
+            assert path in TIERS or path.partition(".")[0] in TIERS, path
 
 
 class TestKeyedAcquisition:

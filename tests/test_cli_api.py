@@ -331,6 +331,22 @@ class TestSweepCLI:
         assert "lease scheduler" in out
         assert "executed 2" in out
 
+    def test_inline_scrub_leaves_no_lease_dir(self, tmp_path, capsys):
+        store = str(tmp_path / "store")
+        assert main([
+            "sweep",
+            "--axis", "noise.sigma=0.5",
+            "--base", "parameters.k=4",
+            "--base", "parameters.m=4",
+            "--base", "parameters.n1=32",
+            "--base", "parameters.n2=64",
+            "--store", store,
+            "--workers", "1",
+            "--scrub",
+        ]) == 0
+        assert f"scrubbed 0 stale file(s) from {store}" in capsys.readouterr().out
+        assert not os.path.exists(os.path.join(store, ".leases"))
+
     def test_random_int_modifier_for_integer_fields(self, tmp_path, capsys):
         assert main([
             "sweep",

@@ -495,9 +495,8 @@ class TestFleetPriming:
 
     def test_primed_bytes_equal_lazy_bytes(self):
         clear_fleet_activity_cache()
-        primed_refds, primed_duts = build_device_fleet(
-            seed=2014, prime_activity=True
-        )
+        primed_refds, primed_duts = build_device_fleet(seed=2014)
+        prime_fleet_activity((*primed_refds.values(), *primed_duts.values()))
         clear_fleet_activity_cache()
         lazy_refds, lazy_duts = build_device_fleet(seed=2014)
         for name in primed_refds:

@@ -182,9 +182,18 @@ class TestLeaseManager:
 
     def test_corrupt_lease_treated_as_stale(self, tmp_path):
         mgr = LeaseManager(str(tmp_path), ttl=30.0, owner="a")
+        os.makedirs(mgr.dir)
         with open(mgr.path("x"), "w") as handle:
             handle.write("{torn")
         assert mgr.acquire("x")
+
+    def test_only_a_claim_makes_the_lease_dir(self, tmp_path):
+        mgr = LeaseManager(str(tmp_path), ttl=30.0, owner="a")
+        assert mgr.read("x") is None
+        assert mgr.scrub() == []
+        assert os.listdir(tmp_path) == []
+        assert mgr.acquire("x")
+        assert os.listdir(tmp_path) == [".leases"]
 
     def test_scrub_removes_expired_and_scratch(self, tmp_path):
         mgr = LeaseManager(str(tmp_path), ttl=0.05, owner="a")

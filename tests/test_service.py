@@ -9,6 +9,7 @@ streaming).
 import asyncio
 import dataclasses
 import json
+import os
 import socket
 import threading
 import time
@@ -19,7 +20,7 @@ from urllib.parse import urlsplit
 import pytest
 
 from repro.acquisition import bench
-from repro.cli import OPTION_FLAGS, _sweep_options, build_parser
+from repro.cli import OPTION_FLAGS, _sweep_options, build_parser, default_sweep_spec
 from repro.service import JOB_DONE, SweepService, job_id_for, start_service
 from repro.service import app as service_app
 from repro.service import httpd
@@ -266,6 +267,43 @@ class TestScenarioBudget:
         assert time.monotonic() - start < 1.0
         assert status == 400 and body["error"].startswith("spec.n_random: ")
         assert instance.jobs.jobs() == []
+
+    def test_costly_scenario_is_400_naming_the_ceiling(self, service):
+        instance, client = service
+        specs = {
+            "spec.base.parameters.n2": SweepSpec(
+                name="base", base={**QUICK, "parameters.n2": 10**9}
+            ),
+            "spec.grid[1].values": SweepSpec(
+                name="grid",
+                grid=(
+                    GridAxis("noise.sigma", (0.5,)),
+                    GridAxis("parameters.n2", (64, 10**9)),
+                ),
+                base=dict(QUICK),
+            ),
+            "spec.random[0]": SweepSpec(
+                name="random",
+                random=(RandomAxis("parameters.n1", 32, 10**9, integer=True),),
+                n_random=2,
+                base=dict(QUICK),
+            ),
+        }
+        for field, spec in specs.items():
+            status, body = client.post("/sweeps", submission(spec))
+            assert status == 400
+            assert body["error"].startswith(f"{field}: a scenario would acquire ")
+        assert instance.jobs.jobs() == []
+
+    def test_paper_campaign_and_default_sweep_are_within_the_bound(self):
+        paper, path = service_app._costliest_scenario(SweepSpec(name="paper"))
+        assert paper == 4 * (400 + 10_000) * 1024 * 8
+        assert paper < service_app.MAX_SCENARIO_TRACE_BYTES and path is None
+        default, path = service_app._costliest_scenario(default_sweep_spec())
+        assert default < paper and path == "spec.grid[1].values"
+        # A ceiling that is no number costs nothing here; its attempt fails.
+        spec = SweepSpec(name="typo", base={"parameters.n2": "many"})
+        assert service_app._costliest_scenario(spec)[1] is None
 
 
 class TestOptionSurfaces:
@@ -630,6 +668,12 @@ class TestIdempotencyAndScrub:
         status, payload = client.post("/admin/scrub")
         assert status == 200
         assert payload["removed"] == 2
+
+    def test_scrub_of_a_fresh_root_leaves_no_lease_dir(self, service):
+        instance, client = service
+        status, payload = client.post("/admin/scrub")
+        assert status == 200 and payload == {"removed": 0, "paths": []}
+        assert os.listdir(instance.store_root) == []
 
 
 class TestQuarantineSurfaced:
