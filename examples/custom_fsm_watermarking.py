@@ -42,7 +42,7 @@ def packet_receiver() -> MooreMachine:
 def build_device(name: str, kw: int, seed: int) -> Device:
     machine = packet_receiver()
     netlist = Netlist(name)
-    register = build_fsm(netlist, machine, encoding="binary")
+    register = build_fsm(netlist, machine)
     h_register = attach_leakage_component(netlist, netlist.wires["fsm_state"], kw)
     ip = WatermarkedIP(
         name=name,

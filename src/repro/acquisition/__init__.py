@@ -1,6 +1,6 @@
 """Acquisition layer: devices, oscilloscope, measurement campaigns."""
 
-from repro.acquisition.alignment import align_traces, alignment_quality, estimate_shift
+from repro.acquisition.alignment import align_traces, estimate_shift
 from repro.acquisition.bench import (
     MeasurementBench,
     acquire_traces,
@@ -13,7 +13,6 @@ from repro.acquisition.faults import (
     desynchronize,
     drop_samples,
     gain_drift,
-    inject_spikes,
 )
 from repro.acquisition.oscilloscope import ADCConfig, Oscilloscope
 from repro.acquisition.traces import TraceSet
@@ -31,9 +30,7 @@ __all__ = [
     "clip_traces",
     "drop_samples",
     "desynchronize",
-    "inject_spikes",
     "gain_drift",
     "align_traces",
-    "alignment_quality",
     "estimate_shift",
 ]

@@ -77,22 +77,3 @@ def align_traces(
         if moved == 0:
             break
     return TraceSet(traces.device_name, matrix), total_shifts
-
-
-def alignment_quality(traces: TraceSet) -> float:
-    """Mean pairwise-with-mean correlation — higher is better aligned.
-
-    A cheap scalar to compare a trace set before and after alignment:
-    the average Pearson correlation of each trace with the set mean.
-    """
-    mean_trace = traces.mean_trace()
-    centered_mean = mean_trace - mean_trace.mean()
-    mean_norm = float(np.sqrt(np.sum(centered_mean**2)))
-    if mean_norm == 0:
-        raise ValueError("mean trace has zero variance")
-    rows = traces.matrix - traces.matrix.mean(axis=1, keepdims=True)
-    norms = np.sqrt(np.sum(rows**2, axis=1))
-    if np.any(norms == 0):
-        raise ValueError("a trace has zero variance")
-    correlations = rows @ centered_mean / (norms * mean_norm)
-    return float(correlations.mean())

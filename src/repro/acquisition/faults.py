@@ -65,26 +65,6 @@ def desynchronize(
     return TraceSet(traces.device_name, shifted)
 
 
-def inject_spikes(
-    traces: TraceSet,
-    rate: float,
-    amplitude_sigmas: float = 10.0,
-    rng: RngLike = None,
-) -> TraceSet:
-    """EM interference: add rare large spikes to random samples."""
-    if not 0 <= rate < 1:
-        raise ValueError("rate must be in [0, 1)")
-    if amplitude_sigmas <= 0:
-        raise ValueError("amplitude_sigmas must be positive")
-    generator = make_rng(rng)
-    matrix = traces.matrix.copy()
-    spread = matrix.std()
-    mask = generator.random(matrix.shape) < rate
-    signs = generator.choice((-1.0, 1.0), size=matrix.shape)
-    matrix = matrix + mask * signs * amplitude_sigmas * spread
-    return TraceSet(traces.device_name, matrix)
-
-
 def gain_drift(traces: TraceSet, drift_fraction: float) -> TraceSet:
     """Slow thermal gain drift across the campaign: trace ``i`` is
     scaled by ``1 + drift_fraction * i / n``."""

@@ -7,7 +7,7 @@ traces of equal length measured on one device.  It is stored as an
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -18,8 +18,8 @@ class TraceSet:
     The matrix may be *read-only* (``writeable = False``): bench and
     artifact caches serve zero-copy frozen views, so consumers must
     not mutate ``matrix`` in place — derive new arrays instead (as
-    :meth:`subset`, :mod:`repro.acquisition.faults` and
-    :mod:`repro.acquisition.alignment` already do).
+    :mod:`repro.acquisition.faults` and :mod:`repro.acquisition.alignment`
+    already do).
     """
 
     def __init__(self, device_name: str, matrix: np.ndarray):
@@ -48,28 +48,9 @@ class TraceSet:
     def __iter__(self) -> Iterator[np.ndarray]:
         return iter(self.matrix)
 
-    def subset(self, indices: Sequence[int]) -> "TraceSet":
-        """A new TraceSet containing the selected traces (copied)."""
-        index_array = np.asarray(indices, dtype=int)
-        if index_array.ndim != 1 or index_array.size == 0:
-            raise ValueError("indices must be a non-empty 1-D sequence")
-        if np.any(index_array < 0) or np.any(index_array >= self.n_traces):
-            raise IndexError("trace index out of range")
-        return TraceSet(self.device_name, self.matrix[index_array].copy())
-
     def mean_trace(self) -> np.ndarray:
         """Element-wise mean over all traces."""
         return self.matrix.mean(axis=0)
-
-    def extend(self, other: "TraceSet") -> "TraceSet":
-        """Concatenate two trace sets from the same device."""
-        if other.trace_length != self.trace_length:
-            raise ValueError(
-                f"trace length mismatch: {self.trace_length} vs {other.trace_length}"
-            )
-        return TraceSet(
-            self.device_name, np.vstack([self.matrix, other.matrix])
-        )
 
     def __repr__(self) -> str:
         return (

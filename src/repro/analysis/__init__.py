@@ -11,8 +11,6 @@ from repro.analysis.collisions import (
     CollisionSummary,
     collision_summary,
     cross_key_correlations,
-    expected_random_correlation_bound,
-    keys_below_bound,
     switching_matrix,
 )
 from repro.analysis.roc import (
@@ -45,8 +43,6 @@ __all__ = [
     "collision_summary",
     "cross_key_correlations",
     "switching_matrix",
-    "expected_random_correlation_bound",
-    "keys_below_bound",
     "ROCCurve",
     "roc_from_scores",
     "screening_roc",

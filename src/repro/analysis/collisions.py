@@ -11,7 +11,7 @@ high for two differently-keyed IPs to collide in the verification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -76,40 +76,3 @@ def collision_summary(
         maximum=float(values.max()),
         worst_pair=worst_pair,
     )
-
-
-def expected_random_correlation_bound(
-    n_cycles: int, confidence_z: float = 3.0
-) -> float:
-    """Null-model bound: |rho| of two independent series of length l
-    stays within ``z / sqrt(l)`` with high probability."""
-    if n_cycles < 2:
-        raise ValueError("n_cycles must be at least 2")
-    return confidence_z / np.sqrt(n_cycles)
-
-
-def keys_below_bound(
-    state_codes: Sequence[int],
-    bound: float = None,
-    keys: Sequence[int] = None,
-    width: int = 8,
-) -> List[Tuple[int, int]]:
-    """Pairs of keys whose collision correlation EXCEEDS the bound.
-
-    An empty list is the paper's claim holding exhaustively: no key
-    pair collides beyond what two random series would show.
-    """
-    key_list = list(keys) if keys is not None else list(range(256))
-    corr = cross_key_correlations(state_codes, key_list, width)
-    threshold = (
-        bound
-        if bound is not None
-        else expected_random_correlation_bound(len(list(state_codes)), 5.0)
-    )
-    offenders: List[Tuple[int, int]] = []
-    n = len(key_list)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(corr[i, j]) > threshold:
-                offenders.append((key_list[i], key_list[j]))
-    return offenders

@@ -11,7 +11,6 @@ same tampering.
 
 from repro.attacks.forgery import (
     KeySearchResult,
-    forged_key_collision_correlation,
     predicted_h_switching,
     template_key_search,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "KeySearchResult",
     "template_key_search",
     "predicted_h_switching",
-    "forged_key_collision_correlation",
     "MaskingPoint",
     "masking_sweep",
     "defender_k_escalation",

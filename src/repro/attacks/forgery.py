@@ -109,22 +109,3 @@ def template_key_search(
 
     best_key = max(scores, key=lambda k: scores[k])
     return KeySearchResult(scores=scores, best_key=best_key, true_key=true_key)
-
-
-def forged_key_collision_correlation(
-    state_codes: Sequence[int], kw_a: int, kw_b: int, width: int = 8
-) -> float:
-    """Correlation between the H-switching series of two keys.
-
-    A forger hoping to claim ownership with a different key needs this
-    to be high; for the AES SBox it is near zero for any pair of
-    distinct keys (see :mod:`repro.analysis.collisions`).
-    """
-    a = predicted_h_switching(state_codes, kw_a, width)
-    b = predicted_h_switching(state_codes, kw_b, width)
-    a = a - a.mean()
-    b = b - b.mean()
-    denominator = float(np.sqrt(np.sum(a * a) * np.sum(b * b)))
-    if denominator == 0:
-        return 0.0
-    return float(np.sum(a * b) / denominator)

@@ -13,10 +13,7 @@ from repro.baselines.becker import (
 )
 from repro.baselines.output_mark import (
     OutputMark,
-    OutputMarkVerifier,
-    collision_rate,
     embed_output_mark,
-    response_to,
     verify_output_mark,
 )
 from repro.baselines.state_insertion import (
@@ -24,21 +21,16 @@ from repro.baselines.state_insertion import (
     StateInsertionWatermark,
     embed_state_insertion,
     verify_state_insertion,
-    visited_watermark_states,
 )
 
 __all__ = [
     "OutputMark",
-    "OutputMarkVerifier",
     "embed_output_mark",
     "verify_output_mark",
-    "response_to",
-    "collision_rate",
     "StateInsertionWatermark",
     "EmbeddingStats",
     "embed_state_insertion",
     "verify_state_insertion",
-    "visited_watermark_states",
     "pn_sequence",
     "attach_pn_leakage",
     "BeckerDetector",

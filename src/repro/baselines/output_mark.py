@@ -13,7 +13,7 @@ side-channel verification, which needs only the power pin.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Sequence, Tuple
+from typing import Hashable, Tuple
 
 from repro.fsm.machine import MealyMachine
 
@@ -98,51 +98,3 @@ def verify_output_mark(machine: MealyMachine, mark: OutputMark) -> bool:
     """Drive the trigger from reset and compare outputs to the signature."""
     _states, outputs = machine.run(mark.trigger)
     return tuple(outputs) == tuple(mark.signature)
-
-
-def response_to(machine: MealyMachine, inputs: Sequence[Symbol]) -> List[int]:
-    """The machine's output response to an input sequence (from reset)."""
-    _states, outputs = machine.run(inputs)
-    return outputs
-
-
-def collision_rate(
-    machine: MealyMachine,
-    mark: OutputMark,
-    probe_sequences: Sequence[Sequence[Symbol]],
-) -> float:
-    """Fraction of probe inputs that accidentally reproduce the signature.
-
-    A good output mark should only answer to its trigger.
-    """
-    if not probe_sequences:
-        raise ValueError("need at least one probe sequence")
-    hits = 0
-    for probe in probe_sequences:
-        if len(probe) != len(mark.trigger):
-            continue
-        if tuple(response_to(machine, probe)) == tuple(mark.signature) and tuple(
-            probe
-        ) != tuple(mark.trigger):
-            hits += 1
-    return hits / len(probe_sequences)
-
-
-@dataclass
-class OutputMarkVerifier:
-    """Baseline verifier with the same call shape as WatermarkVerifier.
-
-    ``requires_io_access`` is the comparison point: this verifier
-    cannot run on a device whose IP ports are not reachable.
-    """
-
-    mark: OutputMark
-    requires_io_access: bool = True
-
-    def verify(self, machine: MealyMachine) -> Dict[str, object]:
-        authentic = verify_output_mark(machine, self.mark)
-        return {
-            "method": "output-mark [16]",
-            "authentic": authentic,
-            "requires_io_access": self.requires_io_access,
-        }

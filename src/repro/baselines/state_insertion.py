@@ -15,7 +15,7 @@ measure what that buys:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, List, Tuple
+from typing import Hashable, Tuple
 
 from repro.fsm.machine import MealyMachine
 
@@ -111,11 +111,3 @@ def verify_state_insertion(
     """Steer the machine with the secret word; check the signature."""
     _states, outputs = machine.run(watermark.steering_word)
     return tuple(outputs) == tuple(watermark.signature)
-
-
-def visited_watermark_states(
-    machine: MealyMachine, watermark: StateInsertionWatermark
-) -> List[State]:
-    """The added states the steering word actually walks through."""
-    states, _outputs = machine.run(watermark.steering_word)
-    return [s for s in states if isinstance(s, str) and s.startswith("__wm_state_")]

@@ -20,8 +20,11 @@ store: interrupted or repeated invocations only execute scenarios
 whose results are not on disk yet.  Axes are ``field=v1,v2,...``
 pairs over campaign-config paths (``noise.sigma``, ``parameters.n2``,
 ``adc.bits``, ``watermarked``, ``attack``, ...); values are parsed as
-JSON scalars.  Without ``--axis`` a default 24-scenario surface (noise
-x trace budget x attack) is swept at a reduced, fast parameter point.
+JSON (``true``, not ``True``) and must have their field's type
+(:data:`repro.sweeps.CONFIG_FIELDS`), or the sweep exits with an
+error naming the field.  Without ``--axis`` a default 24-scenario
+surface (noise x trace budget x attack) is swept at a reduced, fast
+parameter point.
 Without ``--workers`` it gets one attempt slot per usable CPU.  Every
 sweep reuses manufactured fleets, acquired trace matrices and whole
 memoised campaign outcomes across scenarios whose config tiers agree
@@ -490,7 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         metavar="FIELD=LOW:HIGH[:log][:int]",
         help="randomly sampled axis: uniform, log-uniform with :log, "
-        "rounded to integers with :int (repeatable; needs --samples)",
+        "rounded to integers with :int, which integer fields need "
+        "(repeatable; needs --samples)",
     )
     sweep.add_argument(
         "--samples", type=int, default=8, help="draws per random axis set"

@@ -7,7 +7,7 @@ benchmark harness can display paper-versus-measured side by side.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence
+from typing import List, Mapping, Sequence
 
 from repro.core.distinguishers import (
     confidence_distance_higher,
@@ -72,18 +72,6 @@ def render_variances_table(
     return render_matrix_table(variances, dut_order, "variance", "Delta_v")
 
 
-def render_comparison(
-    label: str,
-    paper_value: float,
-    measured_value: float,
-    fmt: str = "{:.4g}",
-) -> str:
-    """One 'paper vs measured' line for EXPERIMENTS.md-style output."""
-    paper_text = fmt.format(paper_value)
-    measured_text = fmt.format(measured_value)
-    return f"{label}: paper={paper_text}  measured={measured_text}"
-
-
 def render_verdicts(report) -> str:
     """Human-readable verdict block for a VerificationReport."""
     lines = [f"Reference device: {report.ref_name}"]
@@ -94,9 +82,3 @@ def render_verdicts(report) -> str:
         )
     lines.append(f"  unanimous: {report.unanimous}")
     return "\n".join(lines)
-
-
-def summarize_scores(scores: Dict[str, float], style: str = "mean") -> str:
-    """One-line per-DUT score summary."""
-    parts = [f"{name}={_format_cell(value, style)}" for name, value in scores.items()]
-    return ", ".join(parts)

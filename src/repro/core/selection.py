@@ -91,34 +91,4 @@ def selection_membership_batch(
     return rng.random((trials, m)) < k / n_available
 
 
-def count_cross_selection_reuse(indices: np.ndarray) -> int:
-    """Number of elements appearing in more than one row of a batch.
-
-    Used by the Monte-Carlo validation of the paper's ``P(ζ)``.
-    """
-    if indices.ndim != 2:
-        raise ValueError("indices must be a 2-D (m, k) matrix")
-    flat = indices.reshape(-1)
-    values, counts = np.unique(flat, return_counts=True)
-    return int(np.sum(counts > 1))
-
-
-def batch_has_reuse(indices: np.ndarray) -> bool:
-    """True when some element appears in more than one selection (event ζ
-    for that element / batch)."""
-    return count_cross_selection_reuse(indices) > 0
-
-
-def reuse_of_element(indices: np.ndarray, element: int) -> bool:
-    """Event ζ for a *specific* element: it appears in ≥ 2 selections.
-
-    This is the exact event the paper's closed form describes for one
-    trace ``t_i``.
-    """
-    if indices.ndim != 2:
-        raise ValueError("indices must be a 2-D (m, k) matrix")
-    appearances = int(np.sum(np.any(indices == element, axis=1)))
-    return appearances >= 2
-
-
 Selection = Optional[np.ndarray]

@@ -13,20 +13,14 @@ chain; the reproduction targets the *shape*:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping
 
 from repro.core.distinguishers import (
     confidence_distance_higher,
     confidence_distance_lower,
 )
 from repro.core.report import render_means_table, render_variances_table
-from repro.experiments.runner import (
-    CampaignConfig,
-    CampaignOutcome,
-    DUT_ORDER,
-    REF_ORDER,
-    run_campaign,
-)
+from repro.experiments.runner import DUT_ORDER, REF_ORDER, CampaignOutcome
 
 #: Table I of the paper: means of the correlation sets.
 PAPER_TABLE1_MEANS: Dict[str, Dict[str, float]] = {
@@ -154,15 +148,6 @@ def render_paper_table2() -> str:
     return render_variances_table(PAPER_TABLE2_VARIANCES, DUT_ORDER)
 
 
-def reproduce_tables(
-    config: Optional[CampaignConfig] = None,
-    outcome: Optional[CampaignOutcome] = None,
-) -> Tuple[TableComparison, TableComparison, CampaignOutcome]:
-    """Run one campaign (or reuse one) and compare both tables."""
-    result = outcome if outcome is not None else run_campaign(config)
-    return compare_table1(result), compare_table2(result), result
-
-
 __all__ = [
     "PAPER_TABLE1_MEANS",
     "PAPER_TABLE1_DELTAS",
@@ -175,7 +160,6 @@ __all__ = [
     "render_table2",
     "render_paper_table1",
     "render_paper_table2",
-    "reproduce_tables",
     "REF_ORDER",
     "DUT_ORDER",
 ]

@@ -1,7 +1,7 @@
 """FSM framework: machines, encodings, counters, properties, synthesis
 and the paper's watermark leakage component."""
 
-from repro.fsm.builder import build_fsm, make_encoder, state_width
+from repro.fsm.builder import build_fsm
 from repro.fsm.counters import (
     binary_counter_machine,
     build_binary_counter,
@@ -12,24 +12,12 @@ from repro.fsm.counters import (
     johnson_counter_machine,
     lfsr_machine,
 )
-from repro.fsm.encoding import (
-    binary_decode,
-    binary_encode,
-    encoding_hd_profile,
-    gray_decode,
-    gray_encode,
-    johnson_encode,
-    johnson_sequence,
-    one_hot_decode,
-    one_hot_encode,
-)
+from repro.fsm.encoding import gray_decode, gray_encode, johnson_sequence
 from repro.fsm.machine import FSMDefinitionError, MealyMachine, MooreMachine
 from repro.fsm.properties import (
     hd_sequence,
-    is_permutation,
     linearity_score,
     period,
-    reachable_states,
     transient_length,
     verification_sequence_length,
 )
@@ -40,22 +28,15 @@ from repro.fsm.watermark import (
     attach_wide_leakage_component,
     fold_to_sbox_width,
     leakage_sequence,
-    wide_leakage_sequence,
 )
 
 __all__ = [
     "MooreMachine",
     "MealyMachine",
     "FSMDefinitionError",
-    "binary_encode",
-    "binary_decode",
     "gray_encode",
     "gray_decode",
-    "one_hot_encode",
-    "one_hot_decode",
-    "johnson_encode",
     "johnson_sequence",
-    "encoding_hd_profile",
     "binary_counter_machine",
     "gray_counter_machine",
     "johnson_counter_machine",
@@ -65,19 +46,14 @@ __all__ = [
     "build_johnson_counter",
     "build_lfsr",
     "build_fsm",
-    "make_encoder",
-    "state_width",
     "period",
     "transient_length",
-    "reachable_states",
-    "is_permutation",
     "hd_sequence",
     "linearity_score",
     "verification_sequence_length",
     "attach_leakage_component",
     "attach_wide_leakage_component",
     "leakage_sequence",
-    "wide_leakage_sequence",
     "fold_to_sbox_width",
     "WatermarkedIP",
     "WatermarkKeyError",

@@ -1,8 +1,8 @@
 """Synthesis of abstract Moore machines into netlists.
 
-Given a :class:`~repro.fsm.machine.MooreMachine` and a state encoding,
-the builder emits a state register plus table-driven next-state logic —
-the canonical synchronous FSM realisation.  This is how arbitrary
+Given a :class:`~repro.fsm.machine.MooreMachine`, the builder emits a
+binary-encoded state register plus table-driven next-state logic — the
+canonical synchronous FSM realisation.  This is how arbitrary
 (non-counter) FSMs enter the power-simulation flow, demonstrating the
 paper's claim that the method "can be adapted to any kind of digital
 systems which possess a FSM".
@@ -10,79 +10,28 @@ systems which possess a FSM".
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Dict, Hashable, Optional
-
-from repro.fsm.encoding import binary_encode, gray_encode, one_hot_encode
 from repro.fsm.machine import MooreMachine
 from repro.hdl.combinational import TransitionTable
 from repro.hdl.io import ClockTree
 from repro.hdl.netlist import Netlist
 from repro.hdl.register import DRegister
 
-State = Hashable
-
 #: Clock-tree load charged per register bit.
 CLOCK_LOAD_PER_BIT = 1.5
 
-#: Supported encoding styles.
-ENCODINGS = ("binary", "gray", "one-hot")
-
-
-def state_width(n_states: int, encoding: str) -> int:
-    """Register width needed for ``n_states`` under an encoding style."""
-    if n_states <= 0:
-        raise ValueError(f"n_states must be positive, got {n_states}")
-    if encoding == "one-hot":
-        return n_states
-    if encoding in ("binary", "gray"):
-        return max(1, math.ceil(math.log2(n_states)))
-    raise ValueError(f"unknown encoding {encoding!r}; choose from {ENCODINGS}")
-
-
-def make_encoder(
-    machine: MooreMachine, encoding: str
-) -> Dict[State, int]:
-    """Assign a code to every state of ``machine``.
-
-    States are numbered in definition order; the chosen style maps
-    numbers to codes.
-    """
-    width = state_width(machine.n_states, encoding)
-    encoder: Callable[[int], int]
-    if encoding == "binary":
-        encoder = lambda i: binary_encode(i, width)  # noqa: E731
-    elif encoding == "gray":
-        encoder = lambda i: gray_encode(i, width)  # noqa: E731
-    elif encoding == "one-hot":
-        encoder = lambda i: one_hot_encode(i, machine.n_states)  # noqa: E731
-    else:
-        raise ValueError(f"unknown encoding {encoding!r}; choose from {ENCODINGS}")
-    return {state: encoder(i) for i, state in enumerate(machine.states)}
-
 
 def build_fsm(
-    netlist: Netlist,
-    machine: MooreMachine,
-    encoding: str = "binary",
-    prefix: str = "fsm",
-    encoder: Optional[Dict[State, int]] = None,
+    netlist: Netlist, machine: MooreMachine, prefix: str = "fsm"
 ) -> DRegister:
     """Synthesise ``machine`` into ``netlist``.
 
-    Returns the state register; the wire ``{prefix}_state`` carries the
-    encoded state and is the hook point for the watermark component.
-    A custom ``encoder`` (state → code) may be supplied, e.g. to match
-    a legacy encoding; otherwise one is derived from ``encoding``.
+    States are binary-encoded in definition order (the first state is
+    code 0).  Returns the state register; the wire ``{prefix}_state``
+    carries the encoded state and is the hook point for the watermark
+    component.
     """
-    codes = encoder if encoder is not None else make_encoder(machine, encoding)
-    if set(codes) != set(machine.states):
-        raise ValueError("encoder must cover exactly the machine's states")
-    if len(set(codes.values())) != len(codes):
-        raise ValueError("encoder must be injective")
-
-    width = max(code.bit_length() for code in codes.values())
-    width = max(width, 1)
+    codes = {state: index for index, state in enumerate(machine.states)}
+    width = max(1, (machine.n_states - 1).bit_length())
     table = {
         codes[state]: codes[machine.successor(state)] for state in machine.states
     }

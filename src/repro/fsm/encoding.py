@@ -1,4 +1,4 @@
-"""State encodings: binary, Gray, one-hot and Johnson.
+"""State encodings: Gray and Johnson.
 
 The paper's worst-case FSMs are an 8-bit binary counter and an 8-bit
 Gray counter; encodings matter because they determine the register
@@ -12,21 +12,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.hdl.wires import hamming_weight, mask
-
-
-def binary_encode(index: int, width: int) -> int:
-    """Natural binary encoding of ``index`` on ``width`` bits."""
-    if not 0 <= index <= mask(width):
-        raise ValueError(f"index {index} does not fit in {width} bits")
-    return index
-
-
-def binary_decode(code: int, width: int) -> int:
-    """Inverse of :func:`binary_encode`."""
-    if not 0 <= code <= mask(width):
-        raise ValueError(f"code {code} does not fit in {width} bits")
-    return code
+from repro.hdl.wires import mask
 
 
 def gray_encode(index: int, width: int) -> int:
@@ -48,54 +34,11 @@ def gray_decode(code: int, width: int) -> int:
     return index
 
 
-def one_hot_encode(index: int, n_states: int) -> int:
-    """One-hot encoding: state i sets only bit i."""
-    if not 0 <= index < n_states:
-        raise ValueError(f"index {index} out of range for {n_states} states")
-    return 1 << index
-
-
-def one_hot_decode(code: int, n_states: int) -> int:
-    """Inverse one-hot encoding; rejects non-one-hot codes."""
-    if code <= 0 or hamming_weight(code) != 1:
-        raise ValueError(f"code {code:#x} is not one-hot")
-    index = code.bit_length() - 1
-    if index >= n_states:
-        raise ValueError(f"code {code:#x} out of range for {n_states} states")
-    return index
-
-
-def johnson_encode(index: int, width: int) -> int:
-    """Johnson (twisted-ring) counter code for step ``index``.
-
-    A ``width``-bit Johnson counter cycles through ``2 * width`` codes:
-    it fills with ones from the LSB, then drains.
-    """
-    if index < 0:
-        raise ValueError(f"index must be non-negative, got {index}")
-    period = 2 * width
-    step = index % period
-    if step <= width:
-        return mask(width) >> (width - step) if step else 0
-    ones = period - step
-    return (mask(width) >> (width - ones) << (width - ones)) if ones else 0
-
-
 def johnson_sequence(width: int) -> List[int]:
-    """The full period of a ``width``-bit Johnson counter."""
-    return [johnson_encode(step, width) for step in range(2 * width)]
+    """The full period of a ``width``-bit Johnson (twisted-ring) counter.
 
-
-def encoding_hd_profile(codes: List[int]) -> List[int]:
-    """Hamming distances along a cyclic code sequence.
-
-    Entry ``i`` is HD(codes[i], codes[(i+1) % n]).  For a Gray sequence
-    this is all ones; for binary counting it is the carry-ripple
-    profile (1, 2, 1, 3, 1, 2, 1, 4, ...).
+    It cycles through ``2 * width`` codes: it fills with ones from the
+    LSB, then drains them from the LSB.
     """
-    if not codes:
-        raise ValueError("code sequence must be non-empty")
-    n = len(codes)
-    return [
-        hamming_weight(codes[i] ^ codes[(i + 1) % n]) for i in range(n)
-    ]
+    fill = [(1 << ones) - 1 for ones in range(width + 1)]
+    return fill + [fill[width] ^ low for low in fill[1:width]]

@@ -130,18 +130,3 @@ class MealyMachine:
             states.append(state)
             outputs.append(out)
         return states, outputs
-
-    def as_autonomous(self, driving_symbol: Symbol) -> MooreMachine:
-        """Freeze one input symbol, yielding an autonomous Moore machine.
-
-        This mirrors the paper's setup where "the same input sequence is
-        sent to the four IPs": under a fixed input, any Mealy machine
-        becomes an autonomous state-sequence generator.
-        """
-        transitions = {
-            state: self.step(state, driving_symbol)[0] for state in self.states
-        }
-        outputs = {
-            state: self.step(state, driving_symbol)[1] for state in self.states
-        }
-        return MooreMachine(self.states, transitions, self.initial_state, outputs)

@@ -9,14 +9,13 @@ The paper relies on two FSM properties:
   power side channel because their switching activity carries little
   entropy.
 
-This module computes both, plus reachability, so library users can
-check whether a given FSM is an easy or hard verification target
-before measuring anything.
+This module computes both, so library users can check whether a given
+FSM is an easy or hard verification target before measuring anything.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Sequence, Set
+from typing import Hashable, List, Sequence
 
 import numpy as np
 
@@ -24,16 +23,6 @@ from repro.fsm.machine import MooreMachine
 from repro.hdl.wires import hamming_weight
 
 State = Hashable
-
-
-def reachable_states(machine: MooreMachine, start: State = None) -> Set[State]:
-    """States reachable from ``start`` (default: the initial state)."""
-    state = machine.initial_state if start is None else start
-    seen: Set[State] = set()
-    while state not in seen:
-        seen.add(state)
-        state = machine.successor(state)
-    return seen
 
 
 def period(machine: MooreMachine, start: State = None) -> int:
@@ -74,16 +63,6 @@ def transient_length(machine: MooreMachine, start: State = None) -> int:
     return tail
 
 
-def is_permutation(machine: MooreMachine) -> bool:
-    """True when the transition map is a bijection on the state set.
-
-    Counters are permutations (every state has in-degree one); machines
-    with merging paths are not, and have transients.
-    """
-    targets = list(machine.transitions.values())
-    return len(set(targets)) == len(machine.states)
-
-
 def hd_sequence(codes: Sequence[int]) -> List[int]:
     """Hamming distances between consecutive codes (len(codes) - 1)."""
     if len(codes) < 2:
@@ -108,13 +87,6 @@ def linearity_score(codes: Sequence[int]) -> float:
     entropy = -np.sum(probabilities * np.log2(probabilities))
     max_entropy = np.log2(len(values))
     return float(1.0 - entropy / max_entropy)
-
-
-def state_sequence_codes(
-    machine: MooreMachine, encode: Dict[State, int], n_steps: int
-) -> List[int]:
-    """Encoded state trajectory of length ``n_steps``."""
-    return [encode[state] for state in machine.run(n_steps)]
 
 
 def verification_sequence_length(machine: MooreMachine, margin: int = 1) -> int:

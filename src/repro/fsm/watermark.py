@@ -160,15 +160,6 @@ def attach_wide_leakage_component(
     return h_register
 
 
-def wide_leakage_sequence(state_codes, kw: int):
-    """Software model of the two-stage component: one H per state."""
-    if not 0 <= kw <= mask(2 * SBOX_WIDTH):
-        raise WatermarkKeyError(f"wide watermark key out of range: {kw}")
-    kw_lo = kw & mask(SBOX_WIDTH)
-    kw_hi = (kw >> SBOX_WIDTH) & mask(SBOX_WIDTH)
-    return [SBOX[SBOX[code ^ kw_lo] ^ kw_hi] for code in state_codes]
-
-
 def leakage_sequence(state_codes, kw: int, width: int = SBOX_WIDTH):
     """Software model: the H values produced by a state-code sequence.
 

@@ -109,13 +109,6 @@ _OPTION_KEYS = frozenset(
 ) - {"artifacts", "status_interval"}
 
 
-def _number(value: object) -> float:
-    """A trace ceiling as a number, or 0 when it is none (its scenario
-    fails in its attempt)."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    return value if number else 0
-
-
 def _costliest_scenario(spec: SweepSpec) -> Tuple[float, Optional[str]]:
     """Trace bytes of the spec's costliest scenario, and the path of the
     largest trace ceiling the spec sets (``None`` when it sets none).
@@ -129,10 +122,10 @@ def _costliest_scenario(spec: SweepSpec) -> Tuple[float, Optional[str]]:
     for field in (field for field, tier in TIERS.items() if tier == "ceiling"):
         value, path = getattr(defaults, field.rpartition(".")[2]), None
         if field in spec.base:
-            value, path = _number(spec.base[field]), f"spec.base.{field}"
+            value, path = spec.base[field], f"spec.base.{field}"
         for index, axis in enumerate(spec.grid):
             if axis.field == field:
-                value = max(_number(item) for item in axis.values)
+                value = max(axis.values)
                 path = f"spec.grid[{index}].values"
         for index, axis in enumerate(spec.random):
             if axis.field == field:

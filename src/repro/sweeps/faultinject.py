@@ -23,7 +23,7 @@ succeed" without any cross-process mutable state: the attempt number
 is persisted by the scheduler's failure log, so the draw sequence
 survives worker death and process restarts.
 
-Sites instrumented today:
+Sites instrumented today (:data:`SITES`):
 
 ``scenario.pre``
     start of a scenario attempt, before the campaign executes;
@@ -70,6 +70,11 @@ CRASH_EXIT_CODE = 66
 #: Supported rule kinds.
 KINDS = ("exception", "crash", "sigkill", "delay")
 
+#: The sites a :func:`fault_point` call names.  A rule for any other
+#: site would never fire, so a typo in a plan is rejected instead of
+#: silently testing nothing.
+SITES = ("scenario.pre", "scenario.post", "store.put_arrays", "store.put_record")
+
 
 class InjectedFault(RuntimeError):
     """The exception raised by ``kind="exception"`` rules."""
@@ -106,8 +111,10 @@ class FaultRule:
     message: str = "injected fault"
 
     def __post_init__(self) -> None:
-        if not self.site:
-            raise ValueError("a fault rule needs a site name")
+        if self.site not in SITES:
+            raise ValueError(
+                f"unknown fault site {self.site!r}; supported: {SITES}"
+            )
         if self.kind not in KINDS:
             raise ValueError(
                 f"unknown fault kind {self.kind!r}; supported: {KINDS}"

@@ -53,8 +53,10 @@ from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
+from repro.attacks.removal import FLEET_TRANSFORMS
 from repro.experiments.artifacts import TIERS
 from repro.experiments.runner import CampaignConfig, apply_config_overrides
+from repro.hdl.simulator import ENGINES
 
 #: Version stamped into every scenario digest; bump when the scenario
 #: encoding or the result payload changes incompatibly.
@@ -64,36 +66,35 @@ SCHEMA_VERSION = 1
 #: :data:`repro.attacks.FLEET_TRANSFORMS`).
 ATTACK_FIELD = "attack"
 
-#: Overridable campaign-config paths (dotted = nested dataclass field).
-#: ``apply_config_overrides`` validates sub-fields exhaustively; this
-#: set exists so a spec fails at *construction* time, before any
-#: worker process starts.
-CONFIG_FIELDS = frozenset(
-    {
-        "watermarked",
-        "single_reference",
-        "engine",
-        "design",
-        "fleet_seed",
-        "measurement_seed",
-        "analysis_seed",
-        "adc",
-        "variation",
-        "waveform",
-        "parameters.k",
-        "parameters.m",
-        "parameters.n1",
-        "parameters.n2",
-        "noise.sigma",
-        "noise.drift_sigma",
-        "adc.bits",
-        "adc.headroom",
-        "variation.gain_sigma",
-        "variation.offset_sigma",
-        "variation.component_sigma",
-        ATTACK_FIELD,
-    }
-)
+#: Overridable campaign-config paths (dotted = nested dataclass field)
+#: and the JSON values each takes: ``bool``, ``int`` (not a bool),
+#: ``float`` (any finite number), ``str``, ``None`` (``null`` only: the
+#: stage is off) or a tuple of names.  A spec is checked against it when
+#: built, so a bad value fails before any worker process starts.
+CONFIG_FIELDS: Mapping[str, object] = {
+    "watermarked": bool,
+    "single_reference": bool,
+    "engine": ENGINES,
+    "design": str,
+    "fleet_seed": int,
+    "measurement_seed": int,
+    "analysis_seed": int,
+    "adc": None,
+    "variation": None,
+    "waveform": None,
+    "parameters.k": int,
+    "parameters.m": int,
+    "parameters.n1": int,
+    "parameters.n2": int,
+    "noise.sigma": float,
+    "noise.drift_sigma": float,
+    "adc.bits": int,
+    "adc.headroom": float,
+    "variation.gain_sigma": float,
+    "variation.offset_sigma": float,
+    "variation.component_sigma": float,
+    ATTACK_FIELD: tuple(FLEET_TRANSFORMS),
+}
 
 #: Analysis-side sweep fields: the sweepable ``ceiling`` and
 #: ``analysis`` paths of :data:`~repro.experiments.artifacts.TIERS`.
@@ -139,14 +140,24 @@ def _check_field(name: str) -> None:
 
 
 def _check_value(field_name: str, value: object) -> None:
-    if value is not None and not isinstance(value, (bool, int, float, str)):
-        raise TypeError(
-            f"axis {field_name!r}: value {value!r} is not a JSON scalar"
-        )
+    """Reject a value ``field_name`` does not take; never coerce one, so
+    every valid spec keeps its scenario digests."""
+    kind = CONFIG_FIELDS[field_name]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
     # NaN and the infinities are not JSON values: canonical_json would
     # write them into digests and records as bare tokens.
-    if isinstance(value, (int, float)) and not _finite(value):
-        raise ValueError(f"axis {field_name!r}: value {value!r} is not finite")
+    if number and not _finite(value):
+        raise ValueError(f"{field_name!r} takes finite numbers, not {value!r}")
+    if isinstance(kind, tuple):
+        valid = isinstance(value, str) and value in kind
+    elif kind in (int, float):
+        valid = number and (kind is float or isinstance(value, int))
+    else:
+        valid = value is None if kind is None else isinstance(value, kind)
+    if not valid:
+        if isinstance(kind, type):
+            kind = kind.__name__
+        raise TypeError(f"{field_name!r} takes {kind or 'null'}, not {value!r}")
 
 
 def _finite(number: float) -> bool:
@@ -192,8 +203,12 @@ class RandomAxis:
 
     def __post_init__(self) -> None:
         _check_field(self.field)
-        if self.field == ATTACK_FIELD:
-            raise ValueError("the attack axis cannot be randomly sampled")
+        kind = CONFIG_FIELDS[self.field]
+        if not (kind is float or (kind is int and self.integer)):
+            raise ValueError(
+                f"axis {self.field!r} cannot be randomly sampled"
+                + (" without integer set" if kind is int else "")
+            )
         if not (_finite(self.low) and _finite(self.high)):
             raise ValueError(
                 f"axis {self.field!r}: bounds {self.low} and {self.high} must be finite"
@@ -353,14 +368,8 @@ class SweepSpec:
                 )
             try:
                 _check_value(key, value)
-            except TypeError:
-                raise SpecValidationError(
-                    f"base.{key}", f"value {value!r} is not a JSON scalar"
-                ) from None
-            except ValueError:
-                raise SpecValidationError(
-                    f"base.{key}", f"value {value!r} is not finite"
-                ) from None
+            except (TypeError, ValueError) as error:
+                raise SpecValidationError(f"base.{key}", str(error)) from None
         seed = payload.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise SpecValidationError("seed", "expected an integer")

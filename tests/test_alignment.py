@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.acquisition.alignment import align_traces, alignment_quality, estimate_shift
+from repro.acquisition.alignment import align_traces, estimate_shift
 from repro.acquisition.bench import MeasurementBench
 from repro.acquisition.device import Device
 from repro.acquisition.faults import desynchronize
 from repro.acquisition.traces import TraceSet
+from repro.core.correlation import pearson_many
 from repro.core.process import CorrelationProcess, ProcessParameters
 from repro.experiments.designs import build_paper_ip
 from repro.power.models import PowerModel
@@ -52,9 +53,9 @@ class TestAlignTraces:
     def test_realigns_jittered_traces(self):
         traces, signal = periodic_traces(sigma=0.2)
         jittered = desynchronize(traces, max_shift=4, rng=1)
-        before = alignment_quality(jittered)
+        before = pearson_many(signal, jittered.matrix).mean()
         aligned, shifts = align_traces(jittered, max_shift=6)
-        after = alignment_quality(aligned)
+        after = pearson_many(signal, aligned.matrix).mean()
         assert after > before
         assert shifts.shape == (traces.n_traces,)
 
@@ -62,7 +63,8 @@ class TestAlignTraces:
         traces, signal = periodic_traces(sigma=0.2)
         jittered = desynchronize(traces, max_shift=4, rng=2)
         aligned, _shifts = align_traces(jittered, reference=signal, max_shift=6)
-        assert alignment_quality(aligned) > alignment_quality(jittered)
+        before = pearson_many(signal, jittered.matrix).mean()
+        assert pearson_many(signal, aligned.matrix).mean() > before
 
     def test_already_aligned_is_stable(self):
         traces, _signal = periodic_traces(sigma=0.2)
@@ -74,10 +76,6 @@ class TestAlignTraces:
         traces, _signal = periodic_traces()
         with pytest.raises(ValueError):
             align_traces(traces, iterations=0)
-
-    def test_quality_validation(self):
-        with pytest.raises(ValueError):
-            alignment_quality(TraceSet("d", np.ones((3, 8))))
 
 
 class TestAlignmentRescuesVerification:

@@ -242,7 +242,7 @@ class TestTierTable:
 
     def test_every_sweep_field_has_a_tier(self):
         # A sub-field (noise.sigma) takes the tier of its dataclass.
-        for path in CONFIG_FIELDS - {ATTACK_FIELD}:
+        for path in CONFIG_FIELDS.keys() - {ATTACK_FIELD}:
             assert path in TIERS or path.partition(".")[0] in TIERS, path
 
 
@@ -310,8 +310,6 @@ class TestKeyedAcquisition:
         matrix.flags.writeable = False
         traces = TraceSet("dev", matrix)
         assert traces.mean_trace().shape == (8,)
-        copied = traces.subset([0, 2])
-        assert copied.matrix.flags.writeable  # subsets stay private copies
 
 
 class ConstantDevice:

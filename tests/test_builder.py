@@ -1,8 +1,6 @@
 """Tests for FSM synthesis into netlists."""
 
-import pytest
-
-from repro.fsm.builder import build_fsm, make_encoder, state_width
+from repro.fsm.builder import build_fsm
 from repro.fsm.counters import binary_counter_machine
 from repro.fsm.machine import MooreMachine
 from repro.hdl.netlist import Netlist
@@ -16,100 +14,40 @@ def traffic_light():
 
 class TestStateWidth:
     def test_binary_width(self):
-        assert state_width(3, "binary") == 2
-        assert state_width(256, "binary") == 8
-        assert state_width(1, "binary") == 1
-
-    def test_gray_width_matches_binary(self):
-        assert state_width(9, "gray") == 4
-
-    def test_one_hot_width_is_state_count(self):
-        assert state_width(5, "one-hot") == 5
-
-    def test_rejects_unknown_encoding(self):
-        with pytest.raises(ValueError):
-            state_width(4, "thermometer")
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            state_width(0, "binary")
-
-
-class TestMakeEncoder:
-    def test_binary_encoder_is_index(self):
-        machine = traffic_light()
-        encoder = make_encoder(machine, "binary")
-        assert encoder == {"red": 0, "green": 1, "yellow": 2}
-
-    def test_one_hot_encoder(self):
-        machine = traffic_light()
-        encoder = make_encoder(machine, "one-hot")
-        assert encoder == {"red": 1, "green": 2, "yellow": 4}
-
-    def test_gray_encoder_adjacent_indices_one_bit(self):
-        machine = binary_counter_machine(4)
-        encoder = make_encoder(machine, "gray")
-        codes = [encoder[i] for i in range(16)]
-        for a, b in zip(codes, codes[1:]):
-            assert bin(a ^ b).count("1") == 1
+        for n_states, width in ((3, 2), (256, 8), (1, 1)):
+            machine = MooreMachine(
+                range(n_states), {i: (i + 1) % n_states for i in range(n_states)}, 0
+            )
+            assert build_fsm(Netlist("fsm"), machine).width == width
 
 
 class TestBuildFSM:
-    def simulate(self, machine, encoding, cycles=9):
+    def simulate(self, machine, cycles=9):
         netlist = Netlist("fsm")
-        build_fsm(netlist, machine, encoding=encoding)
+        build_fsm(netlist, machine)
         return Simulator(netlist).state_sequence("fsm_reg", cycles)
 
     def test_binary_encoding_follows_machine(self):
-        sequence = self.simulate(traffic_light(), "binary")
+        sequence = self.simulate(traffic_light())
         # red=0 -> green=1 -> yellow=2 -> red=0 ...
         assert sequence == [1, 2, 0, 1, 2, 0, 1, 2, 0]
-
-    def test_one_hot_encoding_follows_machine(self):
-        sequence = self.simulate(traffic_light(), "one-hot")
-        assert sequence == [2, 4, 1, 2, 4, 1, 2, 4, 1]
-
-    def test_custom_encoder(self):
-        machine = traffic_light()
-        netlist = Netlist("fsm")
-        build_fsm(
-            netlist,
-            machine,
-            encoder={"red": 5, "green": 6, "yellow": 7},
-        )
-        sequence = Simulator(netlist).state_sequence("fsm_reg", 4)
-        assert sequence == [6, 7, 5, 6]
-
-    def test_rejects_non_injective_encoder(self):
-        machine = traffic_light()
-        with pytest.raises(ValueError, match="injective"):
-            build_fsm(
-                Netlist("fsm"),
-                machine,
-                encoder={"red": 0, "green": 0, "yellow": 1},
-            )
-
-    def test_rejects_wrong_domain_encoder(self):
-        machine = traffic_light()
-        with pytest.raises(ValueError, match="cover"):
-            build_fsm(Netlist("fsm"), machine, encoder={"red": 0})
 
     def test_initial_state_is_reset_value(self):
         machine = MooreMachine(["a", "b"], {"a": "b", "b": "a"}, "b")
         netlist = Netlist("fsm")
-        register = build_fsm(netlist, machine, encoding="binary")
+        register = build_fsm(netlist, machine)
         assert register.reset_value == 1
 
     def test_synthesised_counter_matches_native(self):
         machine = binary_counter_machine(6)
-        sequence = self.simulate(machine, "binary", cycles=70)
+        sequence = self.simulate(machine, cycles=70)
         assert sequence == [(i + 1) % 64 for i in range(70)]
 
     def test_watermark_attaches_to_synthesised_fsm(self):
         from repro.fsm.watermark import attach_leakage_component
 
         netlist = Netlist("fsm")
-        build_fsm(netlist, traffic_light(), encoding="binary")
+        build_fsm(netlist, traffic_light())
         attach_leakage_component(netlist, netlist.wires["fsm_state"], 0x42)
         netlist.validate()
         trace = Simulator(netlist).run(12)

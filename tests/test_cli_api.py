@@ -1,5 +1,6 @@
 """Tests for the CLI, the public API surface and the report module."""
 
+import json
 import os
 import subprocess
 import sys
@@ -10,14 +11,12 @@ import repro
 import repro.acquisition.bench as bench_module
 from repro.cli import build_parser, main
 from repro.core.report import (
-    render_comparison,
     render_matrix_table,
     render_means_table,
     render_variances_table,
     render_verdicts,
-    summarize_scores,
 )
-from tests.test_sweeps import store_digests
+from tests.test_sweeps import ILL_TYPED, store_digests
 
 #: Imports the whole package and runs a campaign with every ``scipy``
 #: import refused: numpy is the only runtime dependency.
@@ -168,15 +167,6 @@ class TestReportRendering:
     def test_matrix_table_rejects_unknown_style(self):
         with pytest.raises(ValueError):
             render_matrix_table(self.MATRIX, ["DUT#1", "DUT#2"], "bogus", "x")
-
-    def test_comparison_line(self):
-        line = render_comparison("P(zeta)", 0.0045, 0.004474)
-        assert "paper=0.0045" in line
-        assert "measured=0.004474" in line
-
-    def test_summarize_scores(self):
-        text = summarize_scores({"DUT#1": 0.9}, style="mean")
-        assert text == "DUT#1=0.900"
 
     def test_render_verdicts(self, paper_campaign):
         text = render_verdicts(paper_campaign.reports["IP_A"])
@@ -425,3 +415,18 @@ class TestSweepCLI:
         with pytest.raises(SystemExit, match="invalid sweep"):
             main(["sweep", "--random", "noise.sigma=2.0:0.5", "--samples", "2",
                   "--store", str(tmp_path / "store")])
+
+    @pytest.mark.parametrize("field, value", ILL_TYPED)
+    def test_ill_typed_base_exits_without_a_store(self, tmp_path, field, value):
+        # What the shell passes: --base watermarked=False is the string
+        # "False", which is truthy and would run the watermarked fleet.
+        text = value if isinstance(value, str) else json.dumps(value)
+        store = tmp_path / "store"
+        with pytest.raises(SystemExit, match=f"invalid sweep: '{field}' takes"):
+            main(["sweep", "--base", f"{field}={text}", "--store", str(store)])
+        assert not store.exists()
+
+    def test_random_integer_field_needs_int_modifier(self, tmp_path):
+        argv = ["sweep", "--random", "parameters.n2=64:256", "--samples", "2"]
+        with pytest.raises(SystemExit, match="integer set"):
+            main(argv + ["--store", str(tmp_path / "store")])

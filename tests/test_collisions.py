@@ -1,13 +1,10 @@
 """Tests for the key-collision analysis."""
 
 import numpy as np
-import pytest
 
 from repro.analysis.collisions import (
     collision_summary,
     cross_key_correlations,
-    expected_random_correlation_bound,
-    keys_below_bound,
     switching_matrix,
 )
 from repro.fsm.encoding import gray_encode
@@ -96,22 +93,3 @@ class TestCollisionSummary:
         assert summary.n_pairs == 256 * 255 // 2
         assert abs(summary.mean) < 0.05
         assert summary.maximum < 0.6
-
-
-class TestBounds:
-    def test_bound_decreases_with_length(self):
-        assert expected_random_correlation_bound(1024) < (
-            expected_random_correlation_bound(64)
-        )
-
-    def test_bound_validation(self):
-        with pytest.raises(ValueError):
-            expected_random_correlation_bound(1)
-
-    def test_no_offending_pairs_on_sample(self):
-        offenders = keys_below_bound(BINARY_CODES, bound=0.5, keys=SOME_KEYS)
-        assert offenders == []
-
-    def test_tight_bound_flags_pairs(self):
-        offenders = keys_below_bound(BINARY_CODES, bound=0.0001, keys=SOME_KEYS)
-        assert len(offenders) > 0

@@ -1,32 +1,11 @@
 """Tests for state encodings."""
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.fsm.encoding import (
-    binary_decode,
-    binary_encode,
-    encoding_hd_profile,
-    gray_decode,
-    gray_encode,
-    johnson_encode,
-    johnson_sequence,
-    one_hot_decode,
-    one_hot_encode,
-)
+from repro.fsm.encoding import gray_decode, gray_encode, johnson_sequence
 
 indices8 = st.integers(min_value=0, max_value=255)
-
-
-class TestBinary:
-    @given(indices8)
-    def test_roundtrip(self, i):
-        assert binary_decode(binary_encode(i, 8), 8) == i
-
-    def test_rejects_overflow(self):
-        with pytest.raises(ValueError):
-            binary_encode(256, 8)
 
 
 class TestGray:
@@ -53,24 +32,6 @@ class TestGray:
         assert [gray_encode(i, 3) for i in range(8)] == [0, 1, 3, 2, 6, 7, 5, 4]
 
 
-class TestOneHot:
-    @given(st.integers(min_value=0, max_value=15))
-    def test_roundtrip(self, i):
-        assert one_hot_decode(one_hot_encode(i, 16), 16) == i
-
-    def test_rejects_non_one_hot(self):
-        with pytest.raises(ValueError):
-            one_hot_decode(0b11, 8)
-        with pytest.raises(ValueError):
-            one_hot_decode(0, 8)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            one_hot_encode(8, 8)
-        with pytest.raises(ValueError):
-            one_hot_decode(1 << 9, 8)
-
-
 class TestJohnson:
     def test_sequence_length_is_twice_width(self):
         assert len(johnson_sequence(4)) == 8
@@ -86,25 +47,3 @@ class TestJohnson:
         for i in range(n):
             a, b = codes[i], codes[(i + 1) % n]
             assert bin(a ^ b).count("1") == 1
-
-    def test_periodicity_of_encode(self):
-        assert johnson_encode(0, 4) == johnson_encode(8, 4)
-
-    def test_rejects_negative_index(self):
-        with pytest.raises(ValueError):
-            johnson_encode(-1, 4)
-
-
-class TestHDProfile:
-    def test_gray_profile_all_ones(self):
-        codes = [gray_encode(i, 8) for i in range(256)]
-        assert encoding_hd_profile(codes) == [1] * 256
-
-    def test_binary_profile_is_carry_pattern(self):
-        codes = list(range(8))
-        # HD(i, i+1 mod 8): 1,2,1,3,1,2,1 then HD(7,0)=3.
-        assert encoding_hd_profile(codes) == [1, 2, 1, 3, 1, 2, 1, 3]
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            encoding_hd_profile([])

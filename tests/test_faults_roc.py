@@ -10,7 +10,6 @@ from repro.acquisition.faults import (
     desynchronize,
     drop_samples,
     gain_drift,
-    inject_spikes,
 )
 from repro.acquisition.traces import TraceSet
 from repro.analysis.roc import (
@@ -64,10 +63,6 @@ class TestFaultModels:
         shifted = desynchronize(traces, max_shift=0)
         np.testing.assert_allclose(shifted.matrix, traces.matrix)
 
-    def test_spikes_add_outliers(self, traces):
-        spiked = inject_spikes(traces, rate=0.02, amplitude_sigmas=20, rng=3)
-        assert np.abs(spiked.matrix).max() > np.abs(traces.matrix).max() * 3
-
     def test_gain_drift_scales_late_traces(self, traces):
         drifted = gain_drift(traces, drift_fraction=0.5)
         np.testing.assert_allclose(drifted.matrix[0], traces.matrix[0])
@@ -76,8 +71,6 @@ class TestFaultModels:
     def test_fault_validation(self, traces):
         with pytest.raises(ValueError):
             desynchronize(traces, max_shift=-1)
-        with pytest.raises(ValueError):
-            inject_spikes(traces, rate=1.5)
         with pytest.raises(ValueError):
             gain_drift(traces, drift_fraction=-0.1)
 

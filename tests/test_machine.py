@@ -107,13 +107,3 @@ class TestMealyMachine:
         )
         with pytest.raises(FSMDefinitionError):
             machine.step("a", 0)
-
-    def test_as_autonomous_freezes_input(self):
-        machine = toggle_mealy()
-        autonomous = machine.as_autonomous(1)
-        assert autonomous.run(4) == ["off", "on", "off", "on"]
-
-    def test_as_autonomous_with_holding_input(self):
-        machine = toggle_mealy()
-        autonomous = machine.as_autonomous(0)
-        assert autonomous.run(3) == ["off", "off", "off"]

@@ -98,3 +98,23 @@ def test_artifact_calls_of_the_workloads():
             assert getattr(cache.stats, name) == 0, name
     finally:
         clear_process_artifact_cache()
+
+
+def test_a_scenario_leaves_the_two_result_files_the_workloads_read(tmp_path):
+    # A traced ``service_sweep`` op is correct only when the store holds
+    # ``<id>.json`` and ``<id>.npz`` for each scenario
+    # (``_result_digests``), and its put hook sizes both through
+    # ``record_path`` and ``arrays_path``.
+    from repro.sweeps import SweepSpec, SweepStore, expand_scenarios, run
+
+    quick = {"parameters.k": 4, "parameters.m": 4, "parameters.n1": 32}
+    spec = SweepSpec(name="contract", base={**quick, "parameters.n2": 64})
+    root = tmp_path / "store"
+    store = SweepStore(str(root))
+    run(spec, store)
+    (scenario,) = expand_scenarios(spec)
+    sid = scenario.scenario_id
+    record, bundle = root / f"{sid}.json", root / f"{sid}.npz"
+    assert {path for path in root.iterdir() if path.is_file()} == {record, bundle}
+    assert store.record_path(sid) == str(record)
+    assert store.arrays_path(sid) == str(bundle)

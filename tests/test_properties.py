@@ -6,17 +6,14 @@ from hypothesis import strategies as st
 
 from repro.fsm.counters import (
     binary_counter_machine,
-    gray_counter_machine,
     johnson_counter_machine,
 )
 from repro.fsm.encoding import gray_encode
 from repro.fsm.machine import MooreMachine
 from repro.fsm.properties import (
     hd_sequence,
-    is_permutation,
     linearity_score,
     period,
-    reachable_states,
     transient_length,
     verification_sequence_length,
 )
@@ -55,26 +52,6 @@ class TestTransient:
 
     def test_transient_from_cycle_state(self):
         assert transient_length(rho_machine(), start="c0") == 0
-
-
-class TestReachability:
-    def test_counter_reaches_all(self):
-        machine = binary_counter_machine(4)
-        assert reachable_states(machine) == set(range(16))
-
-    def test_rho_reaches_all_from_tail(self):
-        assert len(reachable_states(rho_machine())) == 7
-
-    def test_rho_from_cycle_only_reaches_cycle(self):
-        assert reachable_states(rho_machine(), start="c0") == {"c0", "c1", "c2", "c3"}
-
-
-class TestPermutation:
-    def test_counter_is_permutation(self):
-        assert is_permutation(gray_counter_machine(4))
-
-    def test_rho_is_not(self):
-        assert not is_permutation(rho_machine())
 
 
 class TestLinearity:
@@ -121,4 +98,4 @@ class TestVerificationLength:
     @given(st.integers(min_value=2, max_value=6))
     def test_period_divides_reachable_count_for_counters(self, width):
         machine = binary_counter_machine(width)
-        assert period(machine) == len(reachable_states(machine))
+        assert period(machine) == machine.n_states

@@ -38,7 +38,7 @@ from repro.sweeps import (
     run,
 )
 from repro.sweeps.faultinject import FAULT_PLAN_ENV
-from tests.test_sweeps import QUICK, quick_spec, store_digests
+from tests.test_sweeps import ILL_TYPED, QUICK, quick_spec, store_digests
 
 
 class Client:
@@ -142,6 +142,18 @@ class TestHealthAndErrors:
         status, body = client.post("/sweeps", {"spec": payload})
         assert status == 400
         assert "spec.grid[0].field" in body["error"]
+
+    def test_ill_typed_spec_values_are_400(self, service):
+        # Refused at the POST, naming the field, instead of burning
+        # every retry of the scenario until it is quarantined.
+        instance, client = service
+        for field, value in ILL_TYPED:
+            payload = quick_spec().to_json_dict()
+            payload["base"][field] = value
+            status, body = client.post("/sweeps", {"spec": payload})
+            assert status == 400
+            assert body["error"].startswith(f"spec.base.{field}: ")
+        assert instance.jobs.jobs() == []
 
     def test_unknown_option_rejected(self, service):
         _, client = service
@@ -301,9 +313,10 @@ class TestScenarioBudget:
         assert paper < service_app.MAX_SCENARIO_TRACE_BYTES and path is None
         default, path = service_app._costliest_scenario(default_sweep_spec())
         assert default < paper and path == "spec.grid[1].values"
-        # A ceiling that is no number costs nothing here; its attempt fails.
-        spec = SweepSpec(name="typo", base={"parameters.n2": "many"})
-        assert service_app._costliest_scenario(spec)[1] is None
+        # A ceiling that is no number never reaches the costing: the
+        # spec rejects it.
+        with pytest.raises(TypeError, match="parameters.n2"):
+            SweepSpec(name="typo", base={"parameters.n2": "many"})
 
 
 class TestOptionSurfaces:

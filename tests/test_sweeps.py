@@ -32,8 +32,10 @@ from repro.sweeps.aggregate import (
     roc_by_axis,
     tidy_accuracy,
 )
+from repro.hdl.simulator import ENGINES
 from repro.sweeps import scheduler
 from repro.sweeps.executor import SweepReport
+from repro.sweeps.spec import CONFIG_FIELDS
 
 #: Cheap correlation parameters shared by the executor tests: a full
 #: campaign at this point takes a few tens of milliseconds.
@@ -43,6 +45,66 @@ QUICK = {
     "parameters.n1": 32,
     "parameters.n2": 64,
 }
+
+
+#: Values of the wrong JSON type for their field.  Unchecked, each
+#: fails only inside every attempt of its scenario or, worse, runs:
+#: ``"False"`` and ``"no"`` are truthy, so the fleet is watermarked.
+ILL_TYPED = [
+    ("watermarked", "False"),
+    ("watermarked", "no"),
+    ("parameters.n2", "many"),
+    ("parameters.n1", 32.5),
+    ("parameters.k", 4.0),
+    ("parameters.n2", True),
+    ("engine", "warp"),
+    ("attack", "bogus"),
+    ("adc", 5),
+    ("variation", 3),
+    ("fleet_seed", 1.5),
+]
+
+#: What each sweep field takes, as the README's table documents it,
+#: written out apart from ``CONFIG_FIELDS`` so a changed row fails here.
+FIELD_TYPES = {
+    "watermarked": "bool",
+    "single_reference": "bool",
+    "fleet_seed": "int",
+    "measurement_seed": "int",
+    "analysis_seed": "int",
+    "parameters.k": "int",
+    "parameters.m": "int",
+    "parameters.n1": "int",
+    "parameters.n2": "int",
+    "adc.bits": "int",
+    "noise.sigma": "number",
+    "noise.drift_sigma": "number",
+    "adc.headroom": "number",
+    "variation.gain_sigma": "number",
+    "variation.offset_sigma": "number",
+    "variation.component_sigma": "number",
+    "engine": "engine",
+    "attack": "attack",
+    "design": "string",
+    "adc": "null",
+    "variation": "null",
+    "waveform": "null",
+}
+
+#: JSON values to offer every field, each with the types that take it.
+JSON_PROBES = [
+    (True, {"bool"}),
+    (False, {"bool"}),
+    (7, {"int", "number"}),
+    (0.5, {"number"}),
+    (7.0, {"number"}),
+    ("text", {"string"}),
+    ("compiled", {"string", "engine"}),
+    ("strip_pads", {"string", "attack"}),
+    (None, {"null"}),
+    ([1], set()),
+    ({"bits": 8}, set()),
+]
 
 
 def quick_spec(name="quick", sigmas=(0.5, 1.0), attacks=("none",), seed=5):
@@ -327,6 +389,74 @@ class TestSpecWireFormat:
         with pytest.raises(SpecValidationError) as excinfo:
             SweepSpec.from_json_dict(["not", "a", "dict"])
         assert excinfo.value.path == "$"
+
+    @pytest.mark.parametrize("field, value", ILL_TYPED)
+    def test_ill_typed_values_rejected_naming_the_path(self, field, value):
+        for payload, path in (
+            ({"base": {field: value}}, f"base.{field}"),
+            ({"grid": [{"field": field, "values": [value]}]}, "grid[0].values"),
+        ):
+            payload.update(schema_version=SCHEMA_VERSION, name="typed")
+            with pytest.raises(SpecValidationError) as excinfo:
+                SweepSpec.from_json_dict(payload)
+            assert excinfo.value.path == path
+            assert repr(field) in excinfo.value.detail
+
+    def test_well_typed_values_keep_their_type(self):
+        base = {
+            "watermarked": False,
+            "single_reference": True,
+            "engine": "compiled",
+            "design": "paper",
+            "adc": None,
+            "noise.sigma": 1,
+            "parameters.n2": 128,
+            "attack": "strip_pads",
+        }
+        spec = SweepSpec.from_json_dict(
+            {"schema_version": SCHEMA_VERSION, "name": "typed", "base": base}
+        )
+        (scenario,) = expand_scenarios(spec)
+        for field, value in base.items():
+            assert type(scenario.overrides[field]) is type(value)
+            assert scenario.overrides[field] == value
+
+    def test_random_axis_needs_a_number_field(self):
+        with pytest.raises(ValueError, match="integer set"):
+            RandomAxis("parameters.n2", 64, 256)
+        for field in ("watermarked", "engine", "attack", "adc"):
+            with pytest.raises(ValueError, match="cannot be randomly sampled"):
+                RandomAxis(field, 0, 1, integer=True)
+        RandomAxis("parameters.n2", 64, 256, integer=True)
+        RandomAxis("noise.sigma", 0.5, 2.0, integer=True)
+
+    def test_every_field_has_a_documented_type(self):
+        assert FIELD_TYPES.keys() == CONFIG_FIELDS.keys()
+
+    @pytest.mark.parametrize("field", sorted(FIELD_TYPES))
+    def test_each_field_takes_only_its_type(self, field):
+        for value, types in JSON_PROBES:
+            payload = {
+                "schema_version": SCHEMA_VERSION,
+                "name": "typed",
+                "base": {field: value},
+            }
+            if FIELD_TYPES[field] in types:
+                assert SweepSpec.from_json_dict(payload).base[field] == value
+                continue
+            with pytest.raises(SpecValidationError) as excinfo:
+                SweepSpec.from_json_dict(payload)
+            assert excinfo.value.path == f"base.{field}", value
+
+    def test_name_fields_take_every_name(self):
+        for field, names in (("engine", ENGINES), ("attack", FLEET_TRANSFORMS)):
+            for name in names:
+                payload = {
+                    "schema_version": SCHEMA_VERSION,
+                    "name": "named",
+                    "base": {field: name},
+                }
+                assert SweepSpec.from_json_dict(payload).base[field] == name
 
 
 class TestConfigOverrides:

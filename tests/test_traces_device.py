@@ -34,31 +34,9 @@ class TestTraceSet:
         assert list(traces[1]) == list(traces.matrix[1])
         assert len(list(iter(traces))) == 4
 
-    def test_subset_copies(self):
-        traces = self.make()
-        subset = traces.subset([0, 2])
-        subset.matrix[0, 0] = -1
-        assert traces.matrix[0, 0] == 0
-
-    def test_subset_bounds(self):
-        with pytest.raises(IndexError):
-            self.make().subset([7])
-
-    def test_subset_rejects_empty(self):
-        with pytest.raises(ValueError):
-            self.make().subset([])
-
     def test_mean_trace(self):
         traces = TraceSet("d", np.array([[0.0, 2.0], [2.0, 4.0]]))
         assert list(traces.mean_trace()) == [1.0, 3.0]
-
-    def test_extend(self):
-        combined = self.make().extend(self.make())
-        assert combined.n_traces == 8
-
-    def test_extend_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            self.make(l=8).extend(self.make(l=9))
 
     def test_rejects_1d(self):
         with pytest.raises(ValueError):

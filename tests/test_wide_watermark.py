@@ -9,7 +9,7 @@ from repro.fsm.watermark import (
     WatermarkKeyError,
     WatermarkedIP,
     attach_wide_leakage_component,
-    wide_leakage_sequence,
+    leakage_sequence,
 )
 from repro.hdl.netlist import Netlist
 from repro.hdl.simulator import Simulator
@@ -62,29 +62,25 @@ class TestConstruction:
 
 class TestBehaviour:
     def test_matches_software_model(self):
-        kw = 0x1234
-        ip = wide_ip(kw)
-        hardware = Simulator(ip.netlist).state_sequence("wm_hreg", 32)
-        software = wide_leakage_sequence(range(32), kw)
-        assert hardware == software
+        from repro.crypto.sbox import SBOX
 
-    def test_software_model_validation(self):
-        with pytest.raises(WatermarkKeyError):
-            wide_leakage_sequence([0], kw=1 << 16)
+        hardware = Simulator(wide_ip(0x1234).netlist).state_sequence("wm_hreg", 32)
+        assert hardware == [SBOX[SBOX[c ^ 0x34] ^ 0x12] for c in range(32)]
 
     def test_different_halves_change_sequence(self):
-        base = wide_leakage_sequence(range(64), 0x1234)
-        lo_changed = wide_leakage_sequence(range(64), 0x1235)
-        hi_changed = wide_leakage_sequence(range(64), 0x1334)
-        assert base != lo_changed
-        assert base != hi_changed
+        def h_values(kw):
+            return Simulator(wide_ip(kw).netlist).state_sequence("wm_hreg", 64)
+
+        base = h_values(0x1234)
+        assert base != h_values(0x1235)
+        assert base != h_values(0x1334)
 
     def test_low_byte_equal_to_narrow_key_composed(self):
         from repro.crypto.sbox import SBOX
 
-        kw = 0x005A  # hi = 0: second stage is SBox with zero key
-        values = wide_leakage_sequence(range(16), kw)
-        assert values == [SBOX[SBOX[c ^ 0x5A]] for c in range(16)]
+        # hi = 0: the second stage is the SBox under a zero key.
+        wide = Simulator(wide_ip(0x005A).netlist).state_sequence("wm_hreg", 16)
+        assert wide == [SBOX[h] for h in leakage_sequence(range(16), 0x5A)]
 
 
 class TestVerificationSeparation:
@@ -109,7 +105,7 @@ class TestVerificationSeparation:
         import numpy as np
         from repro.hdl.wires import hamming_distance
 
-        wide_values = wide_leakage_sequence(range(256), 0xBEEF)
+        wide_values = Simulator(wide_ip(0xBEEF).netlist).state_sequence("wm_hreg", 256)
         wide_switching = np.array(
             [0]
             + [
