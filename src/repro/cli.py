@@ -202,8 +202,8 @@ def default_sweep_spec(
     """The CLI's default 24-scenario sweep surface as a spec object.
 
     Digest-identical to ``repro-watermark sweep`` run with no axis or
-    base flags — the CLI's default path, the service smoke tests and
-    CI all build the same scenarios from here.
+    base flags; the service smoke tests, the repository benchmark and
+    CI build the same scenarios from here.
     """
     from repro.sweeps import GridAxis, SweepSpec
 
@@ -344,36 +344,27 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.base:
         base.update(dict(args.base))
     try:
-        if not args.axis and not args.random and not args.base and args.quick:
-            # The default surface comes from the shared helper so the
-            # CLI, the service smoke tests and CI agree on digests.
-            spec = default_sweep_spec(
-                seed=args.seed,
-                engine=args.engine,
-                name=args.name,
-                design=args.design,
-            )
-        else:
-            spec = SweepSpec(
-                name=args.name,
-                grid=tuple(
-                    GridAxis(field, tuple(values))
-                    for field, values in axes.items()
-                ),
-                random=tuple(
-                    RandomAxis(field, low, high, log=log, integer=integer)
-                    for field, low, high, log, integer in (args.random or ())
-                ),
-                n_random=args.samples if args.random else 0,
-                base=base,
-                seed=args.seed,
-            )
+        spec = SweepSpec(
+            name=args.name,
+            grid=tuple(
+                GridAxis(field, tuple(values)) for field, values in axes.items()
+            ),
+            random=tuple(
+                RandomAxis(field, low, high, log=log, integer=integer)
+                for field, low, high, log, integer in (args.random or ())
+            ),
+            n_random=args.samples if args.random else 0,
+            base=base,
+            seed=args.seed,
+        )
+        scenarios = expand_scenarios(spec)
     except (KeyError, ValueError, TypeError) as error:
-        message = error.args[0] if error.args else error
+        # An expansion error's detail names the scenario.
+        message = getattr(error, "detail", error.args[0] if error.args else error)
         raise SystemExit(f"error: invalid sweep: {message}")
-    store = SweepStore(args.store)
+    # Every error exits before the store directory exists.
     options = _sweep_options(args)
-    scenarios = expand_scenarios(spec)
+    store = SweepStore(args.store)
     if args.scrub:
         removed = scrub(store)
         print(f"scrubbed {len(removed)} stale file(s) from {store.root}")

@@ -27,7 +27,7 @@ from repro.core.correlation import pearson_many, pearson_rows
 from repro.core.selection import uniform_distinct_indices
 
 
-class ParameterError(Exception):
+class ParameterError(ValueError):
     """The (n1, n2, k, m) parameters violate the paper's constraints."""
 
 

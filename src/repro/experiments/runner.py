@@ -9,8 +9,8 @@ the 16 correlation sets with all distinguisher verdicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,6 +72,14 @@ class CampaignConfig:
     #: ``"paper"`` or ``"imported:<path>"`` — see
     #: :func:`~repro.experiments.designs.build_device_fleet`.
     design: str = "paper"
+
+    def __post_init__(self) -> None:
+        # Both seed a NumPy generator, which takes no negative seed;
+        # ``measurement_seed`` is only hashed into the measurement key.
+        for name in ("fleet_seed", "analysis_seed"):
+            seed = getattr(self, name)
+            if seed < 0:
+                raise ValueError(f"{name} must be >= 0, got {seed}")
 
 
 @dataclass
@@ -154,62 +162,6 @@ def build_campaign_fleet(cfg: CampaignConfig, fleet_tag: str = "none"):
     refds, duts = manufacture_fleet(cfg)
     apply_fleet_transform(duts, fleet_tag)
     return refds, duts
-
-
-def apply_config_overrides(
-    config: CampaignConfig, overrides: Mapping[str, object]
-) -> CampaignConfig:
-    """Return a copy of ``config`` with dotted-path overrides applied.
-
-    This is the scenario-level entry point the sweep subsystem uses to
-    turn a flat axis assignment into a runnable config: top-level
-    fields are named directly (``"watermarked"``, ``"engine"``,
-    ``"measurement_seed"``) and fields of the nested dataclasses with
-    one dot (``"noise.sigma"``, ``"parameters.n2"``, ``"adc.bits"``,
-    ``"variation.component_sigma"``).  Setting a nullable nested field
-    (``"adc"``, ``"variation"``, ``"waveform"``) to ``None`` disables
-    it; overriding *into* a nested field that is currently ``None``
-    starts from that dataclass's defaults.  Unknown paths raise
-    ``KeyError`` so a typo in a sweep axis fails loudly instead of
-    silently sweeping nothing.
-    """
-    nested_defaults = {
-        "parameters": ProcessParameters,
-        "noise": NoiseModel,
-        "power_model": PowerModel,
-        "waveform": WaveformConfig,
-        "variation": VariationModel,
-        "adc": ADCConfig,
-    }
-    top: Dict[str, object] = {}
-    nested: Dict[str, Dict[str, object]] = {}
-    valid_top = {f.name for f in CampaignConfig.__dataclass_fields__.values()}
-    for path, value in overrides.items():
-        head, dot, rest = path.partition(".")
-        if head not in valid_top:
-            raise KeyError(f"unknown campaign config field {path!r}")
-        if not dot:
-            top[head] = value
-        else:
-            if head not in nested_defaults:
-                raise KeyError(f"field {head!r} has no sub-fields ({path!r})")
-            if "." in rest:
-                raise KeyError(f"override path {path!r} nests too deep")
-            nested.setdefault(head, {})[rest] = value
-    for head, fields in nested.items():
-        if head in top:
-            raise KeyError(
-                f"cannot override both {head!r} and {head}.{next(iter(fields))!r}"
-            )
-        factory = nested_defaults[head]
-        valid_sub = {f for f in factory.__dataclass_fields__}
-        unknown = set(fields) - valid_sub
-        if unknown:
-            raise KeyError(f"unknown {head} field(s): {sorted(unknown)}")
-        current = getattr(config, head)
-        base = current if current is not None else factory()
-        top[head] = replace(base, **fields)
-    return replace(config, **top)
 
 
 def run_campaign(
@@ -313,7 +265,6 @@ def run_campaign(
 __all__ = [
     "CampaignConfig",
     "CampaignOutcome",
-    "apply_config_overrides",
     "build_campaign_fleet",
     "manufacture_fleet",
     "run_campaign",

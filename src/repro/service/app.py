@@ -13,8 +13,11 @@ Endpoints
     when an identical running job was joined — job ids are
     content-addressed, so resubmitting a spec is idempotent).
     Malformed specs return 400 with the offending path
-    (:class:`~repro.sweeps.spec.SpecValidationError`), as does a spec
-    of more than :data:`MAX_JOB_SCENARIOS` scenarios (naming
+    (:class:`~repro.sweeps.spec.SpecValidationError`), as do a spec
+    with a scenario whose config does not build (``spec.base`` or
+    ``spec.$``, naming the scenario's axis values) and a spec whose
+    random draws repeat a scenario.  So do a spec of more than
+    :data:`MAX_JOB_SCENARIOS` scenarios (naming
     ``spec.n_random`` when random axes drive the count, else
     ``spec.grid``) and a spec whose costliest scenario would acquire
     more than :data:`MAX_SCENARIO_TRACE_BYTES` of traces (naming the
@@ -245,7 +248,10 @@ class SweepService:
                 f"more than the {MAX_SCENARIO_TRACE_BYTES} one scenario may",
             )
         options = self._merge_options(payload.get("options"))
-        job, created = self.jobs.submit(spec, options)
+        try:
+            job, created = self.jobs.submit(spec, options)
+        except SpecValidationError as error:
+            raise HTTPError(400, f"spec.{error.path}: {error.detail}")
         description = job.describe(job.status())
         description["created"] = created
         return (202 if created else 200), description

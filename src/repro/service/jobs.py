@@ -200,7 +200,10 @@ class JobManager:
         it.  A terminal job is replaced by a fresh run — ~free when
         its results are all still in the store.  A created job counts
         toward :data:`MAX_FINISHED_JOBS`: the oldest terminal jobs
-        beyond it are forgotten, and running jobs always stay.
+        beyond it are forgotten, and running jobs always stay.  A spec
+        that does not expand raises its
+        :class:`~repro.sweeps.spec.SpecValidationError` and starts
+        nothing.
         """
         job_id = job_id_for(spec)
         with self._lock:

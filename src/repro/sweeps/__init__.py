@@ -79,7 +79,6 @@ from repro.sweeps.scenario import (
     run_scenario,
 )
 from repro.sweeps.spec import (
-    ANALYSIS_FIELDS,
     ATTACK_FIELD,
     CONFIG_FIELDS,
     SCHEMA_VERSION,
@@ -99,7 +98,6 @@ from repro.sweeps.status import (
 from repro.sweeps.store import SweepStore
 
 __all__ = [
-    "ANALYSIS_FIELDS",
     "ATTACK_FIELD",
     "CONFIG_FIELDS",
     "SCHEMA_VERSION",

@@ -23,9 +23,11 @@ attempt body and the same failure step, under the one retry setting
 Every sweep shares artifacts: each process that runs attempts keeps
 one :class:`~repro.experiments.artifacts.ArtifactCache`, which retains
 the trace matrices of one measurement group.  So :func:`run` hands
-the pending scenarios over grouped: scenarios whose overrides agree
-outside :data:`~repro.sweeps.spec.ANALYSIS_FIELDS` run back to back,
-the groups in order of first appearance.
+the pending scenarios over grouped by the key that cache shares on,
+:func:`~repro.experiments.artifacts.measurement_base_key`: the
+scenarios of one key run back to back, the groups in order of first
+appearance.  Expansion has built every scenario's config, so every
+pending scenario has a key.
 """
 
 from __future__ import annotations
@@ -33,14 +35,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
-from repro.experiments.artifacts import ArtifactOptions
+from repro.experiments.artifacts import ArtifactOptions, measurement_base_key
 from repro.sweeps.spec import (
-    ANALYSIS_FIELDS,
     Scenario,
     SweepSpec,
     _finite,
-    canonical_json,
     expand_scenarios,
+    scenario_config,
 )
 from repro.sweeps.store import SweepStore
 
@@ -144,9 +145,7 @@ def run(
         n_workers=options.n_workers,
     )
     # Pending scenarios of one measurement group run back to back, so
-    # the one group each process retains serves them all.  The key
-    # reads the overrides alone: an invalid scenario must still reach
-    # its attempt and be quarantined there.
+    # the one group each process retains serves them all.
     groups: Dict[str, List[Scenario]] = {}
     for scenario in scenarios:
         if store.has(scenario.scenario_id):
@@ -154,13 +153,7 @@ def run(
             if progress is not None:
                 progress(scenario.scenario_id, False)
         else:
-            key = canonical_json(
-                {
-                    name: value
-                    for name, value in scenario.overrides.items()
-                    if name not in ANALYSIS_FIELDS
-                }
-            )
+            key = measurement_base_key(scenario_config(scenario), scenario.attack)
             groups.setdefault(key, []).append(scenario)
     pending = [scenario for group in groups.values() for scenario in group]
 

@@ -21,6 +21,15 @@ Expanding a spec (:func:`expand_scenarios`) yields fully resolved
   resumable and extendable: two scenarios with the same overrides are
   the same work unit, whichever spec they came from.
 
+**Validation.**  A spec is checked in two steps, each raising before
+any worker starts.  Building it checks every field name and every
+value's JSON type against :data:`CONFIG_FIELDS`.  Expanding it builds
+every scenario's config, so the config's own constructors check every
+domain and the paper's expressions (1) ``n1 >= k`` and (2)
+``n2 >= k*m``: a scenario whose config does not build raises
+:class:`SpecValidationError` naming its axis values, and so does a spec whose random draws
+repeat a scenario.  Random axes are checked on the values they draw.
+
 Seeding is derived *deterministically from the spec*: unless an axis or
 the base overrides pin them, each scenario's fleet / measurement /
 analysis seeds are mixed from ``spec.seed`` and the scenario's axis
@@ -33,13 +42,12 @@ acquired trace matrices between scenarios whose fleet and measurement
 tiers agree (the tier table is
 :data:`repro.experiments.artifacts.TIERS`).  Each process keeps one
 measurement group's traces, so :func:`repro.sweeps.run` runs the
-scenarios whose overrides agree outside :data:`ANALYSIS_FIELDS` back
-to back.  Because the derived seeds mix the *whole* assignment, a grid
-over :data:`ANALYSIS_FIELDS` alone still gets a distinct
-``measurement_seed`` per scenario; pinning ``fleet_seed`` and
-``measurement_seed`` in ``base`` is what lets it share — scenario
-digests stay stable either way, since the digest covers the final
-override values, not how they were derived.
+scenarios of one measurement base key back to back.  Because the
+derived seeds mix the *whole* assignment, a grid over analysis-side
+fields alone still gets a distinct ``measurement_seed`` per scenario;
+pinning ``fleet_seed`` and ``measurement_seed`` in ``base`` is what
+lets it share — scenario digests stay stable either way, since the
+digest covers the final override values, not how they were derived.
 """
 
 from __future__ import annotations
@@ -48,14 +56,13 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
 from repro.attacks.removal import FLEET_TRANSFORMS
-from repro.experiments.artifacts import TIERS
-from repro.experiments.runner import CampaignConfig, apply_config_overrides
+from repro.experiments.runner import CampaignConfig
 from repro.hdl.simulator import ENGINES
 
 #: Version stamped into every scenario digest; bump when the scenario
@@ -95,16 +102,6 @@ CONFIG_FIELDS: Mapping[str, object] = {
     "variation.component_sigma": float,
     ATTACK_FIELD: tuple(FLEET_TRANSFORMS),
 }
-
-#: Analysis-side sweep fields: the sweepable ``ceiling`` and
-#: ``analysis`` paths of :data:`~repro.experiments.artifacts.TIERS`.
-#: They change what is *computed from* the acquired traces, never the
-#: traces themselves.  :func:`repro.sweeps.run` groups pending
-#: scenarios by their overrides outside this set, so one measurement
-#: group runs back to back.
-ANALYSIS_FIELDS = frozenset(
-    path for path in CONFIG_FIELDS if TIERS.get(path) in ("ceiling", "analysis")
-)
 
 #: Seeds derived per scenario when not pinned by base/axes.
 _DERIVED_SEEDS = ("fleet_seed", "measurement_seed", "analysis_seed")
@@ -209,9 +206,13 @@ class RandomAxis:
                 f"axis {self.field!r} cannot be randomly sampled"
                 + (" without integer set" if kind is int else "")
             )
-        if not (_finite(self.low) and _finite(self.high)):
+        # NumPy draws no uniform value over a range beyond the floats.
+        if not (
+            _finite(self.low) and _finite(self.high) and _finite(self.high - self.low)
+        ):
             raise ValueError(
-                f"axis {self.field!r}: bounds {self.low} and {self.high} must be finite"
+                f"axis {self.field!r}: bounds {self.low} and {self.high} "
+                "and their range must be finite"
             )
         if not self.low < self.high:
             raise ValueError(
@@ -267,6 +268,9 @@ class SweepSpec:
             raise ValueError("random axes need n_random > 0")
         if self.n_random and not self.random:
             raise ValueError("n_random > 0 needs at least one random axis")
+        if self.random and self.seed < 0:
+            # It seeds a NumPy generator, which takes no negative seed.
+            raise ValueError("random axes need a seed >= 0")
 
     @property
     def n_scenarios(self) -> int:
@@ -495,7 +499,9 @@ def expand_scenarios(spec: SweepSpec) -> List[Scenario]:
     (rightmost axis fastest); random draws come last.  Neighbouring
     scenarios tend to share a fleet structure, which keeps the
     process-wide activity/program caches hot in the process running
-    them, inline or in a reused attempt worker.
+    them, inline or in a reused attempt worker.  A scenario whose config
+    does not build raises :class:`SpecValidationError` (path ``base``
+    for a spec without axes, else ``$``) naming its assignment.
     """
     grid_values = [
         [(axis.field, value) for value in axis.values] for axis in spec.grid
@@ -513,11 +519,19 @@ def expand_scenarios(spec: SweepSpec) -> List[Scenario]:
         for draw in draws:
             assignment: Dict[str, object] = dict(combo)
             assignment.update(draw)
-            scenarios.append(_make_scenario(spec, assignment))
+            scenario = _make_scenario(spec, assignment)
+            try:
+                scenario_config(scenario)
+            except ValueError as error:
+                raise SpecValidationError(
+                    "$" if spec.grid or spec.random else "base",
+                    f"scenario {canonical_json(assignment)}: {error}",
+                ) from error
+            scenarios.append(scenario)
     ids = [s.scenario_id for s in scenarios]
     if len(set(ids)) != len(ids):
-        raise ValueError(
-            "sweep expands to duplicate scenarios; check axis values"
+        raise SpecValidationError(
+            "$", "sweep expands to duplicate scenarios; check axis values"
         )
     return scenarios
 
@@ -525,19 +539,29 @@ def expand_scenarios(spec: SweepSpec) -> List[Scenario]:
 def scenario_config(scenario: Scenario) -> CampaignConfig:
     """Build the runnable campaign config of one scenario.
 
-    The special ``"attack"`` override is not a config field; it is
+    A dotted path sets one field of a nested config on its default.  A
+    value the configs reject, or a nested config set both whole and by
+    field, raises ``ValueError``.  The special ``"attack"`` override is
     consumed by :func:`repro.sweeps.scenario.run_scenario`.
     """
-    overrides = {
-        key: value
-        for key, value in scenario.overrides.items()
-        if key != ATTACK_FIELD
-    }
-    return apply_config_overrides(CampaignConfig(), overrides)
+    top: Dict[str, object] = {}
+    nested: Dict[str, Dict[str, object]] = {}
+    for path, value in scenario.overrides.items():
+        head, dot, leaf = path.partition(".")
+        if dot:
+            nested.setdefault(head, {})[leaf] = value
+        elif path != ATTACK_FIELD:
+            top[path] = value
+    config = CampaignConfig()
+    for head, leaves in nested.items():
+        if head in top:
+            leaf = f"{head}.{next(iter(leaves))}"
+            raise ValueError(f"cannot set both {head!r} and {leaf!r}")
+        top[head] = replace(getattr(config, head), **leaves)
+    return replace(config, **top)
 
 
 __all__ = [
-    "ANALYSIS_FIELDS",
     "ATTACK_FIELD",
     "CONFIG_FIELDS",
     "SCHEMA_VERSION",

@@ -17,7 +17,7 @@ settings.register_profile(
 settings.load_profile("repro")
 
 # A deeper run for the fuzz tests, selected on the command line (CI's
-# verilog-fuzz job): --hypothesis-profile=fuzz --hypothesis-seed=0.
+# fuzz job): --hypothesis-profile=fuzz --hypothesis-seed=0.
 settings.register_profile(
     "fuzz", parent=settings.get_profile("repro"), max_examples=2000
 )
@@ -39,6 +39,27 @@ def device_fleet():
     from repro.power.variation import VariationModel
 
     return build_device_fleet(variation_model=VariationModel(), seed=2014)
+
+
+@pytest.fixture()
+def fail_scenario(monkeypatch):
+    """``fail_scenario(scenario_id)`` makes every attempt of that
+    scenario fail, inline and in attempt workers alike (they read the
+    plan from the environment)."""
+    from repro.sweeps.faultinject import (
+        FAULT_PLAN_ENV,
+        FaultPlan,
+        FaultRule,
+        clear_fault_plan,
+    )
+
+    def fail(scenario_id):
+        rule = FaultRule("scenario.pre", key=scenario_id)
+        monkeypatch.setenv(FAULT_PLAN_ENV, FaultPlan(rules=(rule,)).to_json())
+        clear_fault_plan()
+
+    yield fail
+    clear_fault_plan()
 
 
 @pytest.fixture()

@@ -52,7 +52,6 @@ from repro.power.models import PowerModel
 from repro.power.noise import NoiseModel
 from repro.power.supply import WaveformConfig
 from repro.sweeps import (
-    ANALYSIS_FIELDS,
     ATTACK_FIELD,
     CONFIG_FIELDS,
     GridAxis,
@@ -224,21 +223,6 @@ class TestTierTable:
         moved = tuple(old != new for old, new in zip(all_keys(base), changed))
         assert TIER_OF_MOVED_KEYS[moved] == TIERS[path]
         assert (moved == (True, False, False, False)) == (path == "engine")
-
-    def test_analysis_fields_are_the_sweepable_ceiling_and_analysis_paths(self):
-        assert ANALYSIS_FIELDS == {
-            path
-            for path, tier in TIERS.items()
-            if tier in ("ceiling", "analysis") and path in CONFIG_FIELDS
-        }
-        assert ANALYSIS_FIELDS == {
-            "parameters.k",
-            "parameters.m",
-            "parameters.n1",
-            "parameters.n2",
-            "analysis_seed",
-            "single_reference",
-        }
 
     def test_every_sweep_field_has_a_tier(self):
         # A sub-field (noise.sigma) takes the tier of its dataclass.
@@ -645,6 +629,40 @@ def sharing_spec(name="shared", seed=5, pinned=True, attacks=("none",)):
         base=base,
         seed=seed,
     )
+
+
+class TestGroupingIsTheCacheKey:
+    def test_engine_axis_shares_one_acquisition(self, tmp_path):
+        # ``engine`` joins no measurement key, so the scenarios of one
+        # noise level form one group though the engine axis varies
+        # first: each group is acquired once (2 x 8 trace sets, not 4 x 8).
+        spec = SweepSpec(
+            name="engines",
+            grid=(
+                GridAxis("engine", ("compiled", "interpreted")),
+                GridAxis("noise.sigma", (0.5, 1.0)),
+            ),
+            base={
+                "parameters.k": 4,
+                "parameters.m": 4,
+                "parameters.n1": 32,
+                "parameters.n2": 64,
+                "fleet_seed": 2014,
+                "measurement_seed": 42,
+            },
+            seed=5,
+        )
+        clear_process_artifact_cache()
+        try:
+            shared = SweepStore(str(tmp_path / "shared"))
+            run(spec, shared, SweepOptions())
+            stats = process_artifact_cache().stats
+            assert (stats.trace_misses, stats.trace_hits) == (16, 16)
+            assert stats.fleet_misses == 2
+        finally:
+            clear_process_artifact_cache()
+        plain = unshared_store(spec, str(tmp_path / "plain"))
+        assert store_digests(shared.root) == store_digests(plain.root)
 
 
 class TestSweepSharingByteIdentity:

@@ -16,7 +16,8 @@ from repro.core.report import (
     render_variances_table,
     render_verdicts,
 )
-from tests.test_sweeps import ILL_TYPED, store_digests
+from repro.sweeps import GridAxis, SweepSpec, SweepStore, expand_scenarios
+from tests.test_sweeps import ILL_TYPED, OUT_OF_DOMAIN, QUICK, store_digests
 
 #: Imports the whole package and runs a campaign with every ``scipy``
 #: import refused: numpy is the only runtime dependency.
@@ -240,12 +241,17 @@ class TestSweepCLI:
     def test_default_sweep_runs_and_store_serves_rerun(self, tmp_path, capsys):
         # Acceptance: the stock `repro-watermark sweep` covers >= 24
         # scenarios, and a rerun executes nothing.
+        from repro.cli import default_sweep_spec
+
         store = str(tmp_path / "store")
         argv = ["sweep", "--store", store, "--workers", "1"]
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "24 scenarios" in out
         assert "executed 24" in out
+        assert SweepStore(store).ids() == sorted(
+            s.scenario_id for s in expand_scenarios(default_sweep_spec())
+        )
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "executed 0" in out
@@ -283,14 +289,30 @@ class TestSweepCLI:
             ])
 
     def test_quarantined_scenario_reported_and_exit_nonzero(
-        self, tmp_path, capsys
+        self, tmp_path, capsys, fail_scenario
     ):
-        # n1 = 2 < k = 4 can never run; with the retry budget exhausted
-        # the scenario is quarantined, the sibling completes, and the
-        # command signals degradation through its exit code.
+        # The second scenario fails in every attempt; with the retry
+        # budget exhausted it is quarantined, the sibling completes, and
+        # the command signals degradation through its exit code.
+        from repro.cli import DEFAULT_SWEEP_BASE
+
+        # The spec the flags below build.
+        spec = SweepSpec(
+            name="sweep",
+            grid=(GridAxis("parameters.n1", (32, 40)),),
+            base={
+                **DEFAULT_SWEEP_BASE,
+                "engine": "auto",
+                "parameters.k": 4,
+                "parameters.m": 4,
+                "parameters.n2": 64,
+            },
+            seed=42,
+        )
+        fail_scenario(expand_scenarios(spec)[1].scenario_id)
         status = main([
             "sweep",
-            "--axis", "parameters.n1=32,2",
+            "--axis", "parameters.n1=32,40",
             "--base", "parameters.k=4",
             "--base", "parameters.m=4",
             "--base", "parameters.n2=64",
@@ -354,6 +376,7 @@ class TestSweepCLI:
     def test_negative_workers_exit_cleanly(self, tmp_path, command):
         with pytest.raises(SystemExit, match="--workers must be >= 0"):
             main([command, "--workers", "-1", "--store", str(tmp_path / "store")])
+        assert not (tmp_path / "store").exists()
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -378,7 +401,7 @@ class TestSweepCLI:
                 "--workers", "1",
                 flag, value,
             ])
-        assert store_digests(str(tmp_path / "store")) == {}
+        assert not (tmp_path / "store").exists()
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_bare_sweep_takes_one_slot_per_usable_cpu(
@@ -424,6 +447,34 @@ class TestSweepCLI:
         store = tmp_path / "store"
         with pytest.raises(SystemExit, match=f"invalid sweep: '{field}' takes"):
             main(["sweep", "--base", f"{field}={text}", "--store", str(store)])
+        assert not store.exists()
+
+    @pytest.mark.parametrize("bad, message", OUT_OF_DOMAIN)
+    def test_out_of_domain_base_exits_without_a_store(self, tmp_path, bad, message):
+        quick = [f"--base={field}={value}" for field, value in QUICK.items()]
+        flags = [f"--base={field}={json.dumps(value)}" for field, value in bad.items()]
+        store = tmp_path / "store"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--axis", "attack=none", *quick, *flags,
+                  "--store", str(store)])
+        assert str(excinfo.value.code).startswith(
+            'error: invalid sweep: scenario {"attack":"none"}: '
+        )
+        assert message in str(excinfo.value.code)
+        assert not store.exists()
+
+    def test_duplicate_draws_exit_without_a_store(self, tmp_path):
+        store = tmp_path / "store"
+        with pytest.raises(SystemExit, match="duplicate scenarios"):
+            main([
+                "sweep",
+                "--random", "parameters.n2=600:601:int",
+                "--samples", "5",
+                "--base", "parameters.k=8",
+                "--base", "parameters.m=8",
+                "--base", "parameters.n1=64",
+                "--store", str(store),
+            ])
         assert not store.exists()
 
     def test_random_integer_field_needs_int_modifier(self, tmp_path):

@@ -38,7 +38,14 @@ from repro.sweeps import (
     run,
 )
 from repro.sweeps.faultinject import FAULT_PLAN_ENV
-from tests.test_sweeps import ILL_TYPED, QUICK, quick_spec, store_digests
+from tests.test_sweeps import (
+    DUPLICATE_DRAWS,
+    ILL_TYPED,
+    OUT_OF_DOMAIN,
+    QUICK,
+    quick_spec,
+    store_digests,
+)
 
 
 class Client:
@@ -154,6 +161,36 @@ class TestHealthAndErrors:
             assert status == 400
             assert body["error"].startswith(f"spec.base.{field}: ")
         assert instance.jobs.jobs() == []
+
+    def test_out_of_domain_spec_values_are_400(self, service):
+        # Expansion builds every scenario's config, so a value the config
+        # rejects is refused at the POST, naming the scenario, and the
+        # instance stays healthy.
+        instance, client = service
+        for bad, message in OUT_OF_DOMAIN:
+            spec = SweepSpec(name="domain", base={**QUICK, **bad})
+            status, body = client.post("/sweeps", submission(spec))
+            assert status == 400
+            assert body["error"].startswith("spec.base: scenario {}: ")
+            assert message in body["error"]
+        grid = SweepSpec(
+            name="n1",
+            grid=(GridAxis("parameters.n1", (32, 2)),),
+            base={k: v for k, v in QUICK.items() if k != "parameters.n1"},
+        )
+        status, body = client.post("/sweeps", submission(grid))
+        assert (status, body["error"]) == (
+            400,
+            'spec.$: scenario {"parameters.n1":2}: '
+            "expression (1) violated: n1 = 2 < k = 4",
+        )
+        duplicates = SweepSpec(name="dup", **DUPLICATE_DRAWS)
+        status, body = client.post("/sweeps", submission(duplicates))
+        assert status == 400
+        assert body["error"].startswith("spec.$: sweep expands to duplicate")
+        assert instance.jobs.jobs() == []
+        status, payload = client.get("/health")
+        assert status == 200 and payload["jobs"]["total"] == 0
 
     def test_unknown_option_rejected(self, service):
         _, client = service
@@ -690,17 +727,20 @@ class TestIdempotencyAndScrub:
 
 
 class TestQuarantineSurfaced:
-    def test_failed_scenario_reported_in_status_and_poll(self, service):
-        # n1 = 2 < k = 4 violates expression (1) at campaign time, so
-        # that scenario can never succeed; the sibling completes and
-        # the job lands in the quarantined state.
+    def test_failed_scenario_reported_in_status_and_poll(
+        self, service, fail_scenario
+    ):
+        # The second scenario fails in every attempt, so it can never
+        # succeed; the sibling completes and the job lands in the
+        # quarantined state.
         _, client = service
         spec = SweepSpec(
             name="q",
-            grid=(GridAxis("parameters.n1", (32, 2)),),
+            grid=(GridAxis("parameters.n1", (32, 40)),),
             base={k: v for k, v in QUICK.items() if k != "parameters.n1"},
         )
         bad = expand_scenarios(spec)[1].scenario_id
+        fail_scenario(bad)
         _, accepted = client.post(
             "/sweeps", submission(spec, max_retries=0, n_workers=2)
         )

@@ -8,8 +8,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.experiments.runner import CampaignConfig, apply_config_overrides
+from repro.experiments.runner import CampaignConfig
 from repro.attacks import FLEET_TRANSFORMS, apply_fleet_transform
 from repro.sweeps import (
     SCHEMA_VERSION,
@@ -35,7 +37,7 @@ from repro.sweeps.aggregate import (
 from repro.hdl.simulator import ENGINES
 from repro.sweeps import scheduler
 from repro.sweeps.executor import SweepReport
-from repro.sweeps.spec import CONFIG_FIELDS
+from repro.sweeps.spec import CONFIG_FIELDS, canonical_json
 
 #: Cheap correlation parameters shared by the executor tests: a full
 #: campaign at this point takes a few tens of milliseconds.
@@ -107,6 +109,63 @@ JSON_PROBES = [
 ]
 
 
+#: Well-typed values outside their domain on the :data:`QUICK` point,
+#: each with a piece of the config constructor's own message.
+OUT_OF_DOMAIN = [
+    ({"adc.bits": 99}, "ADC bits must be in [1, 24], got 99"),
+    ({"adc.bits": 0}, "ADC bits must be in [1, 24], got 0"),
+    ({"noise.sigma": -1}, "noise sigma must be non-negative"),
+    ({"noise.drift_sigma": -1}, "drift sigma must be non-negative"),
+    ({"adc.headroom": -1}, "ADC headroom must be non-negative"),
+    ({"variation.gain_sigma": -0.1}, "variation sigmas must be non-negative"),
+    ({"parameters.k": 0}, "all parameters must be positive"),
+    ({"parameters.n1": 2}, "expression (1) violated: n1 = 2 < k = 4"),
+    ({"parameters.n2": 8}, "expression (2) violated: n2 = 8 < k*m = 16"),
+    ({"parameters.m": 10**9}, "expression (2) violated"),
+    ({"adc": None, "adc.bits": 8}, "cannot set both 'adc' and 'adc.bits'"),
+    (
+        {"variation": None, "variation.gain_sigma": 0.1},
+        "cannot set both 'variation' and 'variation.gain_sigma'",
+    ),
+    ({"fleet_seed": -1}, "fleet_seed must be >= 0, got -1"),
+    ({"analysis_seed": -1}, "analysis_seed must be >= 0, got -1"),
+]
+
+#: One in-domain value of every sweep field, on the :data:`QUICK` point.
+IN_DOMAIN = [
+    ("watermarked", False),
+    ("single_reference", False),
+    ("engine", "interpreted"),
+    ("design", "paper"),
+    ("fleet_seed", 0),
+    ("measurement_seed", -1),
+    ("analysis_seed", 0),
+    ("adc", None),
+    ("variation", None),
+    ("waveform", None),
+    ("parameters.k", 1),
+    ("parameters.m", 16),
+    ("parameters.n1", 4),
+    ("parameters.n2", 16),
+    ("noise.sigma", 0),
+    ("noise.drift_sigma", 0.5),
+    ("adc.bits", 1),
+    ("adc.bits", 24),
+    ("adc.headroom", 0.0),
+    ("variation.gain_sigma", 0),
+    ("variation.offset_sigma", 2.5),
+    ("variation.component_sigma", 0.1),
+    ("attack", "strip_pads"),
+]
+
+#: The duplicate draw: five integer draws over two values.
+DUPLICATE_DRAWS = dict(
+    random=(RandomAxis("parameters.n2", 600, 601, integer=True),),
+    n_random=5,
+    base={"parameters.k": 8, "parameters.m": 8, "parameters.n1": 64},
+)
+
+
 def quick_spec(name="quick", sigmas=(0.5, 1.0), attacks=("none",), seed=5):
     return SweepSpec(
         name=name,
@@ -149,10 +208,11 @@ class TestSweepSpec:
         assert [s.assignment["watermarked"] for s in scenarios[:2]] == [True, False]
 
     def test_unknown_field_rejected_at_construction(self):
-        with pytest.raises(KeyError, match="unknown sweep field"):
-            GridAxis("noise.sigmaa", (1.0,))
-        with pytest.raises(KeyError, match="unknown sweep field"):
-            SweepSpec(name="s", base={"nope": 1})
+        for path in ("noise.sigmaa", "nope", "watermarked.x", "noise.sigma.deep"):
+            with pytest.raises(KeyError, match="unknown sweep field"):
+                GridAxis(path, (1.0,))
+            with pytest.raises(KeyError, match="unknown sweep field"):
+                SweepSpec(name="s", base={path: 1})
 
     def test_axis_validation(self):
         with pytest.raises(ValueError, match="no values"):
@@ -265,7 +325,7 @@ class TestSpecWireFormat:
                 RandomAxis("parameters.n2", 64, 256, integer=True),
             ),
             n_random=3,
-            base={"watermarked": False, "parameters.k": 4},
+            base={"watermarked": False, "parameters.k": 4, "parameters.m": 4},
             seed=11,
         )
 
@@ -410,7 +470,7 @@ class TestSpecWireFormat:
             "design": "paper",
             "adc": None,
             "noise.sigma": 1,
-            "parameters.n2": 128,
+            "parameters.n2": 1024,
             "attack": "strip_pads",
         }
         spec = SweepSpec.from_json_dict(
@@ -460,34 +520,268 @@ class TestSpecWireFormat:
 
 
 class TestConfigOverrides:
+    def config_of(self, base):
+        (scenario,) = expand_scenarios(SweepSpec(name="o", base=base))
+        return scenario_config(scenario)
+
     def test_nested_and_top_level(self):
-        config = apply_config_overrides(
-            CampaignConfig(),
-            {"noise.sigma": 0.3, "watermarked": False, "adc.bits": 8},
+        config = self.config_of(
+            {"noise.sigma": 0.3, "watermarked": False, "adc.bits": 8}
         )
         assert config.noise.sigma == 0.3
         assert config.watermarked is False
         assert config.adc.bits == 8
+        assert config.noise.drift_sigma == CampaignConfig().noise.drift_sigma
 
     def test_nullable_nested_field(self):
-        config = apply_config_overrides(
-            CampaignConfig(), {"adc": None, "variation": None}
-        )
+        config = self.config_of({"adc": None, "variation": None})
         assert config.adc is None and config.variation is None
 
-    def test_unknown_paths_raise(self):
-        with pytest.raises(KeyError):
-            apply_config_overrides(CampaignConfig(), {"noise.sugma": 1.0})
-        with pytest.raises(KeyError):
-            apply_config_overrides(CampaignConfig(), {"watermarked.x": 1})
-        with pytest.raises(KeyError):
-            apply_config_overrides(CampaignConfig(), {"noise.sigma.deep": 1})
-
     def test_conflicting_whole_and_sub_override(self):
-        with pytest.raises(KeyError, match="cannot override both"):
-            apply_config_overrides(
-                CampaignConfig(), {"adc": None, "adc.bits": 8}
-            )
+        with pytest.raises(SpecValidationError) as excinfo:
+            self.config_of({"adc": None, "adc.bits": 8})
+        assert excinfo.value.path == "base"
+        assert excinfo.value.detail == (
+            "scenario {}: cannot set both 'adc' and 'adc.bits'"
+        )
+
+
+class TestDomainsAtExpansion:
+    """Expansion builds every scenario's config: the config's own
+    constructors are the spec's domain check."""
+
+    @pytest.mark.parametrize("bad, message", OUT_OF_DOMAIN)
+    def test_base_value_rejected_naming_the_scenario(self, bad, message):
+        spec = SweepSpec(name="domain", base={**QUICK, **bad})
+        with pytest.raises(SpecValidationError) as excinfo:
+            expand_scenarios(spec)
+        assert excinfo.value.path == "base"
+        assert excinfo.value.detail.startswith("scenario {}: ")
+        assert message in excinfo.value.detail
+
+    @pytest.mark.parametrize("bad, message", OUT_OF_DOMAIN)
+    def test_axis_value_rejected_naming_the_scenario(self, bad, message):
+        field, value = list(bad.items())[-1]
+        base = {key: v for key, v in {**QUICK, **bad}.items() if key != field}
+        spec = SweepSpec(name="domain", grid=(GridAxis(field, (value,)),), base=base)
+        with pytest.raises(SpecValidationError) as excinfo:
+            expand_scenarios(spec)
+        assert excinfo.value.path == "$"
+        assert excinfo.value.detail.startswith(
+            f"scenario {canonical_json({field: value})}: "
+        )
+        assert message in excinfo.value.detail
+
+    def test_first_bad_scenario_is_named(self):
+        spec = SweepSpec(
+            name="n1",
+            grid=(GridAxis("parameters.n1", (32, 2)),),
+            base={k: v for k, v in QUICK.items() if k != "parameters.n1"},
+        )
+        with pytest.raises(SpecValidationError) as excinfo:
+            expand_scenarios(spec)
+        assert str(excinfo.value) == (
+            '$: scenario {"parameters.n1":2}: '
+            "expression (1) violated: n1 = 2 < k = 4"
+        )
+
+    def test_random_axes_are_checked_on_their_draws(self):
+        # The bounds cross the domain; the draws are what must build.
+        inside = SweepSpec(
+            name="bits",
+            random=(RandomAxis("adc.bits", 1, 25, integer=True),),
+            n_random=4,
+            base=dict(QUICK),
+            seed=0,
+        )
+        assert max(s.assignment["adc.bits"] for s in expand_scenarios(inside)) <= 24
+        negative = SweepSpec(
+            name="sigma",
+            random=(RandomAxis("noise.sigma", -1.0, 1.0),),
+            n_random=4,
+            base=dict(QUICK),
+            seed=0,
+        )
+        with pytest.raises(SpecValidationError) as excinfo:
+            expand_scenarios(negative)
+        assert excinfo.value.path == "$"
+        assert excinfo.value.detail.startswith('scenario {"noise.sigma":-0.')
+        assert "noise sigma must be non-negative" in excinfo.value.detail
+
+    def test_duplicate_draws_rejected(self):
+        with pytest.raises(SpecValidationError) as excinfo:
+            expand_scenarios(SweepSpec(name="dup", **DUPLICATE_DRAWS))
+        assert excinfo.value.path == "$"
+        assert "duplicate scenarios" in excinfo.value.detail
+
+    @pytest.mark.parametrize("field, value", IN_DOMAIN)
+    def test_in_domain_value_builds(self, field, value):
+        (scenario,) = expand_scenarios(
+            SweepSpec(name="ok", base={**QUICK, field: value})
+        )
+        config = scenario_config(scenario)
+        if field == "attack":
+            assert scenario.attack == value
+            return
+        for name in field.split("."):
+            config = getattr(config, name)
+        assert config == value
+
+    @pytest.mark.parametrize("seed", ["fleet_seed", "analysis_seed"])
+    def test_negative_generator_seed_rejected_by_the_config(self, seed):
+        with pytest.raises(ValueError, match=f"{seed} must be >= 0"):
+            CampaignConfig(**{seed: -1})
+        CampaignConfig(**{seed: 0})
+
+    def test_negative_measurement_seed_runs(self, tmp_path):
+        # It is only hashed into the measurement key.
+        spec = SweepSpec(name="m", base={**QUICK, "measurement_seed": -1})
+        report = run(spec, SweepStore(str(tmp_path / "store")))
+        assert report.n_executed == 1 and not report.failed_ids
+
+    def test_random_axes_need_a_non_negative_spec_seed(self):
+        axis = RandomAxis("noise.sigma", 0.5, 2.0)
+        with pytest.raises(ValueError, match="seed >= 0"):
+            SweepSpec(name="r", random=(axis,), n_random=2, seed=-1)
+        # Without random axes the spec seed only feeds the digests.
+        assert expand_scenarios(SweepSpec(name="g", base=dict(QUICK), seed=-1))
+
+    def test_random_range_beyond_the_floats_rejected(self):
+        with pytest.raises(ValueError, match="range must be finite"):
+            RandomAxis("noise.sigma", -1.7e308, 1.7e308)
+
+
+#: JSON scalars, the non-finite floats and integers beyond the float
+#: range among them.
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 70),
+    st.sampled_from([10**400, -(10**400), 2**63]),
+    st.floats(),
+    st.text(max_size=6),
+    st.sampled_from(["paper", *ENGINES, *FLEET_TRANSFORMS]),
+)
+#: Scalars, lists and objects nested a few levels deep.
+JSON_JUNK = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def typed_values(field):
+    """Values of the field's JSON type, in its domain or not."""
+    kind = CONFIG_FIELDS[field]
+    if isinstance(kind, tuple):
+        return st.sampled_from(kind)
+    return {
+        bool: st.booleans(),
+        int: st.integers(-3, 70),
+        float: st.integers(-3, 70) | st.floats(-1, 30),
+        str: st.just("paper"),
+        None: st.none(),
+    }[kind]
+
+
+def loose_values(field):
+    """Values of the field's JSON type, or any JSON scalar."""
+    return typed_values(field) | JSON_SCALARS
+
+
+def spec_payloads(values):
+    """Spec payloads whose axis and base values are drawn by ``values``."""
+    fields = st.sampled_from(sorted(CONFIG_FIELDS))
+    grid_axis = fields.flatmap(
+        lambda field: st.fixed_dictionaries(
+            {
+                "field": st.just(field),
+                "values": st.lists(
+                    values(field), min_size=1, max_size=4, unique_by=repr
+                ),
+            }
+        )
+    )
+    bound = st.one_of(
+        st.integers(-3, 70),
+        st.floats(-1, 30),
+        st.floats(),
+        st.sampled_from([-1e308, 1e308]),
+    )
+
+    def random_axis(field):
+        return st.builds(
+            lambda low, high, log, integer: {
+                "field": field,
+                "low": min(low, high),
+                "high": max(low, high),
+                "log": log,
+                "integer": integer,
+            },
+            bound,
+            bound,
+            st.booleans(),
+            st.just(True) if CONFIG_FIELDS[field] is int else st.booleans(),
+        )
+
+    numbers = sorted(f for f, kind in CONFIG_FIELDS.items() if kind in (int, float))
+    draws = st.fixed_dictionaries(
+        {
+            "random": st.lists(
+                st.sampled_from(numbers).flatmap(random_axis), min_size=1, max_size=2
+            ),
+            "n_random": st.integers(1, 6),
+        }
+    )
+    base = fields.flatmap(lambda field: st.tuples(st.just(field), values(field)))
+    spec = st.fixed_dictionaries(
+        {"schema_version": st.just(SCHEMA_VERSION), "name": st.just("fuzz")},
+        optional={
+            "grid": st.lists(grid_axis, max_size=3),
+            "base": st.lists(base, max_size=6).map(dict),
+            "seed": st.integers(-2, 2**40),
+        },
+    )
+    return st.tuples(spec, st.just({}) | draws).map(
+        lambda parts: {**parts[0], **parts[1]}
+    )
+
+
+#: Spec payloads: well typed; loosely typed; well typed but for one
+#: part, which is junk (an unknown part among them); and junk.
+SPEC_PAYLOADS = st.one_of(
+    spec_payloads(typed_values),
+    spec_payloads(loose_values),
+    st.tuples(
+        spec_payloads(typed_values),
+        st.sampled_from(
+            ["schema_version", "name", "grid", "random", "n_random", "base", "seed"]
+            + ["extra"]
+        ),
+        JSON_JUNK,
+    ).map(lambda parts: {**parts[0], parts[1]: parts[2]}),
+    JSON_JUNK,
+)
+
+
+@given(SPEC_PAYLOADS)
+def test_spec_wire_format_fuzz(payload):
+    # Only SpecValidationError leaves the wire format and expansion, and
+    # a spec that expands runs only configs that build.
+    try:
+        spec = SweepSpec.from_json_dict(payload)
+    except SpecValidationError:
+        return
+    if spec.n_scenarios > 64:
+        return
+    try:
+        scenarios = expand_scenarios(spec)
+    except SpecValidationError:
+        return
+    assert len(scenarios) == spec.n_scenarios
+    for scenario in scenarios:
+        scenario_config(scenario)
 
 
 class TestSweepStore:
@@ -548,21 +842,24 @@ class TestRunSweep:
         report = run(extended, store)
         assert report.n_cached == 2 and report.n_executed == 2
 
-    def test_failure_quarantines_and_continues(self, tmp_path, monkeypatch):
-        # n1 = 2 < k = 4 violates expression (1) at campaign time, so
-        # that scenario can never succeed; it must be quarantined while
-        # every sibling completes and the sweep returns normally.
+    def test_failure_quarantines_and_continues(
+        self, tmp_path, monkeypatch, fail_scenario
+    ):
+        # The middle scenario fails in every attempt, so it can never
+        # succeed; it must be quarantined while every sibling completes
+        # and the sweep returns normally.
         from repro.sweeps import FailureLog
 
         monkeypatch.setattr(scheduler, "BACKOFF_BASE", 0.0)
         spec = SweepSpec(
             name="fail",
-            grid=(GridAxis("parameters.n1", (32, 2, 48)),),
+            grid=(GridAxis("parameters.n1", (32, 40, 48)),),
             base={k: v for k, v in QUICK.items() if k != "parameters.n1"},
         )
+        bad = expand_scenarios(spec)[1].scenario_id
+        fail_scenario(bad)
         store = SweepStore(str(tmp_path / "store"))
         report = run(spec, store, SweepOptions(max_retries=1))
-        bad = expand_scenarios(spec)[1].scenario_id
         assert report.failed_ids == [bad]
         assert len(store) == 2
         good_ids = {
@@ -834,14 +1131,15 @@ class TestSweepStatus:
         assert not os.path.exists(os.path.join(store.root, ".leases"))
         assert not os.path.exists(os.path.join(store.root, ".attempts"))
 
-    def test_quarantine_counted(self, tmp_path, monkeypatch):
+    def test_quarantine_counted(self, tmp_path, monkeypatch, fail_scenario):
         monkeypatch.setattr(scheduler, "BACKOFF_BASE", 0.0)
         spec = SweepSpec(
             name="qstat",
-            grid=(GridAxis("parameters.n1", (32, 2)),),
+            grid=(GridAxis("parameters.n1", (32, 40)),),
             base={k: v for k, v in QUICK.items() if k != "parameters.n1"},
         )
         scenario_ids = [s.scenario_id for s in expand_scenarios(spec)]
+        fail_scenario(scenario_ids[1])
         store = SweepStore(str(tmp_path / "store"))
         run(spec, store, SweepOptions(max_retries=1))
         status = sweep_status(store.root, scenario_ids=scenario_ids)
