@@ -60,6 +60,7 @@ from typing import Dict, List, Optional
 
 from repro.core.parameters import plan_parameters
 from repro.core.report import render_verdicts
+from repro.experiments.designs import resolve_imported_design
 from repro.experiments.figure4 import figure4_panels, render_figure4
 from repro.experiments.figure5 import figure5_data, render_figure5
 from repro.experiments.runner import CampaignConfig, run_campaign
@@ -73,12 +74,23 @@ from repro.hdl.simulator import ENGINES
 
 
 def _campaign_config(args: argparse.Namespace) -> CampaignConfig:
-    return CampaignConfig(
-        measurement_seed=args.seed,
-        analysis_seed=args.seed + 1,
-        engine=args.engine,
-        design=args.design,
-    )
+    """The campaign of the global flags; a bad one exits with an error."""
+    if args.design != "paper":
+        try:
+            resolve_imported_design(args.design)
+        except (OSError, ValueError) as error:
+            raise SystemExit(f"error: --design: {error}")
+    try:
+        return CampaignConfig(
+            measurement_seed=args.seed,
+            analysis_seed=args.seed + 1,
+            engine=args.engine,
+            design=args.design,
+        )
+    except ValueError as error:
+        raise SystemExit(
+            f"error: --seed {args.seed}: {error} (analysis_seed is --seed + 1)"
+        )
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
@@ -317,10 +329,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         expand_scenarios,
         render_status,
         render_sweep_summary,
-        run,
         scrub,
         sweep_status,
     )
+    from repro.sweeps.api import _run_expanded
 
     if args.axis:
         fields = [field for field, _ in args.axis]
@@ -375,7 +387,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         + f"), store {store.root}, {options.n_workers} worker(s)"
         + (", lease scheduler" if options.lease_scheduled else "")
     )
-    report = run(spec, store, options)
+    report = _run_expanded(spec, scenarios, store, options)
     print(
         f"executed {report.n_executed}, "
         f"reused {report.n_cached} already in store"

@@ -133,26 +133,35 @@ class CorrelationProcess:
         """Compute ``A_RefD = mean(U_T_RefD(k))``."""
         return k_averaged_trace(t_ref, self.parameters.k, make_rng(rng))
 
+    def dut_set(self, t_dut: TraceSet, rng: RngLike = None) -> np.ndarray:
+        """Compute ``A_DUT,m = {mean(U_T_DUT(k))}_m``, an ``(m, l)`` matrix."""
+        p = self.parameters
+        return k_averaged_set(t_dut, p.k, p.m, make_rng(rng))
+
     def run(
         self,
         t_ref: TraceSet,
         t_dut: TraceSet,
         rng: RngLike = None,
         reference: Optional[np.ndarray] = None,
+        dut_set: Optional[np.ndarray] = None,
     ) -> CorrelationResult:
         """Produce ``C_RefD,DUT,m,k``.
 
         A precomputed ``reference`` (``A_RefD``) may be passed so one
         reference serves several DUTs, exactly as in the paper's
-        four-DUT experiment.  It is rejected with
-        ``single_reference=False``, which draws a fresh reference per
-        coefficient and would otherwise ignore it.
+        four-DUT experiment; a precomputed ``dut_set`` (``A_DUT,m``,
+        from :meth:`dut_set`) likewise lets one DUT's set serve several
+        references.  Both are rejected with ``single_reference=False``,
+        which draws fresh averages per coefficient and would otherwise
+        ignore them.
         """
-        if reference is not None and not self.single_reference:
-            raise ValueError(
-                "reference= cannot be used with single_reference=False: "
-                "that mode draws a fresh reference per coefficient"
-            )
+        for name, given in (("reference", reference), ("dut_set", dut_set)):
+            if given is not None and not self.single_reference:
+                raise ValueError(
+                    f"{name}= cannot be used with single_reference=False: "
+                    "that mode draws fresh averages per coefficient"
+                )
         self._check_sets(t_ref, t_dut)
         generator = make_rng(rng)
         p = self.parameters
@@ -163,7 +172,11 @@ class CorrelationProcess:
                 if reference is not None
                 else k_averaged_trace(t_ref, p.k, generator)
             )
-            a_dut = k_averaged_set(t_dut, p.k, p.m, generator)
+            a_dut = (
+                dut_set
+                if dut_set is not None
+                else k_averaged_set(t_dut, p.k, p.m, generator)
+            )
             coefficients = pearson_many(a_ref, a_dut)
         else:
             # E8 ablation: a fresh reference per coefficient, which

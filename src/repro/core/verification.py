@@ -7,7 +7,8 @@ against every DUT, applies the distinguishers and returns a structured
 :class:`VerificationReport`.  This implements the two use cases of the
 paper's introduction:
 
-* **clone detection** (:meth:`WatermarkVerifier.identify`) — find which
+* **clone detection** (:meth:`WatermarkVerifier.identify`, or
+  :meth:`WatermarkVerifier.identify_all` for several RefDs) — find which
   DUT contains the RefD's watermarked IP, with a confidence distance
   usable "as proof in front of a court";
 * **counterfeit detection** (:meth:`WatermarkVerifier.screen`) — flag
@@ -136,14 +137,61 @@ class WatermarkVerifier:
         rng: RngLike = None,
     ) -> VerificationReport:
         """Clone detection: which DUT contains the RefD's IP?"""
-        results = self.correlate(t_ref, t_duts, rng)
+        return self._report(t_ref, self.correlate(t_ref, t_duts, rng))
+
+    def identify_all(
+        self,
+        t_refs: Mapping[str, TraceSet],
+        t_duts: Mapping[str, TraceSet],
+        rng: RngLike = None,
+    ) -> Dict[str, VerificationReport]:
+        """Clone detection for every RefD against one set of DUTs.
+
+        Each DUT's ``A_DUT,m`` is drawn once and serves every
+        reference.  The draws come from one generator in a fixed order:
+        first ``A_DUT,m`` for each DUT in ``t_duts`` order, then, for
+        each reference in ``t_refs`` order, its ``A_RefD``.  Every
+        (RefD, DUT) C set keeps the distribution :meth:`identify` gives
+        it, since both sides stay independent uniform k-subset
+        averages; the verdicts of different references become
+        dependent.  With ``single_reference=False`` (the E8 ablation)
+        this is the :meth:`identify` loop over ``t_refs`` on the same
+        generator.
+        """
+        generator = make_rng(rng)
+        if not self.process.single_reference:
+            return {
+                name: self.identify(t_ref, t_duts, generator)
+                for name, t_ref in t_refs.items()
+            }
+        if not t_duts:
+            raise ValueError("at least one DUT trace set is required")
+        dut_sets = {
+            name: self.process.dut_set(t_dut, generator)
+            for name, t_dut in t_duts.items()
+        }
+        reports: Dict[str, VerificationReport] = {}
+        for ref_name, t_ref in t_refs.items():
+            reference = self.process.reference_trace(t_ref, generator)
+            results = {
+                name: self.process.run(
+                    t_ref, t_dut, generator, reference=reference, dut_set=dut_sets[name]
+                )
+                for name, t_dut in t_duts.items()
+            }
+            reports[ref_name] = self._report(t_ref, results)
+        return reports
+
+    def _report(
+        self, t_ref: TraceSet, results: Dict[str, CorrelationResult]
+    ) -> VerificationReport:
+        """Apply every distinguisher to one reference's C sets."""
         c_sets = {name: result.coefficients for name, result in results.items()}
-        verdicts = [d.identify(c_sets) for d in self.distinguishers]
         return VerificationReport(
             ref_name=t_ref.device_name,
             parameters=self.parameters,
             results=results,
-            verdicts=verdicts,
+            verdicts=[d.identify(c_sets) for d in self.distinguishers],
         )
 
     def calibrate_mean_floor(

@@ -2,9 +2,10 @@
 
 A *campaign* measures the four reference devices (400 traces each) and
 the four DUTs (10 000 traces each), runs the correlation computation
-process for every RefD x DUT pair — sharing one ``A_RefD`` per row and
-one DUT trace set per column, exactly as in the paper — and returns
-the 16 correlation sets with all distinguisher verdicts.
+process for every RefD x DUT pair — sharing one ``A_RefD`` per row, as
+in the paper, and one ``A_DUT,m`` per column
+(:meth:`~repro.core.verification.WatermarkVerifier.identify_all`) —
+and returns the 16 correlation sets with all distinguisher verdicts.
 """
 
 from __future__ import annotations
@@ -251,11 +252,7 @@ def run_campaign(
         single_reference=cfg.single_reference,
     )
     analysis_rng = np.random.default_rng(cfg.analysis_seed)
-    reports: Dict[str, VerificationReport] = {}
-    for ref_name in REF_ORDER:
-        reports[ref_name] = verifier.identify(
-            t_refs[ref_name], t_duts, rng=analysis_rng
-        )
+    reports = verifier.identify_all(t_refs, t_duts, rng=analysis_rng)
     outcome = CampaignOutcome(config=cfg, reports=reports)
     if artifacts is not None:
         artifacts.remember_outcome(cfg, fleet_tag, outcome)

@@ -1,8 +1,8 @@
 """Background sweep jobs: content-addressed ids, lease-scheduled runs.
 
 A *job* is one submitted :class:`~repro.sweeps.spec.SweepSpec`
-executing through the unified :func:`repro.sweeps.run` facade in a
-daemon thread.  Two properties make jobs safe and cheap by
+executing through the body of the unified :func:`repro.sweeps.run`
+facade, on the job's own expansion of the spec, in a daemon thread.  Two properties make jobs safe and cheap by
 construction:
 
 * **Content-addressed identity.**  A job id is a digest of the spec's
@@ -37,7 +37,7 @@ import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
-from repro.sweeps.api import SweepOptions, run
+from repro.sweeps.api import SweepOptions, _run_expanded
 from repro.sweeps.executor import SweepReport
 from repro.sweeps.scheduler import error_info
 from repro.sweeps.spec import Scenario, SweepSpec, canonical_json, expand_scenarios
@@ -130,8 +130,9 @@ class SweepJob:
 
     def _execute(self) -> None:
         try:
-            report = run(
+            report = _run_expanded(
                 self.spec,
+                self.scenarios,
                 SweepStore(self.store_root),
                 self.options,
                 progress=self._notify,

@@ -133,11 +133,26 @@ def run(
     (:mod:`repro.sweeps.aggregate`) and progress snapshots from
     :func:`repro.sweeps.status.sweep_status`.
     """
+    return _run_expanded(spec, expand_scenarios(spec), store, options, progress)
+
+
+def _run_expanded(
+    spec: SweepSpec,
+    scenarios: List[Scenario],
+    store: SweepStore,
+    options: Optional[SweepOptions] = None,
+    progress: Optional[Callable[[str, bool], None]] = None,
+) -> "SweepReport":
+    """:func:`run`, given ``scenarios = expand_scenarios(spec)``.
+
+    The CLI and the service's jobs expand a spec to validate and
+    describe it before they run it; they hand their expansion here, so
+    a sweep is expanded once.
+    """
     from repro.sweeps.executor import SweepReport, _inline_sweep
     from repro.sweeps.scheduler import _scheduled_sweep
 
     options = options or SweepOptions()
-    scenarios = expand_scenarios(spec)
     report = SweepReport(
         spec_name=spec.name,
         store_root=store.root,

@@ -66,8 +66,9 @@ from repro.experiments.runner import CampaignConfig
 from repro.hdl.simulator import ENGINES
 
 #: Version stamped into every scenario digest; bump when the scenario
-#: encoding or the result payload changes incompatibly.
-SCHEMA_VERSION = 1
+#: encoding or the result payload changes incompatibly.  Version 2: a
+#: campaign draws each DUT's ``A_DUT,m`` once for all four references.
+SCHEMA_VERSION = 2
 
 #: The special axis applying a DUT netlist transform (see
 #: :data:`repro.attacks.FLEET_TRANSFORMS`).

@@ -25,6 +25,8 @@ import repro.acquisition.bench as bench_module
 from repro.acquisition.bench import MeasurementBench, derive_acquisition_seed
 from repro.acquisition.oscilloscope import BLOCK_ROWS, ADCConfig, Oscilloscope
 from repro.acquisition.traces import TraceSet
+from repro.core.averaging import k_averaged_set, k_averaged_trace
+from repro.core.correlation import pearson_many
 from repro.core.process import ProcessParameters
 from repro.core.distinguishers import PAPER_DISTINGUISHERS
 from repro.experiments.artifacts import (
@@ -409,22 +411,43 @@ class TestConcurrentAcquisition:
             key = measurement_base_key(cfg)
             return bench_module.acquire_keyed(scope, key, [(device, n_traces)])[0]
 
-        t_duts = {name: alone(duts[name], QUICK.n2) for name in DUT_ORDER}
-        verifier = WatermarkVerifier(
-            parameters=QUICK,
-            distinguishers=cfg.distinguishers,
-            single_reference=cfg.single_reference,
-        )
+        # The campaign's analysis draws, written out so the order is
+        # pinned: each DUT's A_DUT,m once, in DUT order, then each
+        # reference's A_RefD, correlated against every DUT's set.
         rng = np.random.default_rng(cfg.analysis_seed)
+        dut_sets = {
+            name: k_averaged_set(alone(duts[name], QUICK.n2), QUICK.k, QUICK.m, rng)
+            for name in DUT_ORDER
+        }
         for ref in REF_ORDER:
-            expected = verifier.identify(alone(refds[ref], QUICK.n1), t_duts, rng=rng)
+            a_ref = k_averaged_trace(alone(refds[ref], QUICK.n1), QUICK.k, rng)
             actual = outcome.reports[ref]
-            assert actual.means == expected.means
-            assert actual.variances == expected.variances
             for dut in DUT_ORDER:
-                np.testing.assert_array_equal(
-                    actual.results[dut].coefficients,
-                    expected.results[dut].coefficients,
+                expected = pearson_many(a_ref, dut_sets[dut])
+                coefficients = actual.results[dut].coefficients
+                assert coefficients.tobytes() == expected.tobytes()
+
+    def test_fresh_reference_campaign_is_the_identify_loop(self):
+        # The E8 ablation keeps per-pair draws: its C sets are those of
+        # the single-reference identify loop on one generator.
+        cfg = quick_config(single_reference=False)
+        outcome = run_campaign(cfg)
+        refds, duts = manufacture_fleet(cfg)
+        requests = [(duts[name], QUICK.n2) for name in DUT_ORDER]
+        requests += [(refds[name], QUICK.n1) for name in REF_ORDER]
+        acquired = bench_module.acquire_keyed(
+            Oscilloscope(cfg.noise, cfg.adc), measurement_base_key(cfg), requests
+        )
+        t_duts = dict(zip(DUT_ORDER, acquired))
+        verifier = WatermarkVerifier(QUICK, single_reference=False)
+        rng = np.random.default_rng(cfg.analysis_seed)
+        for ref, t_ref in zip(REF_ORDER, acquired[len(DUT_ORDER) :]):
+            expected = verifier.identify(t_ref, t_duts, rng=rng)
+            for dut in DUT_ORDER:
+                coefficients = outcome.reports[ref].results[dut].coefficients
+                assert (
+                    coefficients.tobytes()
+                    == expected.results[dut].coefficients.tobytes()
                 )
 
     def test_artifact_stats_match_serial_acquisition(self, monkeypatch):

@@ -9,15 +9,21 @@ import pytest
 
 import repro
 import repro.acquisition.bench as bench_module
-from repro.cli import build_parser, main
+from repro.cli import _campaign_config, build_parser, main
 from repro.core.report import (
     render_matrix_table,
     render_means_table,
     render_variances_table,
     render_verdicts,
 )
-from repro.sweeps import GridAxis, SweepSpec, SweepStore, expand_scenarios
-from tests.test_sweeps import ILL_TYPED, OUT_OF_DOMAIN, QUICK, store_digests
+from repro.sweeps import GridAxis, SweepSpec, SweepStore, expand_scenarios, run
+from tests.test_sweeps import (
+    ILL_TYPED,
+    OUT_OF_DOMAIN,
+    QUICK,
+    count_expansions,
+    store_digests,
+)
 
 #: Imports the whole package and runs a campaign with every ``scipy``
 #: import refused: numpy is the only runtime dependency.
@@ -145,6 +151,21 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "recovered: True" in out
 
+    @pytest.mark.parametrize("command", ["campaign", "tables", "figure4"])
+    def test_negative_analysis_seed_is_an_error_line(self, command):
+        # The analysis seed is --seed + 1, which must not be negative.
+        with pytest.raises(SystemExit, match="^error: --seed -2: analysis_seed"):
+            main(["--seed", "-2", command])
+
+    def test_seed_minus_one_is_analysis_seed_zero(self):
+        args = build_parser().parse_args(["--seed", "-1", "campaign"])
+        assert _campaign_config(args).analysis_seed == 0
+
+    @pytest.mark.parametrize("design", ["imported:/nonexistent.v", "bogus"])
+    def test_bad_design_is_an_error_line(self, design):
+        with pytest.raises(SystemExit, match="^error: --design: "):
+            main(["--design", design, "campaign"])
+
 
 class TestReportRendering:
     MATRIX = {
@@ -229,6 +250,27 @@ class TestSweepCLI:
         out = capsys.readouterr().out
         assert "executed 0" in out
         assert "reused 4" in out
+
+    def test_sweep_expands_its_spec_once(self, tmp_path, monkeypatch, capsys):
+        calls = count_expansions(monkeypatch)
+        store = tmp_path / "store"
+        quick = [f"--base={field}={value}" for field, value in QUICK.items()]
+        argv = ["sweep", "--axis", "noise.sigma=0.5,1.0", "--axis", "attack=none,strip"]
+        assert main([*argv, *quick, "--workers", "1", "--store", str(store)]) == 0
+        assert calls == ["sweep"]
+        spec = SweepSpec(
+            name="sweep",
+            grid=(
+                GridAxis("noise.sigma", (0.5, 1.0)),
+                GridAxis("attack", ("none", "strip")),
+            ),
+            base={"engine": "auto", **QUICK},
+            seed=42,
+        )
+        direct = SweepStore(str(tmp_path / "direct"))
+        run(spec, direct)
+        assert len(direct) == 4
+        assert store_digests(store) == store_digests(direct.root)
 
     def test_default_sweep_grid_is_at_least_24_scenarios(self):
         from repro.cli import DEFAULT_SWEEP_AXES

@@ -124,9 +124,9 @@ KEYS = {
 }
 
 #: sha256 over the newline-joined scenario ids of ``default_sweep_spec()``,
-#: in expansion order.
+#: in expansion order (``SCHEMA_VERSION`` 2).
 DEFAULT_SWEEP_IDS_SHA256 = (
-    "74af02a04ebe883c4ccc512980c75f2bd1e7948009fd3e3876fe50c2e26ef04a"
+    "a5356779f3f5a09d02bdb6d8190b1a1963e000f10b6d9d98e717803c91e3d15a"
 )
 
 #: sha256 over the trace matrices ``acquire_keyed`` returns for 64 rows

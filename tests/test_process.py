@@ -130,6 +130,31 @@ class TestCorrelationProcess:
         with pytest.raises(ValueError, match="reference=.*single_reference=False"):
             process.run(t_ref, t_dut, 2, reference=reference)
 
+    def test_precomputed_dut_set_is_used(self):
+        # With both averages passed, the run draws nothing and only
+        # correlates them.
+        t_ref, t_dut = synthetic_sets()
+        process = CorrelationProcess(SMALL)
+        reference = process.reference_trace(t_ref, np.random.default_rng(1))
+        dut_set = process.dut_set(t_dut, np.random.default_rng(2))
+        a_dut = k_averaged_set(t_dut, SMALL.k, SMALL.m, np.random.default_rng(2))
+        assert dut_set.tobytes() == a_dut.tobytes()
+        generator = np.random.default_rng(3)
+        state = generator.bit_generator.state
+        result = process.run(
+            t_ref, t_dut, generator, reference=reference, dut_set=dut_set
+        )
+        assert generator.bit_generator.state == state
+        expected = pearson_many(reference, a_dut)
+        assert result.coefficients.tobytes() == expected.tobytes()
+
+    def test_dut_set_rejected_with_fresh_references(self):
+        t_ref, t_dut = synthetic_sets()
+        process = CorrelationProcess(SMALL, single_reference=False)
+        dut_set = process.dut_set(t_dut, np.random.default_rng(1))
+        with pytest.raises(ValueError, match="dut_set=.*single_reference=False"):
+            process.run(t_ref, t_dut, 2, dut_set=dut_set)
+
     def test_single_reference_reduces_variance(self):
         # E8 ablation: a fresh reference per coefficient inflates the
         # spread of the C set (RefD noise leaks into it).

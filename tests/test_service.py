@@ -43,6 +43,7 @@ from tests.test_sweeps import (
     ILL_TYPED,
     OUT_OF_DOMAIN,
     QUICK,
+    count_expansions,
     quick_spec,
     store_digests,
 )
@@ -149,6 +150,16 @@ class TestHealthAndErrors:
         status, body = client.post("/sweeps", {"spec": payload})
         assert status == 400
         assert "spec.grid[0].field" in body["error"]
+
+    def test_version_1_spec_is_400(self, service):
+        instance, client = service
+        payload = quick_spec().to_json_dict()
+        payload["schema_version"] = 1
+        status, body = client.post("/sweeps", {"spec": payload})
+        assert status == 400
+        assert body["error"].startswith("spec.schema_version: ")
+        assert "version 2" in body["error"]
+        assert instance.jobs.jobs() == []
 
     def test_ill_typed_spec_values_are_400(self, service):
         # Refused at the POST, naming the field, instead of burning
@@ -591,6 +602,18 @@ class TestSubmitPollRows:
             direct.root
         )
 
+    def test_a_submission_expands_its_spec_once(self, service, tmp_path, monkeypatch):
+        instance, client = service
+        calls = count_expansions(monkeypatch)
+        spec = quick_spec(name="once", attacks=("none", "strip"))
+        status, accepted = client.post("/sweeps", submission(spec))
+        assert status == 202
+        assert client.wait(accepted["job_id"])["state"] == JOB_DONE
+        assert calls == ["once"]
+        direct = SweepStore(str(tmp_path / "direct"))
+        run(spec, direct)
+        assert store_digests(instance.store_root) == store_digests(direct.root)
+
     def test_resubmission_of_finished_spec_completes_from_cache(
         self, service
     ):
@@ -679,7 +702,7 @@ class TestIdempotencyAndScrub:
         started = threading.Event()
         calls = []
 
-        def blocking_run(spec, store, options=None, progress=None):
+        def blocking_run(spec, scenarios, store, options=None, progress=None):
             calls.append(spec.name)
             started.set()
             assert release.wait(timeout=60)
@@ -688,10 +711,10 @@ class TestIdempotencyAndScrub:
             return SweepReport(
                 spec_name=spec.name,
                 store_root=store.root,
-                scenario_ids=[s.scenario_id for s in expand_scenarios(spec)],
+                scenario_ids=[s.scenario_id for s in scenarios],
             )
 
-        monkeypatch.setattr(service_jobs, "run", blocking_run)
+        monkeypatch.setattr(service_jobs, "_run_expanded", blocking_run)
         spec = quick_spec(name="held")
         status, first = client.post("/sweeps", submission(spec))
         assert status == 202 and first["created"]
@@ -774,11 +797,11 @@ class TestJobHistory:
         monkeypatch.setattr(service_jobs, "MAX_FINISHED_JOBS", 1)
         release = threading.Event()
 
-        def held_run(spec, store, options=None, progress=None):
+        def held_run(spec, scenarios, store, options=None, progress=None):
             assert release.wait(timeout=60)
             return service_jobs.SweepReport(spec.name, store.root, [])
 
-        monkeypatch.setattr(service_jobs, "run", held_run)
+        monkeypatch.setattr(service_jobs, "_run_expanded", held_run)
         _, client = service
         names = ("first", "second", "third")
         job_ids = [

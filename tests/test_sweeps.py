@@ -178,6 +178,26 @@ def quick_spec(name="quick", sigmas=(0.5, 1.0), attacks=("none",), seed=5):
     )
 
 
+def count_expansions(monkeypatch):
+    """Record the spec name of every ``expand_scenarios`` call.
+
+    The spy is installed at each name the CLI, :func:`run` and the
+    service's jobs look the function up by.
+    """
+    import repro.service.jobs
+    import repro.sweeps.api
+
+    calls = []
+
+    def spy(spec):
+        calls.append(spec.name)
+        return expand_scenarios(spec)
+
+    for module in (repro.sweeps, repro.sweeps.api, repro.service.jobs):
+        monkeypatch.setattr(module, "expand_scenarios", spy)
+    return calls
+
+
 def store_digests(root):
     # Byte-identity is defined over the top-level result files only:
     # operational metadata (.leases/, .attempts/, failed/) is excluded.
@@ -339,6 +359,15 @@ class TestSpecWireFormat:
         assert [s.scenario_id for s in expand_scenarios(clone)] == [
             s.scenario_id for s in expand_scenarios(spec)
         ]
+
+    def test_version_1_spec_is_rejected(self):
+        # Version 2 campaigns share each DUT's A_DUT,m across the
+        # references, so a version 1 spec no longer describes its results.
+        payload = quick_spec().to_json_dict()
+        payload["schema_version"] = 1
+        with pytest.raises(SpecValidationError, match="version 2") as excinfo:
+            SweepSpec.from_json_dict(payload)
+        assert excinfo.value.path == "schema_version"
 
     def test_defaults_omitted_fields_round_trip(self):
         spec = SweepSpec(name="d", grid=(GridAxis("attack", ("none",)),))
@@ -884,6 +913,25 @@ class TestRunSweep:
     def test_rejects_bad_worker_count(self, tmp_path):
         with pytest.raises(ValueError):
             run(quick_spec(), SweepStore(str(tmp_path)), SweepOptions(n_workers=0))
+
+    def test_version_1_records_are_never_served(self, tmp_path, monkeypatch):
+        # A root shared across the schema bump: the version 2 sweep of
+        # the same spec executes every scenario and leaves the version 1
+        # records as they were.
+        from repro.sweeps import spec as spec_module
+
+        spec = quick_spec(attacks=("none", "strip"))
+        store = SweepStore(str(tmp_path / "store"))
+        with monkeypatch.context() as patch:
+            patch.setattr(spec_module, "SCHEMA_VERSION", 1)
+            old = run(spec, store)
+        v1_records = store_digests(store.root)
+        report = run(spec, store)
+        assert report.cached_ids == []
+        assert report.n_executed == old.n_executed == 4
+        assert set(report.scenario_ids).isdisjoint(old.scenario_ids)
+        digests = store_digests(store.root)
+        assert {name: digests[name] for name in v1_records} == v1_records
 
 
 class TestWorkerDeterminism:

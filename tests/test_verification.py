@@ -102,6 +102,24 @@ class TestIdentify:
         assert set(results) == set(duts)
 
 
+class TestIdentifyAll:
+    def test_one_report_per_reference(self):
+        t_ref, duts = make_trace_sets()
+        refs = {"REF": t_ref, "FLIP": TraceSet("FLIP", t_ref.matrix[::-1].copy())}
+        reports = WatermarkVerifier(PARAMS).identify_all(refs, duts, rng=4)
+        assert list(reports) == ["REF", "FLIP"]
+        for name, report in reports.items():
+            assert report.ref_name == name
+            assert set(report.results) == set(duts)
+            for verdict in report.verdicts:
+                assert verdict.chosen_dut == "DUT#2"
+
+    def test_requires_duts(self):
+        t_ref, _duts = make_trace_sets()
+        with pytest.raises(ValueError, match="DUT"):
+            WatermarkVerifier(PARAMS).identify_all({"REF": t_ref}, {}, rng=1)
+
+
 class TestCalibration:
     def test_floor_below_genuine_level(self):
         t_ref, duts = make_trace_sets(sigma=0.5)
