@@ -30,8 +30,9 @@ sweep reuses manufactured fleets, acquired trace matrices and whole
 memoised campaign outcomes across scenarios whose config tiers agree
 (byte-identical results, order-of-magnitude faster analysis-axis
 grids and repeat studies); each process keeps one measurement group's
-traces in memory, and scenarios of one group run back to back.  A
-sweep writes nothing outside its store root.
+traces in memory, and scenarios of one group run back to back,
+largest trace ceiling first.  A sweep writes nothing outside its store
+root.
 
 Sweeps degrade gracefully instead of aborting: failures retry with
 backoff (``--max-retries``, default 2 re-attempts) and scenarios that
@@ -71,6 +72,7 @@ from repro.experiments.tables import (
     render_table2,
 )
 from repro.hdl.simulator import ENGINES
+from repro.hdl.verilog_parse import VerilogParseError
 
 
 def _campaign_config(args: argparse.Namespace) -> CampaignConfig:
@@ -635,7 +637,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         "sweep": _cmd_sweep,
         "serve": _cmd_serve,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except VerilogParseError as error:
+        # Only an imported --design reaches the Verilog frontend here; a
+        # sweep's attempts quarantine their own errors.
+        raise SystemExit(f"error: --design: {error}")
 
 
 if __name__ == "__main__":

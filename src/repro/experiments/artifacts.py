@@ -37,9 +37,10 @@ Campaigns run inside a sweep may additionally tamper with the DUTs
 It retains the trace matrices of one measurement group (one
 measurement base key) at a time, plus small LRUs of fleets and
 outcomes; :func:`repro.sweeps.run` orders a sweep so that scenarios
-sharing a measurement run back to back, which is what lets that one
-group serve them all.  Nothing is written to disk: a rerun into the
-same :class:`~repro.sweeps.store.SweepStore` skips every finished
+sharing a measurement run back to back, largest trace ceiling first,
+which is what lets that one group, acquired once, serve them all.
+Nothing is written to disk: a rerun into the same
+:class:`~repro.sweeps.store.SweepStore` skips every finished
 scenario, and a trace matrix costs about as much to re-acquire from
 its keyed stream as to load from a compressed bundle.  Sharing is
 *transparent*: because per-device acquisition seeds derive from the

@@ -23,17 +23,23 @@ attempt body and the same failure step, under the one retry setting
 Every sweep shares artifacts: each process that runs attempts keeps
 one :class:`~repro.experiments.artifacts.ArtifactCache`, which retains
 the trace matrices of one measurement group.  So :func:`run` hands
-the pending scenarios over grouped by the key that cache shares on,
-:func:`~repro.experiments.artifacts.measurement_base_key`: the
-scenarios of one key run back to back, the groups in order of first
-appearance.  Expansion has built every scenario's config, so every
-pending scenario has a key.
+the pending scenarios over as groups, by the key that cache shares on,
+:func:`~repro.experiments.artifacts.measurement_base_key`: the groups
+in order of first appearance, and within each its largest trace
+ceiling (``parameters.n2``, then ``parameters.n1``) first, stably,
+because the cache serves a smaller request as a prefix of the traces
+it holds but re-acquires a larger one.  Inline, the groups run back to
+back; on the lease scheduler each slot keeps to the group its worker
+ran last (see :mod:`repro.sweeps.scheduler`).  Expansion has built
+every scenario's config, so every pending scenario has a key and a
+ceiling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.experiments.artifacts import ArtifactOptions, measurement_base_key
 from repro.sweeps.spec import (
@@ -159,18 +165,23 @@ def _run_expanded(
         scenario_ids=[s.scenario_id for s in scenarios],
         n_workers=options.n_workers,
     )
-    # Pending scenarios of one measurement group run back to back, so
-    # the one group each process retains serves them all.
-    groups: Dict[str, List[Scenario]] = {}
+    # Pending scenarios go over by measurement group, largest ceiling
+    # first (see the module docstring).
+    groups: Dict[str, List[Tuple[Tuple[int, int], Scenario]]] = {}
     for scenario in scenarios:
         if store.has(scenario.scenario_id):
             report.cached_ids.append(scenario.scenario_id)
             if progress is not None:
                 progress(scenario.scenario_id, False)
         else:
-            key = measurement_base_key(scenario_config(scenario), scenario.attack)
-            groups.setdefault(key, []).append(scenario)
-    pending = [scenario for group in groups.values() for scenario in group]
+            config = scenario_config(scenario)
+            key = measurement_base_key(config, scenario.attack)
+            ceiling = (config.parameters.n2, config.parameters.n1)
+            groups.setdefault(key, []).append((ceiling, scenario))
+    pending = [
+        [scenario for _, scenario in sorted(group, key=itemgetter(0), reverse=True)]
+        for group in groups.values()
+    ]
 
     execute = _scheduled_sweep if options.lease_scheduled else _inline_sweep
     execute(pending, store, report, options, progress)

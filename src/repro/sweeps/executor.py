@@ -39,19 +39,21 @@ the tier-1 suite and CI's chaos smoke job.
 
 Artifact sharing: every attempt, inline or in a worker, runs against
 its process's :class:`~repro.experiments.artifacts.ArtifactCache`, so
-scenarios that differ only in analysis-side axes reuse one fleet
-manufacture and one trace acquisition — byte-identically, because
+scenarios that differ only in ceiling or analysis-side axes reuse one
+fleet manufacture and one trace acquisition — byte-identically, because
 acquisition streams are keyed per device, never sequential — and whole
 campaign outcomes are memoised on the analysis key, so a re-run study
 (same scenarios, fresh store) in the same process skips re-analysis
 entirely.  The cache retains one measurement group's traces;
-:func:`repro.sweeps.run` hands over the pending scenarios grouped so
-that this suffices.  The cache lives in memory only: separate worker
+:func:`repro.sweeps.run` hands over the pending scenarios grouped, each
+group largest trace ceiling first, so that one acquisition per group
+suffices inline.  The cache lives in memory only: separate worker
 processes and separate runs meet in the result store alone.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
@@ -127,17 +129,19 @@ def _execute_attempt(
 
 
 def _inline_sweep(
-    scenarios: Sequence[Scenario],
+    groups: Sequence[Sequence[Scenario]],
     store: SweepStore,
     report: SweepReport,
     options: "SweepOptions",
     progress: Optional[Callable[[str, bool], None]] = None,
 ) -> None:
-    """Execute the pending ``scenarios`` in this process.
+    """Execute the pending scenarios in this process.
 
     The inline execution strategy behind :func:`repro.sweeps.run`,
-    which hands it the scenarios missing from ``store`` and the report
-    to fill in.  Each scenario is attempted up to
+    which hands it the scenarios missing from ``store``, as measurement
+    groups, and the report to fill in.  The groups run back to back, in
+    the order they come, each in its own order (largest trace ceiling
+    first).  Each scenario is attempted up to
     ``options.max_retries + 1`` times with backoff; exhaustion
     quarantines it (``failed/<id>.json``) and the remaining scenarios
     keep executing.  ``progress`` is called as
@@ -146,7 +150,7 @@ def _inline_sweep(
     cache = process_artifact_cache()
     log = FailureLog(store.root)
     owner = default_owner()
-    for scenario in scenarios:
+    for scenario in itertools.chain.from_iterable(groups):
         scenario_id = scenario.scenario_id
         failures = 0
         while True:

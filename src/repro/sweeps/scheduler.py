@@ -70,6 +70,7 @@ only ever published through the store's atomic, deterministic writes.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import multiprocessing
@@ -80,7 +81,7 @@ import traceback
 import uuid
 from dataclasses import dataclass
 from multiprocessing.connection import Connection, wait
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.artifacts import process_artifact_cache
 from repro.sweeps.spec import Scenario
@@ -460,10 +461,16 @@ def _attempt_worker(conn: Connection, store_root: str) -> None:
 
 @dataclass
 class _Worker:
-    """The scheduler's handle on one persistent attempt worker."""
+    """The scheduler's handle on one persistent attempt worker.
+
+    ``group`` is the index of the measurement group of the attempt it
+    was sent last, whose traces its artifact cache holds; ``None`` until
+    its first attempt.
+    """
 
     process: multiprocessing.process.BaseProcess
     conn: Connection
+    group: Optional[int] = None
 
     @classmethod
     def start(cls, store_root: str) -> "_Worker":
@@ -534,13 +541,14 @@ class _Running:
 
 
 def _scheduled_sweep(
-    scenarios: Sequence[Scenario],
+    groups: Sequence[Sequence[Scenario]],
     store: SweepStore,
     report: "SweepReport",
     sweep: "SweepOptions",
     progress: Optional[Callable[[str, bool], None]] = None,
 ) -> None:
-    """Execute the pending ``scenarios`` under lease scheduling.
+    """Execute the pending scenarios, given as measurement ``groups``,
+    under lease scheduling.
 
     This is the multiprocess execution strategy behind the unified
     :func:`repro.sweeps.run` facade, selected by
@@ -567,16 +575,28 @@ def _scheduled_sweep(
 
     Each worker's process-wide artifact cache (a forked worker starts
     from a copy of this process's) keeps one measurement group's traces
-    between attempts; the slots take the pending scenarios in the
-    grouped order :func:`repro.sweeps.run` hands over.  Workers share
-    nothing but the store: each acquires the groups it runs.
+    between attempts, and workers share nothing but the store: each
+    acquires the groups it runs.  So a free slot looks at the due
+    scenarios it can lease in the order :func:`repro.sweeps.run` hands
+    them over (groups in order, each largest trace ceiling first) and
+    takes the first one of the group its worker ran last; else the
+    first one of a group no running attempt holds; else the first one,
+    so a one-group sweep still keeps every slot busy.  A fresh worker,
+    such as the replacement of a retired one, has no group.  Leases
+    stay per scenario: only the order changes.
     """
     lease_ttl = sweep.lease_ttl or DEFAULT_LEASE_TTL
     heartbeat = lease_ttl / 4.0
     owner = default_owner()
     leases = LeaseManager(store.root, lease_ttl, owner)
     log = FailureLog(store.root)
-    pending: Dict[str, Scenario] = {s.scenario_id: s for s in scenarios}
+    # The scenarios of each group still waiting for a success or a
+    # quarantine, in handed-over order; a group leaves once it has none.
+    pending: Dict[int, Dict[str, Scenario]] = {
+        index: {s.scenario_id: s for s in group}
+        for index, group in enumerate(groups)
+        if group
+    }
 
     running: Dict[str, _Running] = {}
     # Workers whose last attempt succeeded, ready for the next one.
@@ -598,6 +618,33 @@ def _scheduled_sweep(
             "sweep %r [%s]: %s", report.spec_name, owner, render_status(snapshot)
         )
 
+    def settle(group: int, scenario_id: str) -> None:
+        del pending[group][scenario_id]
+        if not pending[group]:
+            del pending[group]
+
+    def claim(last_group: Optional[int]) -> Optional[Tuple[int, Scenario]]:
+        """Lease the next scenario of a slot whose worker ran
+        ``last_group`` last: the first due one no live owner holds, of
+        that group, else of a group no running attempt holds, else of
+        any group.  Returns it with its group, or ``None``."""
+        held = {run.worker.group for run in running.values()}
+        order = itertools.chain(
+            [last_group] if last_group in pending else [],
+            (group for group in pending if group not in held),
+            (group for group in pending if group in held),
+        )
+        now = time.monotonic()
+        for group in order:
+            for scenario_id, scenario in pending[group].items():
+                if (
+                    scenario_id not in running
+                    and now >= next_due.get(scenario_id, 0.0)
+                    and leases.acquire(scenario_id)
+                ):
+                    return group, scenario
+        return None
+
     def attempt_failed(scenario_id: str, run: _Running, error) -> None:
         failures = failures_this_run.get(scenario_id, 0) + 1
         failures_this_run[scenario_id] = failures
@@ -608,7 +655,7 @@ def _scheduled_sweep(
         del running[scenario_id]
         if delay is None:
             report.failed_ids.append(scenario_id)
-            del pending[scenario_id]
+            settle(run.worker.group, scenario_id)
         else:
             if scenario_id not in report.retried_ids:
                 report.retried_ids.append(scenario_id)
@@ -652,7 +699,7 @@ def _scheduled_sweep(
                     leases.release(scenario_id)
                     log.clear_quarantine(scenario_id)
                     del running[scenario_id]
-                    del pending[scenario_id]
+                    settle(worker.group, scenario_id)
                     report.executed_ids.append(scenario_id)
                     if progress is not None:
                         progress(scenario_id, True)
@@ -660,23 +707,20 @@ def _scheduled_sweep(
                     attempt_failed(scenario_id, run, error)
                 progressed = True
 
-            # Fill free worker slots with due, claimable scenarios.
-            now = time.monotonic()
-            for scenario_id, scenario in list(pending.items()):
-                if len(running) >= sweep.n_workers:
+            # Fill free worker slots; a scenario under a live owner's
+            # lease is waited on, or reclaimed once the lease is stale.
+            while len(running) < sweep.n_workers:
+                claimed = claim(idle[-1].group if idle else None)
+                if claimed is None:
                     break
-                if scenario_id in running:
-                    continue
-                if now < next_due.get(scenario_id, 0.0):
-                    continue
-                if not leases.acquire(scenario_id):
-                    continue  # a live owner is on it; wait or reclaim later
+                group, scenario = claimed
+                scenario_id = scenario.scenario_id
                 if store.has(scenario_id):
                     # Another scheduler finished it while we waited.  Its
                     # record lands before its lease is released, so this
                     # check under our lease cannot miss it.
                     leases.release(scenario_id)
-                    del pending[scenario_id]
+                    settle(group, scenario_id)
                     report.cached_ids.append(scenario_id)
                     if progress is not None:
                         progress(scenario_id, False)
@@ -684,6 +728,7 @@ def _scheduled_sweep(
                     continue
                 attempt = log.record_attempt(scenario_id, owner)
                 worker = idle.pop() if idle else _Worker.start(store.root)
+                worker.group = group
                 start = time.monotonic()
                 running[scenario_id] = _Running(
                     worker=worker,

@@ -32,22 +32,29 @@ repeat a scenario.  Random axes are checked on the values they draw.
 
 Seeding is derived *deterministically from the spec*: unless an axis or
 the base overrides pin them, each scenario's fleet / measurement /
-analysis seeds are mixed from ``spec.seed`` and the scenario's axis
-assignment.  Results therefore do not depend on worker count or
-execution order, and repeat-style sweeps are just an explicit axis over
-``measurement_seed``.
+analysis seeds are mixed from ``spec.seed`` and the axis values of
+their own tiers (the tier table is
+:data:`repro.experiments.artifacts.TIERS`; a dotted path takes its
+head's tier, ``attack`` is the fleet tier's ``fleet_tag``).
+``fleet_seed`` mixes the fleet-tier values, ``measurement_seed`` the
+fleet- and measurement-tier values, and ``analysis_seed`` all of them.
+``engine`` joins none: it joins no measurement base key, so an
+``engine`` axis runs every engine on one campaign.  Results therefore
+do not depend on worker count or execution order, and repeat-style
+sweeps are an explicit axis over ``measurement_seed``, which keeps
+their repeats independent.
 
 **Artifact sharing.**  Every sweep shares manufactured fleets and
 acquired trace matrices between scenarios whose fleet and measurement
-tiers agree (the tier table is
-:data:`repro.experiments.artifacts.TIERS`).  Each process keeps one
-measurement group's traces, so :func:`repro.sweeps.run` runs the
-scenarios of one measurement base key back to back.  Because the
-derived seeds mix the *whole* assignment, a grid over analysis-side
-fields alone still gets a distinct ``measurement_seed`` per scenario;
-pinning ``fleet_seed`` and ``measurement_seed`` in ``base`` is what
-lets it share — scenario digests stay stable either way, since the
-digest covers the final override values, not how they were derived.
+tiers agree.  Each process keeps one measurement group's traces, so
+:func:`repro.sweeps.run` runs the scenarios of one measurement base
+key back to back, largest trace ceiling first.  Because the derived
+seeds are tier-scoped, scenarios that differ only in ceiling or
+analysis axes share silicon and noise (common random numbers), so
+their differences are paired.  Scenario digests cover the final
+override values, derived seeds included, so a change to how seeds are
+derived gives the moved scenarios new ids and never serves a stored
+record to a different campaign.
 """
 
 from __future__ import annotations
@@ -57,11 +64,12 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.attacks.removal import FLEET_TRANSFORMS
+from repro.experiments.artifacts import TIERS
 from repro.experiments.runner import CampaignConfig
 from repro.hdl.simulator import ENGINES
 
@@ -104,8 +112,14 @@ CONFIG_FIELDS: Mapping[str, object] = {
     ATTACK_FIELD: tuple(FLEET_TRANSFORMS),
 }
 
-#: Seeds derived per scenario when not pinned by base/axes.
-_DERIVED_SEEDS = ("fleet_seed", "measurement_seed", "analysis_seed")
+#: Seeds derived per scenario when not pinned by base/axes, each with
+#: the tiers (:data:`~repro.experiments.artifacts.TIERS`) whose axis
+#: values it mixes.
+_DERIVED_SEEDS: Mapping[str, Tuple[str, ...]] = {
+    "fleet_seed": ("fleet",),
+    "measurement_seed": ("fleet", "measurement"),
+    "analysis_seed": ("fleet", "measurement", "ceiling", "analysis"),
+}
 
 
 def canonical_json(value: object) -> str:
@@ -474,15 +488,33 @@ def _derive_seed(spec_seed: int, assignment_json: str, slot: str) -> int:
     return int.from_bytes(digest[:4], "big")
 
 
+def _seed_tier(path: str) -> Optional[str]:
+    """The tier of a sweep field, as its derived seeds read it.
+
+    A dotted path takes its head's tier unless :data:`TIERS` lists it
+    whole, and ``attack`` is the table's ``fleet_tag``.  ``engine`` has
+    none: it joins no measurement base key, so it re-seeds nothing.
+    """
+    if path == "engine":
+        return None
+    if path == ATTACK_FIELD:
+        path = "fleet_tag"
+    return TIERS.get(path) or TIERS[path.partition(".")[0]]
+
+
 def _make_scenario(
     spec: SweepSpec, assignment: Dict[str, object]
 ) -> Scenario:
     overrides: Dict[str, object] = dict(spec.base)
     overrides.update(assignment)
-    assignment_json = canonical_json(assignment)
-    for slot in _DERIVED_SEEDS:
+    for slot, slot_tiers in _DERIVED_SEEDS.items():
         if slot not in overrides:
-            overrides[slot] = _derive_seed(spec.seed, assignment_json, slot)
+            scoped = {
+                path: value
+                for path, value in assignment.items()
+                if _seed_tier(path) in slot_tiers
+            }
+            overrides[slot] = _derive_seed(spec.seed, canonical_json(scoped), slot)
     scenario_id = hashlib.sha256(
         canonical_json(
             {"schema": SCHEMA_VERSION, "overrides": overrides}

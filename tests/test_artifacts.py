@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 import repro.acquisition.bench as bench_module
+import repro.experiments.artifacts as artifacts_module
 from repro.acquisition.bench import MeasurementBench, derive_acquisition_seed
 from repro.acquisition.oscilloscope import BLOCK_ROWS, ADCConfig, Oscilloscope
 from repro.acquisition.traces import TraceSet
@@ -62,7 +63,9 @@ from repro.sweeps import (
     SweepStore,
     expand_scenarios,
     run,
+    scenario_config,
 )
+from repro.cli import default_sweep_spec
 from repro.sweeps.scenario import run_scenario
 from repro.acquisition.device import Device
 
@@ -659,6 +662,8 @@ class TestGroupingIsTheCacheKey:
         # ``engine`` joins no measurement key, so the scenarios of one
         # noise level form one group though the engine axis varies
         # first: each group is acquired once (2 x 8 trace sets, not 4 x 8).
+        # Nor does it join the derived analysis seed, so the second
+        # engine at each noise level is an outcome-memo hit.
         spec = SweepSpec(
             name="engines",
             grid=(
@@ -680,8 +685,9 @@ class TestGroupingIsTheCacheKey:
             shared = SweepStore(str(tmp_path / "shared"))
             run(spec, shared, SweepOptions())
             stats = process_artifact_cache().stats
-            assert (stats.trace_misses, stats.trace_hits) == (16, 16)
-            assert stats.fleet_misses == 2
+            assert (stats.trace_misses, stats.trace_hits) == (16, 0)
+            assert stats.outcome_hits == 2
+            assert (stats.fleet_misses, stats.fleet_hits) == (1, 1)
         finally:
             clear_process_artifact_cache()
         plain = unshared_store(spec, str(tmp_path / "plain"))
@@ -700,9 +706,8 @@ class TestSweepSharingByteIdentity:
         assert store_digests(plain.root) == store_digests(shared.root)
 
     def test_unpinned_derived_seeds_still_byte_identical(self, tmp_path):
-        # Without pinned seeds every scenario acquires its own traces
-        # (no sharing opportunity), but enabling the cache must remain
-        # a no-op on the results.
+        # Derived seeds mix only their own tiers' axis values, so the
+        # k x m grid of one attack is one measurement group here too.
         spec = sharing_spec(pinned=False)
         plain = unshared_store(spec, str(tmp_path / "plain"))
         shared = SweepStore(str(tmp_path / "shared"))
@@ -760,13 +765,12 @@ class TestEverySweepShares:
 
     @pytest.mark.parametrize("pinned", [True, False])
     def test_pending_scenarios_run_grouped_by_first_appearance(self, tmp_path, pinned):
+        # Two measurement groups, one per attack, whether the seeds are
+        # pinned or derived (k and m are analysis axes).
         spec = sharing_spec(pinned=pinned, attacks=("none", "strip"))
         expanded = expand_scenarios(spec)
-        if pinned:  # two measurement groups, one per attack
-            expected = [s for s in expanded if s.attack == "none"]
-            expected += [s for s in expanded if s.attack == "strip"]
-        else:  # derived seeds: every scenario its own group, order kept
-            expected = expanded
+        expected = [s for s in expanded if s.attack == "none"]
+        expected += [s for s in expanded if s.attack == "strip"]
         landed = []
         run(
             spec,
@@ -833,3 +837,133 @@ class TestEverySweepShares:
         monkeypatch.undo()
         plain = unshared_store(spec, str(tmp_path / "plain"))
         assert store_digests(shared.root) == store_digests(plain.root)
+
+
+def log_acquisitions(monkeypatch, path):
+    """Log each device request the artifact cache acquires as a line
+    ``<measurement base key> <device> <n_traces>``.
+
+    Forked workers inherit the patch; O_APPEND keeps each call's one
+    write whole.
+    """
+    acquire = artifacts_module.acquire_keyed
+
+    def logged(oscilloscope, key, requests, n_cycles=None):
+        with open(path, "a") as log:
+            log.write("".join(f"{key} {device.name} {n}\n" for device, n in requests))
+        return acquire(oscilloscope, key, requests, n_cycles)
+
+    monkeypatch.setattr(artifacts_module, "acquire_keyed", logged)
+
+
+def logged_acquisitions(path):
+    lines = path.read_text().splitlines() if path.exists() else []
+    return [(key, device, int(n)) for key, device, n in map(str.split, lines)]
+
+
+def group_key(scenario):
+    return measurement_base_key(scenario_config(scenario), scenario.attack)
+
+
+def largest_ceilings(spec):
+    """Each device request of each measurement group at its largest
+    ceiling, as :func:`log_acquisitions` writes it."""
+    ceilings = {}
+    for scenario in expand_scenarios(spec):
+        key, parameters = group_key(scenario), scenario_config(scenario).parameters
+        n1, n2 = ceilings.get(key, (0, 0))
+        ceilings[key] = (max(n1, parameters.n1), max(n2, parameters.n2))
+    return {
+        (key, device, n)
+        for key, (n1, n2) in ceilings.items()
+        for devices, n in ((REF_ORDER, n1), (DUT_ORDER, n2))
+        for device in devices
+    }
+
+
+@pytest.fixture(scope="module")
+def default_inline(tmp_path_factory):
+    """The default sweep, run inline once: its store root, its cache
+    stats and its logged acquisitions."""
+    root = tmp_path_factory.mktemp("default-inline")
+    log = root / "acquired.log"
+    clear_process_artifact_cache()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            log_acquisitions(patch, log)
+            run(default_sweep_spec(), SweepStore(str(root / "store")), SweepOptions())
+        stats = dataclasses.replace(process_artifact_cache().stats)
+    finally:
+        clear_process_artifact_cache()
+    return str(root / "store"), stats, logged_acquisitions(log)
+
+
+class TestOneAcquisitionPerGroup:
+    """Tier-scoped seeds and largest ceiling first: the default sweep
+    (noise.sigma x parameters.n2 x attack, 8 groups of 3) acquires each
+    group once per process; slot affinity keeps two workers close."""
+
+    def test_inline_default_sweep_acquires_each_group_once(
+        self, default_inline, tmp_path
+    ):
+        root, stats, acquired = default_inline
+        assert stats.fleet_misses == 2
+        assert (stats.trace_misses, stats.trace_hits) == (64, 128)
+        assert sorted(acquired) == sorted(largest_ceilings(default_sweep_spec()))
+        plain = unshared_store(default_sweep_spec(), str(tmp_path / "plain"))
+        assert store_digests(root) == store_digests(plain.root)
+
+    def test_each_group_runs_largest_ceiling_first(self, tmp_path):
+        spec = SweepSpec(
+            name="ceilings",
+            grid=(
+                GridAxis("attack", ("none", "strip")),
+                GridAxis("parameters.n1", (32, 48)),
+                GridAxis("parameters.n2", (64, 128)),
+                GridAxis("parameters.k", (4, 8)),
+            ),
+            base={"parameters.m": 4, "noise.sigma": 1.0},
+            seed=5,
+        )
+        expanded = expand_scenarios(spec)
+        by_id = {s.scenario_id: s for s in expanded}
+        landed = []
+        run(
+            spec,
+            SweepStore(str(tmp_path / "store")),
+            progress=lambda scenario_id, executed: landed.append(by_id[scenario_id]),
+        )
+        keys = list(dict.fromkeys(map(group_key, expanded)))
+        assert len(keys) == 2  # one per attack; the other axes are ceilings or analysis
+
+        def ceiling(scenario):
+            parameters = scenario_config(scenario).parameters
+            return parameters.n2, parameters.n1
+
+        # Groups in first-appearance order, each (n2, n1) descending,
+        # ties in expansion order.
+        expected = [
+            scenario
+            for key in keys
+            for scenario in sorted(
+                (s for s in expanded if group_key(s) == key), key=ceiling, reverse=True
+            )
+        ]
+        assert landed == expected
+
+    def test_two_workers_acquire_each_group_at_its_largest_ceiling(
+        self, default_inline, tmp_path, monkeypatch
+    ):
+        inline_root, _, _ = default_inline
+        log = tmp_path / "acquired.log"
+        log_acquisitions(monkeypatch, log)
+        # A forked worker starts from a copy of this process's cache.
+        clear_process_artifact_cache()
+        store = SweepStore(str(tmp_path / "store"))
+        run(default_sweep_spec(), store, SweepOptions(n_workers=2))
+        acquired = logged_acquisitions(log)
+        assert largest_ceilings(default_sweep_spec()) <= set(acquired)
+        # At most one tail steal: once no group is left unstarted, the
+        # idle slot joins the other slot's group (192 without sharing).
+        assert len(acquired) <= 64 + 8
+        assert store_digests(store.root) == store_digests(inline_root)

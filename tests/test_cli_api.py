@@ -161,7 +161,9 @@ class TestCLI:
         args = build_parser().parse_args(["--seed", "-1", "campaign"])
         assert _campaign_config(args).analysis_seed == 0
 
-    @pytest.mark.parametrize("design", ["imported:/nonexistent.v", "bogus"])
+    @pytest.mark.parametrize(
+        "design", ["imported:/nonexistent.v", "bogus", "imported:README.md"]
+    )
     def test_bad_design_is_an_error_line(self, design):
         with pytest.raises(SystemExit, match="^error: --design: "):
             main(["--design", design, "campaign"])

@@ -5,7 +5,9 @@ change that moved every key alike (and so re-seeded every acquisition)
 would still pass them.  These constants were computed before the key
 payloads were built from the tier table; a change to any of them is a
 deliberate schema change (``ARTIFACT_SCHEMA`` or ``SCHEMA_VERSION``),
-not a refactor.
+not a refactor.  A deliberate change to how a spec expands (its derived
+seeds) also moves ``DEFAULT_SWEEP_IDS_SHA256``; it needs no schema
+bump, because scenario ids hash the seeds.
 
 BLAS-dependent values, such as correlation sets, stay out: every value
 pinned here is a digest of canonical JSON or of elementwise float
@@ -30,7 +32,7 @@ from repro.experiments.artifacts import (
 )
 from repro.experiments.runner import CampaignConfig, manufacture_fleet
 from repro.power.noise import NoiseModel
-from repro.sweeps import expand_scenarios
+from repro.sweeps import GridAxis, SweepSpec, expand_scenarios
 
 CONFIGS = {
     "default": CampaignConfig(),
@@ -124,9 +126,55 @@ KEYS = {
 }
 
 #: sha256 over the newline-joined scenario ids of ``default_sweep_spec()``,
-#: in expansion order (``SCHEMA_VERSION`` 2).
+#: in expansion order (``SCHEMA_VERSION`` 2, tier-scoped derived seeds).
 DEFAULT_SWEEP_IDS_SHA256 = (
-    "a5356779f3f5a09d02bdb6d8190b1a1963e000f10b6d9d98e717803c91e3d15a"
+    "6da46aebf212c62712f8992546901fbedc30d220db49b638038bd64899aedef5"
+)
+
+#: The two pinned-seed sweeps of CI's ``sweep-cli-smoke`` job, as the
+#: CLI builds them: ``smoke`` pins the fleet and measurement seeds and
+#: derives the analysis seed, ``smoke-analysis`` pins all three.
+PINNED_SMOKE_SPECS = (
+    SweepSpec(
+        name="smoke",
+        grid=(
+            GridAxis("noise.sigma", (0.5, 1.0)),
+            GridAxis("attack", ("none", "strip")),
+        ),
+        base={
+            "parameters.k": 4,
+            "parameters.m": 4,
+            "parameters.n1": 32,
+            "parameters.n2": 64,
+            "engine": "auto",
+            "fleet_seed": 1,
+            "measurement_seed": 2,
+        },
+        seed=42,
+    ),
+    SweepSpec(
+        name="smoke-analysis",
+        grid=(
+            GridAxis("parameters.k", (2, 4)),
+            GridAxis("analysis_seed", (1, 2)),
+        ),
+        base={
+            "parameters.k": 8,
+            "parameters.m": 4,
+            "parameters.n1": 32,
+            "parameters.n2": 64,
+            "engine": "auto",
+            "fleet_seed": 1,
+            "measurement_seed": 2,
+        },
+        seed=42,
+    ),
+)
+
+#: sha256 over the newline-joined scenario ids of ``PINNED_SMOKE_SPECS``,
+#: in expansion order (``SCHEMA_VERSION`` 2).
+PINNED_SMOKE_IDS_SHA256 = (
+    "53d07cb82162a0938bc6f524b8faea83e4522f75757132f0360c8ca09cb6f71e"
 )
 
 #: sha256 over the trace matrices ``acquire_keyed`` returns for 64 rows
@@ -149,6 +197,17 @@ def test_default_sweep_scenario_ids():
     assert len(ids) == 24
     digest = hashlib.sha256("\n".join(ids).encode()).hexdigest()
     assert digest == DEFAULT_SWEEP_IDS_SHA256
+
+
+def test_pinned_smoke_scenario_ids():
+    ids = [
+        scenario.scenario_id
+        for spec in PINNED_SMOKE_SPECS
+        for scenario in expand_scenarios(spec)
+    ]
+    assert len(ids) == 8
+    digest = hashlib.sha256("\n".join(ids).encode()).hexdigest()
+    assert digest == PINNED_SMOKE_IDS_SHA256
 
 
 def test_quick_keyed_acquisition_bytes():

@@ -37,7 +37,8 @@ from repro.sweeps.aggregate import (
 from repro.hdl.simulator import ENGINES
 from repro.sweeps import scheduler
 from repro.sweeps.executor import SweepReport
-from repro.sweeps.spec import CONFIG_FIELDS, canonical_json
+from repro.cli import default_sweep_spec
+from repro.sweeps.spec import CONFIG_FIELDS, _derive_seed, canonical_json
 
 #: Cheap correlation parameters shared by the executor tests: a full
 #: campaign at this point takes a few tens of milliseconds.
@@ -328,6 +329,88 @@ class TestSweepSpec:
         assert [s.scenario_id for s in expand_scenarios(clone)] == [
             s.scenario_id for s in expand_scenarios(spec)
         ]
+
+
+DERIVED_SEEDS = ("fleet_seed", "measurement_seed", "analysis_seed")
+
+
+class TestTierScopedSeeds:
+    """A derived seed mixes the axis values of its own tiers only, so
+    scenarios that differ in ceiling or analysis axes share silicon and
+    noise."""
+
+    @pytest.mark.parametrize(
+        "field, values, moved",
+        [
+            ("attack", ("none", "strip"), DERIVED_SEEDS),
+            ("variation.gain_sigma", (0.01, 0.02), DERIVED_SEEDS),
+            ("watermarked", (True, False), DERIVED_SEEDS),
+            ("noise.sigma", (0.5, 1.0), DERIVED_SEEDS[1:]),
+            ("adc.bits", (8, 10), DERIVED_SEEDS[1:]),
+            ("parameters.n1", (32, 48), DERIVED_SEEDS[2:]),
+            ("parameters.n2", (64, 128), DERIVED_SEEDS[2:]),
+            ("parameters.k", (2, 4), DERIVED_SEEDS[2:]),
+            ("engine", ("compiled", "interpreted"), ()),
+        ],
+    )
+    def test_an_axis_moves_the_seeds_of_its_tier_and_after(self, field, values, moved):
+        spec = SweepSpec(name="s", grid=(GridAxis(field, values),), base=QUICK)
+        first, second = (s.overrides for s in expand_scenarios(spec))
+        assert [s for s in DERIVED_SEEDS if first[s] != second[s]] == list(moved)
+
+    def test_default_grid_seeds(self):
+        spec = default_sweep_spec()
+        scenarios = expand_scenarios(spec)
+        fleet = {s.attack: s.overrides["fleet_seed"] for s in scenarios}
+        measurement = {
+            (s.attack, s.assignment["noise.sigma"]): s.overrides["measurement_seed"]
+            for s in scenarios
+        }
+        assert len(set(fleet.values())) == 2  # one per attack
+        assert len(set(measurement.values())) == 8  # attack x sigma
+        for s in scenarios:
+            assert s.overrides["fleet_seed"] == fleet[s.attack]
+            key = (s.attack, s.assignment["noise.sigma"])
+            assert s.overrides["measurement_seed"] == measurement[key]
+        # The analysis seed mixes the whole assignment, as before.
+        analysis = [s.overrides["analysis_seed"] for s in scenarios]
+        assert len(set(analysis)) == 24
+        assert analysis == [
+            _derive_seed(spec.seed, canonical_json(s.assignment), "analysis_seed")
+            for s in scenarios
+        ]
+
+    def test_random_ceiling_axis_keeps_one_fleet_and_measurement(self):
+        spec = SweepSpec(
+            name="r",
+            random=(RandomAxis("parameters.n2", 200, 2000, integer=True),),
+            n_random=6,
+            base={"parameters.k": 4, "parameters.m": 4, "parameters.n1": 32},
+            seed=3,
+        )
+        scenarios = expand_scenarios(spec)
+        assert len({s.overrides["fleet_seed"] for s in scenarios}) == 1
+        assert len({s.overrides["measurement_seed"] for s in scenarios}) == 1
+        assert len({s.overrides["analysis_seed"] for s in scenarios}) == 6
+
+    def test_unpinned_engine_sweep_stores_equal_metrics_per_sigma(self, tmp_path):
+        spec = SweepSpec(
+            name="engines",
+            grid=(
+                GridAxis("engine", ("compiled", "interpreted")),
+                GridAxis("noise.sigma", (0.5, 1.0)),
+            ),
+            base=QUICK,
+            seed=5,
+        )
+        store = SweepStore(str(tmp_path / "store"))
+        run(spec, store)
+        by_sigma = {}
+        for scenario in expand_scenarios(spec):
+            metrics = store.get(scenario.scenario_id)["metrics"]
+            by_sigma.setdefault(scenario.assignment["noise.sigma"], []).append(metrics)
+        for compiled, interpreted in by_sigma.values():
+            assert compiled == interpreted
 
 
 class TestSpecWireFormat:
