@@ -9,14 +9,17 @@ the screening ROC AUC per noise level:
    ``noise.sigma`` and ``parameters.n2`` at a reduced, fast parameter
    point;
 2. execute it (:func:`repro.sweeps.run`) into a content-addressed
-   :class:`repro.SweepStore` — rerunning this script reuses every
-   scenario already on disk, and the result bytes are identical for
-   any worker count;
+   :class:`repro.SweepStore` — rerunning this script on the same
+   ``store_dir`` reuses every scenario already on disk, and the result
+   bytes are identical for any worker count;
 3. aggregate the store into tidy tables.
 
 Run with::
 
     python examples/noise_sweep.py [store_dir]
+
+Without ``store_dir`` the store is a temporary directory, removed when
+the script ends; a named ``store_dir`` is kept.
 """
 
 import sys
@@ -29,6 +32,11 @@ from repro.analysis.aggregate import render_rows
 
 
 def main(store_dir: str = "") -> None:
+    if not store_dir:
+        with tempfile.TemporaryDirectory(prefix="noise_sweep_") as scratch:
+            main(scratch)
+        return
+
     # 1. The sweep: 4 noise levels x 3 trace budgets, reduced-cost
     #    correlation parameters (k = 8, m = 8, alpha = 4..16).
     spec = SweepSpec(
@@ -43,7 +51,7 @@ def main(store_dir: str = "") -> None:
     scenarios = expand_scenarios(spec)
 
     # 2. Execute into the (resumable) store.
-    store = SweepStore(store_dir or tempfile.mkdtemp(prefix="noise_sweep_"))
+    store = SweepStore(store_dir)
     report = run(spec, store)
     print(
         f"{report.n_scenarios} scenarios: executed {report.n_executed}, "

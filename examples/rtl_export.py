@@ -10,10 +10,10 @@ Run with::
 
     python examples/rtl_export.py [output_dir]
 
-Without an argument the files go to a fresh temporary directory, so
-running the example never litters the working tree (pass an explicit
-directory — e.g. ``rtl_out`` — to keep the files around).  The
-exported module round-trips: ``repro.hdl.verilog_parse`` reads it
+Without an argument the files go to a temporary directory that is
+removed when the example ends, so running it leaves nothing behind
+(pass an explicit directory — e.g. ``rtl_out`` — to keep the files).
+The exported module round-trips: ``repro.hdl.verilog_parse`` reads it
 back into a bit-identical netlist (see ``tests/test_verilog_parse.py``).
 """
 
@@ -28,11 +28,14 @@ from repro.hdl.verilog import export_testbench, export_verilog
 
 def main() -> None:
     if len(sys.argv) > 1:
-        output_dir = sys.argv[1]
-        os.makedirs(output_dir, exist_ok=True)
+        os.makedirs(sys.argv[1], exist_ok=True)
+        export(sys.argv[1])
     else:
-        output_dir = tempfile.mkdtemp(prefix="rtl_export_")
+        with tempfile.TemporaryDirectory(prefix="rtl_export_") as output_dir:
+            export(output_dir)
 
+
+def export(output_dir: str) -> None:
     ip = build_paper_ip("IP_B")
     verilog_path = os.path.join(output_dir, "ip_b.v")
     testbench_path = os.path.join(output_dir, "ip_b_tb.v")

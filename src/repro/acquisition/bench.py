@@ -3,11 +3,10 @@
 :func:`acquire_traces` is the library-level entry point for power
 acquisition; :class:`MeasurementBench` bundles an oscilloscope and one
 sequential RNG stream so a whole experiment shares one reproducible
-measurement chain.  The stream is consumed in acquisition order, as on
-a real bench where measurement order matters: two benches with the
-same seed reproduce each other only if they measure the same devices
-in the same order, so a bench always measures serially, in request
-order.
+measurement chain.  Each :meth:`MeasurementBench.measure` draws fresh
+traces from that stream, in call order, as on a real bench where
+measurement order matters: two benches with the same seed reproduce
+each other only if they measure the same devices in the same order.
 
 Campaigns acquire on *keyed* streams instead, through
 :func:`acquire_keyed`, the one keyed acquisition path (behind both
@@ -35,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -84,13 +83,12 @@ def acquire_keyed(
     oscilloscope: Oscilloscope,
     key: str,
     requests: Sequence[Tuple[Device, int]],
-    n_cycles: Optional[int] = None,
 ) -> List[TraceSet]:
     """Acquire ``(device, n_traces)`` requests on their keyed streams.
 
     Each request draws from its own generator, seeded by
     :func:`derive_acquisition_seed` from ``key``, the device name and
-    the resolved cycle count, so the result is byte-identical to
+    its default cycle count, so the result is byte-identical to
     acquiring every request alone, in any order.  Waveforms are
     rendered and result matrices allocated on the calling thread; the
     acquisitions then run on a pool of ``min(len(requests),
@@ -98,7 +96,7 @@ def acquire_keyed(
     """
     jobs = []
     for device, n_traces in requests:
-        cycles = device.resolve_cycles(n_cycles)
+        cycles = device.resolve_cycles()
         base = device.deterministic_waveform(cycles)
         rng = np.random.default_rng(derive_acquisition_seed(key, device.name, cycles))
         jobs.append((device, n_traces, rng, cycles, np.empty((n_traces, base.size))))
@@ -130,11 +128,7 @@ class MeasurementBench:
     """One measurement setup shared across a whole experiment.
 
     Holds the oscilloscope and the sequential RNG stream (see the
-    module docstring) so experiments are exactly reproducible, and caches
-    acquired trace sets per device.  Cached matrices are frozen
-    (``writeable = False``) and served as zero-copy views — consumers
-    must treat trace sets as immutable, which everything in
-    :mod:`repro.core` already does.
+    module docstring) so experiments are exactly reproducible.
     """
 
     def __init__(
@@ -144,62 +138,13 @@ class MeasurementBench:
     ):
         self.oscilloscope = oscilloscope if oscilloscope is not None else Oscilloscope()
         self.rng = make_rng(seed)
-        self._cache: Dict[str, TraceSet] = {}
 
     def measure(
         self,
         device: Device,
         n_traces: int,
         n_cycles: Optional[int] = None,
-        cache: bool = True,
     ) -> TraceSet:
-        """Acquire (or reuse) ``n_traces`` traces for ``device``."""
-        return self.measure_all([(device, n_traces)], n_cycles, cache)[0]
-
-    def measure_all(
-        self,
-        requests: Iterable[Tuple[Device, int]],
-        n_cycles: Optional[int] = None,
-        cache: bool = True,
-    ) -> List[TraceSet]:
-        """Acquire (or reuse) traces for ``(device, n_traces)`` requests.
-
-        The cache keys on the *resolved* cycle count so that
-        ``n_cycles=None`` and an explicit ``n_cycles=default_cycles``
-        hit the same entry instead of acquiring twice.  Hits are served
-        as read-only prefix views of the cached matrix — no per-hit
-        copy of multi-MB trace matrices.  Misses are measured in
-        request order on the bench's one stream.
-        """
-        results: List[TraceSet] = []
-        for device, n_traces in requests:
-            traces = self._lookup(device, n_traces, n_cycles) if cache else None
-            if traces is None:
-                traces = self.oscilloscope.acquire(device, n_traces, self.rng, n_cycles)
-                self._keep(device, n_cycles, traces, cache)
-            results.append(traces)
-        return results
-
-    @staticmethod
-    def _cache_key(device: Device, n_cycles: Optional[int]) -> str:
-        return f"{device.name}:{device.resolve_cycles(n_cycles)}"
-
-    def _lookup(
-        self, device: Device, n_traces: int, n_cycles: Optional[int]
-    ) -> Optional[TraceSet]:
-        cached = self._cache.get(self._cache_key(device, n_cycles))
-        if cached is None or cached.n_traces < n_traces:
-            return None
-        if cached.n_traces == n_traces:
-            return cached
-        return TraceSet(cached.device_name, cached.matrix[:n_traces])
-
-    def _keep(
-        self, device: Device, n_cycles: Optional[int], traces: TraceSet, cache: bool
-    ) -> None:
-        if cache:
-            traces.matrix.flags.writeable = False
-            self._cache[self._cache_key(device, n_cycles)] = traces
-
-    def clear_cache(self) -> None:
-        self._cache.clear()
+        """Acquire ``n_traces`` fresh traces of ``device`` on the bench's
+        stream; measuring a device again draws the stream's next rows."""
+        return self.oscilloscope.acquire(device, n_traces, self.rng, n_cycles)

@@ -15,9 +15,9 @@ import numpy as np
 class TraceSet:
     """An ordered set of equal-length power traces from one device.
 
-    The matrix may be *read-only* (``writeable = False``): bench and
-    artifact caches serve zero-copy frozen views, so consumers must
-    not mutate ``matrix`` in place — derive new arrays instead (as
+    The matrix may be *read-only* (``writeable = False``): the artifact
+    cache serves zero-copy frozen views, so consumers must not mutate
+    ``matrix`` in place — derive new arrays instead (as
     :mod:`repro.acquisition.faults` and :mod:`repro.acquisition.alignment`
     already do).
     """

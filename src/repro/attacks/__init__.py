@@ -3,8 +3,8 @@ forgery/recovery, and masking-noise attacks, with defender
 counter-moves.
 
 :data:`FLEET_TRANSFORMS` is the registry of *named* DUT netlist
-transforms — the vocabulary of the sweep ``attack`` axis and of the
-artifact layer's ``fleet_tag`` — so that every consumer (scenario
+transforms — the values of a campaign config's ``attack`` field, which
+a sweep sets as its ``attack`` axis — so that every consumer (scenario
 runner, campaign runner, artifact cache) resolves the same name to the
 same tampering.
 """

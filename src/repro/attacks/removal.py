@@ -104,9 +104,9 @@ def strip_output_pads_only(ip: WatermarkedIP, prefix: str = "wm") -> RemovalRepo
     return strip_watermark(ip, prefix=prefix, keep=keep)
 
 
-#: Named DUT netlist transforms — the vocabulary of the sweep
-#: ``attack`` axis and of the artifact layer's ``fleet_tag``, so every
-#: consumer (scenario runner, campaign runner, artifact cache)
+#: Named DUT netlist transforms — the values of a campaign config's
+#: ``attack`` field, which a sweep sets as its ``attack`` axis — so
+#: every consumer (scenario runner, campaign runner, artifact cache)
 #: resolves the same name to the same tampering.  ``None`` means no
 #: tampering; the callables mutate a
 #: :class:`~repro.fsm.watermark.WatermarkedIP` in place.

@@ -29,9 +29,9 @@ from each:
   acquisition *and* analysis entirely.  A memoised campaign consults
   nothing else — neither the fleet tier nor the trace tier.
 
-Campaigns run inside a sweep may additionally tamper with the DUTs
-(the ``attack`` axis); the transform name is the table's
-``fleet_tag``, so attacked and pristine fleets never share artifacts.
+A campaign may tamper with its DUTs (the config's ``attack``); it is
+a fleet-tier field, so attacked and pristine fleets never share
+artifacts.
 
 :class:`ArtifactCache` is the in-memory cache built on those keys.
 It retains the trace matrices of one measurement group (one
@@ -87,8 +87,8 @@ OUTCOME_SLOTS = 32
 
 
 #: The tier of every :class:`~repro.experiments.runner.CampaignConfig`
-#: field, and of the sweep's ``attack`` axis (``fleet_tag``).  A tier
-#: decides which keys move when one of its fields alone changes:
+#: field.  A tier decides which keys move when one of its fields alone
+#: changes:
 #:
 #: * ``fleet``, the manufactured silicon: all four keys, except
 #:   ``engine``, which moves :func:`fleet_key` only.  Cached devices pin
@@ -103,7 +103,7 @@ OUTCOME_SLOTS = 32
 #:   only.
 #:
 #: Each field joins its tier's key payload under the last component of
-#: its dotted path.
+#: its dotted path; :func:`_tier_payload` names the one exception.
 TIERS: Mapping[str, str] = {
     "power_model": "fleet",
     "variation": "fleet",
@@ -112,7 +112,7 @@ TIERS: Mapping[str, str] = {
     "watermarked": "fleet",
     "design": "fleet",
     "engine": "fleet",
-    "fleet_tag": "fleet",
+    "attack": "fleet",
     "noise": "measurement",
     "adc": "measurement",
     "measurement_seed": "measurement",
@@ -152,45 +152,41 @@ def _digest(kind: str, payload: object) -> str:
     return hashlib.sha256(body.encode()).hexdigest()[:32]
 
 
-def _tier_payload(
-    config: "CampaignConfig", tier: str, fleet_tag: str = "none"
-) -> Dict[str, object]:
+def _tier_payload(config: "CampaignConfig", tier: str) -> Dict[str, object]:
     """The key payload of one tier: each of its :data:`TIERS` fields
     under the last component of the field's path."""
     payload: Dict[str, object] = {}
     for path in (path for path in TIERS if TIERS[path] == tier):
-        if path == "fleet_tag":
-            value: object = fleet_tag
-        elif path == "distinguishers":
-            value = [d.name for d in config.distinguishers]
+        if path == "distinguishers":
+            value: object = [d.name for d in config.distinguishers]
         else:
             value = config
             for name in path.split("."):
                 value = getattr(value, name)
+        # ``attack`` joins under the name ``fleet_tag``: every digest,
+        # and so every acquisition seed, was minted under that name, and
+        # renaming it would move every stored byte.
+        key = "fleet_tag" if path == "attack" else path.rpartition(".")[2]
         # Only non-default designs join, so every digest minted before
         # the ``design`` field existed stays byte-identical.
         if path != "design" or value != "paper":
-            payload[path.rpartition(".")[2]] = _payload(value)
+            payload[key] = _payload(value)
     return payload
 
 
-def fleet_key(config: "CampaignConfig", fleet_tag: str = "none") -> str:
-    """Digest of the fleet tier: the manufactured fleet.
-
-    ``fleet_tag`` names the DUT transform applied after manufacture
-    (the sweep ``attack`` axis); ``"none"`` is the pristine fleet.
-    """
-    return _digest("fleet", _tier_payload(config, "fleet", fleet_tag))
+def fleet_key(config: "CampaignConfig") -> str:
+    """Digest of the fleet tier: the manufactured (and attacked) fleet."""
+    return _digest("fleet", _tier_payload(config, "fleet"))
 
 
-def measurement_base_key(config: "CampaignConfig", fleet_tag: str = "none") -> str:
+def measurement_base_key(config: "CampaignConfig") -> str:
     """Ceiling-free measurement key: the fleet and measurement tiers.
 
     This is the seed material for the per-device acquisition streams
     (see :func:`~repro.acquisition.bench.derive_acquisition_seed`); it
     leaves out the trace ceilings and ``engine`` (see :data:`TIERS`).
     """
-    fleet = _tier_payload(config, "fleet", fleet_tag)
+    fleet = _tier_payload(config, "fleet")
     del fleet["engine"]
     return _digest(
         "measurement_base",
@@ -198,26 +194,26 @@ def measurement_base_key(config: "CampaignConfig", fleet_tag: str = "none") -> s
     )
 
 
-def measurement_key(config: "CampaignConfig", fleet_tag: str = "none") -> str:
+def measurement_key(config: "CampaignConfig") -> str:
     """Digest identifying one concrete set of acquired trace matrices:
     the base key plus the trace ceilings."""
     return _digest(
         "measurement",
         {
-            "base": measurement_base_key(config, fleet_tag),
+            "base": measurement_base_key(config),
             **_tier_payload(config, "ceiling"),
         },
     )
 
 
-def analysis_key(config: "CampaignConfig", fleet_tag: str = "none") -> str:
+def analysis_key(config: "CampaignConfig") -> str:
     """Digest of the full campaign identity: every tier.  Equal keys
     mean byte-identical :func:`~repro.experiments.runner.run_campaign`
     outcomes."""
     return _digest(
         "analysis",
         {
-            "measurement": measurement_key(config, fleet_tag),
+            "measurement": measurement_key(config),
             **_tier_payload(config, "analysis"),
         },
     )
@@ -280,17 +276,16 @@ class ArtifactCache:
     def fleet(
         self,
         config: "CampaignConfig",
-        fleet_tag: str = "none",
         factory: Optional[Callable[[], object]] = None,
     ) -> object:
         """The manufactured (and possibly attacked) fleet for a config.
 
         ``factory`` builds the fleet on a miss; it must already apply
-        the transform named by ``fleet_tag``.  Cached devices carry
-        their simulated waveforms, so a hit skips manufacture *and*
+        the config's ``attack``.  Cached devices carry their simulated
+        waveforms, so a hit skips manufacture *and*
         deterministic-waveform simulation.
         """
-        key = fleet_key(config, fleet_tag)
+        key = fleet_key(config)
         cached = self._fleets.get(key)
         if cached is not None:
             self._fleets.move_to_end(key)
@@ -324,23 +319,10 @@ class ArtifactCache:
         self._traces[key] = traces
         self.stats.note_bytes(traces.matrix.nbytes)
 
-    def traces(
-        self,
-        config: "CampaignConfig",
-        device,
-        n_traces: int,
-        n_cycles: Optional[int] = None,
-        fleet_tag: str = "none",
-    ) -> TraceSet:
-        """Acquire-or-reuse ``n_traces`` traces of ``device``."""
-        return self.traces_all(config, [(device, n_traces)], n_cycles, fleet_tag)[0]
-
     def traces_all(
         self,
         config: "CampaignConfig",
         requests: Sequence[Tuple[object, int]],
-        n_cycles: Optional[int] = None,
-        fleet_tag: str = "none",
     ) -> List[TraceSet]:
         """Acquire-or-reuse traces for ``(device, n_traces)`` requests.
 
@@ -353,7 +335,7 @@ class ArtifactCache:
         calling thread; the misses are acquired together,
         concurrently, by :func:`~repro.acquisition.bench.acquire_keyed`.
         """
-        base_key = measurement_base_key(config, fleet_tag)
+        base_key = measurement_base_key(config)
         for key in [key for key in self._traces if key[0] != base_key]:
             self.stats.note_bytes(-self._traces.pop(key).matrix.nbytes)
         served: List[Optional[TraceSet]] = []
@@ -361,7 +343,7 @@ class ArtifactCache:
         for index, (device, n_traces) in enumerate(requests):
             if n_traces <= 0:
                 raise ValueError(f"n_traces must be positive, got {n_traces}")
-            key = (base_key, device.name, device.resolve_cycles(n_cycles))
+            key = (base_key, device.name, device.resolve_cycles())
             traces = self._lookup(key, n_traces)
             if traces is None:
                 misses.append((index, key))
@@ -370,7 +352,6 @@ class ArtifactCache:
             Oscilloscope(config.noise, config.adc),
             base_key,
             [requests[index] for index, _ in misses],
-            n_cycles,
         )
         for (index, key), traces in zip(misses, acquired):
             self.stats.trace_misses += 1
@@ -390,9 +371,7 @@ class ArtifactCache:
 
     # -- campaign outcomes (the fourth artifact tier) ----------------------
 
-    def outcome(
-        self, config: "CampaignConfig", fleet_tag: str = "none"
-    ) -> Optional[object]:
+    def outcome(self, config: "CampaignConfig") -> Optional[object]:
         """The memoised :class:`CampaignOutcome` for this config, if any.
 
         Returns ``None`` on a miss — the caller runs the campaign and
@@ -401,7 +380,7 @@ class ArtifactCache:
         indistinguishable from re-running the campaign (down to the
         sweep store digests derived from it).
         """
-        key = analysis_key(config, fleet_tag)
+        key = analysis_key(config)
         cached = self._outcomes.get(key)
         if cached is not None:
             self._outcomes.move_to_end(key)
@@ -410,14 +389,9 @@ class ArtifactCache:
         self.stats.outcome_misses += 1
         return None
 
-    def remember_outcome(
-        self,
-        config: "CampaignConfig",
-        fleet_tag: str,
-        outcome: object,
-    ) -> None:
+    def remember_outcome(self, config: "CampaignConfig", outcome: object) -> None:
         """Memoise one computed campaign outcome on its analysis key."""
-        key = analysis_key(config, fleet_tag)
+        key = analysis_key(config)
         self._outcomes[key] = outcome
         self._outcomes.move_to_end(key)
         while len(self._outcomes) > OUTCOME_SLOTS:

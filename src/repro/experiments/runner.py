@@ -18,7 +18,7 @@ import numpy as np
 from repro.acquisition.bench import acquire_keyed
 from repro.acquisition.device import prime_fleet_activity
 from repro.acquisition.oscilloscope import ADCConfig, Oscilloscope
-from repro.attacks.removal import apply_fleet_transform
+from repro.attacks.removal import FLEET_TRANSFORMS, apply_fleet_transform
 from repro.experiments.artifacts import ArtifactCache, measurement_base_key
 from repro.core.distinguishers import Distinguisher, PAPER_DISTINGUISHERS
 from repro.core.process import ProcessParameters
@@ -73,6 +73,9 @@ class CampaignConfig:
     #: ``"paper"`` or ``"imported:<path>"`` — see
     #: :func:`~repro.experiments.designs.build_device_fleet`.
     design: str = "paper"
+    #: The removal attack applied to every DUT after manufacture: a name
+    #: of :data:`~repro.attacks.removal.FLEET_TRANSFORMS`.
+    attack: str = "none"
 
     def __post_init__(self) -> None:
         # Both seed a NumPy generator, which takes no negative seed;
@@ -81,6 +84,11 @@ class CampaignConfig:
             seed = getattr(self, name)
             if seed < 0:
                 raise ValueError(f"{name} must be >= 0, got {seed}")
+        if self.attack not in FLEET_TRANSFORMS:
+            raise ValueError(
+                f"unknown attack {self.attack!r}; "
+                f"choose from {sorted(FLEET_TRANSFORMS)}"
+            )
 
 
 @dataclass
@@ -141,7 +149,11 @@ class CampaignOutcome:
 
 
 def manufacture_fleet(cfg: CampaignConfig):
-    """Build the eight devices described by a campaign config."""
+    """Build the eight pristine devices described by a campaign config.
+
+    ``cfg.attack`` is not applied here; :func:`build_campaign_fleet`
+    applies it.
+    """
     return build_device_fleet(
         power_model=cfg.power_model,
         variation_model=cfg.variation,
@@ -153,15 +165,15 @@ def manufacture_fleet(cfg: CampaignConfig):
     )
 
 
-def build_campaign_fleet(cfg: CampaignConfig, fleet_tag: str = "none"):
-    """Manufacture a campaign's fleet and apply its DUT transform.
+def build_campaign_fleet(cfg: CampaignConfig):
+    """Manufacture a campaign's fleet and apply its ``attack`` to the DUTs.
 
-    This is the one canonical way a ``(config, fleet_tag)`` pair
-    becomes silicon: :func:`run_campaign` builds every fleet it does
-    not receive through it, with or without an artifact cache.
+    This is the one canonical way a config becomes silicon:
+    :func:`run_campaign` builds every fleet it does not receive
+    through it, with or without an artifact cache.
     """
     refds, duts = manufacture_fleet(cfg)
-    apply_fleet_transform(duts, fleet_tag)
+    apply_fleet_transform(duts, cfg.attack)
     return refds, duts
 
 
@@ -169,14 +181,14 @@ def run_campaign(
     config: Optional[CampaignConfig] = None,
     fleet=None,
     artifacts: Optional[ArtifactCache] = None,
-    fleet_tag: str = "none",
 ) -> CampaignOutcome:
     """Run the paper's full 4x4 verification campaign.
 
     ``fleet`` optionally supplies pre-manufactured ``(refds, duts)``
-    devices (e.g. from :func:`manufacture_fleet`), so repeated campaigns
-    on the same chips reuse their cached deterministic waveforms instead
-    of rebuilding and re-simulating the whole fleet.
+    devices built for this config (e.g. by :func:`build_campaign_fleet`),
+    so repeated campaigns on the same chips reuse their cached
+    deterministic waveforms instead of rebuilding and re-simulating the
+    whole fleet.
 
     Acquisition is *keyed*: every device's noise stream is seeded from
     the config's measurement base key and the device name (see
@@ -186,46 +198,44 @@ def run_campaign(
     one campaign can run concurrently
     (:func:`~repro.acquisition.bench.acquire_keyed`).  Passing an
     ``artifacts`` cache reuses fleets and trace matrices across calls
-    byte-identically to this unshared path; ``fleet_tag`` names the DUT
-    transform the fleet carries (the sweep ``attack`` axis) so tampered
-    artifacts never alias pristine ones.  With ``artifacts``, whole campaign outcomes
-    are additionally memoised on the config's *analysis key*: a repeat
-    call with an equal key returns the stored outcome without touching
-    the fleet or the bench (equal keys guarantee byte-identical
-    outcomes, so a memo hit is unobservable downstream).
+    byte-identically to this unshared path; the config's ``attack`` is
+    a fleet-tier field, so tampered artifacts never alias pristine
+    ones.  With ``artifacts``, whole campaign outcomes are additionally
+    memoised on the config's *analysis key*: a repeat call with an
+    equal key returns the stored outcome without touching the fleet or
+    the bench (equal keys guarantee byte-identical outcomes, so a memo
+    hit is unobservable downstream).
     """
     cfg = config if config is not None else CampaignConfig()
     if fleet is not None and artifacts is not None:
-        # The trace cache keys on (config, fleet_tag) alone, so an
-        # arbitrary caller-supplied fleet could poison it (or be
-        # served traces of a different fleet).  Only a fleet that
-        # came out of this cache for the same keys is provably
-        # consistent.  Checked before the outcome memo so a foreign
-        # fleet fails loudly even when a memoised outcome exists.
+        # The trace cache keys on the config alone, so an arbitrary
+        # caller-supplied fleet could poison it (or be served traces of
+        # a different fleet).  Only a fleet that came out of this cache
+        # for the same keys is provably consistent.  Checked before the
+        # outcome memo so a foreign fleet fails loudly even when a
+        # memoised outcome exists.
         try:
-            cached = artifacts.fleet(cfg, fleet_tag)
+            cached = artifacts.fleet(cfg)
         except KeyError:
             cached = None
         if cached is not fleet:
             raise ValueError(
                 "run_campaign: an explicit fleet= can only be combined "
                 "with artifacts= when it was obtained from "
-                "artifacts.fleet(config, fleet_tag); pass fleet_tag "
-                "and let run_campaign manufacture it instead"
+                "artifacts.fleet(config); let run_campaign manufacture "
+                "it instead"
             )
     if artifacts is not None:
-        memoised = artifacts.outcome(cfg, fleet_tag)
+        memoised = artifacts.outcome(cfg)
         if memoised is not None:
             return memoised
     if fleet is not None:
         refds, duts = fleet
     else:
         if artifacts is not None:
-            refds, duts = artifacts.fleet(
-                cfg, fleet_tag, lambda: build_campaign_fleet(cfg, fleet_tag)
-            )
+            refds, duts = artifacts.fleet(cfg, lambda: build_campaign_fleet(cfg))
         else:
-            refds, duts = build_campaign_fleet(cfg, fleet_tag)
+            refds, duts = build_campaign_fleet(cfg)
     # Batched activity priming: the fleet's distinct netlists simulate
     # grouped by shape in one vectorised engine run each, instead of
     # lazily one at a time when the first waveform is rendered.  Cached
@@ -237,12 +247,10 @@ def run_campaign(
     requests = [(duts[name], p.n2) for name in DUT_ORDER]
     requests += [(refds[name], p.n1) for name in REF_ORDER]
     if artifacts is not None:
-        acquired = artifacts.traces_all(cfg, requests, fleet_tag=fleet_tag)
+        acquired = artifacts.traces_all(cfg, requests)
     else:
         acquired = acquire_keyed(
-            Oscilloscope(cfg.noise, cfg.adc),
-            measurement_base_key(cfg, fleet_tag),
-            requests,
+            Oscilloscope(cfg.noise, cfg.adc), measurement_base_key(cfg), requests
         )
     t_duts = dict(zip(DUT_ORDER, acquired))
     t_refs = dict(zip(REF_ORDER, acquired[len(DUT_ORDER) :]))
@@ -255,7 +263,7 @@ def run_campaign(
     reports = verifier.identify_all(t_refs, t_duts, rng=analysis_rng)
     outcome = CampaignOutcome(config=cfg, reports=reports)
     if artifacts is not None:
-        artifacts.remember_outcome(cfg, fleet_tag, outcome)
+        artifacts.remember_outcome(cfg, outcome)
     return outcome
 
 

@@ -175,7 +175,7 @@ def _run_expanded(
                 progress(scenario.scenario_id, False)
         else:
             config = scenario_config(scenario)
-            key = measurement_base_key(config, scenario.attack)
+            key = measurement_base_key(config)
             ceiling = (config.parameters.n2, config.parameters.n1)
             groups.setdefault(key, []).append((ceiling, scenario))
     pending = [

@@ -65,7 +65,7 @@ def run_scenario(
     scenario identity, overrides, metrics) and ``"arrays"`` (the raw
     correlation sets for the array bundle).
 
-    The attack name travels as the campaign's ``fleet_tag``:
+    The attack is a field of the campaign's config:
     :func:`~repro.experiments.runner.run_campaign` manufactures the
     fleet and applies the named transform itself, so tampered fleets
     never alias pristine ones in any cache.  With an ``artifacts``
@@ -76,14 +76,13 @@ def run_scenario(
     campaign outcomes are memoised on the analysis key, without
     changing a byte of the payload.
     """
-    outcome = run_campaign(
-        scenario_config(scenario), artifacts=artifacts, fleet_tag=scenario.attack
-    )
+    config = scenario_config(scenario)
+    outcome = run_campaign(config, artifacts=artifacts)
     record = {
         "scenario_id": scenario.scenario_id,
         "overrides": dict(scenario.overrides),
         "assignment": dict(scenario.assignment),
-        "attack": scenario.attack,
+        "attack": config.attack,
         "metrics": outcome_metrics(outcome),
     }
     return {"record": record, "arrays": outcome_arrays(outcome)}

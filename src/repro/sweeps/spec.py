@@ -6,9 +6,9 @@ whole *surface*: a cartesian grid (:class:`GridAxis`) and/or random
 samples (:class:`RandomAxis`) over campaign-config fields — noise
 sigma, the n1/n2 trace budgets, ADC resolution, process variation,
 watermarked vs. plain fleets, the simulation engine, the workload
-``design`` (paper IPs or an imported circuit) — plus the special
-``"attack"`` axis that applies a netlist transform from
-:mod:`repro.attacks` to every DUT before measurement.
+``design`` (paper IPs or an imported circuit) and the ``attack``, a
+netlist transform from :mod:`repro.attacks` applied to every DUT
+before measurement.
 
 Expanding a spec (:func:`expand_scenarios`) yields fully resolved
 :class:`Scenario` objects.  Every scenario carries
@@ -35,7 +35,7 @@ the base overrides pin them, each scenario's fleet / measurement /
 analysis seeds are mixed from ``spec.seed`` and the axis values of
 their own tiers (the tier table is
 :data:`repro.experiments.artifacts.TIERS`; a dotted path takes its
-head's tier, ``attack`` is the fleet tier's ``fleet_tag``).
+head's tier).
 ``fleet_seed`` mixes the fleet-tier values, ``measurement_seed`` the
 fleet- and measurement-tier values, and ``analysis_seed`` all of them.
 ``engine`` joins none: it joins no measurement base key, so an
@@ -78,8 +78,9 @@ from repro.hdl.simulator import ENGINES
 #: campaign draws each DUT's ``A_DUT,m`` once for all four references.
 SCHEMA_VERSION = 2
 
-#: The special axis applying a DUT netlist transform (see
-#: :data:`repro.attacks.FLEET_TRANSFORMS`).
+#: The field naming the DUT netlist transform (see
+#: :data:`repro.attacks.FLEET_TRANSFORMS`), the service's default row
+#: axis.
 ATTACK_FIELD = "attack"
 
 #: Overridable campaign-config paths (dotted = nested dataclass field)
@@ -475,11 +476,6 @@ class Scenario:
     overrides: Mapping[str, object]
     assignment: Mapping[str, object]
 
-    @property
-    def attack(self) -> str:
-        """Name of the DUT transform applied before measurement."""
-        return str(self.overrides.get(ATTACK_FIELD, "none"))
-
 
 def _derive_seed(spec_seed: int, assignment_json: str, slot: str) -> int:
     digest = hashlib.sha256(
@@ -492,13 +488,11 @@ def _seed_tier(path: str) -> Optional[str]:
     """The tier of a sweep field, as its derived seeds read it.
 
     A dotted path takes its head's tier unless :data:`TIERS` lists it
-    whole, and ``attack`` is the table's ``fleet_tag``.  ``engine`` has
-    none: it joins no measurement base key, so it re-seeds nothing.
+    whole.  ``engine`` has none: it joins no measurement base key, so
+    it re-seeds nothing.
     """
     if path == "engine":
         return None
-    if path == ATTACK_FIELD:
-        path = "fleet_tag"
     return TIERS.get(path) or TIERS[path.partition(".")[0]]
 
 
@@ -574,8 +568,7 @@ def scenario_config(scenario: Scenario) -> CampaignConfig:
 
     A dotted path sets one field of a nested config on its default.  A
     value the configs reject, or a nested config set both whole and by
-    field, raises ``ValueError``.  The special ``"attack"`` override is
-    consumed by :func:`repro.sweeps.scenario.run_scenario`.
+    field, raises ``ValueError``.
     """
     top: Dict[str, object] = {}
     nested: Dict[str, Dict[str, object]] = {}
@@ -583,7 +576,7 @@ def scenario_config(scenario: Scenario) -> CampaignConfig:
         head, dot, leaf = path.partition(".")
         if dot:
             nested.setdefault(head, {})[leaf] = value
-        elif path != ATTACK_FIELD:
+        else:
             top[path] = value
     config = CampaignConfig()
     for head, leaves in nested.items():

@@ -26,6 +26,7 @@ import repro.experiments.artifacts as artifacts_module
 from repro.acquisition.bench import MeasurementBench, derive_acquisition_seed
 from repro.acquisition.oscilloscope import BLOCK_ROWS, ADCConfig, Oscilloscope
 from repro.acquisition.traces import TraceSet
+from repro.attacks.removal import FLEET_TRANSFORMS
 from repro.core.averaging import k_averaged_set, k_averaged_trace
 from repro.core.correlation import pearson_many
 from repro.core.process import ProcessParameters
@@ -55,7 +56,6 @@ from repro.power.models import PowerModel
 from repro.power.noise import NoiseModel
 from repro.power.supply import WaveformConfig
 from repro.sweeps import (
-    ATTACK_FIELD,
     CONFIG_FIELDS,
     GridAxis,
     SweepOptions,
@@ -143,12 +143,11 @@ class TestConfigKeys:
         assert fleet_key(base) != fleet_key(other)
         assert measurement_base_key(base) == measurement_base_key(other)
 
-    def test_fleet_tag_separates_attacked_artifacts(self):
+    def test_attack_separates_attacked_artifacts(self):
         base = quick_config()
-        assert fleet_key(base, "none") != fleet_key(base, "strip")
-        assert measurement_base_key(base, "none") != measurement_base_key(
-            base, "strip"
-        )
+        stripped = dataclasses.replace(base, attack="strip")
+        assert fleet_key(base) != fleet_key(stripped)
+        assert measurement_base_key(base) != measurement_base_key(stripped)
 
     def test_keys_are_stable_strings(self):
         base = quick_config()
@@ -162,8 +161,7 @@ class TestConfigKeys:
             assert isinstance(key, str) and len(key) == 32
 
 
-#: One changed value per field of the tier table.  ``fleet_tag`` is the
-#: key functions' argument; every other path is a config field.
+#: One changed value per field of the tier table.
 CHANGED = {
     "power_model": PowerModel(static_power=0.75),
     "variation": None,
@@ -172,7 +170,7 @@ CHANGED = {
     "watermarked": False,
     "design": "imported:benchmarks/netlists/c17.v",
     "engine": "interpreted",
-    "fleet_tag": "strip",
+    "attack": "strip",
     "noise": NoiseModel(sigma=1.5),
     "adc": None,
     "measurement_seed": 1234,
@@ -197,9 +195,9 @@ TIER_OF_MOVED_KEYS = {
 }
 
 
-def all_keys(config, fleet_tag="none"):
+def all_keys(config):
     return tuple(
-        key(config, fleet_tag)
+        key(config)
         for key in (fleet_key, measurement_base_key, measurement_key, analysis_key)
     )
 
@@ -207,7 +205,7 @@ def all_keys(config, fleet_tag="none"):
 class TestTierTable:
     def test_table_holds_every_config_field(self):
         assert set(CHANGED) == set(TIERS)
-        heads = {path.partition(".")[0] for path in TIERS} - {"fleet_tag"}
+        heads = {path.partition(".")[0] for path in TIERS}
         assert heads == {f.name for f in dataclasses.fields(CampaignConfig)}
         parameters = {
             path.partition(".")[2] for path in TIERS if path.startswith("parameters.")
@@ -218,9 +216,7 @@ class TestTierTable:
     def test_moved_keys_give_the_tier(self, path):
         base = quick_config()
         head, _, name = path.partition(".")
-        if path == "fleet_tag":
-            changed = all_keys(base, CHANGED[path])
-        elif name:
+        if name:
             nested = dataclasses.replace(getattr(base, head), **{name: CHANGED[path]})
             changed = all_keys(dataclasses.replace(base, **{head: nested}))
         else:
@@ -231,7 +227,7 @@ class TestTierTable:
 
     def test_every_sweep_field_has_a_tier(self):
         # A sub-field (noise.sigma) takes the tier of its dataclass.
-        for path in CONFIG_FIELDS.keys() - {ATTACK_FIELD}:
+        for path in CONFIG_FIELDS:
             assert path in TIERS or path.partition(".")[0] in TIERS, path
 
 
@@ -282,17 +278,6 @@ class TestKeyedAcquisition:
         # integer number of steps above the common minimum.
         offsets = (grid - grid.min()) / step
         np.testing.assert_allclose(offsets, np.round(offsets), atol=1e-6)
-
-    def test_bench_cache_hit_is_readonly_view(self):
-        bench = MeasurementBench(seed=0)
-        device = make_device()
-        first = bench.measure(device, 50)
-        view = bench.measure(device, 20)
-        assert not view.matrix.flags.writeable
-        assert not first.matrix.flags.writeable
-        # Zero-copy: the view shares the cached matrix's memory.
-        assert np.shares_memory(view.matrix, first.matrix)
-        np.testing.assert_array_equal(view.matrix, first.matrix[:20])
 
     def test_traceset_tolerates_readonly_matrix(self):
         matrix = np.random.default_rng(0).normal(size=(4, 8))
@@ -459,11 +444,11 @@ class TestConcurrentAcquisition:
         batched = ArtifactCache()
         run_campaign(cfg, artifacts=batched)
         serial = ArtifactCache()
-        refds, duts = serial.fleet(cfg, "none", lambda: build_campaign_fleet(cfg))
+        refds, duts = serial.fleet(cfg, lambda: build_campaign_fleet(cfg))
         for name in DUT_ORDER:
-            serial.traces(cfg, duts[name], QUICK.n2)
+            serial.traces_all(cfg, [(duts[name], QUICK.n2)])
         for name in REF_ORDER:
-            serial.traces(cfg, refds[name], QUICK.n1)
+            serial.traces_all(cfg, [(refds[name], QUICK.n1)])
         for stat in ("trace_misses", "bytes_acquired", "peak_bytes"):
             assert getattr(batched.stats, stat) == getattr(serial.stats, stat)
 
@@ -505,21 +490,20 @@ class TestConcurrentAcquisition:
             t.matrix.tobytes() for t in serial
         ]
 
-    def test_sequential_measure_all_keeps_the_single_stream(self, monkeypatch):
+    def test_sequential_measures_keep_the_single_stream(self, monkeypatch):
         threads = acquisition_threads(monkeypatch)
         first, second = make_device("a"), make_device("b")
         scope = Oscilloscope(adc=ADCConfig())
-        batch = MeasurementBench(scope, seed=11).measure_all(
-            [(first, 30), (second, 20), (first, 10)]
-        )
+        bench = MeasurementBench(scope, seed=11)
+        requests = [(first, 30), (second, 20), (first, 10)]
+        measured = [bench.measure(device, n) for device, n in requests]
         assert threads == {threading.get_ident()}
+        # Each measurement, the repeat included, draws the stream's
+        # next rows.
         rng = np.random.default_rng(11)
-        expected_first = reference_acquire(scope, first, 30, rng)
-        expected_second = reference_acquire(scope, second, 20, rng)
-        assert batch[0].matrix.tobytes() == expected_first.tobytes()
-        assert batch[1].matrix.tobytes() == expected_second.tobytes()
-        # The repeat is a cache hit: a prefix view, no new draws.
-        assert batch[2].matrix.tobytes() == expected_first[:10].tobytes()
+        for traces, (device, n) in zip(measured, requests):
+            expected = reference_acquire(scope, device, n, rng)
+            assert traces.matrix.tobytes() == expected.tobytes()
 
 
 class TestArtifactCache:
@@ -558,25 +542,39 @@ class TestArtifactCache:
         for pair, coefficients in direct.items():
             np.testing.assert_array_equal(coefficients, shared[pair])
 
-    def test_run_campaign_fleet_tag_applies_transform(self):
+    def test_run_campaign_attack_applies_transform(self):
         # run_campaign must manufacture *transformed* fleets for a
-        # non-trivial fleet_tag — with and without a cache — so an
+        # non-trivial attack — with and without a cache — so an
         # attacked campaign can never silently run on pristine devices.
         cfg = quick_config()
+        attacked = quick_config(attack="strip")
         pristine = coefficient_matrix(run_campaign(cfg))
-        stripped = coefficient_matrix(run_campaign(cfg, fleet_tag="strip"))
+        stripped = coefficient_matrix(run_campaign(attacked))
         assert any(
             not np.array_equal(pristine[pair], stripped[pair])
             for pair in pristine
         )
         cache = ArtifactCache()
-        shared = coefficient_matrix(
-            run_campaign(cfg, artifacts=cache, fleet_tag="strip")
-        )
+        shared = coefficient_matrix(run_campaign(attacked, artifacts=cache))
         for pair, coefficients in stripped.items():
             np.testing.assert_array_equal(coefficients, shared[pair])
-        with pytest.raises(KeyError):
-            run_campaign(cfg, fleet_tag="no-such-attack")
+        with pytest.raises(ValueError, match="unknown attack 'no-such-attack'"):
+            run_campaign(quick_config(attack="no-such-attack"))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: CampaignConfig(attack="bogus"),
+            lambda: dataclasses.replace(CampaignConfig(), attack="bogus"),
+        ],
+        ids=["constructor", "replace"],
+    )
+    def test_unknown_attack_names_the_transforms(self, build):
+        with pytest.raises(ValueError) as excinfo:
+            build()
+        message = str(excinfo.value)
+        assert "unknown attack 'bogus'" in message
+        assert all(repr(name) in message for name in FLEET_TRANSFORMS)
 
     def test_explicit_fleet_with_artifacts_requires_cache_provenance(self):
         # An arbitrary fleet= cannot be combined with artifacts=: the
@@ -586,7 +584,7 @@ class TestArtifactCache:
         cache = ArtifactCache()
         with pytest.raises(ValueError, match="artifacts.fleet"):
             run_campaign(cfg, fleet=manufacture_fleet(cfg), artifacts=cache)
-        fleet = cache.fleet(cfg, "none", lambda: manufacture_fleet(cfg))
+        fleet = cache.fleet(cfg, lambda: manufacture_fleet(cfg))
         outcome = run_campaign(cfg, fleet=fleet, artifacts=cache)
         baseline = coefficient_matrix(run_campaign(cfg))
         for pair, coefficients in coefficient_matrix(outcome).items():
@@ -597,14 +595,14 @@ class TestArtifactCache:
         other = dataclasses.replace(cfg, measurement_seed=cfg.measurement_seed + 1)
         set_bytes = 20 * 8 * make_device().trace_length()
         cache = ArtifactCache()
-        cache.traces(cfg, make_device("a"), 20)
-        cache.traces(cfg, make_device("b"), 20)
+        cache.traces_all(cfg, [(make_device("a"), 20)])
+        cache.traces_all(cfg, [(make_device("b"), 20)])
         assert cache.stats.bytes_in_memory == 2 * set_bytes
         # Another measurement base key drops the first group whole.
-        cache.traces(other, make_device("a"), 20)
+        cache.traces_all(other, [(make_device("a"), 20)])
         assert cache.stats.bytes_in_memory == set_bytes
         assert cache.stats.peak_bytes == 2 * set_bytes
-        cache.traces(cfg, make_device("a"), 20)
+        cache.traces_all(cfg, [(make_device("a"), 20)])
         assert (cache.stats.trace_hits, cache.stats.trace_misses) == (0, 4)
 
     def test_options_are_a_fieldless_shim(self):
@@ -618,13 +616,14 @@ class TestArtifactCache:
         with pytest.raises(KeyError):
             cache.fleet(quick_config())
 
-    def test_fleet_tags_never_alias_outcomes(self):
+    def test_attacks_never_alias_outcomes(self):
         cache = ArtifactCache()
         cfg = quick_config()
+        attacked = quick_config(attack="strip")
         pristine = run_campaign(cfg, artifacts=cache)
-        stripped = run_campaign(cfg, artifacts=cache, fleet_tag="strip")
+        stripped = run_campaign(attacked, artifacts=cache)
         assert stripped is not pristine
-        assert run_campaign(cfg, artifacts=cache, fleet_tag="strip") is stripped
+        assert run_campaign(attacked, artifacts=cache) is stripped
         assert run_campaign(cfg, artifacts=cache) is pristine
 
 
@@ -699,7 +698,7 @@ class TestSweepSharingByteIdentity:
     def test_store_digests_identical_with_and_without_sharing(
         self, tmp_path, n_workers
     ):
-        spec = sharing_spec(attacks=("none", "strip"))
+        spec = sharing_spec(attacks=tuple(FLEET_TRANSFORMS))
         plain = unshared_store(spec, str(tmp_path / "plain"))
         shared = SweepStore(str(tmp_path / f"shared{n_workers}"))
         run(spec, shared, SweepOptions(n_workers=n_workers))
@@ -769,8 +768,8 @@ class TestEverySweepShares:
         # pinned or derived (k and m are analysis axes).
         spec = sharing_spec(pinned=pinned, attacks=("none", "strip"))
         expanded = expand_scenarios(spec)
-        expected = [s for s in expanded if s.attack == "none"]
-        expected += [s for s in expanded if s.attack == "strip"]
+        expected = [s for s in expanded if s.assignment["attack"] == "none"]
+        expected += [s for s in expanded if s.assignment["attack"] == "strip"]
         landed = []
         run(
             spec,
@@ -848,10 +847,10 @@ def log_acquisitions(monkeypatch, path):
     """
     acquire = artifacts_module.acquire_keyed
 
-    def logged(oscilloscope, key, requests, n_cycles=None):
+    def logged(oscilloscope, key, requests):
         with open(path, "a") as log:
             log.write("".join(f"{key} {device.name} {n}\n" for device, n in requests))
-        return acquire(oscilloscope, key, requests, n_cycles)
+        return acquire(oscilloscope, key, requests)
 
     monkeypatch.setattr(artifacts_module, "acquire_keyed", logged)
 
@@ -862,7 +861,7 @@ def logged_acquisitions(path):
 
 
 def group_key(scenario):
-    return measurement_base_key(scenario_config(scenario), scenario.attack)
+    return measurement_base_key(scenario_config(scenario))
 
 
 def largest_ceilings(spec):

@@ -6,8 +6,10 @@ job runs every example end to end (about 15 s in all on two CPUs).
 """
 
 import importlib.util
+import os
 import pathlib
 import sys
+import tempfile
 
 import pytest
 
@@ -43,3 +45,13 @@ def test_quickstart_runs(capsys):
     module.main()
     out = capsys.readouterr().out
     assert "Both distinguishers agree" in out
+
+
+@pytest.mark.parametrize("stem", ["noise_sweep", "rtl_export"])
+def test_example_removes_its_temporary_directory(stem, tmp_path, monkeypatch):
+    # Given no directory, the example works in a temporary one and
+    # removes it when it ends.
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(sys, "argv", [f"{stem}.py"])
+    load_example(EXAMPLES_DIR / f"{stem}.py").main()
+    assert os.listdir(tmp_path) == []

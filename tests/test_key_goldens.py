@@ -16,6 +16,7 @@ arithmetic.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -49,7 +50,7 @@ CONFIGS = {
 KEY_FUNCTIONS = (fleet_key, measurement_base_key, measurement_key, analysis_key)
 
 #: ``(fleet, measurement base, measurement, analysis)`` keys per config
-#: and fleet tag.
+#: and attack.
 KEYS = {
     ("default", "none"): (
         "c47486dc163074d90b5366bf744becdc",
@@ -185,11 +186,11 @@ QUICK_ACQUISITION_SHA256 = (
 )
 
 
-@pytest.mark.parametrize("name, fleet_tag", sorted(KEYS))
-def test_artifact_keys(name, fleet_tag):
-    config = CONFIGS[name]
-    keys = tuple(key_of(config, fleet_tag) for key_of in KEY_FUNCTIONS)
-    assert keys == KEYS[name, fleet_tag]
+@pytest.mark.parametrize("name, attack", sorted(KEYS))
+def test_artifact_keys(name, attack):
+    config = dataclasses.replace(CONFIGS[name], attack=attack)
+    keys = tuple(key_of(config) for key_of in KEY_FUNCTIONS)
+    assert keys == KEYS[name, attack]
 
 
 def test_default_sweep_scenario_ids():

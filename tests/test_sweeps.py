@@ -313,7 +313,7 @@ class TestSweepSpec:
         assert config.noise.sigma == 1.7
         assert config.parameters.n2 == 2000
         assert config.engine == "interpreted"
-        assert scenario.attack == "strip"
+        assert config.attack == "strip"
 
     def test_spec_dict_round_trip(self):
         spec = SweepSpec(
@@ -361,17 +361,17 @@ class TestTierScopedSeeds:
     def test_default_grid_seeds(self):
         spec = default_sweep_spec()
         scenarios = expand_scenarios(spec)
-        fleet = {s.attack: s.overrides["fleet_seed"] for s in scenarios}
-        measurement = {
-            (s.attack, s.assignment["noise.sigma"]): s.overrides["measurement_seed"]
-            for s in scenarios
-        }
+
+        def tiers(s):
+            return s.assignment["attack"], s.assignment["noise.sigma"]
+
+        fleet = {s.assignment["attack"]: s.overrides["fleet_seed"] for s in scenarios}
+        measurement = {tiers(s): s.overrides["measurement_seed"] for s in scenarios}
         assert len(set(fleet.values())) == 2  # one per attack
         assert len(set(measurement.values())) == 8  # attack x sigma
         for s in scenarios:
-            assert s.overrides["fleet_seed"] == fleet[s.attack]
-            key = (s.attack, s.assignment["noise.sigma"])
-            assert s.overrides["measurement_seed"] == measurement[key]
+            assert s.overrides["fleet_seed"] == fleet[s.assignment["attack"]]
+            assert s.overrides["measurement_seed"] == measurement[tiers(s)]
         # The analysis seed mixes the whole assignment, as before.
         analysis = [s.overrides["analysis_seed"] for s in scenarios]
         assert len(set(analysis)) == 24
@@ -732,9 +732,6 @@ class TestDomainsAtExpansion:
             SweepSpec(name="ok", base={**QUICK, field: value})
         )
         config = scenario_config(scenario)
-        if field == "attack":
-            assert scenario.attack == value
-            return
         for name in field.split("."):
             config = getattr(config, name)
         assert config == value

@@ -137,30 +137,11 @@ class TestBench:
         generator = np.random.default_rng(0)
         assert make_rng(generator) is generator
 
-    def test_bench_cache_reuses_prefix(self, device):
-        bench = MeasurementBench(seed=0)
-        big = bench.measure(device, 50)
-        small = bench.measure(device, 20)
-        np.testing.assert_allclose(small.matrix, big.matrix[:20])
-
     def test_bench_no_cache(self, device):
         bench = MeasurementBench(seed=0)
-        first = bench.measure(device, 10, cache=False)
-        second = bench.measure(device, 10, cache=False)
+        first = bench.measure(device, 10)
+        second = bench.measure(device, 10)
         assert not np.allclose(first.matrix, second.matrix)
-
-    def test_measure_all(self, device):
-        other = Device("dev2", build_paper_ip("IP_B"), PowerModel())
-        bench = MeasurementBench(seed=0)
-        result = bench.measure_all([(device, 4), (other, 6)])
-        assert [traces.device_name for traces in result] == ["dev", "dev2"]
-        assert [traces.n_traces for traces in result] == [4, 6]
-
-    def test_clear_cache(self, device):
-        bench = MeasurementBench(seed=0)
-        bench.measure(device, 5)
-        bench.clear_cache()
-        assert bench._cache == {}
 
     def test_reproducible_with_same_seed(self, device):
         t1 = MeasurementBench(seed=9).measure(device, 5)
