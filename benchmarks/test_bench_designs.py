@@ -35,8 +35,8 @@ def test_bench_deterministic_waveform(benchmark):
     device = refds["IP_C"]
 
     def synthesize():
-        device._waveform_cache.clear()
-        device._activity_cache.clear()
+        device._waveform = None
+        device._activity = None
         return device.deterministic_waveform()
 
     waveform = benchmark(synthesize)

@@ -110,7 +110,7 @@ def test_bench_fleet_simulation(benchmark, capsys):
         refds, duts = build_device_fleet(seed=2014)
         start = time.perf_counter()
         for device in (*refds.values(), *duts.values()):
-            device.activity(PERIOD_CYCLES)
+            device.activity()
         return time.perf_counter() - start
 
     seconds_interpreted = fleet_interpreted()

@@ -11,8 +11,8 @@ each other only if they measure the same devices in the same order.
 Campaigns acquire on *keyed* streams instead, through
 :func:`acquire_keyed`, the one keyed acquisition path (behind both
 :func:`~repro.experiments.runner.run_campaign` and the artifact
-cache): every ``(device, cycle-count)`` pair gets its own generator
-seeded from :func:`derive_acquisition_seed`, so acquiring DUT#3 alone
+cache): every device gets its own generator seeded from
+:func:`derive_acquisition_seed`, so acquiring DUT#3 alone
 yields byte-identical traces to acquiring it inside a full campaign.
 This is what makes trace sets *sharing-safe*: the artifact cache
 (:mod:`repro.experiments.artifacts`) can reuse one acquisition across
@@ -57,9 +57,9 @@ def derive_acquisition_seed(key: str, device_name: str, n_cycles: int) -> int:
 
     ``key`` is an opaque string identifying the measurement context
     (the artifact layer uses the measurement base key of the campaign
-    config); the device name and resolved cycle count are mixed in so
-    every (device, measurement-length) pair draws an independent,
-    order-free noise stream.
+    config); the device name and its cycle count
+    (``Device.default_cycles``) are mixed in so every device draws an
+    independent, order-free noise stream.
     """
     digest = hashlib.sha256(
         f"acquisition:{key}|{device_name}|{n_cycles}".encode()
@@ -96,14 +96,13 @@ def acquire_keyed(
     """
     jobs = []
     for device, n_traces in requests:
-        cycles = device.resolve_cycles()
-        base = device.deterministic_waveform(cycles)
-        rng = np.random.default_rng(derive_acquisition_seed(key, device.name, cycles))
-        jobs.append((device, n_traces, rng, cycles, np.empty((n_traces, base.size))))
+        seed = derive_acquisition_seed(key, device.name, device.default_cycles)
+        out = np.empty((n_traces, device.deterministic_waveform().size))
+        jobs.append((device, n_traces, np.random.default_rng(seed), out))
 
     def run(job) -> TraceSet:
-        device, n_traces, rng, cycles, out = job
-        return oscilloscope.acquire(device, n_traces, rng, cycles, out=out)
+        device, n_traces, rng, out = job
+        return oscilloscope.acquire(device, n_traces, rng, out=out)
 
     n_threads = min(len(jobs), usable_cpus())
     if n_threads <= 1:
@@ -117,11 +116,10 @@ def acquire_traces(
     n_traces: int,
     oscilloscope: Optional[Oscilloscope] = None,
     rng: RngLike = None,
-    n_cycles: Optional[int] = None,
 ) -> TraceSet:
     """The paper's ``T_device = Pw(device, n)``."""
     scope = oscilloscope if oscilloscope is not None else Oscilloscope()
-    return scope.acquire(device, n_traces, make_rng(rng), n_cycles)
+    return scope.acquire(device, n_traces, make_rng(rng))
 
 
 class MeasurementBench:
@@ -139,12 +137,7 @@ class MeasurementBench:
         self.oscilloscope = oscilloscope if oscilloscope is not None else Oscilloscope()
         self.rng = make_rng(seed)
 
-    def measure(
-        self,
-        device: Device,
-        n_traces: int,
-        n_cycles: Optional[int] = None,
-    ) -> TraceSet:
+    def measure(self, device: Device, n_traces: int) -> TraceSet:
         """Acquire ``n_traces`` fresh traces of ``device`` on the bench's
         stream; measuring a device again draws the stream's next rows."""
-        return self.oscilloscope.acquire(device, n_traces, self.rng, n_cycles)
+        return self.oscilloscope.acquire(device, n_traces, self.rng)

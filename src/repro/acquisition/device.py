@@ -10,9 +10,8 @@ This mirrors physics (the die does the same thing every run) and makes
 
 Caching happens at two levels:
 
-* **Per device** — activity and rendered waveforms are cached per
-  resolved cycle count (``n_cycles=None`` and an explicit
-  ``n_cycles == default_cycles`` share one entry).
+* **Per device** — a device is measured over its ``default_cycles``
+  only, so it caches one activity trace and one rendered waveform.
 * **Per fleet** — devices manufactured from the same
   :class:`~repro.fsm.watermark.WatermarkedIP` differ only in power
   weights, gain and offset, never in switching activity.  The compiled
@@ -23,8 +22,8 @@ Caching happens at two levels:
   :class:`~repro.hdl.activity.ActivityTrace` objects are treated as
   immutable by every consumer in this package.
 
-:func:`prime_fleet_activity` is the batched front door to that cache:
-instead of letting each device lazily simulate its own netlist, it
+:func:`prime_fleet_activity` is the one front door to that cache (a
+device's own :meth:`Device.activity` primes a fleet of one): it
 dedupes a whole fleet down to its distinct ``(structure, cycles)``
 entries and fills them through
 :func:`~repro.hdl.simulator.simulate_batch`, which executes every
@@ -66,44 +65,39 @@ def fleet_activity_cache_size() -> int:
     return len(_FLEET_ACTIVITY_CACHE)
 
 
-def prime_fleet_activity(
-    devices: Iterable["Device"],
-    n_cycles: Optional[int] = None,
-) -> int:
+def prime_fleet_activity(devices: Iterable["Device"]) -> int:
     """Fill the activity caches for a whole fleet with batched runs.
 
-    Groups ``devices`` by distinct ``(structural fingerprint, resolved
-    cycle count)``, skips everything already cached (per device or
+    Groups ``devices`` by distinct ``(structural fingerprint,
+    default_cycles)``, skips everything already cached (per device or
     process-wide), and simulates the remaining distinct netlists
     through :func:`~repro.hdl.simulator.simulate_batch` — one
     vectorised engine execution per netlist *shape*, with per-lane
     cycle counts, instead of one scalar run per structure.  Devices
     whose netlists cannot be fingerprinted (interpreted engines, input
-    ports) are simulated individually, exactly as the lazy
-    :meth:`Device.activity` path would.
+    ports) are simulated individually.
 
     Returns the number of distinct shareable entries that were
     simulated.  After priming, every device's :meth:`Device.activity`
-    for the requested length is a cache hit, and the cached bytes are
-    identical to what lazy per-device simulation would have produced —
-    the engine's batching invariant.
+    is a cache hit, and the cached bytes are identical to one scalar
+    run per device — the engine's batching invariant.
     """
     pending: "OrderedDict[Tuple[str, int], Simulator]" = OrderedDict()
     followers: Dict[Tuple[str, int], List[Device]] = {}
     for device in devices:
-        cycles = device.resolve_cycles(n_cycles)
-        if cycles in device._activity_cache:
+        if device._activity is not None:
             continue
+        cycles = device.default_cycles
         simulator = Simulator(device.ip.netlist, engine=device.engine)
         key = simulator.structural_key
         if key is None:
-            device._activity_cache[cycles] = simulator.run(cycles)
+            device._activity = simulator.run(cycles)
             continue
         fleet_key = (key, cycles)
         cached = _FLEET_ACTIVITY_CACHE.get(fleet_key)
         if cached is not None:
             _FLEET_ACTIVITY_CACHE.move_to_end(fleet_key)
-            device._activity_cache[cycles] = cached
+            device._activity = cached
             continue
         if fleet_key in pending:
             followers[fleet_key].append(device)
@@ -120,7 +114,7 @@ def prime_fleet_activity(
         _FLEET_ACTIVITY_CACHE[fleet_key] = trace
         _FLEET_ACTIVITY_CACHE.move_to_end(fleet_key)
         for device in followers[fleet_key]:
-            device._activity_cache[fleet_key[1]] = trace
+            device._activity = trace
     while len(_FLEET_ACTIVITY_CACHE) > FLEET_ACTIVITY_CACHE_MAX:
         _FLEET_ACTIVITY_CACHE.popitem(last=False)
     return len(pending)
@@ -150,8 +144,8 @@ class Device:
         self.waveform = waveform if waveform is not None else WaveformConfig()
         self.default_cycles = default_cycles
         self.engine = engine
-        self._activity_cache: Dict[int, ActivityTrace] = {}
-        self._waveform_cache: Dict[int, np.ndarray] = {}
+        self._activity: Optional[ActivityTrace] = None
+        self._waveform: Optional[np.ndarray] = None
 
     @property
     def effective_model(self) -> PowerModel:
@@ -162,43 +156,19 @@ class Device:
             self.variation.component_scales
         )
 
-    def resolve_cycles(self, n_cycles: Optional[int] = None) -> int:
-        """Normalise a measurement length: ``None`` means the default.
+    def activity(self) -> ActivityTrace:
+        """Cycle-accurate switching activity over ``default_cycles`` (cached).
 
-        Every cache in the acquisition chain keys on the *resolved*
-        count, so ``None`` and an explicit ``default_cycles`` share one
-        entry instead of simulating (and storing) everything twice.
-        """
-        return self.default_cycles if n_cycles is None else n_cycles
-
-    def activity(self, n_cycles: Optional[int] = None) -> ActivityTrace:
-        """Cycle-accurate switching activity over ``n_cycles`` (cached).
-
-        Consults the per-device cache first, then the process-wide
+        Consults the device's own cache, then the process-wide
         structural cache shared by every device built from the same IP
-        structure; only on a double miss is the netlist simulated.
+        structure (through :func:`prime_fleet_activity`); only on a
+        double miss is the netlist simulated.
         """
-        cycles = self.resolve_cycles(n_cycles)
-        trace = self._activity_cache.get(cycles)
-        if trace is not None:
-            return trace
-        simulator = Simulator(self.ip.netlist, engine=self.engine)
-        fleet_key = None
-        if simulator.structural_key is not None:
-            fleet_key = (simulator.structural_key, cycles)
-            trace = _FLEET_ACTIVITY_CACHE.get(fleet_key)
-            if trace is not None:
-                _FLEET_ACTIVITY_CACHE.move_to_end(fleet_key)
-        if trace is None:
-            trace = simulator.run(cycles)
-            if fleet_key is not None:
-                _FLEET_ACTIVITY_CACHE[fleet_key] = trace
-                while len(_FLEET_ACTIVITY_CACHE) > FLEET_ACTIVITY_CACHE_MAX:
-                    _FLEET_ACTIVITY_CACHE.popitem(last=False)
-        self._activity_cache[cycles] = trace
-        return trace
+        if self._activity is None:
+            prime_fleet_activity([self])
+        return self._activity
 
-    def deterministic_waveform(self, n_cycles: Optional[int] = None) -> np.ndarray:
+    def deterministic_waveform(self) -> np.ndarray:
         """The noise-free sampled power waveform of this die (cached).
 
         The cached array is frozen (``writeable = False``): devices are
@@ -206,18 +176,17 @@ class Device:
         (:mod:`repro.experiments.artifacts`), so the rendered waveform
         must behave as an immutable value.
         """
-        cycles = self.resolve_cycles(n_cycles)
-        if cycles not in self._waveform_cache:
-            cycle_power = self.effective_model.cycle_power(self.activity(cycles))
+        if self._waveform is None:
+            cycle_power = self.effective_model.cycle_power(self.activity())
             samples = render_waveform(cycle_power, self.waveform)
             samples = self.variation.gain * samples + self.variation.offset
             samples.flags.writeable = False
-            self._waveform_cache[cycles] = samples
-        return self._waveform_cache[cycles]
+            self._waveform = samples
+        return self._waveform
 
-    def trace_length(self, n_cycles: Optional[int] = None) -> int:
-        """Number of samples per trace for a given measurement length."""
-        return self.resolve_cycles(n_cycles) * self.waveform.samples_per_cycle
+    def trace_length(self) -> int:
+        """Number of samples per trace."""
+        return self.default_cycles * self.waveform.samples_per_cycle
 
     def __repr__(self) -> str:
         return f"Device({self.name!r}, ip={self.ip.name!r})"

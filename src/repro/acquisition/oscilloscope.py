@@ -88,7 +88,6 @@ class Oscilloscope:
         device: Device,
         n_traces: int,
         rng: np.random.Generator,
-        n_cycles: Optional[int] = None,
         out: Optional[np.ndarray] = None,
     ) -> TraceSet:
         """Measure ``n_traces`` aligned traces on ``device``.
@@ -102,7 +101,7 @@ class Oscilloscope:
         """
         if n_traces <= 0:
             raise ValueError(f"n_traces must be positive, got {n_traces}")
-        base = device.deterministic_waveform(n_cycles)
+        base = device.deterministic_waveform()
         signal_std = float(np.std(base))
         if signal_std == 0:
             # A constant waveform still gets absolute-unit noise so the

@@ -26,10 +26,9 @@ error naming the field.  Without ``--axis`` a default 24-scenario
 surface (noise x trace budget x attack) is swept at a reduced, fast
 parameter point.
 Without ``--workers`` it gets one attempt slot per usable CPU.  Every
-sweep reuses manufactured fleets, acquired trace matrices and whole
-memoised campaign outcomes across scenarios whose config tiers agree
-(byte-identical results, order-of-magnitude faster analysis-axis
-grids and repeat studies); each process keeps one measurement group's
+sweep reuses manufactured fleets and acquired trace matrices across
+scenarios whose config tiers agree (byte-identical results, much
+faster analysis-axis grids); each process keeps one measurement group's
 traces in memory, and scenarios of one group run back to back,
 largest trace ceiling first.  A sweep writes nothing outside its store
 root.

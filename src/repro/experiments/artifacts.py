@@ -6,28 +6,20 @@ whose axes are *analysis-side* re-manufactures the fleet and
 re-acquires every trace set per scenario.  This module closes that
 gap by splitting :class:`~repro.experiments.runner.CampaignConfig`
 into tiers, in one table (:data:`TIERS`), and deriving a cache key
-from each:
+from the two that are costly to rebuild:
 
 * **fleet key** (:func:`fleet_key`) — the manufactured silicon.  Two
   configs with equal fleet keys describe byte-identical device fleets.
-* **measurement key** (:func:`measurement_key`) — the fleet plus the
-  measurement chain and the trace ceilings.  It identifies one
-  concrete set of acquired trace matrices.  The ceiling-free prefix of
-  this key (:func:`measurement_base_key`) seeds the per-device
-  acquisition streams, so trace sets are *prefix-reusable*: a scenario
-  needing ``n2 = 2 500`` traces slices the first 2 500 rows of a
-  cached ``n2 = 10 000`` matrix and gets exactly the bytes a direct
-  2 500-trace acquisition would produce.
-* **analysis key** (:func:`analysis_key`) — everything.  Two configs
-  with equal analysis keys produce byte-identical campaign outcomes;
-  it is the natural memoisation key for a full
-  :func:`~repro.experiments.runner.run_campaign` result, and
-  :class:`ArtifactCache` uses it exactly so: the *outcome tier*
-  (:meth:`ArtifactCache.outcome` / :meth:`ArtifactCache.remember_outcome`)
-  memoises whole :class:`~repro.experiments.runner.CampaignOutcome`
-  objects, so repeat-style studies and re-run sweeps skip manufacture,
-  acquisition *and* analysis entirely.  A memoised campaign consults
-  nothing else — neither the fleet tier nor the trace tier.
+* **measurement base key** (:func:`measurement_base_key`) — the fleet
+  plus the measurement chain, without ``engine`` or the trace counts.
+  It seeds the per-device acquisition streams, so trace sets are
+  *prefix-reusable*: a scenario needing ``n2 = 2 500`` traces slices
+  the first 2 500 rows of a cached ``n2 = 10 000`` matrix and gets
+  exactly the bytes a direct 2 500-trace acquisition would produce.
+
+The analysis tier (the trace counts ``n1``/``n2`` included) joins
+neither key, and the cache holds no campaign outcomes: every campaign
+runs its own analysis on the shared fleet and traces.
 
 A campaign may tamper with its DUTs (the config's ``attack``); it is
 a fleet-tier field, so attacked and pristine fleets never share
@@ -35,11 +27,11 @@ artifacts.
 
 :class:`ArtifactCache` is the in-memory cache built on those keys.
 It retains the trace matrices of one measurement group (one
-measurement base key) at a time, plus small LRUs of fleets and
-outcomes; :func:`repro.sweeps.run` orders a sweep so that scenarios
-sharing a measurement run back to back, largest trace ceiling first,
-which is what lets that one group, acquired once, serve them all.
-Nothing is written to disk: a rerun into the same
+measurement base key) at a time, plus a small LRU of fleets;
+:func:`repro.sweeps.run` orders a sweep so that scenarios sharing a
+measurement run back to back, largest trace ceiling first, which is
+what lets that one group, acquired once, serve them all.  Nothing is
+written to disk: a rerun into the same
 :class:`~repro.sweeps.store.SweepStore` skips every finished
 scenario, and a trace matrix costs about as much to re-acquire from
 its keyed stream as to load from a compressed bundle.  Sharing is
@@ -80,27 +72,20 @@ ARTIFACT_SCHEMA = 1
 #: simulated waveforms is about 0.14 MB).
 FLEET_SLOTS = 8
 
-#: Memoised campaign outcomes kept alive per cache (an outcome is just
-#: 16 correlation sets plus verdicts — tiny next to a trace matrix, so
-#: dozens are cheap).
-OUTCOME_SLOTS = 32
-
 
 #: The tier of every :class:`~repro.experiments.runner.CampaignConfig`
 #: field.  A tier decides which keys move when one of its fields alone
 #: changes:
 #:
-#: * ``fleet``, the manufactured silicon: all four keys, except
-#:   ``engine``, which moves :func:`fleet_key` only.  Cached devices pin
-#:   their simulation path, but the engines are bit-identical on
-#:   waveforms, so ``engine`` must not re-seed acquisition.
-#: * ``measurement``, the chain behind ``Pw(device, n)``: every key but
-#:   :func:`fleet_key`.
-#: * ``ceiling``, the analysis-side trace budgets: :func:`measurement_key`
-#:   and :func:`analysis_key`, never :func:`measurement_base_key`, so
-#:   traces acquired at different budgets share one keyed stream.
-#: * ``analysis``, what is computed from the traces: :func:`analysis_key`
-#:   only.
+#: * ``fleet``, the manufactured silicon: both keys, except ``engine``,
+#:   which moves :func:`fleet_key` only.  Cached devices pin their
+#:   simulation path, but the engines are bit-identical on waveforms,
+#:   so ``engine`` must not re-seed acquisition.
+#: * ``measurement``, the chain behind ``Pw(device, n)``:
+#:   :func:`measurement_base_key` only.
+#: * ``analysis``, what is computed from the traces, the trace counts
+#:   ``n1``/``n2`` included: neither key, so traces acquired at
+#:   different counts share one keyed stream.
 #:
 #: Each field joins its tier's key payload under the last component of
 #: its dotted path; :func:`_tier_payload` names the one exception.
@@ -116,8 +101,8 @@ TIERS: Mapping[str, str] = {
     "noise": "measurement",
     "adc": "measurement",
     "measurement_seed": "measurement",
-    "parameters.n1": "ceiling",
-    "parameters.n2": "ceiling",
+    "parameters.n1": "analysis",
+    "parameters.n2": "analysis",
     "parameters.k": "analysis",
     "parameters.m": "analysis",
     "analysis_seed": "analysis",
@@ -180,42 +165,17 @@ def fleet_key(config: "CampaignConfig") -> str:
 
 
 def measurement_base_key(config: "CampaignConfig") -> str:
-    """Ceiling-free measurement key: the fleet and measurement tiers.
+    """Digest of the fleet and measurement tiers, without ``engine``.
 
     This is the seed material for the per-device acquisition streams
-    (see :func:`~repro.acquisition.bench.derive_acquisition_seed`); it
-    leaves out the trace ceilings and ``engine`` (see :data:`TIERS`).
+    (see :func:`~repro.acquisition.bench.derive_acquisition_seed`) and
+    the key the trace cache shares on (see :data:`TIERS`).
     """
     fleet = _tier_payload(config, "fleet")
     del fleet["engine"]
     return _digest(
         "measurement_base",
         {"fleet": fleet, **_tier_payload(config, "measurement")},
-    )
-
-
-def measurement_key(config: "CampaignConfig") -> str:
-    """Digest identifying one concrete set of acquired trace matrices:
-    the base key plus the trace ceilings."""
-    return _digest(
-        "measurement",
-        {
-            "base": measurement_base_key(config),
-            **_tier_payload(config, "ceiling"),
-        },
-    )
-
-
-def analysis_key(config: "CampaignConfig") -> str:
-    """Digest of the full campaign identity: every tier.  Equal keys
-    mean byte-identical :func:`~repro.experiments.runner.run_campaign`
-    outcomes."""
-    return _digest(
-        "analysis",
-        {
-            "measurement": measurement_key(config),
-            **_tier_payload(config, "analysis"),
-        },
     )
 
 
@@ -239,8 +199,10 @@ class ArtifactStats:
     fleet_misses: int = 0
     trace_hits: int = 0
     trace_misses: int = 0
+    #: Always 0: the cache memoises no campaign outcomes.  The field
+    #: stays only because the repository benchmark
+    #: (``perfbench/workloads.py``) reads it.
     outcome_hits: int = 0
-    outcome_misses: int = 0
     bytes_acquired: int = 0
     bytes_in_memory: int = 0
     peak_bytes: int = 0
@@ -251,7 +213,7 @@ class ArtifactStats:
 
 
 class ArtifactCache:
-    """In-memory cache of campaign artifacts: fleets, traces, outcomes.
+    """In-memory cache of campaign artifacts: fleets and traces.
 
     The cache never *computes* fleets itself — callers pass a factory
     so manufacture (and any attack transform) stays where it belongs —
@@ -269,7 +231,6 @@ class ArtifactCache:
         self.stats = ArtifactStats()
         self._fleets: "OrderedDict[str, object]" = OrderedDict()
         self._traces: Dict[Tuple[str, str, int], TraceSet] = {}
-        self._outcomes: "OrderedDict[str, object]" = OrderedDict()
 
     # -- fleets ------------------------------------------------------------
 
@@ -343,7 +304,7 @@ class ArtifactCache:
         for index, (device, n_traces) in enumerate(requests):
             if n_traces <= 0:
                 raise ValueError(f"n_traces must be positive, got {n_traces}")
-            key = (base_key, device.name, device.resolve_cycles())
+            key = (base_key, device.name, device.default_cycles)
             traces = self._lookup(key, n_traces)
             if traces is None:
                 misses.append((index, key))
@@ -369,45 +330,16 @@ class ArtifactCache:
             return self._prefix(cached, n_traces)
         return None
 
-    # -- campaign outcomes (the fourth artifact tier) ----------------------
-
-    def outcome(self, config: "CampaignConfig") -> Optional[object]:
-        """The memoised :class:`CampaignOutcome` for this config, if any.
-
-        Returns ``None`` on a miss — the caller runs the campaign and
-        stores it back through :meth:`remember_outcome`.  Equal
-        analysis keys guarantee byte-identical outcomes, so a hit is
-        indistinguishable from re-running the campaign (down to the
-        sweep store digests derived from it).
-        """
-        key = analysis_key(config)
-        cached = self._outcomes.get(key)
-        if cached is not None:
-            self._outcomes.move_to_end(key)
-            self.stats.outcome_hits += 1
-            return cached
-        self.stats.outcome_misses += 1
-        return None
-
-    def remember_outcome(self, config: "CampaignConfig", outcome: object) -> None:
-        """Memoise one computed campaign outcome on its analysis key."""
-        key = analysis_key(config)
-        self._outcomes[key] = outcome
-        self._outcomes.move_to_end(key)
-        while len(self._outcomes) > OUTCOME_SLOTS:
-            self._outcomes.popitem(last=False)
-
     # -- maintenance -------------------------------------------------------
 
     def clear(self) -> None:
         """Drop every cached artifact and reset the stats."""
         self._fleets.clear()
         self._traces.clear()
-        self._outcomes.clear()
         self.stats = ArtifactStats()
 
     def __len__(self) -> int:
-        return len(self._fleets) + len(self._traces) + len(self._outcomes)
+        return len(self._fleets) + len(self._traces)
 
 
 #: The per-process cache behind :func:`process_artifact_cache`.
@@ -439,15 +371,12 @@ def clear_process_artifact_cache() -> None:
 __all__ = [
     "ARTIFACT_SCHEMA",
     "FLEET_SLOTS",
-    "OUTCOME_SLOTS",
     "TIERS",
     "ArtifactCache",
     "ArtifactOptions",
     "ArtifactStats",
-    "analysis_key",
     "clear_process_artifact_cache",
     "fleet_key",
     "measurement_base_key",
-    "measurement_key",
     "process_artifact_cache",
 ]

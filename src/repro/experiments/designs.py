@@ -298,7 +298,7 @@ def build_device_fleet(
     Although each device owns a private netlist, the RefD and DUT built
     from the same IP are structurally identical, so the fleet-level
     activity cache (see :mod:`repro.acquisition.device`) simulates each
-    of the four distinct netlists exactly once per cycle count.
+    of the four distinct netlists exactly once.
     """
     model = power_model if power_model is not None else PowerModel()
     rng = np.random.default_rng(seed)

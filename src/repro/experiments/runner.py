@@ -79,7 +79,8 @@ class CampaignConfig:
 
     def __post_init__(self) -> None:
         # Both seed a NumPy generator, which takes no negative seed;
-        # ``measurement_seed`` is only hashed into the measurement key.
+        # ``measurement_seed`` is only hashed into the measurement base
+        # key.
         for name in ("fleet_seed", "analysis_seed"):
             seed = getattr(self, name)
             if seed < 0:
@@ -200,20 +201,14 @@ def run_campaign(
     ``artifacts`` cache reuses fleets and trace matrices across calls
     byte-identically to this unshared path; the config's ``attack`` is
     a fleet-tier field, so tampered artifacts never alias pristine
-    ones.  With ``artifacts``, whole campaign outcomes are additionally
-    memoised on the config's *analysis key*: a repeat call with an
-    equal key returns the stored outcome without touching the fleet or
-    the bench (equal keys guarantee byte-identical outcomes, so a memo
-    hit is unobservable downstream).
+    ones.  The analysis always runs: outcomes are not cached.
     """
     cfg = config if config is not None else CampaignConfig()
     if fleet is not None and artifacts is not None:
         # The trace cache keys on the config alone, so an arbitrary
         # caller-supplied fleet could poison it (or be served traces of
         # a different fleet).  Only a fleet that came out of this cache
-        # for the same keys is provably consistent.  Checked before the
-        # outcome memo so a foreign fleet fails loudly even when a
-        # memoised outcome exists.
+        # for the same keys is provably consistent.
         try:
             cached = artifacts.fleet(cfg)
         except KeyError:
@@ -225,10 +220,6 @@ def run_campaign(
                 "artifacts.fleet(config); let run_campaign manufacture "
                 "it instead"
             )
-    if artifacts is not None:
-        memoised = artifacts.outcome(cfg)
-        if memoised is not None:
-            return memoised
     if fleet is not None:
         refds, duts = fleet
     else:
@@ -261,10 +252,7 @@ def run_campaign(
     )
     analysis_rng = np.random.default_rng(cfg.analysis_seed)
     reports = verifier.identify_all(t_refs, t_duts, rng=analysis_rng)
-    outcome = CampaignOutcome(config=cfg, reports=reports)
-    if artifacts is not None:
-        artifacts.remember_outcome(cfg, outcome)
-    return outcome
+    return CampaignOutcome(config=cfg, reports=reports)
 
 
 __all__ = [

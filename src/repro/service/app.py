@@ -72,7 +72,6 @@ from typing import AsyncIterator, Dict, Optional, Tuple
 
 import repro
 from repro.acquisition import bench
-from repro.experiments.artifacts import TIERS
 from repro.experiments.designs import PERIOD_CYCLES
 from repro.experiments.runner import CampaignConfig
 from repro.power.supply import WaveformConfig
@@ -92,8 +91,10 @@ _logger = logging.getLogger(__name__)
 #: instance on the same root is seen.
 ROWS_POLL_INTERVAL = 0.2
 
-#: Most scenarios one submitted spec may expand to.  Expansion runs on
-#: the event loop, so a larger spec would stall every route.
+#: Most scenarios one submitted spec may expand to.  A job keeps its
+#: expanded scenarios for as long as it is listed, so the bound caps
+#: each job's memory and its expansion time (~0.5 s at the bound, in a
+#: worker thread, not on the event loop).
 MAX_JOB_SCENARIOS = 10_000
 
 #: Most trace bytes one scenario of a submitted spec may acquire: 1 GiB,
@@ -116,13 +117,13 @@ def _costliest_scenario(spec: SweepSpec) -> Tuple[float, Optional[str]]:
     """Trace bytes of the spec's costliest scenario, and the path of the
     largest trace ceiling the spec sets (``None`` when it sets none).
 
-    A campaign measures four devices at each ceiling, ``4 * (n1 + n2)``
-    traces in all.  Axes win over ``base``, and a random axis is costed
-    at its ``high``.
+    A campaign measures four devices at each of its two trace ceilings,
+    ``4 * (n1 + n2)`` traces in all.  Axes win over ``base``, and a
+    random axis is costed at its ``high``.
     """
     traces, largest = 0.0, (0.0, None)
     defaults = CampaignConfig().parameters
-    for field in (field for field, tier in TIERS.items() if tier == "ceiling"):
+    for field in ("parameters.n1", "parameters.n2"):
         value, path = getattr(defaults, field.rpartition(".")[2]), None
         if field in spec.base:
             value, path = spec.base[field], f"spec.base.{field}"
@@ -249,7 +250,7 @@ class SweepService:
             )
         options = self._merge_options(payload.get("options"))
         try:
-            job, created = self.jobs.submit(spec, options)
+            job, created = await self.jobs.submit(spec, options)
         except SpecValidationError as error:
             raise HTTPError(400, f"spec.{error.path}: {error.detail}")
         description = job.describe(job.status())

@@ -191,7 +191,7 @@ class JobManager:
         self._jobs: Dict[str, SweepJob] = {}
         self._lock = threading.Lock()
 
-    def submit(
+    async def submit(
         self, spec: SweepSpec, options: SweepOptions
     ) -> Tuple[SweepJob, bool]:
         """Start (or join) the job for ``spec``.
@@ -205,13 +205,21 @@ class JobManager:
         that does not expand raises its
         :class:`~repro.sweeps.spec.SpecValidationError` and starts
         nothing.
+
+        The spec expands in a worker thread, holding no lock, so the
+        loop's other routes answer meanwhile; the job is registered
+        and started back on the loop, where a scrub cannot overlap it.
         """
         job_id = job_id_for(spec)
+        existing = self.get(job_id)
+        if existing is not None and existing.running:
+            return existing, False
+        job = await asyncio.to_thread(SweepJob, job_id, spec, options, self.store_root)
         with self._lock:
             existing = self._jobs.get(job_id)
             if existing is not None and existing.running:
+                # An identical submission started it meanwhile.
                 return existing, False
-            job = SweepJob(job_id, spec, options, self.store_root)
             self._jobs[job_id] = job
             finished = sorted(
                 (old for old in self._jobs.values() if not old.running),

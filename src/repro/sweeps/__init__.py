@@ -18,14 +18,14 @@ small:
   ``run(spec, store, SweepOptions(...))``.  :class:`SweepOptions` is
   one flat, validated value with every setting — ``n_workers``,
   ``max_retries``, ``lease_ttl``, ``scenario_timeout`` and
-  ``status_interval``.  Every sweep shares fleets, traces and campaign
-  outcomes between scenarios that agree on them.  A single-worker
-  sweep with no lease setting runs inline; a sweep with more workers,
-  or with any of the three seconds fields set, runs on the lease-based
-  fault-tolerant scheduler, in which attempts run in isolated child
-  processes with timeouts and any number of instances safely share one
-  store root.  Whatever the options, the resulting :class:`SweepStore`
-  is byte-identical to a clean single-worker run.
+  ``status_interval``.  Every sweep shares fleets and traces between
+  scenarios that agree on them.  A single-worker sweep with no lease
+  setting runs inline; a sweep with more workers, or with any of the
+  three seconds fields set, runs on the lease-based fault-tolerant
+  scheduler, in which attempts run in isolated child processes with
+  timeouts and any number of instances safely share one store root.
+  Whatever the options, the resulting :class:`SweepStore` is
+  byte-identical to a clean single-worker run.
 
 * :func:`sweep_status` snapshots a store root's execution state
   (completed / pending / leased / quarantined / attempt counts) —

@@ -66,11 +66,10 @@ class SweepOptions:
 
     ``artifacts``
         :class:`~repro.experiments.artifacts.ArtifactOptions`, which
-        has no settings: every sweep shares fleets, traces and campaign
-        outcomes through its process's in-memory artifact cache.  The
-        field stays only because the repository benchmark
-        (``perfbench/workloads.py``) constructs
-        ``SweepOptions(artifacts=ArtifactOptions())``.
+        has no settings: every sweep shares fleets and traces through
+        its process's in-memory artifact cache.  The field stays only
+        because the repository benchmark (``perfbench/workloads.py``)
+        constructs ``SweepOptions(artifacts=ArtifactOptions())``.
 
     ``max_retries``
         Re-attempts per scenario and run after its first failure, the

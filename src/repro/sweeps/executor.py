@@ -39,15 +39,13 @@ the tier-1 suite and CI's chaos smoke job.
 
 Artifact sharing: every attempt, inline or in a worker, runs against
 its process's :class:`~repro.experiments.artifacts.ArtifactCache`, so
-scenarios that differ only in ceiling or analysis-side axes reuse one
-fleet manufacture and one trace acquisition — byte-identically, because
-acquisition streams are keyed per device, never sequential — and whole
-campaign outcomes are memoised on the analysis key, so a re-run study
-(same scenarios, fresh store) in the same process skips re-analysis
-entirely.  The cache retains one measurement group's traces;
-:func:`repro.sweeps.run` hands over the pending scenarios grouped, each
-group largest trace ceiling first, so that one acquisition per group
-suffices inline.  The cache lives in memory only: separate worker
+scenarios that differ only in analysis-side axes (the trace counts
+included) reuse one fleet manufacture and one trace acquisition —
+byte-identically, because acquisition streams are keyed per device,
+never sequential.  Every scenario runs its own analysis.  The cache
+retains one measurement group's traces; :func:`repro.sweeps.run`
+hands over the pending scenarios grouped, each group largest trace
+ceiling first, so that one acquisition per group suffices inline.  The cache lives in memory only: separate worker
 processes and separate runs meet in the result store alone.
 """
 

@@ -72,9 +72,7 @@ def run_scenario(
     cache, the fleet and every acquired trace matrix are shared across
     scenarios whose fleet/measurement tiers agree — byte-identically
     to the unshared path, because acquisition streams are keyed per
-    device (see :mod:`repro.experiments.artifacts`) — and whole
-    campaign outcomes are memoised on the analysis key, without
-    changing a byte of the payload.
+    device (see :mod:`repro.experiments.artifacts`).
     """
     config = scenario_config(scenario)
     outcome = run_campaign(config, artifacts=artifacts)

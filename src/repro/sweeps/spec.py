@@ -49,9 +49,9 @@ acquired trace matrices between scenarios whose fleet and measurement
 tiers agree.  Each process keeps one measurement group's traces, so
 :func:`repro.sweeps.run` runs the scenarios of one measurement base
 key back to back, largest trace ceiling first.  Because the derived
-seeds are tier-scoped, scenarios that differ only in ceiling or
-analysis axes share silicon and noise (common random numbers), so
-their differences are paired.  Scenario digests cover the final
+seeds are tier-scoped, scenarios that differ only in analysis axes
+(the trace counts included) share silicon and noise (common random
+numbers), so their differences are paired.  Scenario digests cover the final
 override values, derived seeds included, so a change to how seeds are
 derived gives the moved scenarios new ids and never serves a stored
 record to a different campaign.
@@ -119,7 +119,7 @@ CONFIG_FIELDS: Mapping[str, object] = {
 _DERIVED_SEEDS: Mapping[str, Tuple[str, ...]] = {
     "fleet_seed": ("fleet",),
     "measurement_seed": ("fleet", "measurement"),
-    "analysis_seed": ("fleet", "measurement", "ceiling", "analysis"),
+    "analysis_seed": ("fleet", "measurement", "analysis"),
 }
 
 

@@ -1,10 +1,10 @@
 """Tests for cross-scenario artifact sharing.
 
-Covers the three-key config split, the sharing-safe acquisition
-refactor (keyed per-device seeds, ADC grid invariance, read-only cache
-views, prefix reuse), the in-place acquisition kernel against the
-one-shot reference formula, concurrent keyed acquisition, the
-campaign-outcome memo, and the headline guarantee: sweeps produce
+Covers the tier table and the two keys built from it, the
+sharing-safe acquisition refactor (keyed per-device seeds, ADC grid
+invariance, read-only cache views, prefix reuse), the in-place
+acquisition kernel against the one-shot reference formula, concurrent
+keyed acquisition, and the headline guarantee: sweeps produce
 byte-identical stores with sharing on or off, for any worker count.
 """
 
@@ -35,10 +35,8 @@ from repro.experiments.artifacts import (
     TIERS,
     ArtifactCache,
     ArtifactOptions,
-    analysis_key,
     fleet_key,
     measurement_base_key,
-    measurement_key,
     process_artifact_cache,
     clear_process_artifact_cache,
 )
@@ -113,8 +111,6 @@ class TestConfigKeys:
         )
         assert fleet_key(base) == fleet_key(analysis_only)
         assert measurement_base_key(base) == measurement_base_key(analysis_only)
-        assert measurement_key(base) != measurement_key(analysis_only)  # ceilings
-        assert analysis_key(base) != analysis_key(analysis_only)
 
     def test_measurement_axes_change_measurement_not_fleet(self):
         base = quick_config()
@@ -123,7 +119,6 @@ class TestConfigKeys:
         for other in (noisy, reseeded):
             assert fleet_key(base) == fleet_key(other)
             assert measurement_base_key(base) != measurement_base_key(other)
-            assert analysis_key(base) != analysis_key(other)
 
     def test_fleet_axes_change_every_key(self):
         base = quick_config()
@@ -132,7 +127,6 @@ class TestConfigKeys:
         for other in (refab, plain):
             assert fleet_key(base) != fleet_key(other)
             assert measurement_base_key(base) != measurement_base_key(other)
-            assert analysis_key(base) != analysis_key(other)
 
     def test_engine_changes_fleet_key_but_not_measurements(self):
         # The simulation path is bit-equivalent on waveforms, so it must
@@ -152,12 +146,7 @@ class TestConfigKeys:
     def test_keys_are_stable_strings(self):
         base = quick_config()
         assert fleet_key(base) == fleet_key(quick_config())
-        for key in (
-            fleet_key(base),
-            measurement_base_key(base),
-            measurement_key(base),
-            analysis_key(base),
-        ):
+        for key in (fleet_key(base), measurement_base_key(base)):
             assert isinstance(key, str) and len(key) == 32
 
 
@@ -184,22 +173,17 @@ CHANGED = {
 }
 
 #: The tier a field belongs to, read off which of ``(fleet_key,
-#: measurement_base_key, measurement_key, analysis_key)`` move when it
-#: alone changes.
+#: measurement_base_key)`` move when it alone changes.
 TIER_OF_MOVED_KEYS = {
-    (True, True, True, True): "fleet",
-    (True, False, False, False): "fleet",  # engine only
-    (False, True, True, True): "measurement",
-    (False, False, True, True): "ceiling",
-    (False, False, False, True): "analysis",
+    (True, True): "fleet",
+    (True, False): "fleet",  # engine only
+    (False, True): "measurement",
+    (False, False): "analysis",
 }
 
 
 def all_keys(config):
-    return tuple(
-        key(config)
-        for key in (fleet_key, measurement_base_key, measurement_key, analysis_key)
-    )
+    return fleet_key(config), measurement_base_key(config)
 
 
 class TestTierTable:
@@ -223,7 +207,7 @@ class TestTierTable:
             changed = all_keys(dataclasses.replace(base, **{path: CHANGED[path]}))
         moved = tuple(old != new for old, new in zip(all_keys(base), changed))
         assert TIER_OF_MOVED_KEYS[moved] == TIERS[path]
-        assert (moved == (True, False, False, False)) == (path == "engine")
+        assert (moved == (True, False)) == (path == "engine")
 
     def test_every_sweep_field_has_a_tier(self):
         # A sub-field (noise.sigma) takes the tier of its dataclass.
@@ -291,16 +275,16 @@ class ConstantDevice:
 
     name = "flat"
 
-    def deterministic_waveform(self, n_cycles=None):
+    def deterministic_waveform(self):
         return np.full(256, 0.25)
 
 
-def reference_acquire(scope, device, n_traces, rng, n_cycles=None):
+def reference_acquire(scope, device, n_traces, rng):
     """The one-shot acquisition formula, with every full-size temporary.
 
     The in-place block kernel must reproduce it byte for byte.
     """
-    base = device.deterministic_waveform(n_cycles)
+    base = device.deterministic_waveform()
     signal_std = float(np.std(base)) or 1.0
     noise, adc = scope.noise, scope.adc
     shape = (n_traces, base.size)
@@ -349,11 +333,9 @@ class TestReferenceKernel:
     )
     def test_constant_waveform_and_explicit_cycles(self, adc, noise):
         scope = Oscilloscope(noise, adc)
-        for device, n_cycles in ((ConstantDevice(), None), (make_device(), 40)):
-            kernel = scope.acquire(device, 150, np.random.default_rng(5), n_cycles)
-            expected = reference_acquire(
-                scope, device, 150, np.random.default_rng(5), n_cycles
-            )
+        for device in (ConstantDevice(), make_device(cycles=40)):
+            kernel = scope.acquire(device, 150, np.random.default_rng(5))
+            expected = reference_acquire(scope, device, 150, np.random.default_rng(5))
             assert kernel.matrix.tobytes() == expected.tobytes()
 
     def test_zero_sigma_noise_matches_normal_draw(self):
@@ -512,18 +494,15 @@ class TestArtifactCache:
         unshared = coefficient_matrix(run_campaign(cfg))
         cache = ArtifactCache()
         cold = coefficient_matrix(run_campaign(cfg, artifacts=cache))
-        # An identical config repeats the whole campaign from the
-        # outcome memo — no fleet or trace tier involved at all.
+        # An identical config shares the fleet and every trace matrix,
+        # and runs its analysis again.
         warm = coefficient_matrix(run_campaign(cfg, artifacts=cache))
-        assert cache.stats.outcome_hits == 1
-        assert cache.stats.fleet_hits == 0
-        assert cache.stats.trace_hits == 0
-        # A config differing only in an analysis-side knob misses the
-        # outcome memo but shares the fleet and every trace matrix.
+        assert (cache.stats.fleet_hits, cache.stats.trace_hits) == (1, 8)
+        # So does a config differing only in an analysis-side knob.
         rotated = dataclasses.replace(cfg, analysis_seed=cfg.analysis_seed + 1)
         run_campaign(rotated, artifacts=cache)
-        assert cache.stats.fleet_hits == 1
-        assert cache.stats.trace_hits == 8
+        assert (cache.stats.fleet_hits, cache.stats.trace_hits) == (2, 16)
+        assert cache.stats.trace_misses == 8
         for pair, coefficients in unshared.items():
             np.testing.assert_array_equal(coefficients, cold[pair])
             np.testing.assert_array_equal(coefficients, warm[pair])
@@ -616,15 +595,19 @@ class TestArtifactCache:
         with pytest.raises(KeyError):
             cache.fleet(quick_config())
 
-    def test_attacks_never_alias_outcomes(self):
+    def test_a_cached_campaign_is_the_campaign_asked_for(self):
+        # The engines share one acquisition, but each campaign builds
+        # its own engine's fleet and reports its own config.
         cache = ArtifactCache()
-        cfg = quick_config()
-        attacked = quick_config(attack="strip")
-        pristine = run_campaign(cfg, artifacts=cache)
-        stripped = run_campaign(attacked, artifacts=cache)
-        assert stripped is not pristine
-        assert run_campaign(attacked, artifacts=cache) is stripped
-        assert run_campaign(cfg, artifacts=cache) is pristine
+        compiled = run_campaign(quick_config(engine="compiled"), artifacts=cache)
+        interpreted = run_campaign(quick_config(engine="interpreted"), artifacts=cache)
+        assert interpreted is not compiled
+        assert interpreted.config.engine == "interpreted"
+        assert cache.stats.fleet_misses == 2
+        assert (cache.stats.trace_misses, cache.stats.trace_hits) == (8, 8)
+        expected = coefficient_matrix(compiled)
+        for pair, coefficients in coefficient_matrix(interpreted).items():
+            assert coefficients.tobytes() == expected[pair].tobytes()
 
 
 def unshared_store(spec, root):
@@ -658,11 +641,11 @@ def sharing_spec(name="shared", seed=5, pinned=True, attacks=("none",)):
 
 class TestGroupingIsTheCacheKey:
     def test_engine_axis_shares_one_acquisition(self, tmp_path):
-        # ``engine`` joins no measurement key, so the scenarios of one
-        # noise level form one group though the engine axis varies
-        # first: each group is acquired once (2 x 8 trace sets, not 4 x 8).
-        # Nor does it join the derived analysis seed, so the second
-        # engine at each noise level is an outcome-memo hit.
+        # ``engine`` joins no measurement base key, so the scenarios of
+        # one noise level form one group though the engine axis varies
+        # first: each group is acquired once (2 x 8 trace sets, not
+        # 4 x 8).  Each engine builds its own fleet once, and the
+        # second noise level reuses both.
         spec = SweepSpec(
             name="engines",
             grid=(
@@ -684,9 +667,8 @@ class TestGroupingIsTheCacheKey:
             shared = SweepStore(str(tmp_path / "shared"))
             run(spec, shared, SweepOptions())
             stats = process_artifact_cache().stats
-            assert (stats.trace_misses, stats.trace_hits) == (16, 0)
-            assert stats.outcome_hits == 2
-            assert (stats.fleet_misses, stats.fleet_hits) == (1, 1)
+            assert (stats.fleet_misses, stats.fleet_hits) == (2, 2)
+            assert (stats.trace_misses, stats.trace_hits) == (16, 16)
         finally:
             clear_process_artifact_cache()
         plain = unshared_store(spec, str(tmp_path / "plain"))
@@ -726,9 +708,10 @@ class TestSweepSharingByteIdentity:
         finally:
             clear_process_artifact_cache()
 
-    def test_repeat_study_with_warm_outcome_memo(self, tmp_path):
-        # Same spec, fresh store: every campaign outcome comes from the
-        # memo, yet the store matches a plain run byte for byte.
+    def test_repeat_study_with_warm_cache(self, tmp_path):
+        # Same spec, fresh store, in the process that ran it first:
+        # every scenario runs again on the warm cache, and the store
+        # matches a plain run byte for byte.
         clear_process_artifact_cache()
         try:
             spec = sharing_spec(attacks=("none", "strip"))
@@ -737,7 +720,6 @@ class TestSweepSharingByteIdentity:
             repeat = SweepStore(str(tmp_path / "repeat"))
             report = run(spec, repeat)
             assert report.n_executed == spec.n_scenarios
-            assert process_artifact_cache().stats.outcome_hits == spec.n_scenarios
             assert store_digests(repeat.root) == store_digests(plain.root)
         finally:
             clear_process_artifact_cache()

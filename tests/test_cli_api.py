@@ -1,7 +1,9 @@
 """Tests for the CLI, the public API surface and the report module."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -69,29 +71,16 @@ class TestPublicAPI:
             assert hasattr(repro, name), name
 
     def test_subpackage_alls_resolve(self):
-        import repro.acquisition
-        import repro.analysis
-        import repro.attacks
-        import repro.baselines
-        import repro.core
-        import repro.crypto
-        import repro.experiments
-        import repro.fsm
-        import repro.hdl
-        import repro.power
-
-        for module in (
-            repro.core,
-            repro.crypto,
-            repro.hdl,
-            repro.fsm,
-            repro.power,
-            repro.acquisition,
-            repro.experiments,
-            repro.analysis,
-            repro.baselines,
-            repro.attacks,
-        ):
+        # Every module of the package, so a name deleted from a module
+        # but left in its ``__all__`` fails here.
+        modules = [
+            importlib.import_module(info.name)
+            for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        ]
+        exporting = {m.__name__: m for m in modules if hasattr(m, "__all__")}
+        walked = {"repro.service", "repro.sweeps", "repro.experiments.artifacts"}
+        assert walked <= set(exporting)
+        for module in exporting.values():
             for name in module.__all__:
                 assert hasattr(module, name), f"{module.__name__}.{name}"
 

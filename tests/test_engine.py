@@ -316,13 +316,12 @@ class TestFleetActivitySharing:
         assert refds["IP_B"].activity() is duts["DUT#2"].activity()
         assert refds["IP_B"].activity() is not duts["DUT#3"].activity()
 
-    def test_resolved_cycles_share_cache_entry(self):
+    def test_device_caches_its_one_activity(self):
         clear_fleet_activity_cache()
         ip = build_paper_ip("IP_A")
         device = Device("dev", ip, PowerModel(), default_cycles=64)
-        assert device.activity() is device.activity(64)
-        assert device.resolve_cycles(None) == 64
-        assert device.resolve_cycles(16) == 16
+        assert device.activity() is device.activity()
+        assert device.activity().n_cycles == 64
 
 
 class TestProgramSharing:
@@ -378,5 +377,5 @@ class TestProgramSharing:
         clear_fleet_activity_cache()
         refds, duts = build_device_fleet(seed=2014)
         for device in (*refds.values(), *duts.values()):
-            device.activity(64)
+            device.activity()
         assert program_cache_size() <= len(refds)

@@ -521,9 +521,9 @@ class TestFleetPriming:
         clear_fleet_activity_cache()
         refds, _duts = build_device_fleet(seed=2014, engine="interpreted")
         device = refds["IP_A"]
-        assert prime_fleet_activity([device], 32) == 0
-        assert 32 in device._activity_cache
+        assert prime_fleet_activity([device]) == 0
+        assert device._activity is not None
         reference = Simulator(
             build_paper_ip("IP_A").netlist, engine="interpreted"
-        ).run(32)
-        assert np.array_equal(device.activity(32).matrix, reference.matrix)
+        ).run(device.default_cycles)
+        assert np.array_equal(device.activity().matrix, reference.matrix)

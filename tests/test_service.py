@@ -614,6 +614,34 @@ class TestSubmitPollRows:
         run(spec, direct)
         assert store_digests(instance.store_root) == store_digests(direct.root)
 
+    def test_routes_answer_while_a_spec_expands(self, service, monkeypatch):
+        # A submitted spec expands off the event loop, so a slow
+        # expansion stalls no other route.
+        _, client = service
+        expanding = threading.Event()
+
+        def slow_expand(spec):
+            expanding.set()
+            time.sleep(1.0)
+            return expand_scenarios(spec)
+
+        monkeypatch.setattr(service_jobs, "expand_scenarios", slow_expand)
+        spec = quick_spec(name="slow")
+        accepted = []
+        poster = threading.Thread(
+            target=lambda: accepted.append(client.post("/sweeps", submission(spec)))
+        )
+        poster.start()
+        assert expanding.wait(30)
+        start = time.monotonic()
+        status, _ = client.get("/health")
+        answered = time.monotonic() - start
+        poster.join(60)
+        assert status == 200 and answered < 0.5
+        [(status, description)] = accepted
+        assert status == 202
+        assert client.wait(description["job_id"])["state"] == JOB_DONE
+
     def test_resubmission_of_finished_spec_completes_from_cache(
         self, service
     ):

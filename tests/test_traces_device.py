@@ -87,8 +87,9 @@ class TestDevice:
         with pytest.raises(ValueError):
             Device("a", build_paper_ip("IP_A"), PowerModel(), default_cycles=0)
 
-    def test_custom_cycle_count(self, device):
-        assert device.deterministic_waveform(64).size == 64 * 4
+    def test_custom_cycle_count(self):
+        device = Device("a", build_paper_ip("IP_A"), PowerModel(), default_cycles=64)
+        assert device.deterministic_waveform().size == 64 * 4
 
 
 class TestOscilloscope:
