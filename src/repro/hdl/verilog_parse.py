@@ -34,8 +34,9 @@ which simulates identically but uses that component's activity model;
 constant-zero stimulus.
 
 The lexer is a single pass of one compiled regular expression matched
-at a cursor; line and column come from the newlines inside each
-whitespace or block-comment span.  The grammar is ASCII, as in
+at a cursor, once per token (with the spaces before it) or line break;
+line and column come from those line breaks and the newlines inside
+block comments.  The grammar is ASCII, as in
 Verilog-2001: identifiers are ``[A-Za-z_][A-Za-z0-9_$]*`` and digits
 are ``[0-9]``.  Any other text is legal only inside ``//`` and
 ``/* */`` comments (so in ``repro:`` pragmas too) and in escaped
@@ -45,8 +46,9 @@ non-ASCII character is an "unexpected character".
 All diagnostics raise :class:`VerilogParseError` carrying the 1-based
 line/column and the offending token — including hostile input: no bus
 or literal may be wider than :data:`MAX_BUS_WIDTH` bits, no expression
-may nest deeper than :data:`MAX_EXPRESSION_DEPTH` levels, and a file
-that is not UTF-8 is reported with the offset of its first bad byte.
+may nest deeper than :data:`MAX_EXPRESSION_DEPTH` levels, no file may
+be larger than :data:`MAX_SOURCE_BYTES`, and a file that is not UTF-8
+is reported with the offset of its first bad byte.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.hdl.combinational import (
     BinaryToGray,
@@ -80,6 +82,7 @@ __all__ = [
     "GATE_PRIMITIVES",
     "MAX_BUS_WIDTH",
     "MAX_EXPRESSION_DEPTH",
+    "MAX_SOURCE_BYTES",
 ]
 
 #: Gate primitives accepted as instances (third-party netlist subset).
@@ -92,6 +95,11 @@ PRAGMA_PREFIX = "repro:"
 #: above the compiled engine's 63-bit wires and every design here; it
 #: bounds what a hostile range or literal can make the frontend build.
 MAX_BUS_WIDTH = 4096
+
+#: Largest file :func:`parse_verilog_file` reads, in bytes: 4 MiB, the
+#: sweep service's request-body cap and ~160x the largest vendored
+#: circuit.  A flag, a spec or a service client can name the file.
+MAX_SOURCE_BYTES = 4 * 1024 * 1024
 
 #: Deepest expression accepted: parenthesis and ``?:`` nesting while
 #: parsing, then nodes on the longest root-to-leaf path.  The exporter's
@@ -160,27 +168,49 @@ class VerilogParseError(Exception):
 # Lexer
 
 
-class _Token(NamedTuple):
-    kind: str  # "ident" | "number" | "symbol" | "pragma" | "eof"
-    text: str
-    line: int
-    col: int
-    width: Optional[int] = None  # sized literals only
-    value: Optional[int] = None  # numbers only
+class _Tokens:
+    """The token stream as parallel arrays, one entry per token.
+
+    Token ``i`` is ``kinds[i]`` ("ident" | "number" | "symbol" |
+    "pragma" | "eof") with text ``texts[i]`` at 1-based line
+    ``lines[i]``, column ``cols[i]``; ``numbers`` maps the index of each
+    number token to its ``(width, value)`` (``width`` is None unless
+    the literal is sized).  Lists of strings and ints give the garbage
+    collector no object per token to track, as tuples would.
+    """
+
+    __slots__ = ("kinds", "texts", "lines", "cols", "numbers")
+
+    def __init__(self) -> None:
+        self.kinds: List[str] = []
+        self.texts: List[str] = []
+        self.lines: List[int] = []
+        self.cols: List[int] = []
+        self.numbers: Dict[int, Tuple[Optional[int], int]] = {}
+
+    def append(self, kind: str, text: str, line: int, col: int) -> None:
+        self.kinds.append(kind)
+        self.texts.append(text)
+        self.lines.append(line)
+        self.cols.append(col)
 
 
-#: One alternative per token class, matched at the cursor.  Only ``/``
-#: starts two classes, so comments come before symbols; the rest are
-#: ordered by frequency.  The ``number`` group takes a literal's size
-#: digits and quote; :meth:`_Lexer._lex_number` reads the rest.
+#: One match per token: the spaces and tabs before it on its line, then
+#: one alternative per token class.  A line break is its own match, so
+#: no other token's whitespace holds one.  Only ``/`` starts two
+#: classes, so comments come before symbols; ``\Z`` is the end of the
+#: text.  The ``number`` group takes a literal's size digits and quote;
+#: :meth:`_Lexer._lex_number` reads the rest.
 _TOKEN_RE = re.compile(
-    r"(?P<space>[ \t\r\n]+)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_$]*)"
+    r"[ \t\r]*(?:"
+    r"(?P<ident>[A-Za-z_][A-Za-z0-9_$]*)"
     r"|(?P<comment>//[^\n]*)"
     r"|(?P<block>/\*)"
+    r"|(?P<symbol><=|>>|<<|[()\[\]{};,:?=^~&|+\-*/@#.])"
+    r"|(?P<newline>\n)"
     r"|(?P<number>[0-9][0-9_]*'?|')"
     r"|(?P<escaped>\\\S*)"
-    r"|(?P<symbol><=|>>|<<|[()\[\]{};,:?=^~&|+\-*/@#.])"
+    r"|(?P<eof>\Z))"
 )
 
 _BASE_DIGITS = {
@@ -219,52 +249,67 @@ class _Lexer:
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens: List[_Token] = []
+        self.tokens = _Tokens()
         self.comments: Dict[int, str] = {}
 
-    def run(self) -> Tuple[List[_Token], Dict[int, str]]:
+    def run(self) -> Tuple[_Tokens, Dict[int, str]]:
         text = self.text
-        append = self.tokens.append
+        tokens = self.tokens
+        add_kind = tokens.kinds.append
+        add_text = tokens.texts.append
+        add_line = tokens.lines.append
+        add_col = tokens.cols.append
         match = _TOKEN_RE.match
-        line, line_start, pos, end = 1, 0, 0, len(text)
-        while pos < end:
+        line, line_start, pos = 1, 0, 0
+        while True:
             found = match(text, pos)
-            col = pos - line_start + 1
             if found is None:
+                while text[pos] in " \t\r":
+                    pos += 1
                 char = text[pos]
                 raise VerilogParseError(
-                    f"unexpected character {char!r}", line, col, char
+                    f"unexpected character {char!r}", line, pos - line_start + 1, char
                 )
             kind = found.lastgroup
             stop = found.end()
             if kind == "ident" or kind == "symbol":
-                append(_Token(kind, found.group(), line, col))
-            elif kind == "space" or kind == "block":
+                token = found[kind]
+                add_kind(kind)
+                add_text(token)
+                add_line(line)
+                add_col(stop - len(token) - line_start + 1)
+            elif kind == "newline":
+                line += 1
+                line_start = stop
+            elif kind == "eof":
+                tokens.append("eof", "", line, stop - line_start + 1)
+                return tokens, self.comments
+            else:
+                start = found.start(kind)
+                col = start - line_start + 1
                 if kind == "block":
-                    close = text.find("*/", pos + 2)
+                    close = text.find("*/", start + 2)
                     if close == -1:
                         raise VerilogParseError("unterminated block comment", line, col)
                     stop = close + 2
-                newlines = text.count("\n", pos, stop)
-                if newlines:
-                    line += newlines
-                    line_start = text.rindex("\n", pos, stop) + 1
-            elif kind == "number":
-                stop = self._lex_number(pos, stop, line, col)
-            elif kind == "comment":
-                body = text[pos + 2 : stop].strip()
-                if body.startswith(PRAGMA_PREFIX):
-                    payload = body[len(PRAGMA_PREFIX) :].strip()
-                    append(_Token("pragma", payload, line, col))
-                elif body:
-                    self.comments[line] = body
-            else:  # escaped identifier: backslash to the next whitespace
-                if stop == pos + 1:
-                    raise VerilogParseError("empty escaped identifier", line, col + 1)
-                append(_Token("ident", text[pos + 1 : stop], line, col))
+                    newlines = text.count("\n", start, stop)
+                    if newlines:
+                        line += newlines
+                        line_start = text.rindex("\n", start, stop) + 1
+                elif kind == "number":
+                    stop = self._lex_number(start, stop, line, col)
+                elif kind == "comment":
+                    body = text[start + 2 : stop].strip()
+                    if body.startswith(PRAGMA_PREFIX):
+                        payload = body[len(PRAGMA_PREFIX) :].strip()
+                        tokens.append("pragma", payload, line, col)
+                    elif body:
+                        self.comments[line] = body
+                else:  # escaped identifier: backslash to the next whitespace
+                    if stop == start + 1:
+                        raise VerilogParseError("empty escaped identifier", line, col + 1)
+                    tokens.append("ident", text[start + 1 : stop], line, col)
             pos = stop
-        append(_Token("eof", "", line, pos - line_start + 1))
-        return self.tokens, self.comments
 
     def _lex_number(self, start: int, stop: int, line: int, col: int) -> int:
         """Lex the literal whose size digits (and quote) end at ``stop``.
@@ -272,10 +317,12 @@ class _Lexer:
         Returns the index just past the literal.
         """
         text = self.text
+        tokens = self.tokens
         if text[stop - 1] != "'":
             digits = text[start:stop].replace("_", "")
             value = _bounded_int(digits, 10, line, col)
-            self.tokens.append(_Token("number", digits, line, col, None, value))
+            tokens.numbers[len(tokens.kinds)] = (None, value)
+            tokens.append("number", digits, line, col)
             return stop
         width: Optional[int] = None
         size_digits = text[start : stop - 1].replace("_", "")
@@ -310,7 +357,8 @@ class _Lexer:
                 col,
                 literal,
             )
-        self.tokens.append(_Token("number", literal, line, col, width, value))
+        tokens.numbers[len(tokens.kinds)] = (width, value)
+        tokens.append("number", literal, line, col)
         return end
 
 
@@ -398,161 +446,199 @@ class _ClockTreePragma:
 
 
 class _Parser:
-    """Recursive-descent parser for the structural subset."""
+    """Recursive-descent parser for the structural subset.
 
-    def __init__(self, tokens: List[_Token], comments: Dict[int, str]):
-        self.tokens = tokens
+    It reads the token arrays by index: ``pos`` is the next token, and
+    a production takes the index of a token where it needs its text or
+    position.  The stream ends in an ``eof`` token that no check
+    accepts, so a production never steps past it.
+    """
+
+    def __init__(self, tokens: _Tokens, comments: Dict[int, str]):
+        self.kinds = tokens.kinds
+        self.texts = tokens.texts
+        self.lines = tokens.lines
+        self.cols = tokens.cols
+        self.numbers = tokens.numbers
         self.comments = comments
         self.pos = 0
         self.module_name: Optional[str] = None
         self.header_ports: List[str] = []
         self.port_decls: List[_PortDecl] = []
         self.wire_decls: List[_WireDecl] = []
-        self.statements: List[_Statement] = []
+        self.statements: List[object] = []
         self.nesting = 0  # open _parse_expression calls
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> _Token:
-        # The stream ends in an ``eof`` token that next() never passes.
-        return self.tokens[self.pos]
+    def at(self, kind: str, text: str) -> bool:
+        """Whether the next token is ``text`` of ``kind``."""
+        pos = self.pos
+        return self.kinds[pos] == kind and self.texts[pos] == text
 
-    def next(self) -> _Token:
-        token = self.tokens[self.pos]
-        if token.kind != "eof":
-            self.pos += 1
-        return token
+    def next(self) -> int:
+        """The next token's index; steps past it unless it is ``eof``."""
+        pos = self.pos
+        if self.kinds[pos] != "eof":
+            self.pos = pos + 1
+        return pos
 
-    def error(self, message: str, token: Optional[_Token] = None) -> VerilogParseError:
-        token = token if token is not None else self.peek()
-        return VerilogParseError(message, token.line, token.col, token.text or "<eof>")
+    def error(self, message: str, at: Optional[int] = None) -> VerilogParseError:
+        at = self.pos if at is None else at
+        return VerilogParseError(
+            message, self.lines[at], self.cols[at], self.texts[at] or "<eof>"
+        )
 
-    def expect_symbol(self, symbol: str) -> _Token:
-        token = self.next()
-        if token.kind != "symbol" or token.text != symbol:
-            raise self.error(f"expected {symbol!r}", token)
-        return token
+    def ident_error(self, at: int) -> VerilogParseError:
+        """The error for token ``at`` where an identifier was expected."""
+        if self.kinds[at] != "ident":
+            return self.error("expected an identifier", at)
+        return self.error(
+            f"expected an identifier, got keyword {self.texts[at]!r}", at
+        )
 
-    def expect_keyword(self, word: str) -> _Token:
-        token = self.next()
-        if token.kind != "ident" or token.text != word:
-            raise self.error(f"expected {word!r}", token)
-        return token
+    def expect_symbol(self, symbol: str) -> None:
+        at = self.next()
+        if self.kinds[at] != "symbol" or self.texts[at] != symbol:
+            raise self.error(f"expected {symbol!r}", at)
 
-    def expect_ident(self) -> _Token:
-        token = self.next()
-        if token.kind != "ident":
-            raise self.error("expected an identifier", token)
-        if token.text in _KEYWORDS:
-            raise self.error(
-                f"expected an identifier, got keyword {token.text!r}", token
-            )
-        return token
+    def expect_keyword(self, word: str) -> None:
+        at = self.next()
+        if self.kinds[at] != "ident" or self.texts[at] != word:
+            raise self.error(f"expected {word!r}", at)
 
-    def at_keyword(self, word: str) -> bool:
-        token = self.peek()
-        return token.kind == "ident" and token.text == word
+    def expect_ident(self) -> int:
+        """The index of the next token, which must be a non-keyword name."""
+        at = self.next()
+        if self.kinds[at] != "ident" or self.texts[at] in _KEYWORDS:
+            raise self.ident_error(at)
+        return at
 
-    def comment_for(self, line: int) -> Optional[str]:
-        return self.comments.get(line)
+    def expect_number(self, message: str) -> Tuple[int, Optional[int], int]:
+        """``(index, width, value)`` of the next token, which must be a number."""
+        at = self.next()
+        number = self.numbers.get(at)
+        if number is None:
+            raise self.error(message, at)
+        return (at, *number)
+
+    def names_until(self, closer: str, what: str) -> List[int]:
+        """Indices of ``name (, name)*`` up to and past ``closer``."""
+        kinds, texts = self.kinds, self.texts
+        at = self.pos
+        names = []
+        while True:
+            if kinds[at] != "ident" or texts[at] in _KEYWORDS:
+                raise self.ident_error(at)
+            names.append(at)
+            at += 1
+            if kinds[at] == "symbol":
+                if texts[at] == ",":
+                    at += 1
+                    continue
+                if texts[at] == closer:
+                    self.pos = at + 1
+                    return names
+            raise self.error(f"expected ',' or {closer!r} in {what}", at)
 
     # -- grammar -----------------------------------------------------------
 
     def parse_module(self) -> None:
-        while self.peek().kind == "pragma":
+        while self.kinds[self.pos] == "pragma":
             self._handle_pragma(self.next())
         self.expect_keyword("module")
-        self.module_name = self.expect_ident().text
-        if self.peek().kind == "symbol" and self.peek().text == "(":
+        self.module_name = self.texts[self.expect_ident()]
+        if self.at("symbol", "("):
             self.next()
             self._parse_port_list()
         self.expect_symbol(";")
-        while not self.at_keyword("endmodule"):
-            token = self.peek()
-            if token.kind == "eof":
-                raise self.error("unexpected end of file: missing 'endmodule'", token)
+        while not self.at("ident", "endmodule"):
+            if self.kinds[self.pos] == "eof":
+                raise self.error("unexpected end of file: missing 'endmodule'")
             self._parse_module_item()
         self.next()  # endmodule
 
     def _parse_port_list(self) -> None:
-        if self.peek().kind == "symbol" and self.peek().text == ")":
+        if self.at("symbol", ")"):
             self.next()
             return
         while True:
-            token = self.peek()
-            if token.kind == "ident" and token.text in ("input", "output", "inout"):
+            if self.kinds[self.pos] == "ident" and self.texts[self.pos] in (
+                "input",
+                "output",
+                "inout",
+            ):
                 self._parse_ansi_port()
             else:
-                self.header_ports.append(self.expect_ident().text)
-            token = self.next()
-            if token.kind == "symbol" and token.text == ",":
+                self.header_ports.append(self.texts[self.expect_ident()])
+            at = self.next()
+            if self.kinds[at] == "symbol" and self.texts[at] == ",":
                 continue
-            if token.kind == "symbol" and token.text == ")":
+            if self.kinds[at] == "symbol" and self.texts[at] == ")":
                 return
-            raise self.error("expected ',' or ')' in port list", token)
+            raise self.error("expected ',' or ')' in port list", at)
 
     def _parse_ansi_port(self) -> None:
-        direction_token = self.next()
-        direction = direction_token.text
+        direction_at = self.next()
+        direction = self.texts[direction_at]
         if direction == "inout":
-            raise self.error("'inout' ports are not supported", direction_token)
-        if self.at_keyword("wire") or self.at_keyword("reg"):
+            raise self.error("'inout' ports are not supported", direction_at)
+        if self.at("ident", "wire") or self.at("ident", "reg"):
             self.next()
         width = self._parse_optional_range()
         name = self.expect_ident()
         self.port_decls.append(
-            _PortDecl(direction, width, name.text, name.line, name.col)
+            _PortDecl(
+                direction, width, self.texts[name], self.lines[name], self.cols[name]
+            )
         )
-        self.header_ports.append(name.text)
+        self.header_ports.append(self.texts[name])
 
     def _parse_optional_range(self) -> Optional[int]:
-        if not (self.peek().kind == "symbol" and self.peek().text == "["):
+        if not self.at("symbol", "["):
             return None
         self.next()
-        msb = self.next()
-        if msb.kind != "number" or msb.value is None:
-            raise self.error("expected a constant msb in range", msb)
-        if msb.value >= MAX_BUS_WIDTH:
-            raise self.error(f"bus width exceeds the {MAX_BUS_WIDTH}-bit limit", msb)
+        msb_at, _, msb = self.expect_number("expected a constant msb in range")
+        if msb >= MAX_BUS_WIDTH:
+            raise self.error(f"bus width exceeds the {MAX_BUS_WIDTH}-bit limit", msb_at)
         self.expect_symbol(":")
-        lsb = self.next()
-        if lsb.kind != "number" or lsb.value is None:
-            raise self.error("expected a constant lsb in range", lsb)
-        if lsb.value != 0:
+        lsb_at, _, lsb = self.expect_number("expected a constant lsb in range")
+        if lsb != 0:
             raise self.error(
-                f"only [msb:0] ranges are supported, got [{msb.value}:{lsb.value}]",
-                lsb,
+                f"only [msb:0] ranges are supported, got [{msb}:{lsb}]", lsb_at
             )
         self.expect_symbol("]")
-        return msb.value + 1
+        return msb + 1
 
     def _parse_module_item(self) -> None:
-        token = self.peek()
-        if token.kind == "pragma":
+        at = self.pos
+        kind = self.kinds[at]
+        if kind == "pragma":
             self._handle_pragma(self.next())
             return
-        if token.kind != "ident":
-            raise self.error("expected a module item", token)
-        word = token.text
-        if word in ("input", "output"):
+        if kind != "ident":
+            raise self.error("expected a module item", at)
+        word = self.texts[at]
+        if word in GATE_PRIMITIVES:
+            self._parse_gate_instance()
+        elif word in ("input", "output"):
             self._parse_direction_decl()
         elif word == "inout":
-            raise self.error("'inout' ports are not supported", token)
+            raise self.error("'inout' ports are not supported", at)
         elif word in ("wire", "reg"):
             self._parse_net_decl()
         elif word == "assign":
             self._parse_assign()
         elif word == "always":
             self._parse_always()
-        elif word in GATE_PRIMITIVES:
-            self._parse_gate_instance()
         else:
             raise self.error(
-                f"unsupported construct {word!r} (structural subset only)", token
+                f"unsupported construct {word!r} (structural subset only)", at
             )
 
-    def _handle_pragma(self, token: _Token) -> None:
-        fields = token.text.split()
+    def _handle_pragma(self, at: int) -> None:
+        text, line, col = self.texts[at], self.lines[at], self.cols[at]
+        fields = text.split()
         if not fields:
             return
         if fields[0] == "clocktree":
@@ -560,61 +646,41 @@ class _Parser:
                 raise VerilogParseError(
                     "malformed clocktree pragma "
                     "(expected 'repro: clocktree <name> load=<x>')",
-                    token.line,
-                    token.col,
-                    token.text,
+                    line,
+                    col,
+                    text,
                 )
             name = " ".join(fields[1:-1])
             try:
                 load = float(fields[-1][len("load=") :])
             except ValueError:
                 raise VerilogParseError(
-                    "malformed clocktree load value",
-                    token.line,
-                    token.col,
-                    fields[-1],
+                    "malformed clocktree load value", line, col, fields[-1]
                 ) from None
-            self.statements.append(
-                _ClockTreePragma(name, load, token.line, token.col)
-            )
+            self.statements.append(_ClockTreePragma(name, load, line, col))
         # Unknown pragmas are ignored for forward compatibility.
 
     def _parse_direction_decl(self) -> None:
-        direction = self.next().text
-        if self.at_keyword("wire") or self.at_keyword("reg"):
+        direction = self.texts[self.next()]
+        if self.at("ident", "wire") or self.at("ident", "reg"):
             self.next()
         width = self._parse_optional_range()
-        while True:
-            name = self.expect_ident()
-            self.port_decls.append(
-                _PortDecl(direction, width, name.text, name.line, name.col)
-            )
-            token = self.next()
-            if token.kind == "symbol" and token.text == ",":
-                continue
-            if token.kind == "symbol" and token.text == ";":
-                return
-            raise self.error("expected ',' or ';' in port declaration", token)
+        texts, lines, cols = self.texts, self.lines, self.cols
+        self.port_decls.extend(
+            _PortDecl(direction, width, texts[at], lines[at], cols[at])
+            for at in self.names_until(";", "port declaration")
+        )
 
     def _parse_net_decl(self) -> None:
         self.next()  # wire | reg
         width = self._parse_optional_range()
-        while True:
-            name = self.expect_ident()
-            self.wire_decls.append(
-                _WireDecl(
-                    width if width is not None else 1,
-                    name.text,
-                    name.line,
-                    name.col,
-                )
-            )
-            token = self.next()
-            if token.kind == "symbol" and token.text == ",":
-                continue
-            if token.kind == "symbol" and token.text == ";":
-                return
-            raise self.error("expected ',' or ';' in net declaration", token)
+        if width is None:
+            width = 1
+        texts, lines, cols = self.texts, self.lines, self.cols
+        self.wire_decls.extend(
+            _WireDecl(width, texts[at], lines[at], cols[at])
+            for at in self.names_until(";", "net declaration")
+        )
 
     def _parse_assign(self) -> None:
         keyword = self.next()  # assign
@@ -627,13 +693,14 @@ class _Parser:
                 keyword,
             )
         self.expect_symbol(";")
+        line = self.lines[keyword]
         self.statements.append(
             _Assign(
-                target.text,
+                self.texts[target],
                 expr,
-                keyword.line,
-                keyword.col,
-                self.comment_for(keyword.line),
+                line,
+                self.cols[keyword],
+                self.comments.get(line),
             )
         )
 
@@ -646,12 +713,12 @@ class _Parser:
                 f"expression nests deeper than {MAX_EXPRESSION_DEPTH} levels"
             )
         cond = self._parse_binary(1)
-        if self.peek().kind == "symbol" and self.peek().text == "?":
-            token = self.next()
+        if self.at("symbol", "?"):
+            at = self.next()
             if_true = self._parse_expression()
             self.expect_symbol(":")
             if_false = self._parse_expression()
-            cond = ("mux", cond, if_true, if_false, token.line, token.col)
+            cond = ("mux", cond, if_true, if_false, self.lines[at], self.cols[at])
         self.nesting -= 1
         return cond
 
@@ -659,52 +726,56 @@ class _Parser:
         """Left-associative operators binding at least ``min_level``."""
         left = self._parse_unary()
         while True:
-            token = self.peek()
-            level = _BINARY_LEVELS.get(token.text, 0) if token.kind == "symbol" else 0
+            at = self.pos
+            level = (
+                _BINARY_LEVELS.get(self.texts[at], 0)
+                if self.kinds[at] == "symbol"
+                else 0
+            )
             if level < min_level:
                 return left
             self.next()
             right = self._parse_binary(level + 1)
-            left = ("bin", token.text, left, right, token.line, token.col)
+            left = ("bin", self.texts[at], left, right, self.lines[at], self.cols[at])
 
     def _parse_unary(self) -> tuple:
         nots = []
-        while self.peek().kind == "symbol" and self.peek().text == "~":
+        while self.at("symbol", "~"):
             nots.append(self.next())
         expr = self._parse_primary()
-        for token in reversed(nots):
-            expr = ("not", expr, token.line, token.col)
+        for at in reversed(nots):
+            expr = ("not", expr, self.lines[at], self.cols[at])
         return expr
 
     def _parse_primary(self) -> tuple:
-        token = self.next()
-        if token.kind == "symbol" and token.text == "(":
+        at = self.next()
+        kind, text = self.kinds[at], self.texts[at]
+        if kind == "symbol" and text == "(":
             expr = self._parse_expression()
             self.expect_symbol(")")
             return expr
-        if token.kind == "number":
-            return ("num", token.width, token.value, token.line, token.col)
-        if token.kind == "ident" and token.text not in _KEYWORDS:
-            return ("ident", token.text, token.line, token.col)
-        raise self.error("expected an operand", token)
+        if kind == "number":
+            return ("num", *self.numbers[at], self.lines[at], self.cols[at])
+        if kind == "ident" and text not in _KEYWORDS:
+            return ("ident", text, self.lines[at], self.cols[at])
+        raise self.error("expected an operand", at)
 
     # -- always blocks -----------------------------------------------------
 
     def _parse_always(self) -> None:
         keyword = self.next()  # always
-        comment = self.comment_for(keyword.line)
+        comment = self.comments.get(self.lines[keyword])
         self.expect_symbol("@")
         self.expect_symbol("(")
-        token = self.peek()
-        if token.kind == "symbol" and token.text == "*":
+        if self.at("symbol", "*"):
             self.next()
             self.expect_symbol(")")
             self._parse_case_block(keyword, comment)
             return
-        if token.kind == "ident" and token.text == "posedge":
+        if self.at("ident", "posedge"):
             self.next()
             clock = self.expect_ident()
-            if clock.text not in CLOCK_NAMES:
+            if self.texts[clock] not in CLOCK_NAMES:
                 raise self.error(
                     f"only a {sorted(CLOCK_NAMES)} clock is supported", clock
                 )
@@ -712,101 +783,93 @@ class _Parser:
             self._parse_register_block(keyword, comment)
             return
         raise self.error(
-            "unsupported always sensitivity (expected '@(*)' or '@(posedge clk)')",
-            token,
+            "unsupported always sensitivity (expected '@(*)' or '@(posedge clk)')"
         )
 
-    def _parse_register_block(self, keyword: _Token, comment: Optional[str]) -> None:
-        has_begin = self.at_keyword("begin")
+    def _parse_register_block(self, keyword: int, comment: Optional[str]) -> None:
+        texts = self.texts
+        has_begin = self.at("ident", "begin")
         if has_begin:
             self.next()
         self.expect_keyword("if")
         self.expect_symbol("(")
         reset = self.expect_ident()
-        if reset.text not in RESET_NAMES:
+        if texts[reset] not in RESET_NAMES:
             raise self.error(f"only a {sorted(RESET_NAMES)} reset is supported", reset)
         self.expect_symbol(")")
-        q_token = self.expect_ident()
+        q = texts[self.expect_ident()]
         self.expect_symbol("<=")
-        value = self.next()
-        if value.kind != "number" or value.value is None:
-            raise self.error("register reset value must be a literal", value)
+        _, reset_width, reset_value = self.expect_number(
+            "register reset value must be a literal"
+        )
         self.expect_symbol(";")
         self.expect_keyword("else")
         q2 = self.expect_ident()
-        if q2.text != q_token.text:
+        if texts[q2] != q:
             raise self.error(
                 f"register branches assign different targets "
-                f"({q_token.text!r} vs {q2.text!r})",
+                f"({q!r} vs {texts[q2]!r})",
                 q2,
             )
         self.expect_symbol("<=")
-        d_token = self.expect_ident()
+        d = texts[self.expect_ident()]
         self.expect_symbol(";")
         if has_begin:
             self.expect_keyword("end")
         self.statements.append(
             _Register(
-                q_token.text,
-                d_token.text,
-                value.width,
-                value.value,
-                keyword.line,
-                keyword.col,
+                q,
+                d,
+                reset_width,
+                reset_value,
+                self.lines[keyword],
+                self.cols[keyword],
                 comment,
             )
         )
 
-    def _parse_case_block(self, keyword: _Token, comment: Optional[str]) -> None:
-        has_begin = self.at_keyword("begin")
+    def _parse_case_block(self, keyword: int, comment: Optional[str]) -> None:
+        texts = self.texts
+        has_begin = self.at("ident", "begin")
         if has_begin:
             self.next()
         self.expect_keyword("case")
         self.expect_symbol("(")
-        selector = self.expect_ident()
+        selector = texts[self.expect_ident()]
         self.expect_symbol(")")
         entries: Dict[int, int] = {}
         entry_widths: Dict[int, Optional[int]] = {}
         target: Optional[str] = None
         rom_hint = bool(comment) and comment.endswith("(ROM)")
-        while not self.at_keyword("endcase"):
-            token = self.peek()
-            if token.kind == "eof":
-                raise self.error("unexpected end of file inside case table", token)
-            if self.at_keyword("default"):
+        while not self.at("ident", "endcase"):
+            if self.kinds[self.pos] == "eof":
+                raise self.error("unexpected end of file inside case table")
+            if self.at("ident", "default"):
                 self.next()
                 self.expect_symbol(":")
                 self.expect_ident()  # target (the all-zero default arm)
                 self.expect_symbol("=")
-                value = self.next()
-                if value.kind != "number":
-                    raise self.error("case default must assign a literal", value)
+                self.expect_number("case default must assign a literal")
                 self.expect_symbol(";")
                 continue
-            key = self.next()
-            if key.kind != "number" or key.value is None:
-                raise self.error("case label must be a literal", key)
+            key_at, _, key = self.expect_number("case label must be a literal")
             self.expect_symbol(":")
-            target_token = self.expect_ident()
+            target_at = self.expect_ident()
             if target is None:
-                target = target_token.text
-            elif target != target_token.text:
+                target = texts[target_at]
+            elif target != texts[target_at]:
                 raise self.error(
                     f"case arms assign different targets "
-                    f"({target!r} vs {target_token.text!r})",
-                    target_token,
+                    f"({target!r} vs {texts[target_at]!r})",
+                    target_at,
                 )
             self.expect_symbol("=")
-            value = self.next()
-            if value.kind != "number" or value.value is None:
-                raise self.error("case arm must assign a literal", value)
+            _, width, value = self.expect_number("case arm must assign a literal")
             self.expect_symbol(";")
-            if key.value in entries:
-                raise self.error(
-                    f"duplicate case label {key.text}", key
-                )
-            entries[key.value] = value.value
-            entry_widths[key.value] = value.width
+            if key in entries:
+                raise self.error(f"duplicate case label {texts[key_at]}", key_at)
+            entries[key] = value
+            entry_widths[key] = width
         self.next()  # endcase
         if has_begin:
             self.expect_keyword("end")
@@ -817,12 +880,12 @@ class _Parser:
             name_comment = comment[: -len("(ROM)")].strip()
         self.statements.append(
             _CaseTable(
-                selector.text,
+                selector,
                 target,
                 entries,
                 entry_widths,
-                keyword.line,
-                keyword.col,
+                self.lines[keyword],
+                self.cols[keyword],
                 name_comment,
                 rom_hint,
             )
@@ -831,38 +894,34 @@ class _Parser:
     # -- gate instances ----------------------------------------------------
 
     def _parse_gate_instance(self) -> None:
-        gate = self.next()
+        kinds, texts = self.kinds, self.texts
+        gate_at = self.pos
+        gate = texts[gate_at]
+        at = gate_at + 1
         instance: Optional[str] = None
-        if self.peek().kind == "ident" and self.peek().text not in _KEYWORDS:
-            instance = self.next().text
-        self.expect_symbol("(")
-        terminals: List[str] = []
-        while True:
-            terminals.append(self.expect_ident().text)
-            token = self.next()
-            if token.kind == "symbol" and token.text == ",":
-                continue
-            if token.kind == "symbol" and token.text == ")":
-                break
-            raise self.error("expected ',' or ')' in gate terminals", token)
+        if kinds[at] == "ident" and texts[at] not in _KEYWORDS:
+            instance = texts[at]
+            at += 1
+        if kinds[at] != "symbol" or texts[at] != "(":
+            raise self.error("expected '('", at)
+        self.pos = at + 1
+        terminals = [texts[at] for at in self.names_until(")", "gate terminals")]
         self.expect_symbol(";")
-        if gate.text in ("not", "buf"):
+        if gate in ("not", "buf"):
             if len(terminals) != 2:
                 raise self.error(
-                    f"{gate.text!r} takes exactly one output and one input", gate
+                    f"{gate!r} takes exactly one output and one input", gate_at
                 )
         elif len(terminals) < 3:
-            raise self.error(
-                f"{gate.text!r} needs at least two inputs", gate
-            )
+            raise self.error(f"{gate!r} needs at least two inputs", gate_at)
         self.statements.append(
             _GateInstance(
-                gate.text,
+                gate,
                 instance,
                 terminals[0],
                 tuple(terminals[1:]),
-                gate.line,
-                gate.col,
+                self.lines[gate_at],
+                self.cols[gate_at],
             )
         )
 
@@ -951,7 +1010,6 @@ class _NetlistBuilder:
         self.parser = parser
         self.netlist = Netlist(name or parser.module_name or "imported")
         self.wires: Dict[str, Wire] = {}
-        self.wire_lines: Dict[str, Tuple[int, int]] = {}
         self.input_ports: Dict[str, _PortDecl] = {}
         self.output_ports: Dict[str, _PortDecl] = {}
         self.used_component_names: set = set()
@@ -984,7 +1042,6 @@ class _NetlistBuilder:
                 decl.name,
             )
         self.wires[decl.name] = self.netlist.wire(decl.name, decl.width)
-        self.wire_lines[decl.name] = (decl.line, decl.col)
 
     def materialise_port_wire(self, name: str) -> Wire:
         """Create the netlist wire backing a port referenced directly."""
@@ -992,7 +1049,6 @@ class _NetlistBuilder:
         assert decl is not None
         wire = self.netlist.wire(name, decl.width if decl.width is not None else 1)
         self.wires[name] = wire
-        self.wire_lines[name] = (decl.line, decl.col)
         return wire
 
     def resolve(self, name: str, line: int, col: int) -> Wire:
@@ -1044,17 +1100,15 @@ class _NetlistBuilder:
                 continue
             self.declare_wire(decl)
 
+        builders = {
+            _GateInstance: self._build_gate,
+            _Assign: self._build_assign,
+            _Register: self._build_register,
+            _CaseTable: self._build_case,
+            _ClockTreePragma: self._build_clocktree,
+        }
         for statement in parser.statements:
-            if isinstance(statement, _ClockTreePragma):
-                self._build_clocktree(statement)
-            elif isinstance(statement, _Assign):
-                self._build_assign(statement)
-            elif isinstance(statement, _Register):
-                self._build_register(statement)
-            elif isinstance(statement, _CaseTable):
-                self._build_case(statement)
-            elif isinstance(statement, _GateInstance):
-                self._build_gate(statement)
+            builders[type(statement)](statement)
 
         self._finish_output_ports()
         return self.netlist
@@ -1414,23 +1468,20 @@ class _NetlistBuilder:
         )
 
     def _build_gate(self, statement: _GateInstance) -> None:
-        output = self.resolve(statement.output, statement.line, statement.col)
+        line, col = statement.line, statement.col
+        output = self.resolve(statement.output, line, col)
         if statement.output in self.output_ports:
             self.realised_outputs.discard(statement.output)
-        inputs = tuple(
-            self.resolve(name, statement.line, statement.col)
-            for name in statement.inputs
-        )
-        function = _make_gate_function(statement.gate, output.width)
+        # Declared wires in one lookup each; a port read for the first
+        # time (or an undeclared name) takes the resolve path.
+        inputs = tuple(map(self.wires.get, statement.inputs))
+        if None in inputs:
+            inputs = tuple(self.resolve(name, line, col) for name in statement.inputs)
         name = self.component_name(
             statement.instance, f"{statement.gate}_{statement.output}"
         )
-        self._add_component(
-            LookupLogic,
-            (name, inputs, output, function),
-            statement.line,
-            statement.col,
-        )
+        function = _make_gate_function(statement.gate, output.width)
+        self._add_component(LookupLogic, (name, inputs, output, function), line, col)
 
     def _finish_output_ports(self) -> None:
         """Materialise pads for output ports referenced as plain wires."""
@@ -1487,9 +1538,18 @@ def _drive_loose_inputs(builder: _NetlistBuilder) -> None:
 
 
 def parse_verilog_file(path, name: Optional[str] = None) -> Netlist:
-    """Read and parse a structural Verilog file (see :func:`parse_verilog`)."""
+    """Read and parse a structural Verilog file (see :func:`parse_verilog`).
+
+    A file over :data:`MAX_SOURCE_BYTES` is refused after reading one
+    byte past the cap, whatever its size.
+    """
     path = Path(path)
-    data = path.read_bytes()
+    with path.open("rb") as handle:
+        data = handle.read(MAX_SOURCE_BYTES + 1)
+    if len(data) > MAX_SOURCE_BYTES:
+        raise VerilogParseError(
+            f"{path}: larger than the {MAX_SOURCE_BYTES}-byte source limit"
+        )
     try:
         source = _text_mode(data)
     except UnicodeDecodeError as error:

@@ -44,11 +44,14 @@ class VariationModel:
         gain = float(rng.normal(1.0, self.gain_sigma))
         gain = max(gain, 0.1)
         offset = float(rng.normal(0.0, self.offset_sigma))
-        scales: Dict[str, float] = {}
-        for name in component_names:
-            scale = float(rng.normal(1.0, self.component_sigma))
-            scales[name] = max(scale, 0.01)
-        return DeviceVariation(gain=gain, offset=offset, component_scales=scales)
+        names = list(component_names)
+        # One vector draw: the values, and the generator state after
+        # them, of one scalar draw per component in order.
+        scales = rng.normal(1.0, self.component_sigma, size=len(names))
+        component_scales = dict(zip(names, np.maximum(scales, 0.01).tolist()))
+        return DeviceVariation(
+            gain=gain, offset=offset, component_scales=component_scales
+        )
 
 
 @dataclass(frozen=True)

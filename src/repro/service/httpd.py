@@ -8,7 +8,8 @@ top of ``asyncio.start_server``:
 * request parsing (request line, headers, ``Content-Length`` bodies)
   with hard size limits and a read deadline (a client that has not
   sent its whole request within :data:`REQUEST_READ_SECONDS` gets a
-  ``408`` and is disconnected);
+  ``408`` and is disconnected); a target that does not split as a URL
+  or a ``Content-Length`` that is not ASCII digits is a ``400``;
 * pattern routing (``/sweeps/{job_id}/rows`` style placeholders);
 * JSON responses (a handler returns ``(status, payload)``);
 * chunked NDJSON streaming (a handler declared with ``stream=True``
@@ -172,6 +173,25 @@ async def _read_line(reader: asyncio.StreamReader, what: str) -> bytes:
         raise HTTPError(400, f"{what} too long")
 
 
+def _body_length(headers: Dict[str, str]) -> int:
+    """The body length a request declares; 0 without ``Content-Length``.
+
+    The value must be ASCII digits: ``int()`` alone would also take
+    ``+5``, ``1_0`` and non-ASCII digits such as ``٣``.
+    """
+    value = headers.get("content-length")
+    if value is None:
+        return 0
+    if not (value.isascii() and value.isdigit()):
+        raise HTTPError(400, "malformed Content-Length")
+    digits = value.lstrip("0") or "0"
+    # More digits than the cap has is past the cap (and may be past what
+    # int() converts).
+    if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
+        raise HTTPError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
+    return int(digits)
+
+
 async def _read_request(reader: asyncio.StreamReader) -> Optional[Request]:
     """Parse one request off the wire (None on a closed connection)."""
     request_line = await _read_line(reader, "request line")
@@ -181,6 +201,10 @@ async def _read_request(reader: asyncio.StreamReader) -> Optional[Request]:
     if len(parts) != 3 or not parts[2].startswith("HTTP/"):
         raise HTTPError(400, "malformed request line")
     method, target, _version = parts
+    try:
+        split = urlsplit(target)
+    except ValueError:  # e.g. an unclosed IPv6 bracket
+        raise HTTPError(400, "malformed request target")
     headers: Dict[str, str] = {}
     for _ in range(MAX_HEADERS):
         line = await _read_line(reader, "header line")
@@ -192,16 +216,8 @@ async def _read_request(reader: asyncio.StreamReader) -> Optional[Request]:
         headers[name.strip().lower()] = value.strip()
     else:
         raise HTTPError(400, "too many headers")
-    try:
-        length = int(headers.get("content-length", "0") or "0")
-    except ValueError:
-        raise HTTPError(400, "malformed Content-Length")
-    if length < 0:
-        raise HTTPError(400, "malformed Content-Length")
-    if length > MAX_BODY_BYTES:
-        raise HTTPError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
+    length = _body_length(headers)
     body = await reader.readexactly(length) if length else b""
-    split = urlsplit(target)
     return Request(
         method=method.upper(),
         path=unquote(split.path),

@@ -18,6 +18,8 @@ import urllib.request
 from urllib.parse import urlsplit
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.acquisition import bench
 from repro.cli import OPTION_FLAGS, _sweep_options, build_parser, default_sweep_spec
@@ -504,6 +506,32 @@ _OVER_LIMIT = b"a" * (httpd.MAX_LINE_BYTES + 1)
 _TOO_LARGE = httpd.MAX_BODY_BYTES + 1
 
 
+def _part(*examples):
+    """One piece of a request: an edge case below, or arbitrary bytes."""
+    return st.sampled_from(examples) | st.binary(max_size=12)
+
+
+@st.composite
+def request_shaped_bytes(draw):
+    """A request line, headers and a body, each piece valid, an edge
+    case or arbitrary bytes."""
+    method = draw(_part(b"GET", b"POST", b"get", b""))
+    target = draw(
+        _part(b"/health", b"/sweeps/x/rows?axis=a&b", b"http://[::1", b"*", b"%zz")
+    )
+    version = draw(_part(b"HTTP/1.1", b"HTTP/", b""))
+    newline = draw(st.sampled_from([b"\r\n", b"\n"]))
+    name = _part(b"Content-Length", b"content-length", b"Host", b"")
+    value = _part(
+        b"0", b"2", b"1_0", b"+5", b"-1", b" 5 ", b"\xb2", "\u0663".encode(),
+        b"0" * 5000 + b"2", b"9" * 5000, b"%d" % _TOO_LARGE, b"",
+    )
+    headers = draw(st.lists(st.tuples(name, value), max_size=4))
+    head = b" ".join((method, target, version)) + newline
+    head += b"".join(n + b": " + v + newline for n, v in headers)
+    return head + draw(st.sampled_from([newline, b""])) + draw(st.binary(max_size=16))
+
+
 class TestRequestLimits:
     @pytest.mark.parametrize(
         "request_bytes, status, error",
@@ -526,8 +554,24 @@ class TestRequestLimits:
                 413,
                 "exceeds",
             ),
+            (
+                b"POST /sweeps HTTP/1.1\r\nContent-Length: %s\r\n\r\n" % (b"9" * 5000),
+                413,
+                "exceeds",
+            ),
             (_OVER_LIMIT, 400, "request line too long"),
             (b"GET /health HTTP/1.1\r\n" + _OVER_LIMIT, 400, "header line too long"),
+            (b"GET http://[::1 HTTP/1.1\r\n\r\n", 400, "malformed request target"),
+            (
+                b"GET /health HTTP/1.1\r\nContent-Length: 1_0\r\n\r\n",
+                400,
+                "malformed Content-Length",
+            ),
+            (
+                b"GET /health HTTP/1.1\r\nContent-Length: +5\r\n\r\n",
+                400,
+                "malformed Content-Length",
+            ),
         ],
         ids=[
             "no-version",
@@ -536,8 +580,12 @@ class TestRequestLimits:
             "length-not-a-number",
             "negative-length",
             "body-too-large",
+            "length-past-int-digits",
             "request-line-too-long",
             "header-line-too-long",
+            "unsplittable-target",
+            "length-with-underscore",
+            "length-with-sign",
         ],
     )
     def test_bad_request_is_answered(self, service, request_bytes, status, error):
@@ -548,6 +596,23 @@ class TestRequestLimits:
         assert error in json.loads(body)["error"]
         # The server outlives the bad request.
         assert client.get("/health")[0] == 200
+
+    @given(st.binary(max_size=200) | request_shaped_bytes())
+    def test_fuzz_request_bytes(self, data):
+        # A parsed request, a clean EOF (None), an HTTPError or a client
+        # that left mid-body (IncompleteReadError, which handle_connection
+        # treats as gone) are the only outcomes.
+        async def read():
+            reader = asyncio.StreamReader(limit=httpd.MAX_LINE_BYTES)
+            reader.feed_data(data)
+            reader.feed_eof()
+            return await httpd._read_request(reader)
+
+        try:
+            request = asyncio.run(read())
+        except (httpd.HTTPError, asyncio.IncompleteReadError):
+            return
+        assert request is None or isinstance(request, httpd.Request)
 
     def test_closed_connection_gets_no_reply(self, service):
         _, client = service

@@ -193,6 +193,28 @@ class TestVariation:
         assert np.isclose(scales.mean(), 1.0, atol=0.01)
         assert scales.std() < 0.05
 
+    @pytest.mark.parametrize("n_components", [0, 1, 676])
+    @pytest.mark.parametrize("component_sigma", [0.0, 0.025, 40.0])
+    def test_sample_equals_scalar_draws(self, n_components, component_sigma):
+        # The reference: one scalar draw per component, clipped at 0.01
+        # (40.0 makes the clip bite).  The vector draw must give the same
+        # floats and leave the generator where the scalar draws did.
+        model = VariationModel(component_sigma=component_sigma)
+        names = [f"c{i}" for i in range(n_components)]
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            expected_rng = np.random.default_rng(seed)
+            gain = max(float(expected_rng.normal(1.0, model.gain_sigma)), 0.1)
+            offset = float(expected_rng.normal(0.0, model.offset_sigma))
+            scales = {
+                name: max(float(expected_rng.normal(1.0, component_sigma)), 0.01)
+                for name in names
+            }
+            variation = model.sample(iter(names), rng)
+            assert variation == DeviceVariation(gain, offset, scales)
+            assert all(type(s) is float for s in variation.component_scales.values())
+            assert rng.bit_generator.state == expected_rng.bit_generator.state
+
     def test_rejects_negative_sigmas(self):
         with pytest.raises(ValueError):
             VariationModel(gain_sigma=-0.1)

@@ -26,6 +26,7 @@ from repro.experiments.designs import (
     build_paper_ip,
     resolve_imported_design,
 )
+from repro.hdl import verilog_parse
 from repro.hdl.combinational import Constant, GrayToBinary, LookupLogic, XorArray
 from repro.hdl.engine import compile_netlist
 from repro.hdl.io import ClockTree, InputPort, OutputPort
@@ -346,6 +347,22 @@ class TestInputBounds:
         assert "bad.v" in str(err) and "offset 36" in str(err)
         assert (err.line, err.col) == (2, 9)
 
+    def test_file_size_limit_boundary(self, tmp_path, monkeypatch):
+        source = (CORPUS_DIR / "c17.v").read_bytes()
+        monkeypatch.setattr(verilog_parse, "MAX_SOURCE_BYTES", len(source))
+        at_cap = tmp_path / "at_cap.v"
+        at_cap.write_bytes(source)
+        assert inventory(parse_verilog_file(at_cap)) == inventory(
+            parse_verilog(source.decode())
+        )
+        over_cap = tmp_path / "over_cap.v"
+        over_cap.write_bytes(source + b"\n")
+        with pytest.raises(VerilogParseError) as excinfo:
+            parse_verilog_file(over_cap)
+        assert str(excinfo.value) == (
+            f"{over_cap}: larger than the {len(source)}-byte source limit"
+        )
+
     @pytest.mark.parametrize("newline", ["\r\n", "\r"])
     def test_file_line_endings(self, tmp_path, newline):
         source = CORPUS_DIR / "c17.v"
@@ -437,13 +454,27 @@ def edited_sources(draw):
     return text[:at] + piece + text[at + (edit == "replace") :]
 
 
+def token_rows(tokens):
+    """``(kind, text, line, col, width, value)`` of every token.
+
+    ``ReferenceLexer`` returns a list of token objects, ``_Lexer`` its
+    parallel token arrays; the rows read the same six fields from both.
+    """
+    if isinstance(tokens, list):
+        return [(t.kind, t.text, t.line, t.col, t.width, t.value) for t in tokens]
+    columns = zip(tokens.kinds, tokens.texts, tokens.lines, tokens.cols)
+    return [
+        (*row, *tokens.numbers.get(index, (None, None)))
+        for index, row in enumerate(columns)
+    ]
+
+
 def lex_outcome(lexer, text):
     try:
         tokens, comments = lexer(text).run()
     except VerilogParseError as error:
         return ("error", str(error), error.line, error.col, error.token)
-    rows = [(t.kind, t.text, t.line, t.col, t.width, t.value) for t in tokens]
-    return ("ok", rows, comments)
+    return ("ok", token_rows(tokens), comments)
 
 
 def assert_same_lexing(text):
@@ -473,6 +504,20 @@ class TestLexerDifferential:
     def test_differential_verilog_text(self, text):
         assume(not WIDE_SIZE.search(text))
         assert_same_lexing(text)
+
+    @given(edited_sources())
+    def test_differential_edited_sources(self, text):
+        # Comments, pragmas, sized literals and escaped identifiers meet
+        # the reference at every position of every source.  A non-ASCII
+        # character outside them is the other deliberate difference
+        # (test_non_ascii_outside_comments_is_unexpected); up to it the
+        # two lexers agree, and from it on the reference reads the
+        # character as part of a name or number.
+        assume(not WIDE_SIZE.search(text))
+        outcome = lex_outcome(_Lexer, text)
+        unexpected = outcome[0] == "error" and "unexpected character" in outcome[1]
+        assume(not (unexpected and not outcome[4].isascii()))
+        assert outcome == lex_outcome(ReferenceLexer, text)
 
     @pytest.mark.parametrize("char", ["é", "٣", "²"])
     @pytest.mark.parametrize(
